@@ -97,42 +97,45 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _scene_record(scene: Scene, rss: RssParams) -> dict:
-    intr = compute_intrinsic(scene.target)
-    inter = compute_interactive(scene, rss)
-    return {
-        "scene_id": scene.scene_id,
-        "metrics": {**intr.as_dict(), **inter.as_dict()},
-        "flags": sorted(set(intr.flags) | set(inter.flags)),
-    }
+def _scene_pair(scene: Scene, rss: RssParams):
+    return compute_intrinsic(scene.target), compute_interactive(scene, rss)
 
 
-def _map_scenes(fn, scenes, workers: int):
+def _score_scenes(args, config: dict):
+    """Load the input scenes sorted by id and compute their metrics.
+
+    Returns the scenes and one ``(intrinsic, interactive)`` pair per scene,
+    computed in ``workers`` processes when more than one is asked for.
+    """
+    path = _require_input(args, config)
+    radius = _opt(args, config, "neighbor_radius", 50.0)
+    scenes = sorted(load_scenes(path, neighbor_radius=radius), key=lambda s: s.scene_id)
+    score = partial(_scene_pair, rss=RssParams.from_dict(config.get("rss_params", {})))
+    workers = int(_opt(args, config, "workers", 1))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, scenes))
-    return [fn(scene) for scene in scenes]
+            return scenes, list(pool.map(score, scenes))
+    return scenes, [score(scene) for scene in scenes]
 
 
 def cmd_metrics(args, config: dict) -> int:
     """All 14 metric scalars per scene, one JSON record each."""
-    path = _require_input(args, config)
-    radius = _opt(args, config, "neighbor_radius", 50.0)
-    scenes = sorted(load_scenes(path, neighbor_radius=radius), key=lambda s: s.scene_id)
-    rss = RssParams.from_dict(config.get("rss_params", {}))
-    workers = int(_opt(args, config, "workers", 1))
-    records = _map_scenes(partial(_scene_record, rss=rss), scenes, workers)
+    scenes, pairs = _score_scenes(args, config)
+    records = [
+        {
+            "scene_id": scene.scene_id,
+            "metrics": {**intr.as_dict(), **inter.as_dict()},
+            "flags": sorted(set(intr.flags) | set(inter.flags)),
+        }
+        for scene, (intr, inter) in zip(scenes, pairs)
+    ]
     _write_json({"scenes": records}, _opt(args, config, "out"))
     return 0
 
 
 def cmd_rank(args, config: dict) -> int:
     """Tail Index per scene, descending, with features and fusion weights."""
-    path = _require_input(args, config)
-    radius = _opt(args, config, "neighbor_radius", 50.0)
-    scenes = sorted(load_scenes(path, neighbor_radius=radius), key=lambda s: s.scene_id)
-    rss = RssParams.from_dict(config.get("rss_params", {}))
-    workers = int(_opt(args, config, "workers", 1))
+    scenes, pairs = _score_scenes(args, config)
     seed = int(_opt(args, config, "seed", 0))
     mode = _opt(args, config, "mode", "mean")
 
@@ -144,7 +147,6 @@ def cmd_rank(args, config: dict) -> int:
     else:
         params = perceiver.default_params(seed=seed)
 
-    pairs = _map_scenes(partial(_scene_pair, rss=rss), scenes, workers)
     vectors = np.array([perceiver.metrics_vector(i, r) for i, r in pairs])
 
     stats_path = _opt(args, config, "stats")
@@ -192,10 +194,6 @@ def cmd_rank(args, config: dict) -> int:
         payload["boundaries"] = partition.boundaries.tolist()
     _write_json(payload, _opt(args, config, "out"))
     return 0
-
-
-def _scene_pair(scene: Scene, rss: RssParams):
-    return compute_intrinsic(scene.target), compute_interactive(scene, rss)
 
 
 def cmd_eval(args, config: dict) -> int:

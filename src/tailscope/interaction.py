@@ -6,6 +6,12 @@ conflict, agent density, neighborhood instability) rate the scene as a whole.
 The neighbor set is re-evaluated every frame as the agents within
 ``scene.neighbor_radius`` of the target.
 
+Every score is computed from per-scene arrays rather than per-frame loops:
+the agents' positions and velocities are stacked once into ``(T, n, 2)``
+arrays (T frames, n agents, target first), the target-to-neighbor geometry
+forms ``(T, N)`` arrays over the N neighbors, and the all-pairs conflict
+score reads the ``(T, n(n-1)/2)`` agent pairs of the same stacks.
+
 The safe-distance scores follow the Responsibility-Sensitive Safety minimum
 separations: the longitudinal/lateral axes are the target's instantaneous
 heading direction and its perpendicular, and the per-neighbor lateral axis is
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,27 +113,53 @@ class InteractiveMetrics:
         return np.array([getattr(self, name) for name in INTERACTIVE_FIELDS], dtype=float)
 
 
-def _pair_ittc(p_i, v_i, p_j, v_j) -> float | None:
-    """Clamped closing rate over squared separation; None if coincident."""
-    dp = p_j - p_i
-    dist = float(np.hypot(dp[0], dp[1]))
-    if dist < EPS_DIST:
-        return None
-    closing = -float(np.dot(v_j - v_i, dp))
-    if closing <= 0.0:
-        return 0.0
-    return closing / dist**2
+class _Geometry(NamedTuple):
+    """A scene's agents stacked over frames T; n = 1 + N agents, target first."""
+
+    pos: np.ndarray  # (T, n, 2)
+    vel: np.ndarray  # (T, n, 2)
+    neighbors: list  # the N neighbor trajectories, in ``neighbor_ids`` order
+    dp: np.ndarray  # (T, N, 2) neighbor position minus target position
+    dv: np.ndarray  # (T, N, 2) neighbor velocity minus target velocity
+    dist: np.ndarray  # (T, N)
+    near: np.ndarray  # (T, N) dist <= radius
 
 
-def _frame_neighbors(scene: Scene, k: int) -> list[str]:
-    target = scene.target
-    p_i = target.positions[k]
-    out = []
-    for agent_id in scene.neighbor_ids():
-        p_j = scene.agents[agent_id].positions[k]
-        if float(np.hypot(p_j[0] - p_i[0], p_j[1] - p_i[1])) <= scene.neighbor_radius:
-            out.append(agent_id)
-    return out
+def _pair_geometry(pos, vel, a, b):
+    """Position and velocity of agents ``b`` relative to agents ``a``, and their distance."""
+    dp = pos[:, b] - pos[:, a]
+    return dp, vel[:, b] - vel[:, a], np.hypot(dp[..., 0], dp[..., 1])
+
+
+def _geometry(scene: Scene, radius: float) -> _Geometry:
+    """Stack the scene's agents and relate every neighbor to the target."""
+    neighbors = [scene.agents[agent_id] for agent_id in scene.neighbor_ids()]
+    agents = [scene.target] + neighbors
+    pos = np.stack([traj.positions for traj in agents], axis=1)
+    vel = np.stack([traj.velocities for traj in agents], axis=1)
+    dp, dv, dist = _pair_geometry(pos, vel, slice(0, 1), slice(1, None))
+    return _Geometry(pos, vel, neighbors, dp, dv, dist, dist <= radius)
+
+
+def _pair_ittc(dp, dv, dist):
+    """Clamped closing rate over squared separation, elementwise.
+
+    Returns the rates and the mask of coincident pairs (closer than
+    ``EPS_DIST``), whose rate is 0 instead of a division by ~0.
+    """
+    coincident = dist < EPS_DIST
+    # np.vecdot rounds like np.dot on 2-vectors and np.float_power like
+    # Python's float ``**`` (libm pow); ``a*b + c*d``, einsum and array ``**``
+    # do not. That keeps every value bit-equal to the scalar formula, which
+    # the golden report hashes in tests/test_golden.py pin.
+    closing = -np.vecdot(dv, dp)
+    ok = (closing > 0.0) & ~coincident
+    return np.divide(closing, np.float_power(dist, 2), out=np.zeros_like(dist), where=ok), coincident
+
+
+def _worst(values, near) -> np.ndarray:
+    """Per-frame maximum over the in-radius neighbors; 0 for frames with none."""
+    return np.where(near, values, 0.0).max(axis=1, initial=0.0)
 
 
 def ittc_risk(scene: Scene) -> dict:
@@ -136,109 +169,87 @@ def ittc_risk(scene: Scene) -> dict:
     Frames with no neighbor in radius contribute 0; coincident pairs are
     skipped with a ``proximity_skip`` flag.
     """
-    target = scene.target
-    flags = set()
-    series = np.zeros(scene.n_frames, dtype=float)
-    for k in range(scene.n_frames):
-        best = 0.0
-        for agent_id in _frame_neighbors(scene, k):
-            other = scene.agents[agent_id]
-            value = _pair_ittc(
-                target.positions[k], target.velocities[k], other.positions[k], other.velocities[k]
-            )
-            if value is None:
-                flags.add("proximity_skip")
-                continue
-            best = max(best, value)
-        series[k] = best
-    return {"r_ittc": float(series.mean()), "series": series, "flags": tuple(sorted(flags))}
+    g = _geometry(scene, scene.neighbor_radius)
+    value, coincident = _pair_ittc(g.dp, g.dv, g.dist)
+    series = _worst(value, g.near)
+    flags = ("proximity_skip",) if np.any(coincident & g.near) else ()
+    return {"r_ittc": float(series.mean()), "series": series, "flags": flags}
 
 
-def min_longitudinal_separation(v_i_lon: float, v_j_lon: float, params: RssParams) -> float:
+def min_longitudinal_separation(v_i_lon, v_j_lon, params: RssParams):
     """Minimum required longitudinal separation, clamped at 0.
 
-    ``v_j_lon`` is the neighbor's longitudinal velocity and must already be
-    zeroed by the caller for non-vehicle neighbors.
+    Works elementwise on scalars or broadcastable arrays. ``v_j_lon`` is the
+    neighbor's longitudinal velocity and must already be zeroed by the caller
+    for non-vehicle neighbors.
     """
     d = (
         v_i_lon * params.rho
         + 0.5 * params.a_max * params.rho**2
-        + (v_i_lon + params.rho * params.a_max) ** 2 / (2.0 * params.b_min)
-        - v_j_lon**2 / (2.0 * params.b_max)
+        + np.float_power(v_i_lon + params.rho * params.a_max, 2) / (2.0 * params.b_min)
+        - np.float_power(v_j_lon, 2) / (2.0 * params.b_max)
     )
-    return max(d, 0.0)
+    return np.maximum(d, 0.0)
 
 
-def min_lateral_separation(
-    v_i_lat: float, v_j_lat: float, neighbor_kind: str, params: RssParams
-) -> float:
+def min_lateral_separation(v_i_lat, v_j_lat, neighbor_kind, params: RssParams):
     """Minimum required lateral separation including the fixed margin.
 
-    Velocities are signed along the axis pointing from the target toward the
-    neighbor. The neighbor's reaction time is ``rho_ped`` for pedestrians and
-    ``rho`` otherwise; its braking allowance applies to vehicles only.
+    Works elementwise: velocities are scalars or arrays and ``neighbor_kind``
+    is a kind string or an array of them, all broadcastable. Velocities are
+    signed along the axis pointing from the target toward the neighbor. The
+    neighbor's reaction time is ``rho_ped`` for pedestrians and ``rho``
+    otherwise; its braking allowance applies to vehicles only.
     """
-    rho_eff = params.rho_ped if neighbor_kind == "pedestrian" else params.rho
+    rho_eff = np.where(neighbor_kind == "pedestrian", params.rho_ped, params.rho)
     v_i_reacted = v_i_lat + params.a_lat_max * params.rho
     v_j_reacted = v_j_lat - params.a_lat_max * rho_eff
-    term_i = (v_i_lat + v_i_reacted) / 2.0 * params.rho + v_i_reacted**2 / (
+    term_i = (v_i_lat + v_i_reacted) / 2.0 * params.rho + np.float_power(v_i_reacted, 2) / (
         2.0 * params.b_lat_min
     )
-    v_j_braking = v_j_reacted if neighbor_kind == "vehicle" else 0.0
-    term_j = (v_j_lat + v_j_reacted) / 2.0 * rho_eff - v_j_braking**2 / (2.0 * params.b_lat_min)
-    return params.mu_lat + max(term_i - term_j, 0.0)
+    v_j_braking = np.where(neighbor_kind == "vehicle", v_j_reacted, 0.0)
+    term_j = (v_j_lat + v_j_reacted) / 2.0 * rho_eff - np.float_power(v_j_braking, 2) / (
+        2.0 * params.b_lat_min
+    )
+    return params.mu_lat + np.maximum(term_i - term_j, 0.0)
 
 
-def _deficit_risk(required: float, actual: float, alpha: float, beta: float) -> float:
-    """Map a safe-distance deficit to a risk value in [0, 1)."""
-    if required <= 0.0:
-        return 0.0
-    deficit = max(required - actual, 0.0)
-    return 1.0 - (1.0 + deficit / (beta * required)) ** (-alpha)
+def _deficit_risk(required, actual, alpha: float, beta: float) -> np.ndarray:
+    """Map a safe-distance deficit to a risk value in [0, 1), elementwise; 0 where required <= 0."""
+    deficit = np.maximum(required - actual, 0.0)
+    ratio = np.divide(deficit, beta * required, out=np.zeros_like(deficit), where=required > 0.0)
+    return 1.0 - np.float_power(1.0 + ratio, -alpha)
 
 
 def rss_longitudinal(scene: Scene, params: RssParams | None = None) -> dict:
     """Worst-neighbor longitudinal safe-distance risk, averaged over frames."""
     params = params or RssParams()
-    target = scene.target
-    series = np.zeros(scene.n_frames, dtype=float)
-    for k in range(scene.n_frames):
-        heading = target.headings[k]
-        u_lon = np.array([math.cos(heading), math.sin(heading)])
-        v_i_lon = float(np.dot(target.velocities[k], u_lon))
-        best = 0.0
-        for agent_id in _frame_neighbors(scene, k):
-            other = scene.agents[agent_id]
-            v_j_lon = (
-                float(np.dot(other.velocities[k], u_lon)) if other.kind == "vehicle" else 0.0
-            )
-            required = min_longitudinal_separation(v_i_lon, v_j_lon, params)
-            gap = abs(float(np.dot(other.positions[k] - target.positions[k], u_lon)))
-            best = max(best, _deficit_risk(required, gap, params.alpha_lon, params.beta_lon))
-        series[k] = best
+    g = _geometry(scene, scene.neighbor_radius)
+    heading = scene.target.headings
+    u_lon = np.stack([np.cos(heading), np.sin(heading)], axis=-1)[:, None]
+    is_vehicle = np.array([traj.kind == "vehicle" for traj in g.neighbors], dtype=bool)
+    v_i_lon = np.vecdot(g.vel[:, :1], u_lon)
+    v_j_lon = np.where(is_vehicle, np.vecdot(g.vel[:, 1:], u_lon), 0.0)
+    required = min_longitudinal_separation(v_i_lon, v_j_lon, params)
+    gap = np.abs(np.vecdot(g.dp, u_lon))
+    series = _worst(_deficit_risk(required, gap, params.alpha_lon, params.beta_lon), g.near)
     return {"r_lon": float(series.mean()), "series": series, "flags": ()}
 
 
 def rss_lateral(scene: Scene, params: RssParams | None = None) -> dict:
     """Worst-neighbor lateral safe-distance risk, averaged over frames."""
     params = params or RssParams()
-    target = scene.target
-    series = np.zeros(scene.n_frames, dtype=float)
-    for k in range(scene.n_frames):
-        heading = target.headings[k]
-        u_lat = np.array([-math.sin(heading), math.cos(heading)])
-        best = 0.0
-        for agent_id in _frame_neighbors(scene, k):
-            other = scene.agents[agent_id]
-            lat_sep = float(np.dot(other.positions[k] - target.positions[k], u_lat))
-            axis = u_lat if lat_sep >= 0 else -u_lat
-            v_i_lat = float(np.dot(target.velocities[k], axis))
-            v_j_lat = float(np.dot(other.velocities[k], axis))
-            required = min_lateral_separation(v_i_lat, v_j_lat, other.kind, params)
-            best = max(
-                best, _deficit_risk(required, abs(lat_sep), params.alpha_lat, params.beta_lat)
-            )
-        series[k] = best
+    g = _geometry(scene, scene.neighbor_radius)
+    heading = scene.target.headings
+    u_lat = np.stack([-np.sin(heading), np.cos(heading)], axis=-1)[:, None]
+    kinds = np.array([traj.kind for traj in g.neighbors], dtype=str)
+    lat_sep = np.vecdot(g.dp, u_lat)
+    axis = np.where(lat_sep >= 0, 1.0, -1.0)[..., None] * u_lat
+    v_i_lat = np.vecdot(g.vel[:, :1], axis)
+    v_j_lat = np.vecdot(g.vel[:, 1:], axis)
+    required = min_lateral_separation(v_i_lat, v_j_lat, kinds, params)
+    risk = _deficit_risk(required, np.abs(lat_sep), params.alpha_lat, params.beta_lat)
+    series = _worst(risk, g.near)
     return {"r_lat": float(series.mean()), "series": series, "flags": ()}
 
 
@@ -246,56 +257,36 @@ def global_scene_risk(scene: Scene, radius: float | None = None) -> dict:
     """Scene-level risk: all-pairs conflict, agent density, neighborhood instability.
 
     ``radius`` defaults to the scene's neighbor radius and bounds both the
-    density disc and the instability neighbor set.
+    density disc and the instability neighbor set; it must be finite and > 0.
     """
     radius = scene.neighbor_radius if radius is None else radius
-    if radius <= 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
-    flags = set()
-    ids = [scene.target_id] + scene.neighbor_ids()
-    n = len(ids)
-    target = scene.target
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValidationError(f"radius must be finite and positive, got {radius}")
+    g = _geometry(scene, radius)
+    n = g.pos.shape[1]
 
+    value, coincident = _pair_ittc(*_pair_geometry(g.pos, g.vel, *np.triu_indices(n, 1)))
     mac_series = np.zeros(scene.n_frames, dtype=float)
     if n >= 2:
-        n_pairs = n * (n - 1) / 2.0
-        for k in range(scene.n_frames):
-            total = 0.0
-            for a in range(n):
-                for b in range(a + 1, n):
-                    ta, tb = scene.agents[ids[a]], scene.agents[ids[b]]
-                    value = _pair_ittc(
-                        ta.positions[k], ta.velocities[k], tb.positions[k], tb.velocities[k]
-                    )
-                    if value is None:
-                        flags.add("proximity_skip")
-                        continue
-                    total += value
-            mac_series[k] = total / n_pairs
+        # a running sum in pair order (cumsum), not np.sum's pairwise one, so
+        # the total rounds like a plain loop over the pairs
+        mac_series = np.cumsum(value, axis=1)[:, -1] / (n * (n - 1) / 2.0)
 
-    ad_series = np.zeros(scene.n_frames, dtype=float)
-    ni_series = np.zeros(scene.n_frames, dtype=float)
-    c_v_cache: dict[str, float] = {}
-    disc_area = math.pi * radius**2
-    for k in range(scene.n_frames):
-        near = []
-        p_i = target.positions[k]
-        for agent_id in scene.neighbor_ids():
-            p_j = scene.agents[agent_id].positions[k]
-            if float(np.hypot(p_j[0] - p_i[0], p_j[1] - p_i[1])) <= radius:
-                near.append(agent_id)
-        ad_series[k] = len(near) / disc_area
-        if near:
-            for agent_id in near:
-                if agent_id not in c_v_cache:
-                    c_v_cache[agent_id] = kinematic_dynamism(scene.agents[agent_id])["c_v"]
-            ni_series[k] = float(np.mean([c_v_cache[a] for a in near]))
+    count = g.near.sum(axis=1)
+    ad_series = count / (math.pi * radius**2)
+    # Stable-sorting each frame's in-radius neighbors to the front makes the
+    # masked sum one contiguous run, which numpy adds exactly as np.mean adds
+    # the list of in-radius values.
+    order = np.argsort(~g.near, axis=1, kind="stable")
+    c_v = np.array([kinematic_dynamism(traj)["c_v"] for traj in g.neighbors], dtype=float)
+    c_v_sum = np.add.reduce(c_v[order], axis=1, where=np.take_along_axis(g.near, order, axis=1))
+    ni_series = c_v_sum / np.maximum(count, 1)
 
     return {
         "r_mac": float(mac_series.mean()),
         "r_ad": float(ad_series.mean()),
         "r_ni": float(ni_series.mean()),
-        "flags": tuple(sorted(flags)),
+        "flags": ("proximity_skip",) if np.any(coincident) else (),
     }
 
 

@@ -1,6 +1,7 @@
 """Interaction metrics: analytic ITTC/RSS cases, invariances, brute force."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,6 +171,12 @@ class TestGlobalSceneRisk:
             global_scene_risk(scene_a)["r_mac"], global_scene_risk(scene_b)["r_mac"], tol=1e-12
         )
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        scene = make_scene([make_traj("0", [(5.0, 0.0)] * 3), make_traj("1", [(4.0, 0.0)] * 3)])
+        with pytest.raises(ValidationError):
+            global_scene_risk(scene, radius=radius)
+
 
 class TestFrameInvariance:
     def test_all_six_invariant_under_rigid_motion(self, rng):
@@ -210,20 +217,40 @@ class TestFrameInvariance:
                 assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-9, rel=1e-9)
 
 
+def _on_positions_of(traj, other, frames):
+    """``traj`` with its positions replaced by ``other``'s at ``frames``."""
+    states = tuple(
+        replace(s, x=o.x, y=o.y) if k in frames else s
+        for k, (s, o) in enumerate(zip(traj.states, other.states))
+    )
+    return Trajectory(agent_id=traj.agent_id, states=states, dt=traj.dt)
+
+
 class TestBruteForceEquivalence:
     def test_random_small_scenes(self, rng):
         params = RssParams()
-        for _ in range(30):
-            n_agents = int(rng.integers(1, 5))
+        kinds = ("vehicle", "pedestrian", "other")
+        for trial in range(40):
+            n_agents = int(rng.integers(1, 9))
             n_frames = int(rng.integers(2, 11))
             trajs = [
-                random_trajectory(rng, agent_id=str(i), n_frames=n_frames) for i in range(n_agents)
+                random_trajectory(
+                    rng, agent_id=str(i), n_frames=n_frames, kind=kinds[int(rng.integers(0, 3))]
+                )
+                for i in range(n_agents)
             ]
+            coincident = n_agents >= 3 and trial % 3 == 0
+            if coincident and trial % 2 == 0:
+                trajs[1] = _on_positions_of(trajs[1], trajs[0], {0})  # on the target
+            if coincident:
+                # a neighbor pair only the all-pairs score sees
+                trajs[2] = _on_positions_of(trajs[2], trajs[1], set(range(n_frames)))
             scene = make_scene(trajs, neighbor_radius=40.0)
             got = compute_interactive(scene, params)
             want = interactive_oracle(scene_as_plain(scene), "0", 40.0, params)
             for name in INTERACTIVE_FIELDS:
                 assert_rel(getattr(got, name), want[name], tol=1e-12, label=name)
+            assert ("proximity_skip" in got.flags) == coincident
 
 
 class TestTypes:
