@@ -7,6 +7,10 @@ toward a tail-biased fallback when no prototype matches well, and a single
 analytic gradient step on the prototype-alignment loss refines the memory
 before it augments the feature vector.
 
+``GateMlp.forward``, ``allocation``, ``similarity`` and ``vigilance_adjust``
+take one sample's vector or a ``(B, .)`` stack whose rows are samples; a batch
+call returns one row per sample and warns once, not once per degenerate row.
+
 Reads (allocation, similarity, vigilance, augment) are pure; the two update
 operations return fresh arrays and never mutate their inputs, but concurrent
 writers still need external coordination (single-writer contract).
@@ -18,6 +22,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +36,45 @@ EPS_NORM = 1e-12
 def sigmoid(x):
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if out.ndim == 0 else out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits)
-    e = np.exp(z)
-    return e / e.sum()
+    """Softmax over the last axis, max-shifted per row."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of ``x`` scaled to unit norm, with their norms and the mask of rows kept.
+
+    Rows with a norm below ``EPS_NORM`` are directionless and come out as zeros.
+    Norms and mask keep a trailing axis of length 1, so they broadcast against ``x``.
+    """
+    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))  # np.linalg.norm's sum, less call overhead
+    ok = norms >= EPS_NORM
+    return np.divide(x, norms, out=np.zeros_like(x), where=ok), norms, ok
+
+
+_float_array = partial(np.array, dtype=float)
+
+
+def _json_fields(data, convert: dict, what: str, optional=()) -> dict:
+    """Each key of a JSON object through its converter; a missing or bad key raises ConfigurationError."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} must be a JSON object, got {type(data).__name__}")
+    fields = {}
+    for key, fn in convert.items():
+        try:
+            if key in data or key not in optional:
+                fields[key] = fn(data[key])
+        except KeyError:
+            raise ConfigurationError(f"{what} missing key '{key}'") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{what} key '{key}' is malformed: {exc}") from None
+    return fields
 
 
 @dataclass(frozen=True)
@@ -52,10 +88,14 @@ class GateMlp:
     w_gate: np.ndarray    # (hidden,)
     b_gate: float
 
+    _ARRAYS = ("w_hidden", "b_hidden", "w_alloc", "b_alloc", "w_gate")
+
     def __post_init__(self):
-        for name in ("w_hidden", "b_hidden", "w_alloc", "b_alloc", "w_gate"):
+        for name in self._ARRAYS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        hidden, _ = self.w_hidden.shape
+        if self.w_hidden.ndim != 2:
+            raise ConfigurationError(f"w_hidden must be a (hidden, in) matrix, got shape {self.w_hidden.shape}")
+        hidden = self.w_hidden.shape[0]
         if self.b_hidden.shape != (hidden,):
             raise ConfigurationError("b_hidden does not match w_hidden rows")
         if self.w_alloc.ndim != 2 or self.w_alloc.shape[1] != hidden:
@@ -75,13 +115,16 @@ class GateMlp:
     def categories(self) -> int:
         return self.w_alloc.shape[0]
 
-    def forward(self, h: np.ndarray) -> tuple[np.ndarray, float]:
-        """Return (allocation logits, gate logit) for one input vector."""
+    def forward(self, h: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+        """Allocation logits and gate logit: ``(C,)`` and a float for ``(D,)``, else ``(B, C)`` and ``(B,)``."""
         h = np.asarray(h, dtype=float)
-        if h.shape != (self.input_dim,):
-            raise ConfigurationError(f"expected input of shape ({self.input_dim},), got {h.shape}")
-        hid = np.maximum(self.w_hidden @ h + self.b_hidden, 0.0)
-        return self.w_alloc @ hid + self.b_alloc, float(self.w_gate @ hid + self.b_gate)
+        if h.ndim not in (1, 2) or h.shape[-1] != self.input_dim:
+            raise ConfigurationError(f"expected input of shape (D,) or (B, D) with D = {self.input_dim}, got {h.shape}")
+        # einsum, not matmul: a batch this wide would reach a threaded BLAS GEMM,
+        # whose thread hand-off costs more than the product on a few cores.
+        hid = np.maximum(np.einsum("...i,hi->...h", h, self.w_hidden) + self.b_hidden, 0.0)
+        gate = hid @ self.w_gate + self.b_gate
+        return hid @ self.w_alloc.T + self.b_alloc, float(gate) if h.ndim == 1 else gate
 
     @classmethod
     def create(cls, input_dim: int, categories: int, hidden: int = 32, seed: int = 0) -> "GateMlp":
@@ -96,28 +139,11 @@ class GateMlp:
         )
 
     def to_jsonable(self) -> dict:
-        return {
-            "w_hidden": self.w_hidden.tolist(),
-            "b_hidden": self.b_hidden.tolist(),
-            "w_alloc": self.w_alloc.tolist(),
-            "b_alloc": self.b_alloc.tolist(),
-            "w_gate": self.w_gate.tolist(),
-            "b_gate": float(self.b_gate),
-        }
+        return {**{name: getattr(self, name).tolist() for name in self._ARRAYS}, "b_gate": float(self.b_gate)}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "GateMlp":
-        try:
-            return cls(
-                w_hidden=np.array(data["w_hidden"], dtype=float),
-                b_hidden=np.array(data["b_hidden"], dtype=float),
-                w_alloc=np.array(data["w_alloc"], dtype=float),
-                b_alloc=np.array(data["b_alloc"], dtype=float),
-                w_gate=np.array(data["w_gate"], dtype=float),
-                b_gate=float(data["b_gate"]),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"gate mlp missing key {exc}") from None
+        return cls(**_json_fields(data, {**dict.fromkeys(cls._ARRAYS, _float_array), "b_gate": float}, "gate mlp"))
 
 
 def default_tail_bias(categories: int) -> np.ndarray:
@@ -188,13 +214,8 @@ class CognitiveSetParams:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "CognitiveSetParams":
-        return cls(
-            tau=float(data["tau"]),
-            rho_vig=float(data["rho_vig"]),
-            gamma_steep=float(data["gamma_steep"]),
-            b_tail=np.array(data["b_tail"], dtype=float),
-            gate_mlp=GateMlp.from_jsonable(data["gate_mlp"]),
-        )
+        convert = {"tau": float, "rho_vig": float, "gamma_steep": float, "b_tail": _float_array}
+        return cls(**_json_fields(data, {**convert, "gate_mlp": GateMlp.from_jsonable}, "cognitive set params"))
 
 
 @dataclass(frozen=True)
@@ -249,18 +270,19 @@ class PrototypeMemory:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "PrototypeMemory":
-        return cls(
-            prototypes=np.array(data["prototypes"], dtype=float),
-            eta=float(data["eta"]),
-            boundaries=np.array(data.get("boundaries", ()), dtype=float),
-        )
+        convert = {"prototypes": _float_array, "eta": float, "boundaries": _float_array}
+        return cls(**_json_fields(data, convert, "prototype memory", optional=("boundaries",)))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_jsonable()), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "PrototypeMemory":
-        return cls.from_jsonable(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for binary files
+            raise ConfigurationError(f"prototype memory {path}: invalid JSON ({exc})") from None
+        return cls.from_jsonable(data)
 
 
 @dataclass(frozen=True)
@@ -378,45 +400,40 @@ def update_prototypes(
 
 
 def allocation(h: np.ndarray, params: CognitiveSetParams) -> np.ndarray:
-    """Base category allocation: softmax of the gating MLP's allocation head."""
+    """Base category allocation, ``(C,)`` or ``(B, C)``: softmax of the gating MLP's allocation head."""
     logits, _ = params.gate_mlp.forward(h)
     return _softmax(logits)
 
 
 def similarity(f_m: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature-scaled cosine similarity of a feature against each prototype row.
+    """Temperature-scaled cosine similarity of ``(D,)`` or ``(B, D)`` features to each prototype row.
 
     Entries involving a vector with norm below ``EPS_NORM`` are set to 0 and
-    reported via :class:`DegenerateInputWarning`.
+    reported by one :class:`DegenerateInputWarning` per call.
     """
     f_m = np.asarray(f_m, dtype=float)
     prototypes = np.asarray(prototypes, dtype=float)
-    if f_m.shape != (prototypes.shape[1],):
-        raise ConfigurationError(
-            f"feature shape {f_m.shape} does not match prototype dim {prototypes.shape[1]}"
-        )
-    f_norm = float(np.linalg.norm(f_m))
-    row_norms = np.linalg.norm(prototypes, axis=1)
-    s = np.zeros(prototypes.shape[0], dtype=float)
-    if f_norm < EPS_NORM:
-        warnings.warn("zero-norm feature vector, similarities set to 0", DegenerateInputWarning)
-        return s
-    ok = row_norms >= EPS_NORM
-    if not np.all(ok):
-        warnings.warn("zero-norm prototype rows, their similarities set to 0", DegenerateInputWarning)
-    s[ok] = (prototypes[ok] @ f_m) / (row_norms[ok] * f_norm) * tau
-    return s
+    if f_m.ndim not in (1, 2) or f_m.shape[-1] != prototypes.shape[1]:
+        raise ConfigurationError(f"feature shape {f_m.shape} does not match prototype dim {prototypes.shape[1]}")
+    f_hat, _, ok_f = _unit_rows(f_m)
+    m_hat, _, ok_m = _unit_rows(prototypes)
+    if not (ok_f.all() and ok_m.all()):
+        warnings.warn("zero-norm feature or prototype rows, their similarities set to 0", DegenerateInputWarning)
+    return tau * (f_hat @ m_hat.T)
 
 
 def vigilance_adjust(g: np.ndarray, s: np.ndarray, params: CognitiveSetParams) -> np.ndarray:
     """Blend the allocation toward the tail bias when no prototype matches well.
 
     lam = sigmoid(gamma * (max(s) - rho)); returns lam * g + (1 - lam) * b_tail,
-    which stays on the probability simplex.
+    which stays on the probability simplex; ``g`` and ``s`` are ``(C,)`` or
+    ``(B, C)`` with the max taken per row.
     """
     g = np.asarray(g, dtype=float)
     s = np.asarray(s, dtype=float)
-    lam = sigmoid(params.gamma_steep * (float(np.max(s)) - params.rho_vig))
+    if s.ndim not in (1, 2) or g.shape != s.shape:
+        raise ConfigurationError(f"g of shape {g.shape} and s of shape {s.shape} must both be (C,) or (B, C)")
+    lam = sigmoid(params.gamma_steep * (s.max(axis=-1, keepdims=True) - params.rho_vig))
     return lam * g + (1.0 - lam) * params.b_tail
 
 
@@ -458,31 +475,20 @@ def proto_loss_and_grad(
     if g_adj.shape != (n_samples, prototypes.shape[0]):
         raise UsageError(f"g' must be (B, C) = ({n_samples}, {prototypes.shape[0]}), got {g_adj.shape}")
 
-    f_norms = np.linalg.norm(f_m, axis=1)
-    row_norms = np.linalg.norm(prototypes, axis=1)
-    ok_f = f_norms >= EPS_NORM
-    ok_m = row_norms >= EPS_NORM
-    if not (np.all(ok_f) and np.all(ok_m)):
-        warnings.warn(
-            "zero-norm rows contribute zero similarity and zero gradient",
-            DegenerateInputWarning,
-        )
-
-    f_hat = np.zeros_like(f_m)
-    f_hat[ok_f] = f_m[ok_f] / f_norms[ok_f, None]
-    m_hat = np.zeros_like(prototypes)
-    m_hat[ok_m] = prototypes[ok_m] / row_norms[ok_m, None]
+    f_hat, _, ok_f = _unit_rows(f_m)
+    m_hat, row_norms, ok_m = _unit_rows(prototypes)
+    if not (ok_f.all() and ok_m.all()):
+        warnings.warn("zero-norm rows contribute zero similarity and zero gradient", DegenerateInputWarning)
 
     cos = f_hat @ m_hat.T                     # (B, C); zero where degenerate
     s = tau * cos
-    margins = np.sum((2.0 * g_adj - 1.0) * s, axis=1)
-    loss = float(np.mean(np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins)))))
+    loss = proto_loss(g_adj, s)
 
-    dloss_dmargin = -sigmoid(-margins) / n_samples          # (B,)
-    w = dloss_dmargin[:, None] * (2.0 * g_adj - 1.0) * tau  # (B, C)
-    w[~ok_f] = 0.0
-    inv_norms = np.where(ok_m, 1.0 / np.where(ok_m, row_norms, 1.0), 0.0)
-    grad = (w.T @ f_hat - (w * cos).sum(axis=0)[:, None] * m_hat) * inv_norms[:, None]
+    sign = 2.0 * g_adj - 1.0
+    dloss_dmargin = -sigmoid(-np.sum(sign * s, axis=1)) / n_samples  # (B,)
+    w = dloss_dmargin[:, None] * sign * tau                         # (B, C)
+    inv_norms = np.divide(1.0, row_norms, out=np.zeros_like(row_norms), where=ok_m)
+    grad = (w.T @ f_hat - (w * cos).sum(axis=0)[:, None] * m_hat) * inv_norms
     return loss, grad
 
 
@@ -494,22 +500,13 @@ def inner_update(
 ) -> np.ndarray:
     """One analytic gradient step on the prototype-alignment loss.
 
-    Computes g' per sample from the current memory (allocation, similarity,
-    vigilance), holds it constant, and returns ``M - alpha_lr * grad`` as a
-    fresh matrix without touching ``mem``.
+    Computes g' for the whole batch in one pass from the current memory
+    (allocation, similarity, vigilance), holds it constant, and returns
+    ``M - alpha_lr * grad`` as a fresh matrix without touching ``mem``.
     """
     if batch.f_m.shape[1] != mem.dim:
         raise UsageError(f"feature dim {batch.f_m.shape[1]} != memory dim {mem.dim}")
-    g_adj = np.stack(
-        [
-            vigilance_adjust(
-                allocation(batch.h[i], params),
-                similarity(batch.f_m[i], mem.prototypes, params.tau),
-                params,
-            )
-            for i in range(len(batch))
-        ]
-    )
+    g_adj = vigilance_adjust(allocation(batch.h, params), similarity(batch.f_m, mem.prototypes, params.tau), params)
     _, grad = proto_loss_and_grad(mem.prototypes, batch.f_m, g_adj, params.tau)
     return mem.prototypes - alpha_lr * grad
 
@@ -533,5 +530,7 @@ def augment(
         raise ConfigurationError(
             f"feature shape {f_m.shape} does not match prototype dim {m_prime.shape[1]}"
         )
+    if np.ndim(h) != 1:
+        raise ConfigurationError(f"augment takes one gating input of shape (D,), got {np.shape(h)}")
     _, gate_logit = params.gate_mlp.forward(h)
     return f_m + sigmoid(gate_logit) * (g_adj @ m_prime)

@@ -113,6 +113,24 @@ class TestPrototypeMemory:
         assert loaded.eta == 0.8
         assert loaded.boundaries.tolist() == [0.5]
 
+    def test_missing_prototypes_key_names_it(self):
+        with pytest.raises(ConfigurationError, match="'prototypes'"):
+            PrototypeMemory.from_jsonable({"eta": 0.9})
+
+    def test_malformed_eta_names_it(self):
+        with pytest.raises(ConfigurationError, match="'eta'"):
+            PrototypeMemory.from_jsonable({"prototypes": [[1.0, 2.0]], "eta": "x"})
+
+    def test_non_object_json_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            PrototypeMemory.from_jsonable([[1.0, 2.0]])
+
+    def test_load_non_json_names_the_path(self, tmp_path):
+        path = tmp_path / "memory.json"
+        path.write_text("prototypes: [[1, 2]]", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="memory.json"):
+            PrototypeMemory.load(path)
+
 
 class TestUpdatePrototypes:
     def test_full_momentum_keeps_memory(self, rng):
@@ -372,6 +390,127 @@ class TestInnerUpdate:
         assert np.all(grad[0] == 0.0)
 
 
+def assert_rows_match(batched, rows):
+    """Batch result equals the stacked 1-D results to 1e-12 relative to their scale."""
+    rows = np.stack(rows)
+    assert batched.shape == rows.shape
+    assert np.abs(batched - rows).max() <= 1e-12 * max(np.abs(rows).max(), 1e-300)
+
+
+def per_sample_g_adj(mem, batch, params):
+    """g' built one sample at a time with the 1-D calls: the reference for inner_update's batch chain."""
+    return np.stack(
+        [
+            vigilance_adjust(
+                allocation(batch.h[i], params),
+                similarity(batch.f_m[i], mem.prototypes, params.tau),
+                params,
+            )
+            for i in range(len(batch))
+        ]
+    )
+
+
+def degenerate_cases(rng, c, d, b):
+    """Params, a memory with a prototype row of norm below EPS_NORM (not zero) and a batch with a zero f_m row."""
+    prototypes = rng.normal(size=(c, d))
+    prototypes[-1] = 1e-14  # norm 1e-14 * sqrt(d) < EPS_NORM, allowed by PrototypeMemory
+    batch = random_batch(rng, b=b, d=d)
+    f_m = batch.f_m.copy()
+    f_m[0] = 0.0
+    batch = AdaptationBatch(f_m=f_m, f_i=batch.f_i, f_r=batch.f_r, ti=batch.ti)
+    return PrototypeMemory(prototypes=prototypes), batch, CognitiveSetParams.create(categories=c, feature_dim=d, seed=1)
+
+
+class TestBatchForm:
+    """Every (B, .) call equals the row-by-row 1-D calls; inner_update is their single batch chain."""
+
+    def random_case(self, rng):
+        c, d, b = int(rng.integers(1, 7)), int(rng.integers(2, 12)), int(rng.integers(1, 9))
+        params = CognitiveSetParams.create(
+            categories=c, feature_dim=d, tau=float(rng.uniform(1.0, 10.0)), seed=int(rng.integers(1 << 30))
+        )
+        return PrototypeMemory(prototypes=rng.normal(size=(c, d))), random_batch(rng, b=b, d=d), params
+
+    def test_rows_match_one_dimensional_calls(self, rng):
+        sizes = set()
+        for _ in range(40):
+            mem, batch, params = self.random_case(rng)
+            h, b = batch.h, len(batch)
+            sizes.add(b)
+            logits, gates = params.gate_mlp.forward(h)
+            row_out = [params.gate_mlp.forward(h[i]) for i in range(b)]
+            assert all(type(gate) is float for _, gate in row_out)
+            assert_rows_match(logits, [lg for lg, _ in row_out])
+            assert_rows_match(gates, [gate for _, gate in row_out])
+            g = allocation(h, params)
+            assert_rows_match(g, [allocation(h[i], params) for i in range(b)])
+            s = similarity(batch.f_m, mem.prototypes, params.tau)
+            assert_rows_match(s, [similarity(batch.f_m[i], mem.prototypes, params.tau) for i in range(b)])
+            assert_rows_match(vigilance_adjust(g, s, params), [vigilance_adjust(g[i], s[i], params) for i in range(b)])
+        assert 1 in sizes
+
+    def test_inner_update_matches_per_sample_reference(self, rng):
+        for _ in range(40):
+            mem, batch, params = self.random_case(rng)
+            _, grad = proto_loss_and_grad(mem.prototypes, batch.f_m, per_sample_g_adj(mem, batch, params), params.tau)
+            want = mem.prototypes - 1e-3 * grad
+            got = inner_update(mem, batch, params, alpha_lr=1e-3)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_degenerate_entries_are_zero_and_warn_once(self, rng):
+        mem, batch, params = degenerate_cases(rng, c=3, d=5, b=4)
+        with pytest.warns(DegenerateInputWarning) as caught:
+            s = similarity(batch.f_m, mem.prototypes, params.tau)
+        assert len(caught) == 1
+        assert np.all(s[0] == 0.0) and np.all(s[:, -1] == 0.0)
+        with pytest.warns(DegenerateInputWarning):
+            rows = [similarity(batch.f_m[i], mem.prototypes, params.tau) for i in range(len(batch))]
+        assert_rows_match(s, rows)
+        with pytest.warns(DegenerateInputWarning):  # a zero feature alone, against healthy prototypes
+            assert np.all(similarity(batch.f_m, mem.prototypes[:-1], params.tau)[0] == 0.0)
+
+    def test_inner_update_with_degenerate_rows(self, rng):
+        mem, batch, params = degenerate_cases(rng, c=3, d=5, b=4)
+        with pytest.warns(DegenerateInputWarning):
+            g_adj = per_sample_g_adj(mem, batch, params)
+            _, grad = proto_loss_and_grad(mem.prototypes, batch.f_m, g_adj, params.tau)
+            got = inner_update(mem, batch, params, alpha_lr=1e-3)
+        want = mem.prototypes - 1e-3 * grad
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(got[-1], mem.prototypes[-1])  # directionless row gets zero gradient
+
+    def test_one_dimensional_return_types(self, rng):
+        mem, batch, params = self.random_case(rng)
+        c = mem.categories
+        logits, gate = params.gate_mlp.forward(batch.h[0])
+        assert logits.shape == (c,) and type(gate) is float
+        g = allocation(batch.h[0], params)
+        s = similarity(batch.f_m[0], mem.prototypes, params.tau)
+        assert g.shape == s.shape == vigilance_adjust(g, s, params).shape == (c,)
+
+    def test_three_dimensional_input_rejected(self, rng):
+        mem, batch, params = self.random_case(rng)
+        g = allocation(batch.h, params)
+        s = similarity(batch.f_m, mem.prototypes, params.tau)
+        with pytest.raises(ConfigurationError, match=r"\(D,\) or \(B, D\)"):
+            params.gate_mlp.forward(batch.h[None])
+        with pytest.raises(ConfigurationError):
+            allocation(batch.h[None], params)
+        with pytest.raises(ConfigurationError):
+            similarity(batch.f_m[None], mem.prototypes, params.tau)
+        with pytest.raises(ConfigurationError):
+            vigilance_adjust(g[None], s[None], params)
+        with pytest.raises(ConfigurationError):
+            augment(batch.f_m[0], batch.h, g[0], mem.prototypes, params)
+
+    def test_empty_batch_is_a_usage_error(self, rng):
+        mem, batch, params = self.random_case(rng)
+        empty = AdaptationBatch(f_m=batch.f_m[:0], f_i=batch.f_i[:0], f_r=batch.f_r[:0], ti=batch.ti[:0])
+        with pytest.raises(UsageError):
+            inner_update(mem, empty, params)
+
+
 class TestAugment:
     def test_zero_memory_returns_feature(self, rng):
         params = make_params(categories=2, feature_dim=3)
@@ -414,6 +553,16 @@ class TestSerialization:
         assert clone.tau == params.tau
         assert np.array_equal(clone.b_tail, params.b_tail)
         assert np.array_equal(clone.gate_mlp.w_hidden, params.gate_mlp.w_hidden)
+
+    def test_missing_key_names_it(self):
+        with pytest.raises(ConfigurationError, match="'rho_vig'"):
+            CognitiveSetParams.from_jsonable({"tau": 1})
+
+    def test_gate_mlp_hidden_weights_must_be_a_matrix(self):
+        data = CognitiveSetParams.create(categories=2, feature_dim=3).to_jsonable()
+        data["gate_mlp"]["w_hidden"] = [1.0, 2.0]
+        with pytest.raises(ConfigurationError, match="w_hidden"):
+            CognitiveSetParams.from_jsonable(data)
 
     def test_b_tail_must_be_probability_vector(self):
         with pytest.raises(ConfigurationError):
