@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, memory, perceiver
-from .errors import TailscopeError, UsageError
+from .errors import TailscopeError, UsageError, decode_utf8
 from .interaction import RssParams, compute_interactive
 from .intrinsic import compute_intrinsic
 from .scene import Scene, dump_scenes, load_scenes
@@ -57,7 +57,7 @@ def _load_config(args) -> dict:
     if not p.is_file():
         raise UsageError(f"config file not found: {path}")
     try:
-        config = json.loads(p.read_text(encoding="utf-8"))
+        config = json.loads(decode_utf8(p.read_bytes(), f"config file {path}"))
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path}: invalid JSON ({exc})") from None
     if not isinstance(config, dict):
@@ -71,6 +71,25 @@ def _opt(args, config: dict, name: str, default=None):
     if value is not None:
         return value
     return config.get(name, default)
+
+
+def _number_opt(args, config: dict, name: str, kind: type, default, many: bool = False):
+    """``_opt`` checked to be a ``kind`` number, or a list of them when ``many``.
+
+    ``kind`` is ``int`` or ``float``; a float option also takes an integer,
+    and neither takes a boolean. Flags are typed by argparse already, so a
+    failure names a config key.
+    """
+    value = _opt(args, config, name, default)
+    types = (int, float) if kind is float else int
+    items = value if many else [value]
+    if not isinstance(items, list) or any(
+        isinstance(v, bool) or not isinstance(v, types) for v in items
+    ):
+        noun = "number" if kind is float else "integer"
+        want = f"a list of {noun}s" if many else f"a {noun}"
+        raise UsageError(f"config key {name!r}: expected {want}, got {value!r}")
+    return value
 
 
 def _require_input(args, config) -> Path:
@@ -199,14 +218,14 @@ def cmd_rank(args, config: dict) -> int:
 def cmd_eval(args, config: dict) -> int:
     """Forecast evaluation report with optional worst-case strata."""
     path = _require_input(args, config)
-    samples = evaluation.parse_forecast_jsonl(path.read_text(encoding="utf-8"))
+    samples = evaluation.parse_forecast_jsonl(decode_utf8(path.read_bytes(), str(path)))
     report = evaluation.evaluate(
         samples,
-        ks=_opt(args, config, "k", [1, 5, 10]),
-        threshold=float(_opt(args, config, "threshold", evaluation.MISS_THRESHOLD)),
-        percents=_opt(args, config, "topk", []),
+        ks=_number_opt(args, config, "k", int, [1, 5, 10], many=True),
+        threshold=float(_number_opt(args, config, "threshold", float, evaluation.MISS_THRESHOLD)),
+        percents=_number_opt(args, config, "topk", float, [], many=True),
         rank_metric=_opt(args, config, "rank_metric"),
-        rank_k=int(_opt(args, config, "rank_k", 5)),
+        rank_k=_number_opt(args, config, "rank_k", int, 5),
     )
     _write_json(report.to_jsonable(), _opt(args, config, "out"))
     return 0

@@ -20,6 +20,16 @@ class ParseError(TailscopeError):
         self.line = line
 
 
+def decode_utf8(data: bytes, source: str) -> str:
+    """``data`` decoded as UTF-8; invalid bytes raise a ParseError naming ``source``
+    and the line of the first one, not a bare UnicodeDecodeError."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{source}: not UTF-8 text (byte {exc.start})", line=line) from None
+
+
 class ValidationError(TailscopeError):
     """Parsed data violates a domain invariant."""
 

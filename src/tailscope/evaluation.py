@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError
+from .errors import ParseError, UsageError, ValidationError, decode_utf8
 
 #: A sample is missed when its best final displacement exceeds this (m).
 MISS_THRESHOLD = 2.0
@@ -100,31 +100,109 @@ def fde_per_mode(sample: ForecastSample) -> np.ndarray:
     return np.linalg.norm(sample.modes[:, -1] - sample.gt[-1], axis=1)
 
 
-def _top_k_modes(sample: ForecastSample, k: int) -> np.ndarray:
-    if not 1 <= k <= sample.n_modes:
-        raise UsageError(
-            f"sample {sample.sample_id!r}: k={k} outside 1..{sample.n_modes}"
-        )
-    # Highest-probability modes; stable order keeps ties deterministic.
-    return np.argsort(-sample.probs, kind="stable")[:k]
+def _check_k(samples: Sequence[ForecastSample], ks: Sequence[int]) -> None:
+    """Reject the first sample, in input order, with a k of ``ks`` (sorted) outside 1..K."""
+    for sample in samples:
+        if ks[0] < 1 or ks[-1] > sample.n_modes:
+            k = next(k for k in ks if not 1 <= k <= sample.n_modes)
+            raise UsageError(f"sample {sample.sample_id!r}: k={k} outside 1..{sample.n_modes}")
+
+
+def _check_horizon(samples: Sequence[ForecastSample]) -> None:
+    horizon = samples[0].horizon
+    for sample in samples:
+        if sample.horizon != horizon:
+            raise UsageError(
+                f"sample {sample.sample_id!r}: horizon {sample.horizon} != {horizon}"
+            )
+
+
+def _check_threshold(threshold: float) -> None:
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise UsageError(f"miss threshold must be finite and >= 0, got {threshold!r}")
+
+
+def _group_errors(group: Sequence[ForecastSample]):
+    """Every minADE_k/minFDE_k of S samples sharing (K, T), plus their RMSE terms.
+
+    Returns two (S, K) arrays whose column k-1 holds minADE_k / minFDE_k, and
+    the (S, T) squared pointwise errors of each sample's most likely mode.
+    """
+    probs = np.stack([s.probs for s in group])
+    diff = np.stack([s.modes for s in group])
+    diff -= np.stack([s.gt for s in group])[:, None]  # (S, K, T, 2)
+    top = diff[np.arange(len(group)), np.argmax(probs, axis=1)]
+    # x*x + y*y, sqrt and a mean over the contiguous last axis round exactly
+    # like the per-sample np.linalg.norm(...).mean(axis=1), so reports keep
+    # every bit.
+    top *= top
+    sq = top[..., 0] + top[..., 1]
+    diff *= diff
+    d = diff[..., 0] + diff[..., 1]
+    del diff
+    np.sqrt(d, out=d)  # (S, K, T) pointwise distances
+    # One stable sort puts the k most probable modes first, ties in mode
+    # order; the running minimum along it is min over the top k, for every k.
+    order = np.argsort(-probs, axis=1, kind="stable")
+    ade = np.minimum.accumulate(np.take_along_axis(d.mean(axis=-1), order, axis=1), axis=1)
+    fde = np.minimum.accumulate(np.take_along_axis(d[..., -1], order, axis=1), axis=1)
+    return ade, fde, sq
+
+
+def _score(samples: Sequence[ForecastSample]):
+    """Per-sample errors in input order, one array pass per (K, T) group.
+
+    Returns ``(ade, fde, sq)``: ``ade[k-1]`` and ``fde[k-1]`` are the (N,)
+    minADE_k / minFDE_k of every sample (NaN beyond a sample's own K), and
+    ``sq`` is the (N, T) squared error of each most likely mode, or None when
+    the horizons differ.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, sample in enumerate(samples):
+        groups.setdefault(sample.modes.shape[:2], []).append(i)
+    n = len(samples)
+    k_max = max(n_modes for n_modes, _ in groups)
+    ade, fde = np.full((k_max, n), np.nan), np.full((k_max, n), np.nan)
+    horizons = {t for _, t in groups}
+    sq = np.empty((n, horizons.pop())) if len(horizons) == 1 else None
+    for (n_modes, _), idx in groups.items():
+        g_ade, g_fde, g_sq = _group_errors([samples[i] for i in idx])
+        ade[:n_modes, idx] = g_ade.T
+        fde[:n_modes, idx] = g_fde.T
+        if sq is not None:
+            sq[idx] = g_sq
+    return ade, fde, sq
+
+
+def _scored(samples: Sequence[ForecastSample], k: int):
+    _check_k(samples, [k])
+    return _score(samples)
 
 
 def min_ade(sample: ForecastSample, k: int) -> float:
     """Best average displacement error among the k highest-probability modes."""
-    return float(ade_per_mode(sample)[_top_k_modes(sample, k)].min())
+    return float(_scored([sample], k)[0][k - 1, 0])
 
 
 def min_fde(sample: ForecastSample, k: int) -> float:
     """Best final displacement error among the k highest-probability modes."""
-    return float(fde_per_mode(sample)[_top_k_modes(sample, k)].min())
+    return float(_scored([sample], k)[1][k - 1, 0])
+
+
+def _misses(fde_k: np.ndarray, threshold: float) -> float:
+    return int(np.count_nonzero(fde_k > threshold)) / len(fde_k)
 
 
 def miss_rate(samples: Sequence[ForecastSample], k: int, threshold: float = MISS_THRESHOLD) -> float:
     """Fraction of samples whose best final displacement strictly exceeds the threshold."""
     if not samples:
         raise UsageError("miss_rate needs at least one sample")
-    misses = sum(1 for s in samples if min_fde(s, k) > threshold)
-    return misses / len(samples)
+    _check_threshold(threshold)
+    return _misses(_scored(samples, k)[1][k - 1], threshold)
+
+
+def _rmse(sq: np.ndarray) -> dict:
+    return {"per_horizon": np.sqrt(sq.mean(axis=0)), "overall": float(np.sqrt(sq.mean()))}
 
 
 def rmse(samples: Sequence[ForecastSample]) -> dict:
@@ -135,19 +213,8 @@ def rmse(samples: Sequence[ForecastSample]) -> dict:
     """
     if not samples:
         raise UsageError("rmse needs at least one sample")
-    horizon = samples[0].horizon
-    sq = np.zeros((len(samples), horizon), dtype=float)
-    for i, sample in enumerate(samples):
-        if sample.horizon != horizon:
-            raise UsageError(
-                f"sample {sample.sample_id!r}: horizon {sample.horizon} != {horizon}"
-            )
-        best = int(np.argmax(sample.probs))
-        sq[i] = np.sum((sample.modes[best] - sample.gt) ** 2, axis=1)
-    return {
-        "per_horizon": np.sqrt(sq.mean(axis=0)),
-        "overall": float(np.sqrt(sq.mean())),
-    }
+    _check_horizon(samples)
+    return _rmse(_score(samples)[2])
 
 
 def _stratum_size(percent: float, n: int) -> int:
@@ -202,6 +269,23 @@ def total_loss(l_task: float, l_ti: float, l_meta: float, weights: LossWeights |
     return l_task + weights.lambda_1 * l_ti + weights.lambda_2 * l_meta
 
 
+def _numbers(record: dict, key: str, maybe_bool: bool) -> np.ndarray:
+    """``record[key]`` as a float array; every leaf must be a JSON number.
+
+    numpy's type discovery finds strings, objects and nulls, but it folds
+    booleans into numbers, so the leaves are checked one by one when the line
+    holds a ``true``/``false`` token or numpy found no numeric type.
+    """
+    values = np.asarray(record[key])
+    if maybe_bool or values.dtype.kind not in "iuf":
+        values = np.asarray(record[key], dtype=object)
+        other = set(map(type, values.ravel().tolist())) - {int, float}
+        if other:
+            names = ", ".join(sorted(t.__name__ for t in other))
+            raise ValueError(f"{key}: expected arrays of numbers, found {names}")
+    return values.astype(float, copy=False)
+
+
 def parse_forecast_jsonl(source) -> list[ForecastSample]:
     """Parse forecast samples from JSONL (one object per line).
 
@@ -209,13 +293,13 @@ def parse_forecast_jsonl(source) -> list[ForecastSample]:
     Errors name the offending line.
     """
     if isinstance(source, bytes):
-        text = source.decode("utf-8")
+        text = decode_utf8(source, "forecast JSONL")
     elif isinstance(source, str):
         text = source
     else:
         text = source.read()
         if isinstance(text, bytes):
-            text = text.decode("utf-8")
+            text = decode_utf8(text, "forecast JSONL")
     samples = []
     seen = set()
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -230,14 +314,15 @@ def parse_forecast_jsonl(source) -> list[ForecastSample]:
         missing = {"sample_id", "modes", "probs", "gt"} - set(record)
         if missing:
             raise ParseError(f"missing keys {sorted(missing)}", line=line_no)
+        maybe_bool = "true" in line or "false" in line
         try:
             sample = ForecastSample(
                 sample_id=str(record["sample_id"]),
-                modes=record["modes"],
-                probs=record["probs"],
-                gt=record["gt"],
+                modes=_numbers(record, "modes", maybe_bool),
+                probs=_numbers(record, "probs", maybe_bool),
+                gt=_numbers(record, "gt", maybe_bool),
             )
-        except (ValidationError, ValueError) as exc:
+        except (ValidationError, ValueError, OverflowError) as exc:
             raise ParseError(str(exc), line=line_no) from None
         if sample.sample_id in seen:
             raise ParseError(f"duplicate sample_id {sample.sample_id!r}", line=line_no)
@@ -297,27 +382,32 @@ def evaluate(
         if rank_metric not in RANK_METRICS:
             raise UsageError(f"rank_metric must be one of {RANK_METRICS}, got {rank_metric!r}")
 
-    per_sample = []
-    for sample in samples:
-        per_sample.append(
-            {
-                "sample_id": sample.sample_id,
-                "min_ade": {str(k): min_ade(sample, k) for k in ks},
-                "min_fde": {str(k): min_fde(sample, k) for k in ks},
-            }
-        )
+    _check_threshold(threshold)
+    _check_k(samples, ks)
+    _check_horizon(samples)
+    if percents:
+        _check_k(samples, [rank_k])
+
+    ade, fde, sq = _score(samples)
+    keys = [str(k) for k in ks]
+    rows = [k - 1 for k in ks]
+    ids = [s.sample_id for s in samples]
+    per_sample = [
+        {
+            "sample_id": sample_id,
+            "min_ade": dict(zip(keys, a)),
+            "min_fde": dict(zip(keys, f)),
+        }
+        for sample_id, a, f in zip(ids, ade[rows].T.tolist(), fde[rows].T.tolist())
+    ]
 
     aggregate = {
         "n_samples": len(samples),
-        "min_ade": {
-            str(k): float(np.mean([row["min_ade"][str(k)] for row in per_sample])) for k in ks
-        },
-        "min_fde": {
-            str(k): float(np.mean([row["min_fde"][str(k)] for row in per_sample])) for k in ks
-        },
-        "miss_rate": {str(k): miss_rate(samples, k, threshold) for k in ks},
+        "min_ade": {key: float(np.mean(ade[row])) for key, row in zip(keys, rows)},
+        "min_fde": {key: float(np.mean(fde[row])) for key, row in zip(keys, rows)},
+        "miss_rate": {key: _misses(fde[row], threshold) for key, row in zip(keys, rows)},
     }
-    rmse_stats = rmse(samples)
+    rmse_stats = _rmse(sq)
     aggregate["rmse"] = {
         "per_horizon": rmse_stats["per_horizon"].tolist(),
         "overall": rmse_stats["overall"],
@@ -325,17 +415,16 @@ def evaluate(
 
     worst_case = {}
     if percents:
-        fn = min_ade if rank_metric == "min_ade" else min_fde
-        rank_errors = {s.sample_id: fn(s, rank_k) for s in samples}
-        ade_by_id = {s.sample_id: min_ade(s, rank_k) for s in samples}
-        fde_by_id = {s.sample_id: min_fde(s, rank_k) for s in samples}
+        ade_by_id = dict(zip(ids, ade[rank_k - 1].tolist()))
+        fde_by_id = dict(zip(ids, fde[rank_k - 1].tolist()))
+        rank_errors = ade_by_id if rank_metric == "min_ade" else fde_by_id
         for p, stratum in worst_case_subsets(rank_errors, percents).items():
-            ids = stratum["sample_ids"]
+            members = stratum["sample_ids"]
             worst_case[_percent_key(p)] = {
                 "count": stratum["count"],
-                "sample_ids": ids,
-                "min_ade": float(np.mean([ade_by_id[i] for i in ids])),
-                "min_fde": float(np.mean([fde_by_id[i] for i in ids])),
+                "sample_ids": members,
+                "min_ade": float(np.mean([ade_by_id[i] for i in members])),
+                "min_fde": float(np.mean([fde_by_id[i] for i in members])),
             }
 
     config_echo = {

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, decode_utf8
 
 AGENT_KINDS = ("vehicle", "pedestrian", "other")
 
@@ -244,11 +244,11 @@ def derive_kinematics(traj: Trajectory) -> KinematicSeries:
 
 def _as_text_lines(source) -> Iterable[str]:
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+        return io.StringIO(decode_utf8(source, "scene CSV"))
     if isinstance(source, str):
         return io.StringIO(source)
     if isinstance(source, Path):
-        return source.read_text(encoding="utf-8").splitlines(keepends=True)
+        return decode_utf8(source.read_bytes(), str(source)).splitlines(keepends=True)
     return source  # file-like
 
 

@@ -255,6 +255,26 @@ class TestEvalCommand:
         assert report["aggregate"]["miss_rate"]["1"] == 1.0
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("k", "1,5"), ("k", [1, True]), ("topk", "5"), ("threshold", "x"), ("rank_k", "x")],
+    )
+    def test_mistyped_config_option_exits_2(self, tmp_path, capsys, key, value):
+        jsonl = tmp_path / "f.jsonl"
+        jsonl.write_text(forecast_line("a", 0.0) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": [1], "rank_metric": "min_ade", key: value}))
+        assert run(["eval", "--input", str(jsonl), "--config", str(config)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_meaningless_threshold_exits_2(self, tmp_path, capsys, threshold):
+        jsonl = tmp_path / "f.jsonl"
+        jsonl.write_text(forecast_line("a", 0.0) + "\n")
+        assert run(["eval", "--input", str(jsonl), "--k", "1", "--threshold", threshold]) == 2
+        assert "threshold" in capsys.readouterr().err
+
+
 class TestSynthCommand:
     def test_round_trips_through_metrics(self, tmp_path):
         csv_path = tmp_path / "circle.csv"
@@ -300,3 +320,27 @@ class TestExitCodeContract:
         write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=0, n_agents=1)])
         assert run(["metrics", "--input", str(csv_path), "--config", str(config)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_non_utf8_forecasts_exit_2(self, tmp_path, capsys):
+        jsonl = tmp_path / "f.jsonl"
+        jsonl.write_bytes((forecast_line("a", 0.0) + "\n").encode() + b'{"sample_id": "\xff"}\n')
+        assert run(["eval", "--input", str(jsonl), "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert str(jsonl) in err and "line 2" in err
+
+    def test_non_utf8_scene_csv_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=0, n_agents=1)])
+        csv_path.write_bytes(csv_path.read_bytes().replace(b"constant", b"const\xff", 1))
+        assert run(["metrics", "--input", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(csv_path) in err and "UTF-8" in err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"k": [1], "note": "\xff"}')
+        jsonl = tmp_path / "f.jsonl"
+        jsonl.write_text(forecast_line("a", 0.0) + "\n")
+        assert run(["eval", "--input", str(jsonl), "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "UTF-8" in err

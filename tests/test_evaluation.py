@@ -269,6 +269,23 @@ class TestParseJsonl:
         with pytest.raises(ParseError, match="duplicate"):
             parse_forecast_jsonl(text)
 
+    @pytest.mark.parametrize("field", ["modes", "probs", "gt"])
+    @pytest.mark.parametrize("leaf", [{}, "1", True], ids=["object", "string", "bool"])
+    def test_non_numeric_leaf_names_line(self, field, leaf):
+        record = json.loads(self.line("b"))
+        target = record[field]
+        while isinstance(target[0], list):
+            target = target[0]
+        target[0] = leaf  # the other leaves stay numbers
+        text = self.line("a") + "\n" + json.dumps(record) + "\n"
+        with pytest.raises(ParseError, match=f"line 2: {field}: .*numbers"):
+            parse_forecast_jsonl(text)
+
+    def test_non_utf8_bytes_name_line(self):
+        data = (self.line("a") + "\n").encode() + b'{"sample_id": "\xff"}\n'
+        with pytest.raises(ParseError, match="line 2: .*UTF-8"):
+            parse_forecast_jsonl(data)
+
 
 class TestEvaluate:
     def test_report_self_consistency(self, rng):
@@ -307,3 +324,58 @@ class TestEvaluate:
         report = evaluate(samples, ks=(1,), percents=(50.0,), rank_metric="min_ade", rank_k=1)
         payload = json.dumps(report.to_jsonable(), sort_keys=True)
         assert "per_sample" in payload and "worst_case" in payload
+
+    def test_grouped_scoring_equals_per_sample_functions(self, rng):
+        samples = []
+        for i in range(60):
+            n_modes = (3, 6, 4)[i % 3]  # three (K, T) groups, interleaved
+            gt = rng.normal(size=(7, 2))
+            modes = gt[None] + rng.normal(size=(n_modes, 7, 2))
+            if i % 7 == 0:
+                modes[0] = gt
+            probs = rng.integers(1, 3, size=n_modes).astype(float)  # many ties
+            samples.append(ForecastSample(f"s{i:03d}", modes, probs / probs.sum(), gt))
+        ks, percents, threshold = (1, 2, 3), (5.0, 25.0, 100.0), 1.5
+        report = evaluate(
+            samples, ks=ks, threshold=threshold, percents=percents, rank_metric="min_fde", rank_k=3
+        )
+        for sample, row in zip(samples, report.per_sample):
+            assert row["sample_id"] == sample.sample_id
+            assert row["min_ade"] == {str(k): min_ade(sample, k) for k in ks}
+            assert row["min_fde"] == {str(k): min_fde(sample, k) for k in ks}
+        for k in ks:
+            assert report.aggregate["min_ade"][str(k)] == float(np.mean([min_ade(s, k) for s in samples]))
+            assert report.aggregate["min_fde"][str(k)] == float(np.mean([min_fde(s, k) for s in samples]))
+            assert report.aggregate["miss_rate"][str(k)] == miss_rate(samples, k, threshold)
+        ade_by_id = {s.sample_id: min_ade(s, 3) for s in samples}
+        fde_by_id = {s.sample_id: min_fde(s, 3) for s in samples}
+        for p, stratum in worst_case_subsets(fde_by_id, percents).items():
+            got = report.worst_case[f"top{p:g}"]
+            assert got["count"] == stratum["count"]
+            assert got["sample_ids"] == stratum["sample_ids"]
+            assert got["min_ade"] == float(np.mean([ade_by_id[i] for i in got["sample_ids"]]))
+            assert got["min_fde"] == float(np.mean([fde_by_id[i] for i in got["sample_ids"]]))
+
+    def test_k_error_names_first_short_sample_in_input_order(self, rng):
+        # groups by first appearance: K=6 (s0), K=4 (s1, s3), K=2 (s2)
+        samples = [random_sample(rng, f"s{i}", k=n) for i, n in enumerate((6, 4, 2, 4))]
+        with pytest.raises(UsageError, match=r"^sample 's1': k=5 outside 1\.\.4$"):
+            evaluate(samples, ks=(1, 3, 5))
+        with pytest.raises(UsageError, match=r"^sample 's2': k=3 outside 1\.\.2$"):
+            evaluate(samples, ks=(1,), percents=(50.0,), rank_metric="min_ade", rank_k=3)
+        with pytest.raises(UsageError, match=r"^sample 's1': k=5 outside 1\.\.4$"):
+            miss_rate(samples, 5)
+        # the k check runs before the horizon check, as the per-sample loop did
+        mixed = samples + [random_sample(rng, "h", k=6, horizon=9)]
+        with pytest.raises(UsageError, match="'s2': k=3"):
+            evaluate(mixed, ks=(3,))
+        with pytest.raises(UsageError, match=r"'h': horizon 9 != 6"):
+            evaluate(mixed, ks=(2,))
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+    def test_threshold_must_be_finite_and_non_negative(self, rng, threshold):
+        samples = [random_sample(rng, "s0")]
+        with pytest.raises(UsageError, match="threshold"):
+            evaluate(samples, ks=(1,), threshold=threshold)
+        with pytest.raises(UsageError, match="threshold"):
+            miss_rate(samples, 1, threshold=threshold)

@@ -1,13 +1,17 @@
-"""Golden report hashes: `metrics` and `rank` output must stay byte-identical.
+"""Golden report hashes: `metrics`, `rank` and `eval` output must stay byte-identical.
 
-The input is a small seeded CSV of mixed-kind random-walk scenes built here,
-including a single-agent scene, agents outside the neighbor radius and exactly
-coincident agent pairs. The hashes were recorded from the loop-based
-implementation of the interaction metrics; a refactor that changes any
-report byte, even in the last float digit, fails this test.
+The scene input is a small seeded CSV of mixed-kind random-walk scenes built
+here, including a single-agent scene, agents outside the neighbor radius and
+exactly coincident agent pairs. The forecast input is a seeded JSONL with
+interleaved mode counts, tied probabilities, an exact forecast and a final
+displacement exactly at the miss threshold. The hashes were recorded from the
+loop-based implementations of the interaction metrics and of the forecast
+scoring; a refactor that changes any report byte, even in the last float
+digit, fails this test.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -18,6 +22,7 @@ KINDS = ("vehicle", "pedestrian", "other")
 
 METRICS_SHA256 = "79333f90d91aee2bab78cf859b5efa9c91a5b4fb372775afda95551118ba2e15"
 RANK_SHA256 = "5a55933b809277accea4353f42999cdaa1b96abea40c5c63ccc0be5751d1a2f8"
+EVAL_SHA256 = "79fa33f43b4e6fd3c4bb2299e1c1b7fa964be71c514d9ebde8a7b9a01e0610f9"
 
 
 def golden_csv() -> str:
@@ -51,11 +56,45 @@ def golden_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_sha256(tmp_path, argv) -> str:
-    csv_path = tmp_path / "golden.csv"
-    csv_path.write_text(golden_csv(), encoding="utf-8")
+def golden_jsonl() -> str:
+    rng = np.random.default_rng(8080)
+    horizon = 8
+    lines = []
+    for i in range(40):
+        n_modes = 3 if i % 2 == 0 else 6  # two (K, T) groups, interleaved
+        gt = np.cumsum(rng.normal(0.0, 1.0, size=(horizon, 2)), axis=0)
+        modes = gt[None] + rng.normal(0.0, 2.0, size=(n_modes, horizon, 2))
+        probs = rng.uniform(0.1, 1.0, size=n_modes)
+        if i % 3 == 0:
+            probs[1] = probs[0]  # modes 0 and 1 tie
+        if i % 5 == 0:
+            probs[:] = 1.0  # all modes tied
+        probs = probs / probs.sum()
+        if i == 7:
+            modes[np.argmax(probs)] = gt  # the most likely mode hits the ground truth exactly
+        if i == 12:
+            # dyadic coordinates: every mode's final displacement is exactly 2 m
+            gt = np.round(gt * 4.0) / 4.0
+            modes = gt[None] + np.array([0.0, 2.0]) * (1.0 + np.arange(n_modes))[:, None, None]
+            modes[:, -1] = gt[-1] + np.array([0.0, 2.0])
+        lines.append(
+            json.dumps(
+                {
+                    "sample_id": f"f{i:02d}",
+                    "modes": modes.tolist(),
+                    "probs": probs.tolist(),
+                    "gt": gt.tolist(),
+                }
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _report_sha256(tmp_path, argv, text=None, name="golden.csv") -> str:
+    in_path = tmp_path / name
+    in_path.write_text(golden_csv() if text is None else text, encoding="utf-8")
     out = tmp_path / "report.json"
-    assert main([*argv, "--input", str(csv_path), "--out", str(out)]) == 0
+    assert main([*argv, "--input", str(in_path), "--out", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -66,3 +105,9 @@ def test_metrics_report_hash(tmp_path):
 def test_rank_report_hash(tmp_path):
     argv = ["rank", "--mode", "sample", "--seed", "7", "--categories", "5"]
     assert _report_sha256(tmp_path, argv) == RANK_SHA256
+
+
+def test_eval_report_hash(tmp_path):
+    argv = ["eval", "--k", "1,3", "--topk", "1,5,50", "--rank-metric", "min_fde", "--rank-k", "3"]
+    digest = _report_sha256(tmp_path, argv, text=golden_jsonl(), name="golden.jsonl")
+    assert digest == EVAL_SHA256
