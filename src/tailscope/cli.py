@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -77,8 +78,8 @@ def _number_opt(args, config: dict, name: str, kind: type, default, many: bool =
     """``_opt`` checked to be a ``kind`` number, or a list of them when ``many``.
 
     ``kind`` is ``int`` or ``float``; a float option also takes an integer,
-    and neither takes a boolean. Flags are typed by argparse already, so a
-    failure names a config key.
+    returned as a float, and neither takes a boolean. Flags are typed by
+    argparse already, so a failure names a config key.
     """
     value = _opt(args, config, name, default)
     types = (int, float) if kind is float else int
@@ -89,7 +90,7 @@ def _number_opt(args, config: dict, name: str, kind: type, default, many: bool =
         noun = "number" if kind is float else "integer"
         want = f"a list of {noun}s" if many else f"a {noun}"
         raise UsageError(f"config key {name!r}: expected {want}, got {value!r}")
-    return value
+    return float(value) if kind is float and not many else value
 
 
 def _require_input(args, config) -> Path:
@@ -124,13 +125,14 @@ def _score_scenes(args, config: dict):
     """Load the input scenes sorted by id and compute their metrics.
 
     Returns the scenes and one ``(intrinsic, interactive)`` pair per scene,
-    computed in ``workers`` processes when more than one is asked for.
+    computed in ``workers`` processes when more than one is asked for, but
+    never in more processes than there are scenes or CPUs.
     """
     path = _require_input(args, config)
-    radius = _opt(args, config, "neighbor_radius", 50.0)
+    radius = _number_opt(args, config, "neighbor_radius", float, 50.0)
     scenes = sorted(load_scenes(path, neighbor_radius=radius), key=lambda s: s.scene_id)
     score = partial(_scene_pair, rss=RssParams.from_dict(config.get("rss_params", {})))
-    workers = int(_opt(args, config, "workers", 1))
+    workers = min(_number_opt(args, config, "workers", int, 1), len(scenes), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return scenes, list(pool.map(score, scenes))
@@ -155,13 +157,11 @@ def cmd_metrics(args, config: dict) -> int:
 def cmd_rank(args, config: dict) -> int:
     """Tail Index per scene, descending, with features and fusion weights."""
     scenes, pairs = _score_scenes(args, config)
-    seed = int(_opt(args, config, "seed", 0))
+    seed = _number_opt(args, config, "seed", int, 0)
     mode = _opt(args, config, "mode", "mean")
 
     params_path = _opt(args, config, "params") or config.get("perceiver_params")
     if params_path:
-        if not Path(params_path).is_file():
-            raise UsageError(f"perceiver params file not found: {params_path}")
         params = perceiver.PerceiverParams.load(params_path)
     else:
         params = perceiver.default_params(seed=seed)
@@ -170,11 +170,7 @@ def cmd_rank(args, config: dict) -> int:
 
     stats_path = _opt(args, config, "stats")
     if stats_path:
-        if not Path(stats_path).is_file():
-            raise UsageError(f"stats file not found: {stats_path}")
-        stats = perceiver.DatasetStats.from_jsonable(
-            json.loads(Path(stats_path).read_text(encoding="utf-8"))
-        )
+        stats = perceiver.DatasetStats.load(stats_path)
     else:
         if len(scenes) < 2:
             raise UsageError(
@@ -205,9 +201,9 @@ def cmd_rank(args, config: dict) -> int:
 
     payload = {"ranking": rows, "stats": stats.to_jsonable()}
     memory_cfg = config.get("memory", {})
-    categories = _opt(args, config, "categories", memory_cfg.get("categories"))
+    categories = _number_opt(args, config, "categories", int, memory_cfg.get("categories", 0))
     if categories:
-        partition = memory.partition_categories([r["ti"] for r in rows], int(categories))
+        partition = memory.partition_categories([r["ti"] for r in rows], categories)
         for row, cat in zip(rows, partition.assignments):
             row["category"] = int(cat)
         payload["boundaries"] = partition.boundaries.tolist()
@@ -222,7 +218,7 @@ def cmd_eval(args, config: dict) -> int:
     report = evaluation.evaluate(
         samples,
         ks=_number_opt(args, config, "k", int, [1, 5, 10], many=True),
-        threshold=float(_number_opt(args, config, "threshold", float, evaluation.MISS_THRESHOLD)),
+        threshold=_number_opt(args, config, "threshold", float, evaluation.MISS_THRESHOLD),
         percents=_number_opt(args, config, "topk", float, [], many=True),
         rank_metric=_opt(args, config, "rank_metric"),
         rank_k=_number_opt(args, config, "rank_k", int, 5),
@@ -236,18 +232,10 @@ def cmd_synth(args, config: dict) -> int:
     kind = _opt(args, config, "kind")
     if kind is None:
         raise UsageError(f"synth needs --kind (one of {', '.join(SCENARIO_KINDS)})")
-    spec = ScenarioSpec(
-        kind=kind,
-        frames=int(_opt(args, config, "frames", 20)),
-        dt=float(_opt(args, config, "dt", 0.1)),
-        seed=int(_opt(args, config, "seed", 0)),
-        speed=float(_opt(args, config, "speed", 5.0)),
-        radius=float(_opt(args, config, "radius", 20.0)),
-        decel=float(_opt(args, config, "decel", 3.0)),
-        gap=float(_opt(args, config, "gap", 20.0)),
-        n_agents=int(_opt(args, config, "n_agents", 3)),
-        neighbor_radius=float(_opt(args, config, "neighbor_radius", 50.0)),
-    )
+    # Every ScenarioSpec field but kind is a number option, typed by its default value.
+    defaults = {f.name: f.default for f in fields(ScenarioSpec) if f.name != "kind"}
+    numbers = {name: _number_opt(args, config, name, type(d), d) for name, d in defaults.items()}
+    spec = ScenarioSpec(kind=kind, **numbers)
     scene, oracle = generate(spec)
     out = _opt(args, config, "out")
     if out is None:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError, ValidationError
+from .errors import ConfigurationError, UsageError, ValidationError, decode_utf8
 from .interaction import INTERACTIVE_FIELDS, InteractiveMetrics
 from .intrinsic import INTRINSIC_FIELDS, IntrinsicMetrics
 
@@ -140,19 +140,28 @@ class PerceiverParams:
                 b_o=float(data["b_o"]),
                 lambda_temp=float(data.get("lambda_temp", 1.0)),
             )
-        except KeyError as exc:
-            raise ConfigurationError(f"perceiver params missing key {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"perceiver params: bad or missing key ({exc!r})") from None
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_jsonable()), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "PerceiverParams":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"perceiver params {path}: invalid JSON ({exc})") from None
-        return cls.from_jsonable(data)
+        return _load(cls, path, "perceiver params")
+
+
+def _load(cls, path, what: str):
+    """``cls.from_jsonable`` of the JSON file at ``path``. An unreadable file, bad
+    UTF-8, bad JSON or a bad key raise a TailscopeError naming the file."""
+    try:
+        return cls.from_jsonable(json.loads(decode_utf8(Path(path).read_bytes(), f"{what} {path}")))
+    except OSError as exc:
+        raise ConfigurationError(f"{what} {path}: cannot read ({exc.strerror})") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{what} {path}: invalid JSON ({exc})") from None
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def _init_layer(rng: np.random.Generator, out_dim: int, in_dim: int) -> GaussianLayer:
@@ -236,11 +245,18 @@ class DatasetStats:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "DatasetStats":
-        return cls(
-            median=np.array(data["median"], dtype=float),
-            scale=np.array(data["scale"], dtype=float),
-            flags=tuple(data.get("flags", ())),
-        )
+        try:
+            return cls(
+                median=np.array(data["median"], dtype=float),
+                scale=np.array(data["scale"], dtype=float),
+                flags=tuple(data.get("flags", ())),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"stats: bad or missing key ({exc!r})") from None
+
+    @classmethod
+    def load(cls, path) -> "DatasetStats":
+        return _load(cls, path, "stats")
 
 
 def metrics_vector(intr: IntrinsicMetrics, inter: InteractiveMetrics) -> np.ndarray:

@@ -15,7 +15,6 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,7 +51,7 @@ def _id_key(agent_id: str):
 
 @dataclass(frozen=True)
 class AgentState:
-    """Kinematic state of one agent at a single timestamp."""
+    """Kinematic state of one agent at a single timestamp: one row of a :class:`Trajectory`."""
 
     t: float
     x: float
@@ -74,61 +73,87 @@ class AgentState:
             raise ValidationError(f"unknown agent kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+_COLUMNS = ("times", "positions", "velocities", "headings")
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered states of one agent, sampled at a uniform interval dt."""
+    """Time-ordered kinematics of one agent, sampled at a uniform interval dt.
+
+    ``times`` (T,), ``positions`` (T, 2), ``velocities`` (T, 2) and
+    ``headings`` (T,) are read-only float copies of the caller's arrays. T >= 2,
+    values are finite, headings lie in (-pi, pi], dt > 0 and every time step is
+    dt within ``DT_TOLERANCE``; errors name the agent and the first failing frame.
+    """
 
     agent_id: str
-    states: tuple[AgentState, ...]
+    times: np.ndarray
+    positions: np.ndarray
+    velocities: np.ndarray
+    headings: np.ndarray
+    kind: str
     dt: float
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(self.states) < 2:
+        for name in _COLUMNS:
+            column = np.array(getattr(self, name), dtype=float)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        who = f"trajectory {self.agent_id!r}"
+        n = len(self.times) if self.times.ndim == 1 else -1
+        shapes = [getattr(self, name).shape for name in _COLUMNS]
+        if shapes != [(n,), (n, 2), (n, 2), (n,)]:
             raise ValidationError(
-                f"trajectory {self.agent_id!r} needs at least 2 states, got {len(self.states)}"
+                f"{who}: {', '.join(_COLUMNS)} need shapes (T,), (T, 2), (T, 2), (T,), got {shapes}"
             )
+        if n < 2:
+            raise ValidationError(f"{who} needs at least 2 states, got {n}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValidationError(f"dt must be positive, got {self.dt}")
-        kinds = {s.kind for s in self.states}
+        if self.kind not in AGENT_KINDS:
+            raise ValidationError(f"{who}: unknown agent kind {self.kind!r}")
+        bad = ~np.isfinite(self._stacked()).all(axis=1)
+        if bad.any():
+            raise ValidationError(f"{who}: non-finite value at frame {np.argmax(bad)}")
+        bad = (self.headings <= -math.pi) | (self.headings > math.pi)
+        if bad.any():
+            i = np.argmax(bad)
+            raise ValidationError(f"{who}: frame {i} heading {self.headings[i]} outside (-pi, pi]")
+        gaps = np.diff(self.times)
+        bad = (gaps <= 0) | (np.abs(gaps - self.dt) > DT_TOLERANCE)
+        if bad.any():
+            i = np.argmax(bad)
+            raise ValidationError(
+                f"{who}: gap {gaps[i]:.9g} s at frame {i + 1} is not dt={self.dt:.9g} s"
+            )
+
+    @classmethod
+    def from_states(cls, agent_id: str, states: Iterable[AgentState], dt: float) -> Trajectory:
+        """A trajectory from :class:`AgentState` rows, which must share one kind."""
+        states = tuple(states)
+        kinds = sorted({s.kind for s in states})
         if len(kinds) > 1:
-            raise ValidationError(f"trajectory {self.agent_id!r} mixes agent kinds {sorted(kinds)}")
-        prev = self.states[0].t
-        for i, state in enumerate(self.states[1:], start=1):
-            gap = state.t - prev
-            if gap <= 0:
-                raise ValidationError(
-                    f"trajectory {self.agent_id!r}: timestamps must strictly increase at frame {i}"
-                )
-            if abs(gap - self.dt) > DT_TOLERANCE:
-                raise ValidationError(
-                    f"trajectory {self.agent_id!r}: gap {gap:.9g} s at frame {i} "
-                    f"deviates from dt={self.dt:.9g} s"
-                )
-            prev = state.t
+            raise ValidationError(f"trajectory {agent_id!r} mixes agent kinds {kinds}")
+        rows = [(s.t, s.x, s.y, s.vx, s.vy, s.heading) for s in states]
+        return _from_table(agent_id, rows, kinds[0] if kinds else AGENT_KINDS[0], dt)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.times)
+
+    def _stacked(self) -> np.ndarray:
+        """The (T, 6) table of ``t, x, y, vx, vy, heading`` per frame."""
+        return np.column_stack((self.times, self.positions, self.velocities, self.headings))
 
     @property
-    def kind(self) -> str:
-        return self.states[0].kind
+    def states(self) -> tuple[AgentState, ...]:
+        """The frames as :class:`AgentState` rows, built on each access."""
+        return tuple(AgentState(*row, kind=self.kind) for row in self._stacked().tolist())
 
-    @cached_property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states], dtype=float)
 
-    @cached_property
-    def positions(self) -> np.ndarray:
-        return np.array([(s.x, s.y) for s in self.states], dtype=float)
-
-    @cached_property
-    def velocities(self) -> np.ndarray:
-        return np.array([(s.vx, s.vy) for s in self.states], dtype=float)
-
-    @cached_property
-    def headings(self) -> np.ndarray:
-        return np.array([s.heading for s in self.states], dtype=float)
+def _from_table(agent_id: str, rows, kind: str, dt: float) -> Trajectory:
+    """A trajectory from ``(t, x, y, vx, vy, heading)`` rows."""
+    table = np.array(rows, dtype=float).reshape(len(rows), 6)
+    return Trajectory(agent_id, table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5], kind, dt)
 
 
 @dataclass(frozen=True)
@@ -167,8 +192,8 @@ class Scene:
                 )
             if (
                 len(traj) != len(ref)
-                or abs(traj.states[0].t - ref.states[0].t) > DT_TOLERANCE
-                or abs(traj.states[-1].t - ref.states[-1].t) > DT_TOLERANCE
+                or abs(traj.times[0] - ref.times[0]) > DT_TOLERANCE
+                or abs(traj.times[-1] - ref.times[-1]) > DT_TOLERANCE
             ):
                 raise ValidationError(
                     f"scene {self.scene_id!r}: agent {agent_id!r} does not cover the "
@@ -288,8 +313,8 @@ def parse_scene_csv(source, neighbor_radius: float = 50.0) -> list[Scene]:
         )
 
     n_cols = len(CSV_COLUMNS) + (1 if has_target_col else 0)
-    # rows[scene][agent] -> list of (frame, t, x, y, vx, vy, heading, kind, line)
-    rows: dict[str, dict[str, list[tuple]]] = {}
+    # rows[scene][agent] -> (kind, list of (frame, t, x, y, vx, vy, heading))
+    rows: dict[str, dict[str, tuple[str, list[tuple]]]] = {}
     flagged: dict[str, set[str]] = {}
     for line_no, row in enumerate(reader, start=2):
         if not row:
@@ -309,62 +334,47 @@ def parse_scene_csv(source, neighbor_radius: float = 50.0) -> list[Scene]:
         vx = _parse_float(row[6], "vx", line_no)
         vy = _parse_float(row[7], "vy", line_no)
         heading = _parse_float(row[8], "heading", line_no)
+        if not -math.pi < heading <= math.pi:
+            raise ValidationError(f"line {line_no}: heading must lie in (-pi, pi], got {heading}")
         kind = row[9].strip()
         if kind not in AGENT_KINDS:
             raise ValidationError(
                 f"line {line_no}: unknown kind {kind!r}, expected one of {'|'.join(AGENT_KINDS)}"
             )
+        agent_kind, agent_rows = rows.setdefault(scene_id, {}).setdefault(agent_id, (kind, []))
+        if agent_kind != kind:
+            raise ValidationError(f"line {line_no}: agent {agent_id!r} changes kind to {kind!r}")
         if has_target_col:
             flag = row[10].strip()
             if flag not in ("", "0", "1"):
                 raise ParseError(f"column 'target': expected 0 or 1, got {flag!r}", line=line_no)
             if flag == "1":
                 flagged.setdefault(scene_id, set()).add(agent_id)
-        rows.setdefault(scene_id, {}).setdefault(agent_id, []).append(
-            (frame, t, x, y, vx, vy, heading, kind, line_no)
-        )
+        agent_rows.append((frame, t, x, y, vx, vy, heading))
 
     scenes = []
     for scene_id in sorted(rows):
-        agents_rows = rows[scene_id]
         gaps = []
-        for agent_id, agent_rows in agents_rows.items():
+        for agent_id, (_, agent_rows) in rows[scene_id].items():
             agent_rows.sort(key=lambda r: r[0])
-            seen = set()
-            for r in agent_rows:
-                if r[0] in seen:
-                    raise ValidationError(
-                        f"scene {scene_id!r} agent {agent_id!r}: duplicate frame {r[0]}"
-                    )
-                seen.add(r[0])
             for prev, cur in zip(agent_rows, agent_rows[1:]):
+                if prev[0] == cur[0]:
+                    raise ValidationError(
+                        f"scene {scene_id!r} agent {agent_id!r}: duplicate frame {cur[0]}"
+                    )
                 gaps.append(cur[1] - prev[1])
         if not gaps:
             raise ValidationError(f"scene {scene_id!r}: every agent has a single frame only")
         counts = Counter(round(g, 9) for g in gaps)
         top = max(counts.values())
         dt = min(g for g, c in counts.items() if c == top)
-        for agent_id, agent_rows in agents_rows.items():
-            for prev, cur in zip(agent_rows, agent_rows[1:]):
-                if abs((cur[1] - prev[1]) - dt) > DT_TOLERANCE:
-                    raise ValidationError(
-                        f"scene {scene_id!r} agent {agent_id!r}: non-uniform time gap "
-                        f"{cur[1] - prev[1]:.9g} s at frame {cur[0]} (expected dt={dt:.9g} s)"
-                    )
-
-        trajectories = {}
-        for agent_id, agent_rows in agents_rows.items():
-            states = []
-            for r in agent_rows:
-                try:
-                    states.append(
-                        AgentState(
-                            t=r[1], x=r[2], y=r[3], vx=r[4], vy=r[5], heading=r[6], kind=r[7]
-                        )
-                    )
-                except ValidationError as exc:
-                    raise ValidationError(f"line {r[8]}: {exc}") from None
-            trajectories[agent_id] = Trajectory(agent_id=agent_id, states=tuple(states), dt=dt)
+        try:
+            trajectories = {
+                agent_id: _from_table(agent_id, [r[1:] for r in agent_rows], kind, dt)
+                for agent_id, (kind, agent_rows) in rows[scene_id].items()
+            }
+        except ValidationError as exc:
+            raise ValidationError(f"scene {scene_id!r}: {exc}") from None
 
         if has_target_col:
             marked = sorted(flagged.get(scene_id, ()))
@@ -405,22 +415,8 @@ def scenes_to_csv(scenes: Sequence[Scene]) -> str:
         for agent_id in sorted(scene.agents, key=_id_key):
             traj = scene.agents[agent_id]
             is_target = "1" if agent_id == scene.target_id else "0"
-            for frame, s in enumerate(traj.states):
-                writer.writerow(
-                    (
-                        scene.scene_id,
-                        agent_id,
-                        frame,
-                        repr(s.t),
-                        repr(s.x),
-                        repr(s.y),
-                        repr(s.vx),
-                        repr(s.vy),
-                        repr(s.heading),
-                        s.kind,
-                        is_target,
-                    )
-                )
+            for frame, row in enumerate(traj._stacked().tolist()):
+                writer.writerow((scene.scene_id, agent_id, frame, *row, traj.kind, is_target))
     return out.getvalue()
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import UsageError
-from .scene import AgentState, Scene, Trajectory, wrap_angle
+from .scene import Scene, Trajectory, wrap_angle
 
 SCENARIO_KINDS = ("constant", "circle", "brake", "crossing", "grid")
 
@@ -67,11 +67,10 @@ class ScenarioSpec:
 
 
 def _traj(agent_id, rows, dt, kind="vehicle"):
-    states = tuple(
-        AgentState(t=t, x=x, y=y, vx=vx, vy=vy, heading=heading, kind=kind)
-        for (t, x, y, vx, vy, heading) in rows
+    t, x, y, vx, vy, heading = np.array(rows, dtype=float).T
+    return Trajectory(
+        agent_id, t, np.column_stack((x, y)), np.column_stack((vx, vy)), heading, kind, dt
     )
-    return Trajectory(agent_id=agent_id, states=states, dt=dt)
 
 
 def _constant_rows(times, p0, direction, speed):

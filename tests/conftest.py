@@ -35,7 +35,7 @@ def make_traj(agent_id, velocities, dt=0.1, headings=None, p0=(0.0, 0.0), kind="
         )
         x += vx * dt
         y += vy * dt
-    return Trajectory(agent_id=agent_id, states=tuple(states), dt=dt)
+    return Trajectory.from_states(agent_id=agent_id, states=tuple(states), dt=dt)
 
 
 def make_scene(trajs, target_id=None, neighbor_radius=50.0, scene_id="s"):
@@ -62,7 +62,7 @@ def random_trajectory(rng, agent_id="0", n_frames=8, dt=0.1, kind="vehicle", sca
                 kind=kind,
             )
         )
-    return Trajectory(agent_id=agent_id, states=tuple(states), dt=dt)
+    return Trajectory.from_states(agent_id=agent_id, states=tuple(states), dt=dt)
 
 
 def rel_close(a, b, tol=1e-12):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from tailscope import cli
 from tailscope.cli import main
 from tailscope.scene import dump_scenes
 from tailscope.synth import ScenarioSpec, generate
@@ -75,6 +76,34 @@ class TestMetricsCommand:
             ["metrics", "--input", str(csv_path), "--out", str(out2), "--workers", "2"]
         ) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("cpus, pool_size", [(8, 3), (2, 2), (1, None), (None, None)])
+    def test_workers_clamped_to_scenes_and_cpus(self, tmp_path, monkeypatch, cpus, pool_size):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        csv_path = tmp_path / "scenes.csv"
+        write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=s, frames=5) for s in range(3)])
+        out = tmp_path / "m.json"
+        assert run(["metrics", "--input", str(csv_path), "--out", str(out), "--workers", "64"]) == 0
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert len(json.loads(out.read_text())["scenes"]) == 3
 
     def test_rss_params_from_config(self, tmp_path):
         csv_path = tmp_path / "scene.csv"
@@ -335,6 +364,61 @@ class TestExitCodeContract:
         assert run(["metrics", "--input", str(csv_path)]) == 2
         err = capsys.readouterr().err
         assert str(csv_path) in err and "UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("metrics", {"workers": "two"}),
+            ("metrics", {"neighbor_radius": "x"}),
+            ("rank", {"workers": "two"}),
+            ("rank", {"seed": "x"}),
+            ("rank", {"categories": "x"}),
+            ("rank", {"memory": {"categories": 2.5}}),
+            ("rank", {"neighbor_radius": True}),
+            ("synth", {"frames": "x"}),
+            ("synth", {"dt": "x"}),
+            ("synth", {"seed": 1.5}),
+            ("synth", {"n_agents": "3"}),
+            ("synth", {"neighbor_radius": "x"}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(v),
+    )
+    def test_mistyped_config_option_exits_2(self, tmp_path, capsys, command, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        csv_path = tmp_path / "s.csv"
+        write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=s, frames=5) for s in range(2)])
+        argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out")]
+        argv += ["--kind", "constant"] if command == "synth" else ["--input", str(csv_path)]
+        assert run(argv) == 2
+        key = "categories" if "memory" in config else next(iter(config))
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, content, fragment",
+        [
+            ("--stats", b"not json", "invalid JSON"),
+            ("--stats", json.dumps({"scale": [1.0] * 14}).encode(), "median"),
+            ("--stats", b'{"median": [\xff]}', "UTF-8"),
+            ("--params", b'{"median": [\xff]}', "UTF-8"),
+            ("--params", json.dumps({"path_i": 5, "path_r": [], "w_o": [], "b_o": 0}).encode(), ""),
+            ("--params", b"[]", ""),
+            ("--stats", None, "cannot read"),
+        ],
+        ids=[
+            "stats-not-json", "stats-no-median", "stats-not-utf8", "params-not-utf8",
+            "params-path_i-int", "params-not-object", "stats-missing-file",
+        ],
+    )
+    def test_bad_rank_sidecar_exits_2(self, tmp_path, capsys, flag, content, fragment):
+        csv_path = tmp_path / "s.csv"
+        write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=s, frames=5) for s in range(2)])
+        sidecar = tmp_path / "sidecar.json"
+        if content is not None:
+            sidecar.write_bytes(content)
+        assert run(["rank", "--input", str(csv_path), flag, str(sidecar)]) == 2
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and fragment in err
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

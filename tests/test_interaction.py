@@ -163,7 +163,9 @@ class TestGlobalSceneRisk:
         trajs = [random_trajectory(rng, agent_id=str(i), n_frames=6) for i in range(3)]
         scene_a = make_scene(trajs, target_id="0")
         relabeled = [
-            Trajectory(agent_id=new, states=trajs[int(old)].states, dt=trajs[int(old)].dt)
+            Trajectory.from_states(
+                agent_id=new, states=trajs[int(old)].states, dt=trajs[int(old)].dt
+            )
             for old, new in (("0", "2"), ("1", "0"), ("2", "1"))
         ]
         scene_b = make_scene(relabeled, target_id="2")  # same physical target
@@ -191,7 +193,7 @@ class TestFrameInvariance:
             c, s = math.cos(beta), math.sin(beta)
             moved = make_scene(
                 [
-                    Trajectory(
+                    Trajectory.from_states(
                         agent_id=t.agent_id,
                         states=tuple(
                             AgentState(
@@ -223,7 +225,7 @@ def _on_positions_of(traj, other, frames):
         replace(s, x=o.x, y=o.y) if k in frames else s
         for k, (s, o) in enumerate(zip(traj.states, other.states))
     )
-    return Trajectory(agent_id=traj.agent_id, states=states, dt=traj.dt)
+    return Trajectory.from_states(agent_id=traj.agent_id, states=states, dt=traj.dt)
 
 
 class TestBruteForceEquivalence:

@@ -112,7 +112,7 @@ class TestProperties:
             beta = float(rng.uniform(-math.pi, math.pi))
             shift = rng.uniform(-100, 100, size=2)
             c, s = math.cos(beta), math.sin(beta)
-            moved = Trajectory(
+            moved = Trajectory.from_states(
                 agent_id=traj.agent_id,
                 states=tuple(
                     AgentState(

@@ -1,11 +1,13 @@
 """Domain types, CSV ingestion and the backward-difference kinematics."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from conftest import make_traj, make_scene, random_trajectory
+from tailscope import scene as scene_module
 from tailscope.errors import ParseError, ValidationError
 from tailscope.scene import (
     AgentState,
@@ -40,7 +42,7 @@ class TestTrajectory:
     def test_needs_two_states(self):
         s = AgentState(t=0.0, x=0.0, y=0.0, vx=1.0, vy=0.0, heading=0.0)
         with pytest.raises(ValidationError):
-            Trajectory(agent_id="a", states=(s,), dt=0.1)
+            Trajectory.from_states(agent_id="a", states=(s,), dt=0.1)
 
     def test_rejects_non_uniform_gaps(self):
         states = tuple(
@@ -48,7 +50,93 @@ class TestTrajectory:
             for t in (0.0, 0.5, 1.2)
         )
         with pytest.raises(ValidationError, match="frame 2"):
-            Trajectory(agent_id="a", states=states, dt=0.5)
+            Trajectory.from_states(agent_id="a", states=states, dt=0.5)
+
+    @staticmethod
+    def columns(n=4):
+        t = np.arange(n) * 0.5
+        return {
+            "times": t,
+            "positions": np.column_stack((t, np.zeros(n))),
+            "velocities": np.tile([1.0, 0.0], (n, 1)),
+            "headings": np.zeros(n),
+        }
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("times", (4, 1)), ("positions", (4, 3)), ("velocities", (3, 2)), ("headings", (5,))],
+    )
+    def test_rejects_wrong_shapes(self, name, shape):
+        cols = {**self.columns(), name: np.zeros(shape)}
+        with pytest.raises(ValidationError, match="shapes"):
+            Trajectory("a", **cols, kind="vehicle", dt=0.5)
+
+    @pytest.mark.parametrize("name", ["times", "positions", "velocities", "headings"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values_naming_frame(self, name, bad):
+        cols = self.columns()
+        cols[name][2] = bad
+        with pytest.raises(ValidationError, match="'a'.*frame 2"):
+            Trajectory("a", **cols, kind="vehicle", dt=0.5)
+
+    def test_rejects_heading_outside_range_naming_frame(self):
+        cols = self.columns()
+        cols["headings"][3] = -math.pi
+        with pytest.raises(ValidationError, match="frame 3"):
+            Trajectory("a", **cols, kind="vehicle", dt=0.5)
+
+    def test_rejects_unknown_kind_and_bad_dt(self):
+        with pytest.raises(ValidationError, match="kind"):
+            Trajectory("a", **self.columns(), kind="bicycle", dt=0.5)
+        with pytest.raises(ValidationError, match="dt"):
+            Trajectory("a", **self.columns(), kind="vehicle", dt=0.0)
+
+    def test_rejects_non_increasing_times_naming_frame(self):
+        cols = self.columns()
+        cols["times"][3] = cols["times"][2]
+        with pytest.raises(ValidationError, match="frame 3"):
+            Trajectory("a", **cols, kind="vehicle", dt=0.5)
+
+    def test_arrays_are_read_only_copies(self):
+        cols = self.columns()
+        traj = Trajectory("a", **cols, kind="vehicle", dt=0.5)
+        for name, given in cols.items():
+            stored = getattr(traj, name)
+            assert stored.dtype == float and not stored.flags.writeable
+            assert not np.shares_memory(stored, given)
+            given[...] = 7.0
+            assert not np.array_equal(stored, given)
+            with pytest.raises(ValueError):
+                stored[0] = 1.0
+
+    def test_from_states_round_trips_rows(self, rng):
+        traj = random_trajectory(rng, kind="pedestrian")
+        again = Trajectory.from_states(traj.agent_id, traj.states, traj.dt)
+        assert again.kind == "pedestrian" and again.states == traj.states
+        for name in ("times", "positions", "velocities", "headings"):
+            assert np.array_equal(getattr(again, name), getattr(traj, name))
+
+    def test_from_states_rejects_mixed_kinds(self):
+        states = [
+            AgentState(t=0.0, x=0.0, y=0.0, vx=1.0, vy=0.0, heading=0.0, kind="vehicle"),
+            AgentState(t=0.1, x=0.1, y=0.0, vx=1.0, vy=0.0, heading=0.0, kind="pedestrian"),
+        ]
+        with pytest.raises(ValidationError, match="mixes agent kinds"):
+            Trajectory.from_states("a", states, dt=0.1)
+
+    def test_pickled_scene_round_trips(self, rng):
+        trajs = [
+            random_trajectory(rng, agent_id=str(i), kind=kind)
+            for i, kind in enumerate(("vehicle", "other"))
+        ]
+        scene = make_scene(trajs, scene_id="p")
+        copy = pickle.loads(pickle.dumps(scene))
+        assert (copy.scene_id, copy.target_id) == (scene.scene_id, scene.target_id)
+        for agent_id, traj in scene.agents.items():
+            got = copy.agents[agent_id]
+            assert (got.agent_id, got.kind, got.dt) == (traj.agent_id, traj.kind, traj.dt)
+            for name in ("times", "positions", "velocities", "headings"):
+                assert np.array_equal(getattr(got, name), getattr(traj, name))
 
 
 class TestWrapAngle:
@@ -90,7 +178,7 @@ class TestDeriveKinematics:
 
     def test_time_translation_invariance(self, rng):
         traj = random_trajectory(rng)
-        shifted = Trajectory(
+        shifted = Trajectory.from_states(
             agent_id=traj.agent_id,
             states=tuple(
                 AgentState(
@@ -111,7 +199,7 @@ class TestDeriveKinematics:
         beta = 0.83
         c, s = math.cos(beta), math.sin(beta)
         traj = random_trajectory(rng)
-        rotated = Trajectory(
+        rotated = Trajectory.from_states(
             agent_id=traj.agent_id,
             states=tuple(
                 AgentState(
@@ -167,6 +255,48 @@ class TestParseSceneCsv:
         text = HEADER + "\ns,a,0,0.0,0,0,1,0,0.0,vehicle\ns,a,1,oops,0,0,1,0,0.0,vehicle\n"
         with pytest.raises(ParseError, match="line 3"):
             parse_scene_csv(text)
+
+    @pytest.mark.parametrize("heading", ["-3.141592653589793", "3.2", "-7"])
+    def test_heading_outside_range_names_line(self, heading):
+        text = (
+            HEADER
+            + "\ns,a,0,0.0,0,0,1,0,0.0,vehicle"
+            + f"\ns,a,1,0.5,0,0,1,0,{heading},vehicle\n"
+        )
+        with pytest.raises(ValidationError, match="line 3.*heading"):
+            parse_scene_csv(text)
+
+    def test_agent_changing_kind_names_line(self):
+        text = (
+            HEADER
+            + "\ns,a,0,0.0,0,0,1,0,0.0,vehicle"
+            + "\ns,a,1,0.5,0,0,1,0,0.0,pedestrian\n"
+        )
+        with pytest.raises(ValidationError, match="line 3.*kind"):
+            parse_scene_csv(text)
+
+    def test_gap_error_names_scene_agent_and_frame(self):
+        text = (
+            HEADER
+            + "\nq,b,0,0.0,0,0,1,0,0.0,vehicle"
+            + "\nq,b,1,0.5,0,0,1,0,0.0,vehicle"
+            + "\nq,b,2,1.0,0,0,1,0,0.0,vehicle"
+            + "\nq,b,3,1.1,0,0,1,0,0.0,vehicle\n"
+        )
+        with pytest.raises(ValidationError, match="scene 'q'.*'b'.*frame 3"):
+            parse_scene_csv(text)
+
+    def test_builds_no_agent_state(self, rng, monkeypatch):
+        trajs = [random_trajectory(rng, agent_id=str(i), n_frames=6) for i in range(3)]
+        text = scenes_to_csv([make_scene(trajs, scene_id="x")])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("parse_scene_csv built an AgentState")
+
+        monkeypatch.setattr(scene_module, "AgentState", forbidden)
+        (parsed,) = parse_scene_csv(text)
+        for traj in trajs:
+            assert np.array_equal(parsed.agents[traj.agent_id].positions, traj.positions)
 
     def test_unknown_kind_rejected(self):
         text = HEADER + "\ns,a,0,0.0,0,0,1,0,0.0,hovercraft\n"
