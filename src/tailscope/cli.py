@@ -15,24 +15,19 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
-from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from . import evaluation, memory, perceiver
 from .errors import TailscopeError, UsageError, decode_utf8
-from .interaction import RssParams, compute_interactive
-from .intrinsic import compute_intrinsic
-from .scene import Scene, dump_scenes, load_scenes
-from .synth import SCENARIO_KINDS, ScenarioSpec, generate
 
 CONFIG_ENV_VAR = "TAILSCOPE_CONFIG"
 
+# Each handler imports the modules it runs, so a pass loads only its own
+# layers and ``import tailscope.cli`` loads neither numpy nor the package.
+
 
 def _json_default(obj):
+    import numpy as np
+
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.floating):
@@ -87,14 +82,23 @@ def _number_opt(args, config: dict, name: str, kind: type, default, many: bool =
     if not isinstance(items, list) or any(
         isinstance(v, bool) or not isinstance(v, types) for v in items
     ):
-        noun = "number" if kind is float else "integer"
-        want = f"a list of {noun}s" if many else f"a {noun}"
+        noun, article = ("number", "a") if kind is float else ("integer", "an")
+        want = f"a list of {noun}s" if many else f"{article} {noun}"
         raise UsageError(f"config key {name!r}: expected {want}, got {value!r}")
     return float(value) if kind is float and not many else value
 
 
+def _typed_opt(args, config: dict, name: str, kind: type = str):
+    """``_opt`` checked to be a string, or a JSON object when ``kind`` is dict; None if absent."""
+    value = _opt(args, config, name)
+    if value is not None and not isinstance(value, kind):
+        want = "a JSON object" if kind is dict else "a string"
+        raise UsageError(f"config key {name!r}: expected {want}, got {value!r}")
+    return value
+
+
 def _require_input(args, config) -> Path:
-    path = _opt(args, config, "input")
+    path = _typed_opt(args, config, "input")
     if path is None:
         raise UsageError("no input file given (use --input or the config file)")
     p = Path(path)
@@ -117,30 +121,28 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _scene_pair(scene: Scene, rss: RssParams):
-    return compute_intrinsic(scene.target), compute_interactive(scene, rss)
-
-
 def _score_scenes(args, config: dict):
     """Load the input scenes sorted by id and compute their metrics.
 
     Returns the scenes and one ``(intrinsic, interactive)`` pair per scene,
-    computed in ``workers`` processes when more than one is asked for, but
-    never in more processes than there are scenes or CPUs.
+    all computed in this process. ``workers`` is still checked, so configs
+    that set it keep running, but it has no effect.
     """
+    from .interaction import RssParams, compute_interactive
+    from .intrinsic import compute_intrinsic
+    from .scene import load_scenes
+
     path = _require_input(args, config)
     radius = _number_opt(args, config, "neighbor_radius", float, 50.0)
+    rss = RssParams.from_dict(_typed_opt(args, config, "rss_params", dict) or {})
+    _number_opt(args, config, "workers", int, 1)
     scenes = sorted(load_scenes(path, neighbor_radius=radius), key=lambda s: s.scene_id)
-    score = partial(_scene_pair, rss=RssParams.from_dict(config.get("rss_params", {})))
-    workers = min(_number_opt(args, config, "workers", int, 1), len(scenes), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return scenes, list(pool.map(score, scenes))
-    return scenes, [score(scene) for scene in scenes]
+    return scenes, [(compute_intrinsic(s.target), compute_interactive(s, rss)) for s in scenes]
 
 
 def cmd_metrics(args, config: dict) -> int:
     """All 14 metric scalars per scene, one JSON record each."""
+    out = _typed_opt(args, config, "out")
     scenes, pairs = _score_scenes(args, config)
     records = [
         {
@@ -150,17 +152,27 @@ def cmd_metrics(args, config: dict) -> int:
         }
         for scene, (intr, inter) in zip(scenes, pairs)
     ]
-    _write_json({"scenes": records}, _opt(args, config, "out"))
+    _write_json({"scenes": records}, out)
     return 0
 
 
 def cmd_rank(args, config: dict) -> int:
     """Tail Index per scene, descending, with features and fusion weights."""
-    scenes, pairs = _score_scenes(args, config)
+    import numpy as np
+
+    from . import memory, perceiver
+
+    out = _typed_opt(args, config, "out")
     seed = _number_opt(args, config, "seed", int, 0)
     mode = _opt(args, config, "mode", "mean")
+    if mode not in ("mean", "sample"):
+        raise UsageError(f"config key 'mode': expected 'mean' or 'sample', got {mode!r}")
+    params_path = _typed_opt(args, config, "params") or _typed_opt(args, config, "perceiver_params")
+    stats_path = _typed_opt(args, config, "stats")
+    memory_cfg = _typed_opt(args, config, "memory", dict) or {}
+    categories = _number_opt(args, config, "categories", int, memory_cfg.get("categories", 0))
 
-    params_path = _opt(args, config, "params") or config.get("perceiver_params")
+    scenes, pairs = _score_scenes(args, config)
     if params_path:
         params = perceiver.PerceiverParams.load(params_path)
     else:
@@ -168,7 +180,6 @@ def cmd_rank(args, config: dict) -> int:
 
     vectors = np.array([perceiver.metrics_vector(i, r) for i, r in pairs])
 
-    stats_path = _opt(args, config, "stats")
     if stats_path:
         stats = perceiver.DatasetStats.load(stats_path)
     else:
@@ -200,19 +211,19 @@ def cmd_rank(args, config: dict) -> int:
     rows.sort(key=lambda r: (-r["ti"], r["scene_id"]))
 
     payload = {"ranking": rows, "stats": stats.to_jsonable()}
-    memory_cfg = config.get("memory", {})
-    categories = _number_opt(args, config, "categories", int, memory_cfg.get("categories", 0))
     if categories:
         partition = memory.partition_categories([r["ti"] for r in rows], categories)
         for row, cat in zip(rows, partition.assignments):
             row["category"] = int(cat)
         payload["boundaries"] = partition.boundaries.tolist()
-    _write_json(payload, _opt(args, config, "out"))
+    _write_json(payload, out)
     return 0
 
 
 def cmd_eval(args, config: dict) -> int:
     """Forecast evaluation report with optional worst-case strata."""
+    from . import evaluation
+
     path = _require_input(args, config)
     samples = evaluation.parse_forecast_jsonl(decode_utf8(path.read_bytes(), str(path)))
     report = evaluation.evaluate(
@@ -223,12 +234,17 @@ def cmd_eval(args, config: dict) -> int:
         rank_metric=_opt(args, config, "rank_metric"),
         rank_k=_number_opt(args, config, "rank_k", int, 5),
     )
-    _write_json(report.to_jsonable(), _opt(args, config, "out"))
+    _write_json(report.to_jsonable(), _typed_opt(args, config, "out"))
     return 0
 
 
 def cmd_synth(args, config: dict) -> int:
     """Generate a synthetic scene CSV plus its oracle sidecar JSON."""
+    from dataclasses import fields
+
+    from .scene import dump_scenes
+    from .synth import SCENARIO_KINDS, ScenarioSpec, generate
+
     kind = _opt(args, config, "kind")
     if kind is None:
         raise UsageError(f"synth needs --kind (one of {', '.join(SCENARIO_KINDS)})")
@@ -237,11 +253,11 @@ def cmd_synth(args, config: dict) -> int:
     numbers = {name: _number_opt(args, config, name, type(d), d) for name, d in defaults.items()}
     spec = ScenarioSpec(kind=kind, **numbers)
     scene, oracle = generate(spec)
-    out = _opt(args, config, "out")
+    out = _typed_opt(args, config, "out")
     if out is None:
         raise UsageError("synth needs --out for the scene CSV")
     dump_scenes([scene], out)
-    oracle_out = _opt(args, config, "oracle_out", f"{out}.oracle.json")
+    oracle_out = _typed_opt(args, config, "oracle_out") or f"{out}.oracle.json"
     _write_json({"spec": spec.to_dict(), "oracle": oracle}, oracle_out)
     return 0
 
@@ -261,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="compute the 14 tailness scalars per scene")
     common(p)
-    p.add_argument("--workers", type=int, help="scene-level parallelism (default 1)")
+    p.add_argument("--workers", type=int, help="accepted for old configs; has no effect")
     p.add_argument("--neighbor-radius", dest="neighbor_radius", type=float)
     p.set_defaults(handler=cmd_metrics)
 
@@ -272,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("mean", "sample"), help="forward mode (default mean)")
     p.add_argument("--seed", type=int, help="seed for sample mode / default init")
     p.add_argument("--categories", type=int, help="partition the ranking into TI categories")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="accepted for old configs; has no effect")
     p.add_argument("--neighbor-radius", dest="neighbor_radius", type=float)
     p.set_defaults(handler=cmd_rank)
 
@@ -284,15 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--rank-metric",
         dest="rank_metric",
-        choices=evaluation.RANK_METRICS,
-        help="error metric ranking the worst-case strata (required with --topk)",
+        help="min_ade or min_fde: the error ranking the worst-case strata (required with --topk)",
     )
     p.add_argument("--rank-k", dest="rank_k", type=int, help="mode count for the ranking metric")
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic oracle scene")
     common(p)
-    p.add_argument("--kind", choices=SCENARIO_KINDS)
+    p.add_argument("--kind", help="scenario kind (constant, circle, brake, crossing or grid)")
     p.add_argument("--frames", type=int)
     p.add_argument("--dt", type=float)
     p.add_argument("--seed", type=int)

@@ -95,11 +95,6 @@ def ade_per_mode(sample: ForecastSample) -> np.ndarray:
     return np.linalg.norm(sample.modes - sample.gt[None], axis=2).mean(axis=1)
 
 
-def fde_per_mode(sample: ForecastSample) -> np.ndarray:
-    """Final-step L2 error of each mode against the ground truth."""
-    return np.linalg.norm(sample.modes[:, -1] - sample.gt[-1], axis=1)
-
-
 def _check_k(samples: Sequence[ForecastSample], ks: Sequence[int]) -> None:
     """Reject the first sample, in input order, with a k of ``ks`` (sorted) outside 1..K."""
     for sample in samples:
@@ -374,13 +369,12 @@ def evaluate(
     if not ks:
         raise UsageError("need at least one k")
     percents = list(percents)
-    if percents:
-        if rank_metric is None:
-            raise UsageError(
-                "worst-case percents given but no rank_metric; set it to 'min_ade' or 'min_fde'"
-            )
-        if rank_metric not in RANK_METRICS:
-            raise UsageError(f"rank_metric must be one of {RANK_METRICS}, got {rank_metric!r}")
+    if percents and rank_metric is None:
+        raise UsageError(
+            "worst-case percents given but no rank_metric; set it to 'min_ade' or 'min_fde'"
+        )
+    if rank_metric is not None and rank_metric not in RANK_METRICS:
+        raise UsageError(f"rank_metric must be one of {RANK_METRICS}, got {rank_metric!r}")
 
     _check_threshold(threshold)
     _check_k(samples, ks)

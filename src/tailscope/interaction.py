@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .intrinsic import kinematic_dynamism
+from .intrinsic import rms_acceleration
 from .scene import Scene
 
 #: Agent pairs closer than this (m) are skipped wherever a separation is a
@@ -122,7 +122,6 @@ class _Geometry(NamedTuple):
     dp: np.ndarray  # (T, N, 2) neighbor position minus target position
     dv: np.ndarray  # (T, N, 2) neighbor velocity minus target velocity
     dist: np.ndarray  # (T, N)
-    near: np.ndarray  # (T, N) dist <= radius
 
 
 def _pair_geometry(pos, vel, a, b):
@@ -131,14 +130,13 @@ def _pair_geometry(pos, vel, a, b):
     return dp, vel[:, b] - vel[:, a], np.hypot(dp[..., 0], dp[..., 1])
 
 
-def _geometry(scene: Scene, radius: float) -> _Geometry:
+def _geometry(scene: Scene) -> _Geometry:
     """Stack the scene's agents and relate every neighbor to the target."""
     neighbors = [scene.agents[agent_id] for agent_id in scene.neighbor_ids()]
     agents = [scene.target] + neighbors
     pos = np.stack([traj.positions for traj in agents], axis=1)
     vel = np.stack([traj.velocities for traj in agents], axis=1)
-    dp, dv, dist = _pair_geometry(pos, vel, slice(0, 1), slice(1, None))
-    return _Geometry(pos, vel, neighbors, dp, dv, dist, dist <= radius)
+    return _Geometry(pos, vel, neighbors, *_pair_geometry(pos, vel, slice(0, 1), slice(1, None)))
 
 
 def _pair_ittc(dp, dv, dist):
@@ -169,10 +167,14 @@ def ittc_risk(scene: Scene) -> dict:
     Frames with no neighbor in radius contribute 0; coincident pairs are
     skipped with a ``proximity_skip`` flag.
     """
-    g = _geometry(scene, scene.neighbor_radius)
+    g = _geometry(scene)
+    return _ittc_risk(g, g.dist <= scene.neighbor_radius)
+
+
+def _ittc_risk(g: _Geometry, near) -> dict:
     value, coincident = _pair_ittc(g.dp, g.dv, g.dist)
-    series = _worst(value, g.near)
-    flags = ("proximity_skip",) if np.any(coincident & g.near) else ()
+    series = _worst(value, near)
+    flags = ("proximity_skip",) if np.any(coincident & near) else ()
     return {"r_ittc": float(series.mean()), "series": series, "flags": flags}
 
 
@@ -223,8 +225,11 @@ def _deficit_risk(required, actual, alpha: float, beta: float) -> np.ndarray:
 
 def rss_longitudinal(scene: Scene, params: RssParams | None = None) -> dict:
     """Worst-neighbor longitudinal safe-distance risk, averaged over frames."""
-    params = params or RssParams()
-    g = _geometry(scene, scene.neighbor_radius)
+    g = _geometry(scene)
+    return _rss_longitudinal(scene, g, g.dist <= scene.neighbor_radius, params or RssParams())
+
+
+def _rss_longitudinal(scene: Scene, g: _Geometry, near, params: RssParams) -> dict:
     heading = scene.target.headings
     u_lon = np.stack([np.cos(heading), np.sin(heading)], axis=-1)[:, None]
     is_vehicle = np.array([traj.kind == "vehicle" for traj in g.neighbors], dtype=bool)
@@ -232,14 +237,17 @@ def rss_longitudinal(scene: Scene, params: RssParams | None = None) -> dict:
     v_j_lon = np.where(is_vehicle, np.vecdot(g.vel[:, 1:], u_lon), 0.0)
     required = min_longitudinal_separation(v_i_lon, v_j_lon, params)
     gap = np.abs(np.vecdot(g.dp, u_lon))
-    series = _worst(_deficit_risk(required, gap, params.alpha_lon, params.beta_lon), g.near)
+    series = _worst(_deficit_risk(required, gap, params.alpha_lon, params.beta_lon), near)
     return {"r_lon": float(series.mean()), "series": series, "flags": ()}
 
 
 def rss_lateral(scene: Scene, params: RssParams | None = None) -> dict:
     """Worst-neighbor lateral safe-distance risk, averaged over frames."""
-    params = params or RssParams()
-    g = _geometry(scene, scene.neighbor_radius)
+    g = _geometry(scene)
+    return _rss_lateral(scene, g, g.dist <= scene.neighbor_radius, params or RssParams())
+
+
+def _rss_lateral(scene: Scene, g: _Geometry, near, params: RssParams) -> dict:
     heading = scene.target.headings
     u_lat = np.stack([-np.sin(heading), np.cos(heading)], axis=-1)[:, None]
     kinds = np.array([traj.kind for traj in g.neighbors], dtype=str)
@@ -249,7 +257,7 @@ def rss_lateral(scene: Scene, params: RssParams | None = None) -> dict:
     v_j_lat = np.vecdot(g.vel[:, 1:], axis)
     required = min_lateral_separation(v_i_lat, v_j_lat, kinds, params)
     risk = _deficit_risk(required, np.abs(lat_sep), params.alpha_lat, params.beta_lat)
-    series = _worst(risk, g.near)
+    series = _worst(risk, near)
     return {"r_lat": float(series.mean()), "series": series, "flags": ()}
 
 
@@ -259,10 +267,14 @@ def global_scene_risk(scene: Scene, radius: float | None = None) -> dict:
     ``radius`` defaults to the scene's neighbor radius and bounds both the
     density disc and the instability neighbor set; it must be finite and > 0.
     """
+    return _global_scene_risk(scene, _geometry(scene), radius)
+
+
+def _global_scene_risk(scene: Scene, g: _Geometry, radius: float | None) -> dict:
     radius = scene.neighbor_radius if radius is None else radius
     if not (radius > 0 and math.isfinite(radius)):
         raise ValidationError(f"radius must be finite and positive, got {radius}")
-    g = _geometry(scene, radius)
+    near = g.dist <= radius
     n = g.pos.shape[1]
 
     value, coincident = _pair_ittc(*_pair_geometry(g.pos, g.vel, *np.triu_indices(n, 1)))
@@ -272,14 +284,14 @@ def global_scene_risk(scene: Scene, radius: float | None = None) -> dict:
         # the total rounds like a plain loop over the pairs
         mac_series = np.cumsum(value, axis=1)[:, -1] / (n * (n - 1) / 2.0)
 
-    count = g.near.sum(axis=1)
+    count = near.sum(axis=1)
     ad_series = count / (math.pi * radius**2)
     # Stable-sorting each frame's in-radius neighbors to the front makes the
     # masked sum one contiguous run, which numpy adds exactly as np.mean adds
     # the list of in-radius values.
-    order = np.argsort(~g.near, axis=1, kind="stable")
-    c_v = np.array([kinematic_dynamism(traj)["c_v"] for traj in g.neighbors], dtype=float)
-    c_v_sum = np.add.reduce(c_v[order], axis=1, where=np.take_along_axis(g.near, order, axis=1))
+    order = np.argsort(~near, axis=1, kind="stable")
+    c_v = np.array([rms_acceleration(t.velocities, t.dt) for t in g.neighbors], dtype=float)
+    c_v_sum = np.add.reduce(c_v[order], axis=1, where=np.take_along_axis(near, order, axis=1))
     ni_series = c_v_sum / np.maximum(count, 1)
 
     return {
@@ -293,12 +305,14 @@ def global_scene_risk(scene: Scene, radius: float | None = None) -> dict:
 def compute_interactive(
     scene: Scene, params: RssParams | None = None, radius: float | None = None
 ) -> InteractiveMetrics:
-    """All six interactive scalars of one scene."""
+    """All six interactive scalars of one scene, from one stack of its agents."""
     params = params or RssParams()
-    ittc = ittc_risk(scene)
-    lon = rss_longitudinal(scene, params)
-    lat = rss_lateral(scene, params)
-    gl = global_scene_risk(scene, radius)
+    g = _geometry(scene)
+    near = g.dist <= scene.neighbor_radius
+    ittc = _ittc_risk(g, near)
+    lon = _rss_longitudinal(scene, g, near, params)
+    lat = _rss_lateral(scene, g, near, params)
+    gl = _global_scene_risk(scene, g, radius)
     flags = sorted(set(ittc["flags"]) | set(lon["flags"]) | set(lat["flags"]) | set(gl["flags"]))
     return InteractiveMetrics(
         r_ittc=ittc["r_ittc"],

@@ -82,6 +82,11 @@ def _rms_rows(samples: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum(np.square(samples), axis=1))))
 
 
+def rms_acceleration(velocities: np.ndarray, dt: float) -> float:
+    """RMS magnitude of the backward-difference acceleration of (T, 2) velocities."""
+    return _rms_rows(np.diff(velocities, axis=0) / dt)
+
+
 def kinematic_dynamism(traj: Trajectory, kin: KinematicSeries | None = None) -> dict:
     """Scores for the severity of motion-state change.
 
@@ -103,7 +108,7 @@ def kinematic_dynamism(traj: Trajectory, kin: KinematicSeries | None = None) -> 
         flags.add("low_speed_frames")
 
     return {
-        "c_v": _rms_rows(kin.a),
+        "c_v": rms_acceleration(kin.v, kin.dt),
         "c_j": _rms_rows(kin.j),
         "c_omega": _rms(kin.omega),
         "c_alpha": _rms(kin.alpha),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -39,7 +40,11 @@ def relu(x):
 
 @dataclass(frozen=True)
 class GaussianLayer:
-    """A dense layer whose weights and biases carry diagonal-Gaussian posteriors."""
+    """A dense layer whose weights and biases carry diagonal-Gaussian posteriors.
+
+    The arrays are read-only copies of the ones given, so values derived from
+    a layer (such as its KL) cannot go stale.
+    """
 
     mu_w: np.ndarray     # (out, in)
     sigma_w: np.ndarray  # (out, in), elementwise > 0
@@ -48,7 +53,9 @@ class GaussianLayer:
 
     def __post_init__(self):
         for name in ("mu_w", "sigma_w", "mu_b", "sigma_b"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.mu_w.ndim != 2 or self.sigma_w.shape != self.mu_w.shape:
             raise ConfigurationError(
                 f"weight shapes disagree: mu {self.mu_w.shape}, sigma {self.sigma_w.shape}"
@@ -120,6 +127,11 @@ class PerceiverParams:
             raise ConfigurationError(f"w_o must be a vector, got shape {self.w_o.shape}")
         if not math.isfinite(self.b_o) or not math.isfinite(self.lambda_temp):
             raise ConfigurationError("b_o and lambda_temp must be finite")
+
+    @cached_property
+    def kl(self) -> tuple[float, float]:
+        """``(kl_i, kl_r)``: each path's ``kl_diag_gaussian``, computed once."""
+        return kl_diag_gaussian(self.path_i), kl_diag_gaussian(self.path_r)
 
     def to_jsonable(self) -> dict:
         return {
@@ -400,8 +412,7 @@ def perceive(
         seed_i = seed_r = None
     z_i = bayes_forward(params.path_i, f_i, mode=mode, seed=seed_i)
     z_r = bayes_forward(params.path_r, f_r, mode=mode, seed=seed_r)
-    kl_i = kl_diag_gaussian(params.path_i)
-    kl_r = kl_diag_gaussian(params.path_r)
+    kl_i, kl_r = params.kl
     lam = -params.lambda_temp if invert_fusion else params.lambda_temp
     alpha_i, alpha_r = fusion_weights(kl_i, kl_r, lam)
     ti = tail_index(z_i, z_r, alpha_i, alpha_r, params.w_o, params.b_o)

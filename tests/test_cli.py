@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from tailscope import cli
 from tailscope.cli import main
 from tailscope.scene import dump_scenes
 from tailscope.synth import ScenarioSpec, generate
@@ -76,34 +75,10 @@ class TestMetricsCommand:
             ["metrics", "--input", str(csv_path), "--out", str(out2), "--workers", "2"]
         ) == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    @pytest.mark.parametrize("cpus, pool_size", [(8, 3), (2, 2), (1, None), (None, None)])
-    def test_workers_clamped_to_scenes_and_cpus(self, tmp_path, monkeypatch, cpus, pool_size):
-        sizes = []
-
-        class RecordingPool:
-            """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        csv_path = tmp_path / "scenes.csv"
-        write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=s, frames=5) for s in range(3)])
-        out = tmp_path / "m.json"
-        assert run(["metrics", "--input", str(csv_path), "--out", str(out), "--workers", "64"]) == 0
-        assert sizes == ([] if pool_size is None else [pool_size])
-        assert len(json.loads(out.read_text())["scenes"]) == 3
+        rank = ["rank", "--input", str(csv_path), "--mode", "sample", "--seed", "3"]
+        assert run(rank + ["--workers", "1", "--out", str(out1)]) == 0
+        assert run(rank + ["--workers", "3", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_rss_params_from_config(self, tmp_path):
         csv_path = tmp_path / "scene.csv"
@@ -183,6 +158,16 @@ class TestRankCommand:
         payload = json.loads(out.read_text())
         assert {row["category"] for row in payload["ranking"]} <= {0, 1}
         assert len(payload["boundaries"]) == 1
+
+    def test_kl_computed_once_per_params(self, tmp_path, monkeypatch):
+        from tailscope import perceiver
+
+        calls = []
+        kl = perceiver.kl_diag_gaussian
+        monkeypatch.setattr(perceiver, "kl_diag_gaussian", lambda ls: calls.append(1) or kl(ls))
+        csv_path = self.make_batch_csv(tmp_path)
+        assert run(["rank", "--input", str(csv_path), "--out", str(tmp_path / "rank.json")]) == 0
+        assert len(calls) == 2  # one per path, not one per path and scene
 
     def test_single_scene_without_stats_fails(self, tmp_path):
         csv_path = tmp_path / "one.csv"
@@ -374,6 +359,14 @@ class TestExitCodeContract:
             ("rank", {"seed": "x"}),
             ("rank", {"categories": "x"}),
             ("rank", {"memory": {"categories": 2.5}}),
+            pytest.param("rank", {"memory": 5}, id="rank-memory-int"),
+            ("rank", {"rss_params": 5}),
+            ("rank", {"params": 5}),
+            ("rank", {"perceiver_params": 5}),
+            ("rank", {"stats": ["a"]}),
+            ("rank", {"input": 5}),
+            ("rank", {"mode": "samples"}),
+            ("metrics", {"out": 5}),
             ("rank", {"neighbor_radius": True}),
             ("synth", {"frames": "x"}),
             ("synth", {"dt": "x"}),
@@ -383,15 +376,23 @@ class TestExitCodeContract:
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(v),
     )
-    def test_mistyped_config_option_exits_2(self, tmp_path, capsys, command, config):
+    def test_mistyped_config_option_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
+        def no_load(*args, **kwargs):
+            raise AssertionError("scenes loaded before the config was checked")
+
+        monkeypatch.setattr("tailscope.scene.load_scenes", no_load)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         csv_path = tmp_path / "s.csv"
         write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=s, frames=5) for s in range(2)])
-        argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out")]
-        argv += ["--kind", "constant"] if command == "synth" else ["--input", str(csv_path)]
+        flags = {"out": str(tmp_path / "out")}
+        flags.update({"kind": "constant"} if command == "synth" else {"input": str(csv_path)})
+        argv = [command, "--config", str(config_path)]
+        for name, value in flags.items():
+            if name not in config:  # a flag would win over the mistyped key
+                argv += [f"--{name}", value]
         assert run(argv) == 2
-        key = "categories" if "memory" in config else next(iter(config))
+        key = "categories" if isinstance(config.get("memory"), dict) else next(iter(config))
         assert repr(key) in capsys.readouterr().err
 
     @pytest.mark.parametrize(

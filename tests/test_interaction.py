@@ -8,6 +8,7 @@ import pytest
 
 from conftest import assert_rel, make_scene, make_traj, random_trajectory
 from oracles import dx_oracle, dy_oracle, interactive_oracle, scene_as_plain
+from tailscope import interaction, intrinsic
 from tailscope.errors import ConfigurationError, ValidationError
 from tailscope.interaction import (
     INTERACTIVE_FIELDS,
@@ -253,6 +254,33 @@ class TestBruteForceEquivalence:
             for name in INTERACTIVE_FIELDS:
                 assert_rel(getattr(got, name), want[name], tol=1e-12, label=name)
             assert ("proximity_skip" in got.flags) == coincident
+
+
+class TestWorkDoneOnce:
+    def random_scene(self, rng, n_agents=4):
+        trajs = [random_trajectory(rng, agent_id=str(i), n_frames=6) for i in range(n_agents)]
+        return make_scene(trajs, neighbor_radius=15.0)
+
+    def test_compute_interactive_stacks_agents_once(self, rng, monkeypatch):
+        scene = self.random_scene(rng)
+        stacks = []
+        geometry = interaction._geometry
+        monkeypatch.setattr(interaction, "_geometry", lambda *a: stacks.append(a) or geometry(*a))
+        got = compute_interactive(scene)
+        assert len(stacks) == 1
+        # the public per-metric functions, each stacking on its own, agree exactly
+        assert got.r_ittc == ittc_risk(scene)["r_ittc"]
+        assert got.r_lon == rss_longitudinal(scene)["r_lon"]
+        assert got.r_lat == rss_lateral(scene)["r_lat"]
+        gl = global_scene_risk(scene)
+        assert (got.r_mac, got.r_ad, got.r_ni) == (gl["r_mac"], gl["r_ad"], gl["r_ni"])
+
+    def test_global_risk_derives_no_neighbor_kinematics(self, rng, monkeypatch):
+        def derive_kinematics(traj):
+            raise AssertionError(f"derive_kinematics called for agent {traj.agent_id}")
+
+        monkeypatch.setattr(intrinsic, "derive_kinematics", derive_kinematics)
+        assert global_scene_risk(self.random_scene(rng))["r_ni"] > 0.0
 
 
 class TestTypes:
