@@ -2,11 +2,12 @@
 evaluation and synthetic scenario generation.
 
 Exit codes are stable across commands: 0 success, 1 internal error, 2 usage
-or parse error. Every flag has a config-file equivalent (JSON, flags win);
-the config path comes from ``--config`` or the ``TAILSCOPE_CONFIG``
-environment variable. Reports are deterministic JSON: keys sorted, floats
-serialized with round-trip precision, so reruns on unchanged inputs are
-byte-identical.
+or parse error. Every option is declared once, in ``OPTIONS``, and can be
+given as a flag or as a key of a JSON config file (flags win); the config
+path comes from ``--config`` or the ``TAILSCOPE_CONFIG`` environment
+variable. Options are checked before any input is read. Reports are
+deterministic JSON: keys sorted, floats serialized with round-trip
+precision, so reruns on unchanged inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import TailscopeError, UsageError, decode_utf8
@@ -23,6 +25,94 @@ CONFIG_ENV_VAR = "TAILSCOPE_CONFIG"
 
 # Each handler imports the modules it runs, so a pass loads only its own
 # layers and ``import tailscope.cli`` loads neither numpy nor the package.
+
+#: Every option by config key: the commands that take it, its type (int, float,
+#: str, dict for a JSON object, [int]/[float] for a list, comma-separated as a
+#: flag, or a tuple of the allowed strings), the least value of each number,
+#: its flag (``--key-name`` unless named, none if None) and help text.
+#: Defaults live with the library: only the options given are passed on.
+Option = namedtuple("Option", "commands kind minimum flag help", defaults=(None, "", ""))
+
+OPTIONS = {
+    "input": Option("metrics rank eval", str, help="scene CSV or forecast JSONL"),
+    "out": Option("metrics rank eval synth", str, help="path (default: stdout; synth: required)"),
+    "workers": Option("metrics rank", int, help="accepted for old configs; has no effect"),
+    "neighbor_radius": Option("metrics rank synth", float, help="neighborhood radius (m)"),
+    "rss_params": Option("metrics rank", dict, flag=None, help="RssParams field values"),
+    "params": Option("rank", str, help="perceiver parameter JSON (default: seeded init)"),
+    "perceiver_params": Option("rank", str, flag=None, help="read when params is not given"),
+    "stats": Option("rank", str, help="normalization stats JSON (default: fit on the batch)"),
+    "mode": Option("rank", ("mean", "sample"), help="perceiver forward mode"),
+    "seed": Option("rank synth", int, 0, help="seed of the sample mode, default init or scene"),
+    "categories": Option("rank", int, help="partition the ranking into TI categories"),
+    "memory": Option("rank", dict, flag=None, help="only its categories key is read"),
+    "k": Option("eval", [int], help="mode counts, e.g. 1,5,10"),
+    "threshold": Option("eval", float, help="miss-rate threshold (m)"),
+    "topk": Option("eval", [float], help="worst-case percents, e.g. 1,2,3,4,5"),
+    "rank_metric": Option("eval", str, help="min_ade or min_fde: ranks the worst-case strata"),
+    "rank_k": Option("eval", int, help="mode count for the ranking metric"),
+    "kind": Option("synth", str, help="constant, circle, brake, crossing or grid"),
+    "frames": Option("synth", int, help="frame count"),
+    "dt": Option("synth", float, help="time step (s)"),
+    "speed": Option("synth", float, help="speed (m/s)"),
+    "radius": Option("synth", float, help="circle radius (m)"),
+    "decel": Option("synth", float, help="brake deceleration (m/s^2)"),
+    "gap": Option("synth", float, help="crossing gap or grid spacing (m)"),
+    "n_agents": Option("synth", int, flag="--agents", help="agents in constant and grid scenes"),
+    "oracle_out": Option("synth", str, help="oracle sidecar path (default: OUT.oracle.json)"),
+}
+
+_NOUNS = {int: "integer", float: "number", str: "string", dict: "JSON object"}
+
+
+def _describe(opt: Option) -> str:
+    """What ``opt`` takes, in words, for help texts and error messages."""
+    if isinstance(opt.kind, tuple):
+        return "one of " + ", ".join(opt.kind)
+    text = f"list of {_NOUNS[opt.kind[0]]}s" if isinstance(opt.kind, list) else _NOUNS[opt.kind]
+    return text if opt.minimum is None else f"{text} >= {opt.minimum}"
+
+
+def _check(key: str, value):
+    """``value`` of option ``key``, checked against its type and minimum. A float
+    option also takes an integer; no number option takes a boolean."""
+    opt = OPTIONS[key]
+    kind, items = (opt.kind[0], value) if isinstance(opt.kind, list) else (opt.kind, [value])
+    if isinstance(kind, tuple):
+        ok = value in kind
+    else:
+        types = (int, float) if kind is float else kind
+        ok = isinstance(items, list) and all(
+            isinstance(v, types) and not isinstance(v, bool)
+            and (opt.minimum is None or v >= opt.minimum)
+            for v in items
+        )
+    if not ok:
+        raise UsageError(f"option {key!r}: expected {_describe(opt)}, got {value!r}")
+    return float(value) if opt.kind is float else value
+
+
+def _options(args, config: dict) -> dict:
+    """The options of ``args.command`` that were given, each from its flag, else
+    from the config, checked. ``memory.categories`` stands in for ``categories``."""
+    opts = {}
+    for key, opt in OPTIONS.items():
+        if args.command in opt.commands.split():
+            value = getattr(args, key, None)
+            if value is None:
+                value = config.get(key)
+            if value is not None:
+                opts[key] = _check(key, value)
+    memory = opts.get("memory", {})
+    if "categories" not in opts and memory.get("categories") is not None:
+        opts["categories"] = _check("categories", memory["categories"])
+    return opts
+
+
+def _kwargs(opts: dict, *keys: str, **renamed: str) -> dict:
+    """The given options among ``keys`` and ``renamed`` (key=keyword) as keyword arguments."""
+    names = {**{key: key for key in keys}, **renamed}
+    return {kw: opts[key] for key, kw in names.items() if key in opts}
 
 
 def _json_default(obj):
@@ -37,16 +127,23 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte or lone surrogate
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _write_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_file(out, text)
 
 
 def _load_config(args) -> dict:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
     p = Path(path)
@@ -58,47 +155,14 @@ def _load_config(args) -> dict:
         raise UsageError(f"config file {path}: invalid JSON ({exc})") from None
     if not isinstance(config, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
+    unknown = sorted(set(config) - set(OPTIONS))
+    if unknown:
+        raise UsageError(f"config file {path}: unknown key {', '.join(map(repr, unknown))}")
     return config
 
 
-def _opt(args, config: dict, name: str, default=None):
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return config.get(name, default)
-
-
-def _number_opt(args, config: dict, name: str, kind: type, default, many: bool = False):
-    """``_opt`` checked to be a ``kind`` number, or a list of them when ``many``.
-
-    ``kind`` is ``int`` or ``float``; a float option also takes an integer,
-    returned as a float, and neither takes a boolean. Flags are typed by
-    argparse already, so a failure names a config key.
-    """
-    value = _opt(args, config, name, default)
-    types = (int, float) if kind is float else int
-    items = value if many else [value]
-    if not isinstance(items, list) or any(
-        isinstance(v, bool) or not isinstance(v, types) for v in items
-    ):
-        noun, article = ("number", "a") if kind is float else ("integer", "an")
-        want = f"a list of {noun}s" if many else f"{article} {noun}"
-        raise UsageError(f"config key {name!r}: expected {want}, got {value!r}")
-    return float(value) if kind is float and not many else value
-
-
-def _typed_opt(args, config: dict, name: str, kind: type = str):
-    """``_opt`` checked to be a string, or a JSON object when ``kind`` is dict; None if absent."""
-    value = _opt(args, config, name)
-    if value is not None and not isinstance(value, kind):
-        want = "a JSON object" if kind is dict else "a string"
-        raise UsageError(f"config key {name!r}: expected {want}, got {value!r}")
-    return value
-
-
-def _require_input(args, config) -> Path:
-    path = _typed_opt(args, config, "input")
+def _require_input(opts: dict) -> Path:
+    path = opts.get("input")
     if path is None:
         raise UsageError("no input file given (use --input or the config file)")
     p = Path(path)
@@ -107,43 +171,21 @@ def _require_input(args, config) -> Path:
     return p
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _score_scenes(args, config: dict):
-    """Load the input scenes sorted by id and compute their metrics.
-
-    Returns the scenes and one ``(intrinsic, interactive)`` pair per scene,
-    all computed in this process. ``workers`` is still checked, so configs
-    that set it keep running, but it has no effect.
-    """
+def _score_scenes(opts: dict):
+    """The input scenes sorted by id, and one ``(intrinsic, interactive)`` pair each."""
     from .interaction import RssParams, compute_interactive
     from .intrinsic import compute_intrinsic
     from .scene import load_scenes
 
-    path = _require_input(args, config)
-    radius = _number_opt(args, config, "neighbor_radius", float, 50.0)
-    rss = RssParams.from_dict(_typed_opt(args, config, "rss_params", dict) or {})
-    _number_opt(args, config, "workers", int, 1)
-    scenes = sorted(load_scenes(path, neighbor_radius=radius), key=lambda s: s.scene_id)
+    path = _require_input(opts)
+    rss = RssParams.from_dict(opts.get("rss_params", {}))
+    scenes = sorted(load_scenes(path, **_kwargs(opts, "neighbor_radius")), key=lambda s: s.scene_id)
     return scenes, [(compute_intrinsic(s.target), compute_interactive(s, rss)) for s in scenes]
 
 
-def cmd_metrics(args, config: dict) -> int:
+def cmd_metrics(opts: dict) -> int:
     """All 14 metric scalars per scene, one JSON record each."""
-    out = _typed_opt(args, config, "out")
-    scenes, pairs = _score_scenes(args, config)
+    scenes, pairs = _score_scenes(opts)
     records = [
         {
             "scene_id": scene.scene_id,
@@ -152,50 +194,41 @@ def cmd_metrics(args, config: dict) -> int:
         }
         for scene, (intr, inter) in zip(scenes, pairs)
     ]
-    _write_json({"scenes": records}, out)
+    _write_json({"scenes": records}, opts.get("out"))
     return 0
 
 
-def cmd_rank(args, config: dict) -> int:
+def cmd_rank(opts: dict) -> int:
     """Tail Index per scene, descending, with features and fusion weights."""
     import numpy as np
 
     from . import memory, perceiver
 
-    out = _typed_opt(args, config, "out")
-    seed = _number_opt(args, config, "seed", int, 0)
-    mode = _opt(args, config, "mode", "mean")
-    if mode not in ("mean", "sample"):
-        raise UsageError(f"config key 'mode': expected 'mean' or 'sample', got {mode!r}")
-    params_path = _typed_opt(args, config, "params") or _typed_opt(args, config, "perceiver_params")
-    stats_path = _typed_opt(args, config, "stats")
-    memory_cfg = _typed_opt(args, config, "memory", dict) or {}
-    categories = _number_opt(args, config, "categories", int, memory_cfg.get("categories", 0))
-
-    scenes, pairs = _score_scenes(args, config)
+    # Sidecars load before the scenes, so a bad one fails before any scoring.
+    params_path = opts.get("params") or opts.get("perceiver_params")
     if params_path:
         params = perceiver.PerceiverParams.load(params_path)
     else:
-        params = perceiver.default_params(seed=seed)
+        params = perceiver.default_params(**_kwargs(opts, "seed"))
+    stats = perceiver.DatasetStats.load(opts["stats"]) if opts.get("stats") else None
 
-    vectors = np.array([perceiver.metrics_vector(i, r) for i, r in pairs])
-
-    if stats_path:
-        stats = perceiver.DatasetStats.load(stats_path)
-    else:
+    scenes, pairs = _score_scenes(opts)
+    if stats is None:
         if len(scenes) < 2:
             raise UsageError(
                 "normalization stats need at least 2 scenes; pass --stats for single scenes"
             )
+        vectors = np.array([perceiver.metrics_vector(i, r) for i, r in pairs])
         stats = perceiver.DatasetStats.fit(vectors)
 
-    seeds = (
-        np.random.SeedSequence(seed).spawn(len(scenes)) if mode == "sample" else [None] * len(scenes)
-    )
+    if opts.get("mode") == "sample":
+        seeds = perceiver.scene_seeds(len(scenes), **_kwargs(opts, "seed"))
+    else:
+        seeds = [None] * len(scenes)
     rows = []
     for scene, (intr, inter), child in zip(scenes, pairs, seeds):
         f_i, f_r = perceiver.normalize_features(intr, inter, stats)
-        result = perceiver.perceive(params, f_i, f_r, mode=mode, seed=child)
+        result = perceiver.perceive(params, f_i, f_r, seed=child, **_kwargs(opts, "mode"))
         rows.append(
             {
                 "scene_id": scene.scene_id,
@@ -211,55 +244,56 @@ def cmd_rank(args, config: dict) -> int:
     rows.sort(key=lambda r: (-r["ti"], r["scene_id"]))
 
     payload = {"ranking": rows, "stats": stats.to_jsonable()}
-    if categories:
-        partition = memory.partition_categories([r["ti"] for r in rows], categories)
+    if opts.get("categories"):
+        partition = memory.partition_categories([r["ti"] for r in rows], opts["categories"])
         for row, cat in zip(rows, partition.assignments):
             row["category"] = int(cat)
         payload["boundaries"] = partition.boundaries.tolist()
-    _write_json(payload, out)
+    _write_json(payload, opts.get("out"))
     return 0
 
 
-def cmd_eval(args, config: dict) -> int:
+def cmd_eval(opts: dict) -> int:
     """Forecast evaluation report with optional worst-case strata."""
     from . import evaluation
 
-    path = _require_input(args, config)
+    path = _require_input(opts)
     samples = evaluation.parse_forecast_jsonl(decode_utf8(path.read_bytes(), str(path)))
     report = evaluation.evaluate(
-        samples,
-        ks=_number_opt(args, config, "k", int, [1, 5, 10], many=True),
-        threshold=_number_opt(args, config, "threshold", float, evaluation.MISS_THRESHOLD),
-        percents=_number_opt(args, config, "topk", float, [], many=True),
-        rank_metric=_opt(args, config, "rank_metric"),
-        rank_k=_number_opt(args, config, "rank_k", int, 5),
+        samples, **_kwargs(opts, "threshold", "rank_metric", "rank_k", k="ks", topk="percents")
     )
-    _write_json(report.to_jsonable(), _typed_opt(args, config, "out"))
+    _write_json(report.to_jsonable(), opts.get("out"))
     return 0
 
 
-def cmd_synth(args, config: dict) -> int:
+def cmd_synth(opts: dict) -> int:
     """Generate a synthetic scene CSV plus its oracle sidecar JSON."""
     from dataclasses import fields
 
-    from .scene import dump_scenes
+    from .scene import scenes_to_csv
     from .synth import SCENARIO_KINDS, ScenarioSpec, generate
 
-    kind = _opt(args, config, "kind")
-    if kind is None:
+    if "kind" not in opts:
         raise UsageError(f"synth needs --kind (one of {', '.join(SCENARIO_KINDS)})")
-    # Every ScenarioSpec field but kind is a number option, typed by its default value.
-    defaults = {f.name: f.default for f in fields(ScenarioSpec) if f.name != "kind"}
-    numbers = {name: _number_opt(args, config, name, type(d), d) for name, d in defaults.items()}
-    spec = ScenarioSpec(kind=kind, **numbers)
-    scene, oracle = generate(spec)
-    out = _typed_opt(args, config, "out")
+    out = opts.get("out")
     if out is None:
         raise UsageError("synth needs --out for the scene CSV")
-    dump_scenes([scene], out)
-    oracle_out = _typed_opt(args, config, "oracle_out") or f"{out}.oracle.json"
+    spec = ScenarioSpec(**_kwargs(opts, *(f.name for f in fields(ScenarioSpec))))
+    scene, oracle = generate(spec)
+    _write_file(out, scenes_to_csv([scene]))
+    oracle_out = opts.get("oracle_out") or f"{out}.oracle.json"
     _write_json({"spec": spec.to_dict(), "oracle": oracle}, oracle_out)
     return 0
+
+
+def _comma_list(kind: type):
+    """Argparse type for a comma-separated list of ``kind`` numbers."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {_NOUNS[kind]}s") from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,64 +303,28 @@ def build_parser() -> argparse.ArgumentParser:
         "for multi-agent driving scenes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--input", help="input file (scene CSV or forecast JSONL)")
-        p.add_argument("--out", help="output path (default: stdout)")
+    for handler in (cmd_metrics, cmd_rank, cmd_eval, cmd_synth):
+        name = handler.__name__.removeprefix("cmd_")
+        p = sub.add_parser(name, help=handler.__doc__)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help=f"JSON config file (or ${CONFIG_ENV_VAR})")
-
-    p = sub.add_parser("metrics", help="compute the 14 tailness scalars per scene")
-    common(p)
-    p.add_argument("--workers", type=int, help="accepted for old configs; has no effect")
-    p.add_argument("--neighbor-radius", dest="neighbor_radius", type=float)
-    p.set_defaults(handler=cmd_metrics)
-
-    p = sub.add_parser("rank", help="rank scenes by Tail Index")
-    common(p)
-    p.add_argument("--params", help="perceiver parameter JSON (default: seeded init)")
-    p.add_argument("--stats", help="normalization stats JSON (default: fit on the batch)")
-    p.add_argument("--mode", choices=("mean", "sample"), help="forward mode (default mean)")
-    p.add_argument("--seed", type=int, help="seed for sample mode / default init")
-    p.add_argument("--categories", type=int, help="partition the ranking into TI categories")
-    p.add_argument("--workers", type=int, help="accepted for old configs; has no effect")
-    p.add_argument("--neighbor-radius", dest="neighbor_radius", type=float)
-    p.set_defaults(handler=cmd_rank)
-
-    p = sub.add_parser("eval", help="evaluate forecast samples (JSONL)")
-    common(p)
-    p.add_argument("--k", type=_int_list, help="mode counts, e.g. 1,5,10")
-    p.add_argument("--threshold", type=float, help="miss-rate threshold in meters (default 2)")
-    p.add_argument("--topk", type=_float_list, help="worst-case percents, e.g. 1,2,3,4,5")
-    p.add_argument(
-        "--rank-metric",
-        dest="rank_metric",
-        help="min_ade or min_fde: the error ranking the worst-case strata (required with --topk)",
-    )
-    p.add_argument("--rank-k", dest="rank_k", type=int, help="mode count for the ranking metric")
-    p.set_defaults(handler=cmd_eval)
-
-    p = sub.add_parser("synth", help="generate a synthetic oracle scene")
-    common(p)
-    p.add_argument("--kind", help="scenario kind (constant, circle, brake, crossing or grid)")
-    p.add_argument("--frames", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--speed", type=float)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--decel", type=float)
-    p.add_argument("--gap", type=float)
-    p.add_argument("--agents", dest="n_agents", type=int)
-    p.add_argument("--neighbor-radius", dest="neighbor_radius", type=float)
-    p.add_argument("--oracle-out", dest="oracle_out", help="oracle sidecar path")
-    p.set_defaults(handler=cmd_synth)
+        for key, opt in OPTIONS.items():
+            if name not in opt.commands.split() or opt.flag is None:
+                continue
+            if isinstance(opt.kind, list):
+                parse = _comma_list(opt.kind[0])
+            else:  # numbers are typed here, a tuple's strings in _check
+                parse = opt.kind if opt.kind in (int, float) else str
+            flag = opt.flag or "--" + key.replace("_", "-")
+            text = f"{opt.help} [{_describe(opt)}]".lstrip()
+            p.add_argument(flag, dest=key, type=parse, help=text)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
-        return args.handler(args, config)
+        return args.handler(_options(args, _load_config(args)))
     except TailscopeError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

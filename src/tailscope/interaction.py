@@ -185,9 +185,10 @@ def min_longitudinal_separation(v_i_lon, v_j_lon, params: RssParams):
     neighbor's longitudinal velocity and must already be zeroed by the caller
     for non-vehicle neighbors.
     """
+    # np.float_power rounds like ``**`` but overflows to inf, where ``**`` raises
     d = (
         v_i_lon * params.rho
-        + 0.5 * params.a_max * params.rho**2
+        + 0.5 * params.a_max * np.float_power(params.rho, 2)
         + np.float_power(v_i_lon + params.rho * params.a_max, 2) / (2.0 * params.b_min)
         - np.float_power(v_j_lon, 2) / (2.0 * params.b_max)
     )
@@ -285,7 +286,7 @@ def _global_scene_risk(scene: Scene, g: _Geometry, radius: float | None) -> dict
         mac_series = np.cumsum(value, axis=1)[:, -1] / (n * (n - 1) / 2.0)
 
     count = near.sum(axis=1)
-    ad_series = count / (math.pi * radius**2)
+    ad_series = count / (math.pi * np.float_power(radius, 2))
     # Stable-sorting each frame's in-radius neighbors to the front makes the
     # masked sum one contiguous run, which numpy adds exactly as np.mean adds
     # the list of in-radius values.

@@ -113,7 +113,11 @@ class PerceiverParams:
         object.__setattr__(self, "path_i", tuple(self.path_i))
         object.__setattr__(self, "path_r", tuple(self.path_r))
         object.__setattr__(self, "w_o", np.asarray(self.w_o, dtype=float))
+        if self.w_o.ndim != 1:
+            raise ConfigurationError(f"w_o must be a vector, got shape {self.w_o.shape}")
         for name, path in (("path_i", self.path_i), ("path_r", self.path_r)):
+            if not path:
+                raise ConfigurationError(f"{name} has no layers")
             for first, second in zip(path, path[1:]):
                 if second.in_dim != first.out_dim:
                     raise ConfigurationError(
@@ -123,8 +127,6 @@ class PerceiverParams:
                 raise ConfigurationError(
                     f"{name}: latent dim {path[-1].out_dim} != |w_o| {self.w_o.shape[0]}"
                 )
-        if self.w_o.ndim != 1:
-            raise ConfigurationError(f"w_o must be a vector, got shape {self.w_o.shape}")
         if not math.isfinite(self.b_o) or not math.isfinite(self.lambda_temp):
             raise ConfigurationError("b_o and lambda_temp must be finite")
 
@@ -167,9 +169,12 @@ def _load(cls, path, what: str):
     """``cls.from_jsonable`` of the JSON file at ``path``. An unreadable file, bad
     UTF-8, bad JSON or a bad key raise a TailscopeError naming the file."""
     try:
-        return cls.from_jsonable(json.loads(decode_utf8(Path(path).read_bytes(), f"{what} {path}")))
-    except OSError as exc:
-        raise ConfigurationError(f"{what} {path}: cannot read ({exc.strerror})") from None
+        data = Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte or lone surrogate in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigurationError(f"{what} {path}: cannot read ({reason})") from None
+    try:
+        return cls.from_jsonable(json.loads(decode_utf8(data, f"{what} {path}")))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{what} {path}: invalid JSON ({exc})") from None
     except ConfigurationError as exc:
@@ -388,6 +393,11 @@ class TailIndexResult:
             raise ValidationError("fusion weights must sum to 1")
         if self.kl_i < 0 or self.kl_r < 0:
             raise ValidationError("KL values must be non-negative")
+
+
+def scene_seeds(n: int, seed: int = 0) -> list[np.random.SeedSequence]:
+    """One independent child of ``seed`` per scene, for sample-mode ``perceive`` calls."""
+    return np.random.SeedSequence(seed).spawn(n)
 
 
 def perceive(

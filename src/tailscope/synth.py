@@ -103,6 +103,8 @@ def _generate_circle(spec: ScenarioSpec):
     center = rng.uniform(-50.0, 50.0, size=2)
     psi0 = rng.uniform(-math.pi, math.pi)
     omega = spec.speed / spec.radius
+    if not math.isfinite(omega * (spec.frames - 1) * spec.dt):  # math.cos(inf) raises
+        raise UsageError("circle: the heading change speed / radius * (frames - 1) * dt overflows")
     rows = []
     for k in range(spec.frames):
         t = k * spec.dt
@@ -129,14 +131,16 @@ def _generate_brake(spec: ScenarioSpec):
     # single impulse of decel/dt; otherwise it splits across two frames.
     stop_time = spec.speed / spec.decel
     rows = []
+    # np.float_power rounds like ``**`` but overflows to inf (a non-finite row
+    # the trajectory rejects), where ``**`` raises
     for k in range(spec.frames):
         t = k * spec.dt
         if t < stop_time:
             v = spec.speed - spec.decel * t
-            x = spec.speed * t - 0.5 * spec.decel * t**2
+            x = spec.speed * t - 0.5 * spec.decel * np.float_power(t, 2)
         else:
             v = 0.0
-            x = spec.speed * stop_time - 0.5 * spec.decel * stop_time**2
+            x = spec.speed * stop_time - 0.5 * spec.decel * np.float_power(stop_time, 2)
         rows.append((t, x, 0.0, v, 0.0, 0.0))
     agents = {"0": _traj("0", rows, spec.dt)}
     oracle = {"stop_time": stop_time, "c_omega": 0.0, "c_kappa": 0.0}
@@ -180,7 +184,7 @@ def _generate_grid(spec: ScenarioSpec):
         "c_v": 0.0,
     }
     if spec.gap <= spec.neighbor_radius:
-        oracle["r_ad"] = n_neighbors / (math.pi * spec.neighbor_radius**2)
+        oracle["r_ad"] = n_neighbors / (math.pi * np.float_power(spec.neighbor_radius, 2))
     return agents, oracle
 
 

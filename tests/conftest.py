@@ -79,3 +79,15 @@ def assert_rel(a, b, tol=1e-12, label=""):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+try:
+    from hypothesis import settings
+except ImportError:  # only the property tests need it, and they skip without it
+    pass
+else:
+    # Derandomized and bounded, so every run draws the same examples in seconds.
+    settings.register_profile(
+        "tier1", derandomize=True, max_examples=60, deadline=None, database=None
+    )
+    settings.load_profile("tier1")

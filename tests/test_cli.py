@@ -2,10 +2,12 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tailscope import cli
 from tailscope.cli import main
 from tailscope.scene import dump_scenes
 from tailscope.synth import ScenarioSpec, generate
@@ -373,6 +375,8 @@ class TestExitCodeContract:
             ("synth", {"seed": 1.5}),
             ("synth", {"n_agents": "3"}),
             ("synth", {"neighbor_radius": "x"}),
+            pytest.param("rank", {"seed": -3}, id="rank-seed-negative"),
+            pytest.param("synth", {"seed": -1}, id="synth-seed-negative"),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(v),
     )
@@ -405,21 +409,83 @@ class TestExitCodeContract:
             ("--params", json.dumps({"path_i": 5, "path_r": [], "w_o": [], "b_o": 0}).encode(), ""),
             ("--params", b"[]", ""),
             ("--stats", None, "cannot read"),
+            ("--params", b'{"path_i": [], "path_r": [], "w_o": [], "b_o": 0}', ""),
         ],
         ids=[
             "stats-not-json", "stats-no-median", "stats-not-utf8", "params-not-utf8",
-            "params-path_i-int", "params-not-object", "stats-missing-file",
+            "params-path_i-int", "params-not-object", "stats-missing-file", "params-no-layers",
         ],
     )
-    def test_bad_rank_sidecar_exits_2(self, tmp_path, capsys, flag, content, fragment):
+    def test_bad_rank_sidecar_exits_2(self, tmp_path, capsys, monkeypatch, flag, content, fragment):
         csv_path = tmp_path / "s.csv"
         write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=s, frames=5) for s in range(2)])
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("scenes loaded before the sidecar was read")
+
+        monkeypatch.setattr("tailscope.scene.load_scenes", no_load)
         sidecar = tmp_path / "sidecar.json"
         if content is not None:
             sidecar.write_bytes(content)
         assert run(["rank", "--input", str(csv_path), flag, str(sidecar)]) == 2
         err = capsys.readouterr().err
         assert str(sidecar) in err and fragment in err
+
+    @pytest.mark.parametrize("command", ["rank", "synth"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr("tailscope.scene.load_scenes", lambda *a, **k: pytest.fail("loaded"))
+        argv = [command, "--seed", "-3", "--out", str(tmp_path / "out")]
+        argv += ["--input", str(tmp_path)] if command == "rank" else ["--kind", "constant"]
+        assert run(argv) == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["metrics", "rank", "eval", "synth"])
+    def test_unwritable_output_exits_2_naming_path(self, tmp_path, capsys, command):
+        out = tmp_path / "missing-dir" / "x.json"
+        if command == "synth":
+            argv = ["synth", "--kind", "constant"]
+        elif command == "eval":
+            jsonl = tmp_path / "f.jsonl"
+            jsonl.write_text(forecast_line("a", 0.0) + "\n")
+            argv = ["eval", "--input", str(jsonl), "--k", "1"]
+        else:
+            csv_path = tmp_path / "s.csv"
+            write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=s) for s in range(2)])
+            argv = [command, "--input", str(csv_path)]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["synth", "--kind", "circle", "--dt", "1e308"], {}),
+            (["synth", "--kind", "brake", "--speed", "1e160", "--decel", "1", "--dt", "1e160"], {}),
+            (["synth", "--kind", "grid", "--neighbor-radius", "1e300"], {}),
+            (["metrics", "--neighbor-radius", "1e300"], {}),
+            (["metrics"], {"rss_params": {"rho": 1e200}}),
+        ],
+        ids=["circle-dt", "brake-stop-time", "synth-radius", "metrics-radius", "rss-rho"],
+    )
+    def test_huge_numbers_do_not_overflow_to_exit_1(self, tmp_path, argv, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(config_path), "--out", str(tmp_path / "out")]
+        if argv[0] == "metrics":
+            csv_path = tmp_path / "s.csv"
+            write_scenes(csv_path, [ScenarioSpec(kind="crossing", seed=s) for s in range(2)])
+            argv += ["--input", str(csv_path)]
+        assert run(argv) in (0, 2)
+
+    def test_unknown_config_key_exits_2_naming_it(self, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=0, n_agents=1)])
+        config = tmp_path / "config.json"
+        argv = ["metrics", "--input", str(csv_path), "--out", str(tmp_path / "o.json")]
+        config.write_text(json.dumps({"neighbour_radius": 5}))
+        assert run(argv + ["--config", str(config)]) == 2
+        assert "'neighbour_radius'" in capsys.readouterr().err
+        config.write_text(json.dumps({"categories": 3}))  # a rank key: the config may be shared
+        assert run(argv + ["--config", str(config)]) == 0
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -429,3 +495,14 @@ class TestExitCodeContract:
         assert run(["eval", "--input", str(jsonl), "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert str(config) in err and "UTF-8" in err
+
+
+def test_readme_tables_every_option():
+    """README's option table has one row per ``cli.OPTIONS`` entry, with the same columns."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for key, opt in cli.OPTIONS.items():
+        flag = "" if opt.flag is None else f"`{opt.flag or '--' + key.replace('_', '-')}`"
+        minimum = "" if opt.minimum is None else str(opt.minimum)
+        kind = cli._describe(opt._replace(minimum=None))
+        row = f"| `{key}` | {opt.commands.replace(' ', ', ')} | {kind} | {minimum} | {flag} |"
+        assert row in readme, row

@@ -71,6 +71,21 @@ def _loaded_after(argv):
     return rc, set(modules)
 
 
+def test_cli_import_loads_no_numpy():
+    """The option table and parser load with ``tailscope.cli``: no numpy, no other layer."""
+    code = "import json, sys\nimport tailscope.cli\nprint(json.dumps(sorted(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(tailscope.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(json.loads(proc.stdout))
+    assert "numpy" not in modules
+    assert {m for m in modules if m.startswith("tailscope")} == {
+        "tailscope", "tailscope.cli", "tailscope.errors"
+    }
+
+
 def _scenes_csv(tmp_path):
     path = tmp_path / "scenes.csv"
     dump_scenes([generate(ScenarioSpec(kind="crossing", seed=s, frames=5))[0] for s in range(3)], path)
