@@ -19,7 +19,7 @@ import sys
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import TailscopeError, UsageError, decode_utf8
+from .errors import ConfigurationError, TailscopeError, UsageError, read_json
 
 CONFIG_ENV_VAR = "TAILSCOPE_CONFIG"
 
@@ -142,33 +142,24 @@ def _write_json(payload: dict, out: str | None) -> None:
         _write_file(out, text)
 
 
-def _load_config(args) -> dict:
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return {}
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"config file not found: {path}")
-    try:
-        config = json.loads(decode_utf8(p.read_bytes(), f"config file {path}"))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path}: invalid JSON ({exc})") from None
+def _known_keys(config) -> dict:
     if not isinstance(config, dict):
-        raise UsageError(f"config file {path}: expected a JSON object")
+        raise ConfigurationError("config must be a JSON object")
     unknown = sorted(set(config) - set(OPTIONS))
     if unknown:
-        raise UsageError(f"config file {path}: unknown key {', '.join(map(repr, unknown))}")
+        raise ConfigurationError(f"config has unknown key {', '.join(map(repr, unknown))}")
     return config
 
 
+def _load_config(args) -> dict:
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    return read_json(path, "config file", _known_keys) if path else {}
+
+
 def _require_input(opts: dict) -> Path:
-    path = opts.get("input")
-    if path is None:
+    if opts.get("input") is None:
         raise UsageError("no input file given (use --input or the config file)")
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"input file not found: {path}")
-    return p
+    return Path(opts["input"])
 
 
 def _score_scenes(opts: dict):
@@ -257,8 +248,7 @@ def cmd_eval(opts: dict) -> int:
     """Forecast evaluation report with optional worst-case strata."""
     from . import evaluation
 
-    path = _require_input(opts)
-    samples = evaluation.parse_forecast_jsonl(decode_utf8(path.read_bytes(), str(path)))
+    samples = evaluation.parse_forecast_jsonl(_require_input(opts))
     report = evaluation.evaluate(
         samples, **_kwargs(opts, "threshold", "rank_metric", "rank_k", k="ks", topk="percents")
     )

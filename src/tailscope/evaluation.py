@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError, decode_utf8
+from .errors import ParseError, UsageError, ValidationError, read_lines
 
 #: A sample is missed when its best final displacement exceeds this (m).
 MISS_THRESHOLD = 2.0
@@ -212,11 +212,6 @@ def rmse(samples: Sequence[ForecastSample]) -> dict:
     return _rmse(_score(samples)[2])
 
 
-def _stratum_size(percent: float, n: int) -> int:
-    # round() guards against float noise in percent * n / 100 before ceil
-    return math.ceil(round(percent * n / 100.0, 9))
-
-
 def worst_case_subsets(errors: Mapping[str, float], percents: Sequence[float]) -> dict:
     """Top-p% highest-error strata of a per-sample error table.
 
@@ -233,7 +228,7 @@ def worst_case_subsets(errors: Mapping[str, float], percents: Sequence[float]) -
     n = len(ranked)
     out = {}
     for p in percents:
-        count = _stratum_size(p, n)
+        count = math.ceil(round(p * n / 100.0, 9))  # round() drops float noise before ceil
         subset = ranked[:count]
         out[p] = {
             "count": count,
@@ -284,20 +279,12 @@ def _numbers(record: dict, key: str, maybe_bool: bool) -> np.ndarray:
 def parse_forecast_jsonl(source) -> list[ForecastSample]:
     """Parse forecast samples from JSONL (one object per line).
 
-    Each line must carry ``sample_id``, ``modes``, ``probs`` and ``gt``.
-    Errors name the offending line.
+    Each line must carry ``sample_id``, ``modes``, ``probs`` and ``gt``. ``source``
+    is a str, bytes, a Path or a file (see ``read_lines``). Errors name the line.
     """
-    if isinstance(source, bytes):
-        text = decode_utf8(source, "forecast JSONL")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = decode_utf8(text, "forecast JSONL")
     samples = []
     seen = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(read_lines(source, "forecast JSONL"), start=1):
         if not line.strip():
             continue
         try:
@@ -342,10 +329,6 @@ class EvalReport:
             "worst_case": self.worst_case,
             "config_echo": self.config_echo,
         }
-
-
-def _percent_key(p: float) -> str:
-    return f"top{p:g}"
 
 
 def evaluate(
@@ -414,7 +397,7 @@ def evaluate(
         rank_errors = ade_by_id if rank_metric == "min_ade" else fde_by_id
         for p, stratum in worst_case_subsets(rank_errors, percents).items():
             members = stratum["sample_ids"]
-            worst_case[_percent_key(p)] = {
+            worst_case[f"top{p:g}"] = {
                 "count": stratum["count"],
                 "sample_ids": members,
                 "min_ade": float(np.mean([ade_by_id[i] for i in members])),

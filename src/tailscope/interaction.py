@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .intrinsic import rms_acceleration
-from .scene import Scene
+from .scene import Scene, check_radius
 
 #: Agent pairs closer than this (m) are skipped wherever a separation is a
 #: denominator, instead of dividing by ~0.
@@ -273,8 +273,7 @@ def global_scene_risk(scene: Scene, radius: float | None = None) -> dict:
 
 def _global_scene_risk(scene: Scene, g: _Geometry, radius: float | None) -> dict:
     radius = scene.neighbor_radius if radius is None else radius
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ValidationError(f"radius must be finite and positive, got {radius}")
+    check_radius("radius", radius, len(scene.agents) * scene.n_frames)
     near = g.dist <= radius
     n = g.pos.shape[1]
 

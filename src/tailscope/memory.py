@@ -14,6 +14,8 @@ call returns one row per sample and warns once, not once per degenerate row.
 Reads (allocation, similarity, vigilance, augment) are pure; the two update
 operations return fresh arrays and never mutate their inputs, but concurrent
 writers still need external coordination (single-writer contract).
+
+It is also the home of the stable numerics, ``softplus`` and ``sigmoid``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputWarning, UsageError, ValidationError
+from .errors import ConfigurationError, DegenerateInputWarning, UsageError, ValidationError, json_fields, read_json
 
 #: Vectors with a norm below this are treated as directionless.
 EPS_NORM = 1e-12
+
+
+def softplus(x):
+    """Numerically stable log(1 + exp(x)); linear for large x, tiny for very negative x."""
+    x = np.asarray(x, dtype=float)
+    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return float(out) if out.ndim == 0 else out
 
 
 def sigmoid(x):
@@ -59,22 +68,6 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _float_array = partial(np.array, dtype=float)
-
-
-def _json_fields(data, convert: dict, what: str, optional=()) -> dict:
-    """Each key of a JSON object through its converter; a missing or bad key raises ConfigurationError."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{what} must be a JSON object, got {type(data).__name__}")
-    fields = {}
-    for key, fn in convert.items():
-        try:
-            if key in data or key not in optional:
-                fields[key] = fn(data[key])
-        except KeyError:
-            raise ConfigurationError(f"{what} missing key '{key}'") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{what} key '{key}' is malformed: {exc}") from None
-    return fields
 
 
 @dataclass(frozen=True)
@@ -143,7 +136,7 @@ class GateMlp:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "GateMlp":
-        return cls(**_json_fields(data, {**dict.fromkeys(cls._ARRAYS, _float_array), "b_gate": float}, "gate mlp"))
+        return cls(**json_fields(data, {**dict.fromkeys(cls._ARRAYS, _float_array), "b_gate": float}, "gate mlp"))
 
 
 def default_tail_bias(categories: int) -> np.ndarray:
@@ -215,7 +208,7 @@ class CognitiveSetParams:
     @classmethod
     def from_jsonable(cls, data: dict) -> "CognitiveSetParams":
         convert = {"tau": float, "rho_vig": float, "gamma_steep": float, "b_tail": _float_array}
-        return cls(**_json_fields(data, {**convert, "gate_mlp": GateMlp.from_jsonable}, "cognitive set params"))
+        return cls(**json_fields(data, {**convert, "gate_mlp": GateMlp.from_jsonable}, "cognitive set params"))
 
 
 @dataclass(frozen=True)
@@ -271,18 +264,14 @@ class PrototypeMemory:
     @classmethod
     def from_jsonable(cls, data: dict) -> "PrototypeMemory":
         convert = {"prototypes": _float_array, "eta": float, "boundaries": _float_array}
-        return cls(**_json_fields(data, convert, "prototype memory", optional=("boundaries",)))
+        return cls(**json_fields(data, convert, "prototype memory", optional=("boundaries",)))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_jsonable()), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "PrototypeMemory":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for binary files
-            raise ConfigurationError(f"prototype memory {path}: invalid JSON ({exc})") from None
-        return cls.from_jsonable(data)
+        return read_json(path, "prototype memory", cls.from_jsonable)
 
 
 @dataclass(frozen=True)
@@ -451,8 +440,7 @@ def proto_loss(g_adj: np.ndarray, s: np.ndarray) -> float:
     if g_adj.shape[0] == 0:
         raise UsageError("empty batch")
     margins = np.sum((2.0 * g_adj - 1.0) * s, axis=1)
-    # -log sigmoid(m) == softplus(-m)
-    return float(np.mean(np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins)))))
+    return float(np.mean(softplus(-margins)))
 
 
 def proto_loss_and_grad(

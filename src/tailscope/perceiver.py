@@ -19,19 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError, ValidationError, decode_utf8
+from .errors import ConfigurationError, UsageError, ValidationError, json_fields, read_json
 from .interaction import INTERACTIVE_FIELDS, InteractiveMetrics
 from .intrinsic import INTRINSIC_FIELDS, IntrinsicMetrics
+from .memory import _float_array, softplus
 
 #: Robust z-scores are clipped to this many scale units.
 CLIP_SIGMA = 10.0
-
-
-def softplus(x):
-    """Numerically stable log(1 + exp(x)); linear for large x, tiny for very negative x."""
-    x = np.asarray(x, dtype=float)
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return float(out) if out.ndim == 0 else out
 
 
 def relu(x):
@@ -88,15 +82,8 @@ class GaussianLayer:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "GaussianLayer":
-        try:
-            return cls(
-                mu_w=np.array(data["mu_W"], dtype=float),
-                sigma_w=np.array(data["sigma_W"], dtype=float),
-                mu_b=np.array(data["mu_b"], dtype=float),
-                sigma_b=np.array(data["sigma_b"], dtype=float),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"layer is missing key {exc}") from None
+        keys = ("mu_W", "sigma_W", "mu_b", "sigma_b")  # in field order
+        return cls(*json_fields(data, dict.fromkeys(keys, _float_array), "layer").values())
 
 
 @dataclass(frozen=True)
@@ -146,39 +133,16 @@ class PerceiverParams:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "PerceiverParams":
-        try:
-            return cls(
-                path_i=tuple(GaussianLayer.from_jsonable(l) for l in data["path_i"]),
-                path_r=tuple(GaussianLayer.from_jsonable(l) for l in data["path_r"]),
-                w_o=np.array(data["w_o"], dtype=float),
-                b_o=float(data["b_o"]),
-                lambda_temp=float(data.get("lambda_temp", 1.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"perceiver params: bad or missing key ({exc!r})") from None
+        paths = dict.fromkeys(("path_i", "path_r"), lambda path: tuple(map(GaussianLayer.from_jsonable, path)))
+        convert = {**paths, "w_o": _float_array, "b_o": float, "lambda_temp": float}
+        return cls(**json_fields(data, convert, "perceiver params", optional=("lambda_temp",)))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_jsonable()), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "PerceiverParams":
-        return _load(cls, path, "perceiver params")
-
-
-def _load(cls, path, what: str):
-    """``cls.from_jsonable`` of the JSON file at ``path``. An unreadable file, bad
-    UTF-8, bad JSON or a bad key raise a TailscopeError naming the file."""
-    try:
-        data = Path(path).read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte or lone surrogate in the path
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigurationError(f"{what} {path}: cannot read ({reason})") from None
-    try:
-        return cls.from_jsonable(json.loads(decode_utf8(data, f"{what} {path}")))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{what} {path}: invalid JSON ({exc})") from None
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+        return read_json(path, "perceiver params", cls.from_jsonable)
 
 
 def _init_layer(rng: np.random.Generator, out_dim: int, in_dim: int) -> GaussianLayer:
@@ -208,6 +172,12 @@ def default_params(
         b_o=0.0,
         lambda_temp=lambda_temp,
     )
+
+
+def _strings(value) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -262,18 +232,12 @@ class DatasetStats:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "DatasetStats":
-        try:
-            return cls(
-                median=np.array(data["median"], dtype=float),
-                scale=np.array(data["scale"], dtype=float),
-                flags=tuple(data.get("flags", ())),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"stats: bad or missing key ({exc!r})") from None
+        convert = {"median": _float_array, "scale": _float_array, "flags": _strings}
+        return cls(**json_fields(data, convert, "stats", optional=("flags",)))
 
     @classmethod
     def load(cls, path) -> "DatasetStats":
-        return _load(cls, path, "stats")
+        return read_json(path, "stats", cls.from_jsonable)
 
 
 def metrics_vector(intr: IntrinsicMetrics, inter: InteractiveMetrics) -> np.ndarray:

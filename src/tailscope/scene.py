@@ -1,11 +1,10 @@
 """Agents, trajectories and scenes, plus CSV ingestion and backward-difference
 kinematics.
 
-Every type is immutable after construction and every function is pure, so
-scenes can be fanned out across workers without coordination. Derivatives are
-backward differences, ``x'(t) = (x(t) - x(t - dt)) / dt``, so each derived
-series starts one frame later than its source; angle differences are wrapped
-to (-pi, pi] before dividing by dt.
+Every type is immutable after construction and every function is pure.
+Derivatives are backward differences, ``x'(t) = (x(t) - x(t - dt)) / dt``, so
+each derived series starts one frame later than its source; angle differences
+are wrapped to (-pi, pi] before dividing by dt.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, decode_utf8
+from .errors import ParseError, ValidationError, read_lines
 
 AGENT_KINDS = ("vehicle", "pedestrian", "other")
 
@@ -156,6 +156,13 @@ def _from_table(agent_id: str, rows, kind: str, dt: float) -> Trajectory:
     return Trajectory(agent_id, table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5], kind, dt)
 
 
+def check_radius(name: str, radius: float, agent_frames: int) -> None:
+    """Reject a radius that is not positive and finite, or so small that the agent
+    density ``count / (pi * radius**2)`` summed over ``agent_frames`` overflows."""
+    if not (0 < radius < math.inf and math.pi * radius * radius * sys.float_info.max > agent_frames):
+        raise ValidationError(f"{name} must be positive with a finite density count / (pi {name}^2), got {radius}")
+
+
 @dataclass(frozen=True)
 class Scene:
     """All agent trajectories of one scene plus the designated target agent.
@@ -176,9 +183,8 @@ class Scene:
             raise ValidationError(
                 f"scene {self.scene_id!r}: target {self.target_id!r} not among agents"
             )
-        if not (self.neighbor_radius > 0 and math.isfinite(self.neighbor_radius)):
-            raise ValidationError(f"neighbor_radius must be positive, got {self.neighbor_radius}")
         ref = self.agents[self.target_id]
+        check_radius("neighbor_radius", self.neighbor_radius, len(self.agents) * len(ref))
         for agent_id, traj in self.agents.items():
             if traj.agent_id != agent_id:
                 raise ValidationError(
@@ -267,14 +273,12 @@ def derive_kinematics(traj: Trajectory) -> KinematicSeries:
     )
 
 
-def _as_text_lines(source) -> Iterable[str]:
-    if isinstance(source, bytes):
-        return io.StringIO(decode_utf8(source, "scene CSV"))
-    if isinstance(source, str):
-        return io.StringIO(source)
-    if isinstance(source, Path):
-        return decode_utf8(source.read_bytes(), str(source)).splitlines(keepends=True)
-    return source  # file-like
+def _csv_errors(reader):
+    """The records of a ``csv.reader``; a csv module error becomes a ParseError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV ({exc})", line=reader.line_num) from None
 
 
 def _parse_float(raw: str, column: str, line: int) -> float:
@@ -295,28 +299,26 @@ def parse_scene_csv(source, neighbor_radius: float = 50.0) -> list[Scene]:
     per scene. Without it the target is the lowest agent id. dt is inferred
     per scene from the modal gap between consecutive timestamps.
 
-    ``source`` may be bytes, a str, a Path or a text file object. Scenes are
-    returned sorted by scene id.
+    ``source`` is a str, bytes, a Path or a file (see ``read_lines``). Scenes
+    are returned sorted by scene id.
     """
-    reader = csv.reader(_as_text_lines(source))
+    reader = csv.reader(read_lines(source, "scene CSV"))
+    records = _csv_errors(reader)
     try:
-        header = next(reader)
+        header = next(records)
     except StopIteration:
         raise ParseError("empty input, expected a header row", line=1) from None
     header = [h.strip() for h in header]
-    has_target_col = False
-    if tuple(header) == CSV_COLUMNS + ("target",):
-        has_target_col = True
-    elif tuple(header) != CSV_COLUMNS:
-        raise ParseError(
-            f"bad header {header!r}, expected {','.join(CSV_COLUMNS)}[,target]", line=1
-        )
+    has_target_col = tuple(header) == CSV_COLUMNS + ("target",)
+    if not has_target_col and tuple(header) != CSV_COLUMNS:
+        raise ParseError(f"bad header {header!r}, expected {','.join(CSV_COLUMNS)}[,target]", line=1)
 
-    n_cols = len(CSV_COLUMNS) + (1 if has_target_col else 0)
+    n_cols = len(header)
     # rows[scene][agent] -> (kind, list of (frame, t, x, y, vx, vy, heading))
     rows: dict[str, dict[str, tuple[str, list[tuple]]]] = {}
     flagged: dict[str, set[str]] = {}
-    for line_no, row in enumerate(reader, start=2):
+    for row in records:
+        line_no = reader.line_num  # the record's last line: a quoted field may span lines
         if not row:
             continue
         if len(row) != n_cols:
@@ -386,14 +388,7 @@ def parse_scene_csv(source, neighbor_radius: float = 50.0) -> list[Scene]:
             target_id = marked[0]
         else:
             target_id = min(trajectories, key=_id_key)
-        scenes.append(
-            Scene(
-                scene_id=scene_id,
-                agents=trajectories,
-                target_id=target_id,
-                neighbor_radius=neighbor_radius,
-            )
-        )
+        scenes.append(Scene(scene_id, trajectories, target_id, neighbor_radius=neighbor_radius))
     return scenes
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import UsageError
-from .scene import Scene, Trajectory, wrap_angle
+from .scene import Scene, Trajectory, check_radius, wrap_angle
 
 SCENARIO_KINDS = ("constant", "circle", "brake", "crossing", "grid")
 
@@ -47,7 +47,10 @@ class ScenarioSpec:
             raise UsageError(f"unknown scenario kind {self.kind!r}, expected {SCENARIO_KINDS}")
         if self.frames < 2:
             raise UsageError(f"frames must be >= 2, got {self.frames}")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
+        for name in ("dt", "speed", "radius", "decel", "gap"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.dt > 0:
             raise UsageError(f"dt must be positive, got {self.dt}")
         if self.speed < 0:
             raise UsageError(f"speed must be >= 0, got {self.speed}")
@@ -59,8 +62,7 @@ class ScenarioSpec:
             raise UsageError(f"gap must be > 0, got {self.gap}")
         if self.n_agents < 1:
             raise UsageError(f"n_agents must be >= 1, got {self.n_agents}")
-        if not self.neighbor_radius > 0:
-            raise UsageError(f"neighbor_radius must be > 0, got {self.neighbor_radius}")
+        check_radius("neighbor_radius", self.neighbor_radius, self.n_agents * self.frames)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +496,49 @@ class TestExitCodeContract:
         assert run(["eval", "--input", str(jsonl), "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert str(config) in err and "UTF-8" in err
+
+    def test_stats_flags_must_be_a_list_of_strings(self, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=s, frames=5) for s in range(2)])
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({"median": [0.0] * 14, "scale": [1.0] * 14, "flags": "abc"}))
+        assert run(["rank", "--input", str(csv_path), "--stats", str(stats)]) == 2
+        err = capsys.readouterr().err
+        assert "'flags'" in err and str(stats) in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["synth", "--kind", "constant", "--speed", "nan"], "speed"),
+            (["synth", "--kind", "brake", "--decel", "inf"], "decel"),
+            (["synth", "--kind", "grid", "--gap", "1e-300", "--neighbor-radius", "1e-200"], "neighbor_radius"),
+            (["metrics", "--neighbor-radius", "1e-200"], "neighbor_radius"),
+        ],
+        ids=["synth-speed-nan", "synth-decel-inf", "synth-radius-vanishing", "metrics-radius-vanishing"],
+    )
+    def test_non_finite_or_vanishing_number_exits_2_naming_it(self, tmp_path, capsys, argv, name):
+        if argv[0] == "metrics":
+            csv_path = tmp_path / "s.csv"
+            write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=s, frames=5) for s in range(2)])
+            argv = argv + ["--input", str(csv_path)]
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {name} must be" in err and "Warning" not in err
+
+    def test_inner_line_breaks_stay_inside_their_line(self, tmp_path):
+        jsonl = tmp_path / "f.jsonl"
+        jsonl.write_text(forecast_line("a\u2028b", 0.0).replace("\\u2028", "\u2028") + "\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert run(["eval", "--input", str(jsonl), "--k", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["per_sample"][0]["sample_id"] == "a\u2028b"
+
+        scene, _ = generate(ScenarioSpec(kind="constant", seed=0, n_agents=2))
+        agents = {f"{a}\x0cx": replace(t, agent_id=f"{a}\x0cx") for a, t in scene.agents.items()}
+        csv_path = tmp_path / "s.csv"
+        dump_scenes([replace(scene, agents=agents, target_id="0\x0cx")], csv_path)
+        assert run(["metrics", "--input", str(csv_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["scenes"][0]["scene_id"] == scene.scene_id
 
 
 def test_readme_tables_every_option():

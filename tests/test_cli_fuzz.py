@@ -1,12 +1,17 @@
 """Fuzzed exit-code contract: whatever a config key, a scene CSV line, a
 forecast JSONL line or a rank sidecar holds, ``main()`` exits 0 or 2, never 1
-(an internal error)."""
+(an internal error). Round trips: every scene CSV and parameter file the
+package writes reads back exactly."""
 
 import contextlib
 import io
 import json
+import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -14,9 +19,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tailscope.cli import OPTIONS, main  # noqa: E402
+from tailscope.errors import read_json  # noqa: E402
 from tailscope.interaction import RssParams  # noqa: E402
-from tailscope.perceiver import default_params  # noqa: E402
-from tailscope.scene import scenes_to_csv  # noqa: E402
+from tailscope.memory import CognitiveSetParams, PrototypeMemory  # noqa: E402
+from tailscope.perceiver import DatasetStats, PerceiverParams, default_params  # noqa: E402
+from tailscope.scene import AGENT_KINDS, Scene, Trajectory, parse_scene_csv, scenes_to_csv  # noqa: E402
 from tailscope.synth import SCENARIO_KINDS, ScenarioSpec, generate  # noqa: E402
 
 # No "/" in drawn strings: a drawn output path stays inside the working directory.
@@ -178,3 +185,99 @@ def test_any_rank_sidecar_node_exits_0_or_2(workdir, mode, data):
         ["rank", "--input", "scenes.csv", "--mode", mode, flag, "sidecar.json",
          "--categories", "2", "--out", "out.json"]
     )
+
+
+# -- round trips: what the package writes, its one reader reads back exactly --
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: Ids csv.writer quotes where needed and the parser keeps as written: no
+#: surrounding whitespace (the parser strips it) and no \r (written unquoted).
+ID = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r") | st.sampled_from(',"\n\x0c '),
+    min_size=1, max_size=6,
+).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def scenes(draw):
+    frames, dt = draw(st.integers(2, 4)), draw(st.sampled_from([0.1, 0.5, 2.0]))
+    heading = st.floats(-math.pi, math.pi, exclude_min=True)
+    out = []
+    for scene_id in draw(st.lists(ID, min_size=1, max_size=2, unique=True)):
+        agents = {}
+        for agent_id in draw(st.lists(ID, min_size=1, max_size=3, unique=True)):
+            columns = [draw(st.lists(FINITE, min_size=frames * n, max_size=frames * n)) for n in (2, 2)]
+            agents[agent_id] = Trajectory(
+                agent_id, [k * dt for k in range(frames)], np.reshape(columns[0], (frames, 2)),
+                np.reshape(columns[1], (frames, 2)), draw(st.lists(heading, min_size=frames, max_size=frames)),
+                draw(st.sampled_from(AGENT_KINDS)), dt,
+            )
+        out.append(Scene(scene_id, agents, draw(st.sampled_from(sorted(agents)))))
+    return out
+
+
+def as_rows(scene_list):
+    return {
+        s.scene_id: (s.target_id, {a: (t.kind, t._stacked().tobytes()) for a, t in s.agents.items()})
+        for s in scene_list
+    }
+
+
+@settings(max_examples=40)
+@given(scene_list=scenes())
+def test_scene_csv_round_trips_from_every_source(workdir, scene_list):
+    text = scenes_to_csv(scene_list)
+    path = workdir / "round-trip.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = as_rows(scene_list)
+    for source in (text, text.encode("utf-8"), path, io.BytesIO(text.encode("utf-8"))):
+        assert as_rows(parse_scene_csv(source)) == want
+
+
+def round_trip(obj, load):
+    """``obj`` through ``to_jsonable``, a JSON file and ``load``, compared as written JSON."""
+    path = Path("round-trip.json")
+    path.write_text(json.dumps(obj.to_jsonable()), encoding="utf-8")
+    assert json.dumps(load(path).to_jsonable()) == json.dumps(obj.to_jsonable())
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1), sizes=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    head=st.lists(FINITE, min_size=3, max_size=3), b_o=FINITE, lambda_temp=FINITE,
+)
+def test_perceiver_params_round_trip(workdir, seed, sizes, head, b_o, lambda_temp):
+    hidden, latent = sizes
+    params = default_params(input_i=2, input_r=2, hidden=hidden, latent=latent, seed=seed)
+    params = replace(params, w_o=head[:latent], b_o=b_o, lambda_temp=lambda_temp)
+    round_trip(params, PerceiverParams.load)
+
+
+@settings(max_examples=25)
+@given(
+    median=st.lists(FINITE, min_size=14, max_size=14),
+    scale=st.lists(st.floats(0, exclude_min=True, allow_infinity=False), min_size=14, max_size=14),
+    flags=st.lists(TEXT, max_size=3),
+)
+def test_dataset_stats_round_trip(workdir, median, scale, flags):
+    round_trip(DatasetStats(median, scale, tuple(flags)), DatasetStats.load)
+
+
+@settings(max_examples=25)
+@given(
+    rows=st.lists(st.lists(FINITE.filter(bool), min_size=2, max_size=2), min_size=1, max_size=3),
+    eta=st.floats(0, 1), cuts=st.lists(FINITE, min_size=2, max_size=2),
+)
+def test_prototype_memory_round_trip(workdir, rows, eta, cuts):
+    round_trip(PrototypeMemory(rows, eta, sorted(cuts)[: len(rows) - 1]), PrototypeMemory.load)
+
+
+@settings(max_examples=25)
+@given(
+    categories=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+    tau=st.floats(0, exclude_min=True, allow_infinity=False), rho_vig=FINITE,
+    gamma_steep=st.floats(0, exclude_min=True, allow_infinity=False),
+)
+def test_cognitive_set_params_round_trip(workdir, categories, seed, tau, rho_vig, gamma_steep):
+    params = CognitiveSetParams.create(categories, 2, tau, rho_vig, gamma_steep, hidden=2, seed=seed)
+    round_trip(params, lambda path: read_json(path, "cognitive set params", CognitiveSetParams.from_jsonable))

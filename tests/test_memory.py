@@ -24,6 +24,7 @@ from tailscope.memory import (
     proto_loss_and_grad,
     sigmoid,
     similarity,
+    softplus,
     update_prototypes,
     vigilance_adjust,
 )
@@ -130,6 +131,13 @@ class TestPrototypeMemory:
         path.write_text("prototypes: [[1, 2]]", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="memory.json"):
             PrototypeMemory.load(path)
+
+    @pytest.mark.parametrize("name", ["missing.json", ""], ids=["missing", "directory"])
+    def test_load_unreadable_file_names_the_path(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(ConfigurationError, match="cannot read") as exc:
+            PrototypeMemory.load(path)
+        assert str(path) in str(exc.value)
 
 
 class TestUpdatePrototypes:
@@ -584,3 +592,15 @@ class TestSigmoid:
         assert sigmoid(0.0) == 0.5
         assert sigmoid(800.0) == 1.0
         assert sigmoid(-800.0) == pytest.approx(0.0, abs=1e-300)
+
+
+class TestSoftplus:
+    def test_one_softplus_serves_perceiver_and_proto_loss(self, rng):
+        from tailscope import perceiver
+
+        assert perceiver.softplus is softplus
+        m = np.concatenate([rng.normal(scale=30.0, size=64), [0.0, -0.0, 1e-300, 800.0, -800.0]])
+        inline = np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(m)))  # proto_loss's former formula
+        assert softplus(-m).tobytes() == inline.tobytes()
+        assert proto_loss(np.ones((m.size, 1)), m[:, None]) == float(np.mean(inline))
+        assert softplus(-5.0) == float(np.maximum(-5.0, 0.0) + np.log1p(np.exp(-5.0)))
