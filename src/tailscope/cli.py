@@ -19,7 +19,7 @@ import sys
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import ConfigurationError, TailscopeError, UsageError, read_json
+from .errors import ConfigurationError, TailscopeError, UsageError, read_json, write_text
 
 CONFIG_ENV_VAR = "TAILSCOPE_CONFIG"
 
@@ -115,31 +115,12 @@ def _kwargs(opts: dict, *keys: str, **renamed: str) -> dict:
     return {kw: opts[key] for key, kw in names.items() if key in opts}
 
 
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
-def _write_file(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte or lone surrogate
-        raise UsageError(f"cannot write {path}: {exc}") from None
-
-
 def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        _write_file(out, text)
+        write_text(out, text)
 
 
 def _known_keys(config) -> dict:
@@ -170,7 +151,7 @@ def _score_scenes(opts: dict):
 
     path = _require_input(opts)
     rss = RssParams.from_dict(opts.get("rss_params", {}))
-    scenes = sorted(load_scenes(path, **_kwargs(opts, "neighbor_radius")), key=lambda s: s.scene_id)
+    scenes = load_scenes(path, **_kwargs(opts, "neighbor_radius"))
     return scenes, [(compute_intrinsic(s.target), compute_interactive(s, rss)) for s in scenes]
 
 
@@ -260,7 +241,7 @@ def cmd_synth(opts: dict) -> int:
     """Generate a synthetic scene CSV plus its oracle sidecar JSON."""
     from dataclasses import fields
 
-    from .scene import scenes_to_csv
+    from .scene import dump_scenes
     from .synth import SCENARIO_KINDS, ScenarioSpec, generate
 
     if "kind" not in opts:
@@ -270,7 +251,7 @@ def cmd_synth(opts: dict) -> int:
         raise UsageError("synth needs --out for the scene CSV")
     spec = ScenarioSpec(**_kwargs(opts, *(f.name for f in fields(ScenarioSpec))))
     scene, oracle = generate(spec)
-    _write_file(out, scenes_to_csv([scene]))
+    dump_scenes([scene], out)
     oracle_out = opts.get("oracle_out") or f"{out}.oracle.json"
     _write_json({"spec": spec.to_dict(), "oracle": oracle}, oracle_out)
     return 0

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared by every tailscope module, and the input boundary.
+"""Exception hierarchy shared by every tailscope module, and the input and
+output boundary.
 
 All errors raised on purpose derive from :class:`TailscopeError`; anything
 else escaping the library is a bug. The CLI maps TailscopeError to exit
 code 2 (bad input / bad usage) and everything else to exit code 1. Every
-input file is read here, so each failure names its file, line or key.
+input file is read and every output file written here, so each failure names
+its file, line or key; :class:`JsonRecord` reads and writes every parameter
+record from one table of its JSON keys.
 """
 
 import json
@@ -119,3 +122,52 @@ def json_fields(data, convert: dict, what: str, optional=()) -> dict:
         except ConfigurationError as exc:  # from a nested object's converter
             raise ConfigurationError(f"{what} key '{key}': {exc}") from None
     return fields
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to the file at ``path``; a failure raises UsageError naming it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte or lone surrogate
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
+def _jsonable(value, convert):
+    if convert is float:  # an integer-valued float field is written as 10.0, not 10
+        return float(value)
+    if isinstance(value, JsonRecord):
+        return value.to_jsonable()
+    if isinstance(value, tuple):
+        return [_jsonable(item, None) for item in value]
+    return value.tolist() if hasattr(value, "tolist") else value  # a numpy array
+
+
+class JsonRecord:
+    """Base of a dataclass read and written as one JSON object.
+
+    ``JSON`` maps each key, in field order, to the converter that reads it;
+    ``OPTIONAL`` keys, listed last, may be absent; ``WHAT`` names the record in
+    errors. ``to_jsonable``, ``from_jsonable``, ``save`` and ``load`` all
+    derive from that one table.
+    """
+
+    JSON = {}
+    OPTIONAL = ()
+    WHAT = "record"
+
+    def to_jsonable(self) -> dict:
+        return {
+            key: _jsonable(getattr(self, name), convert)
+            for (key, convert), name in zip(self.JSON.items(), self.__dataclass_fields__)
+        }
+
+    @classmethod
+    def from_jsonable(cls, data):
+        return cls(*json_fields(data, cls.JSON, cls.WHAT, cls.OPTIONAL).values())
+
+    def save(self, path) -> None:
+        write_text(path, json.dumps(self.to_jsonable()))
+
+    @classmethod
+    def load(cls, path):
+        return read_json(path, cls.WHAT, cls.from_jsonable)

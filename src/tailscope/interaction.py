@@ -224,6 +224,12 @@ def _deficit_risk(required, actual, alpha: float, beta: float) -> np.ndarray:
     return 1.0 - np.float_power(1.0 + ratio, -alpha)
 
 
+def _check_finite(required, near, axis: str) -> None:
+    """Reject a safe distance to an in-radius neighbor that overflowed to inf or nan."""
+    if not np.isfinite(required[near]).all():
+        raise ConfigurationError(f"rss_params must be small enough for a finite {axis} safe distance at these speeds")
+
+
 def rss_longitudinal(scene: Scene, params: RssParams | None = None) -> dict:
     """Worst-neighbor longitudinal safe-distance risk, averaged over frames."""
     g = _geometry(scene)
@@ -236,9 +242,12 @@ def _rss_longitudinal(scene: Scene, g: _Geometry, near, params: RssParams) -> di
     is_vehicle = np.array([traj.kind == "vehicle" for traj in g.neighbors], dtype=bool)
     v_i_lon = np.vecdot(g.vel[:, :1], u_lon)
     v_j_lon = np.where(is_vehicle, np.vecdot(g.vel[:, 1:], u_lon), 0.0)
-    required = min_longitudinal_separation(v_i_lon, v_j_lon, params)
     gap = np.abs(np.vecdot(g.dp, u_lon))
-    series = _worst(_deficit_risk(required, gap, params.alpha_lon, params.beta_lon), near)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite distance in radius raises below
+        required = min_longitudinal_separation(v_i_lon, v_j_lon, params)
+        risk = _deficit_risk(required, gap, params.alpha_lon, params.beta_lon)
+    _check_finite(required, near, "longitudinal")
+    series = _worst(risk, near)
     return {"r_lon": float(series.mean()), "series": series, "flags": ()}
 
 
@@ -256,8 +265,10 @@ def _rss_lateral(scene: Scene, g: _Geometry, near, params: RssParams) -> dict:
     axis = np.where(lat_sep >= 0, 1.0, -1.0)[..., None] * u_lat
     v_i_lat = np.vecdot(g.vel[:, :1], axis)
     v_j_lat = np.vecdot(g.vel[:, 1:], axis)
-    required = min_lateral_separation(v_i_lat, v_j_lat, kinds, params)
-    risk = _deficit_risk(required, np.abs(lat_sep), params.alpha_lat, params.beta_lat)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite distance in radius raises below
+        required = min_lateral_separation(v_i_lat, v_j_lat, kinds, params)
+        risk = _deficit_risk(required, np.abs(lat_sep), params.alpha_lat, params.beta_lat)
+    _check_finite(required, near, "lateral")
     series = _worst(risk, near)
     return {"r_lat": float(series.mean()), "series": series, "flags": ()}
 

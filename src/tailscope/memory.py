@@ -20,16 +20,14 @@ It is also the home of the stable numerics, ``softplus`` and ``sigmoid``.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputWarning, UsageError, ValidationError, json_fields, read_json
+from .errors import ConfigurationError, DegenerateInputWarning, JsonRecord, UsageError, ValidationError
 
 #: Vectors with a norm below this are treated as directionless.
 EPS_NORM = 1e-12
@@ -71,8 +69,12 @@ _float_array = partial(np.array, dtype=float)
 
 
 @dataclass(frozen=True)
-class GateMlp:
+class GateMlp(JsonRecord):
     """Small dense network with an allocation head (C logits) and a scalar gate head."""
+
+    _ARRAYS = ("w_hidden", "b_hidden", "w_alloc", "b_alloc", "w_gate")
+    JSON = {**dict.fromkeys(_ARRAYS, _float_array), "b_gate": float}
+    WHAT = "gate mlp"
 
     w_hidden: np.ndarray  # (hidden, in)
     b_hidden: np.ndarray  # (hidden,)
@@ -80,8 +82,6 @@ class GateMlp:
     b_alloc: np.ndarray   # (C,)
     w_gate: np.ndarray    # (hidden,)
     b_gate: float
-
-    _ARRAYS = ("w_hidden", "b_hidden", "w_alloc", "b_alloc", "w_gate")
 
     def __post_init__(self):
         for name in self._ARRAYS:
@@ -131,13 +131,6 @@ class GateMlp:
             b_gate=0.0,
         )
 
-    def to_jsonable(self) -> dict:
-        return {**{name: getattr(self, name).tolist() for name in self._ARRAYS}, "b_gate": float(self.b_gate)}
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "GateMlp":
-        return cls(**json_fields(data, {**dict.fromkeys(cls._ARRAYS, _float_array), "b_gate": float}, "gate mlp"))
-
 
 def default_tail_bias(categories: int) -> np.ndarray:
     """Normalized linear ramp putting the most mass on the highest-TI category."""
@@ -146,8 +139,11 @@ def default_tail_bias(categories: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CognitiveSetParams:
+class CognitiveSetParams(JsonRecord):
     """Temperature, vigilance and tail-bias parameters of the cognitive set mechanism."""
+
+    JSON = dict(tau=float, rho_vig=float, gamma_steep=float, b_tail=_float_array, gate_mlp=GateMlp.from_jsonable)
+    WHAT = "cognitive set params"
 
     tau: float = 10.0          # similarity temperature
     rho_vig: float = 0.5       # vigilance threshold on max similarity
@@ -196,24 +192,14 @@ class CognitiveSetParams:
             gate_mlp=GateMlp.create(feature_dim + 15, categories, hidden=hidden, seed=seed),
         )
 
-    def to_jsonable(self) -> dict:
-        return {
-            "tau": float(self.tau),
-            "rho_vig": float(self.rho_vig),
-            "gamma_steep": float(self.gamma_steep),
-            "b_tail": self.b_tail.tolist(),
-            "gate_mlp": self.gate_mlp.to_jsonable(),
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "CognitiveSetParams":
-        convert = {"tau": float, "rho_vig": float, "gamma_steep": float, "b_tail": _float_array}
-        return cls(**json_fields(data, {**convert, "gate_mlp": GateMlp.from_jsonable}, "cognitive set params"))
-
 
 @dataclass(frozen=True)
-class PrototypeMemory:
+class PrototypeMemory(JsonRecord):
     """C x D prototype matrix with momentum factor and TI percentile boundaries."""
+
+    JSON = {"prototypes": _float_array, "eta": float, "boundaries": _float_array}
+    OPTIONAL = ("boundaries",)
+    WHAT = "prototype memory"
 
     prototypes: np.ndarray
     eta: float = 0.9
@@ -253,25 +239,6 @@ class PrototypeMemory:
         if not self.boundaries.size:
             raise UsageError("memory has no boundaries recorded")
         return int(np.searchsorted(self.boundaries, ti, side="right"))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "prototypes": self.prototypes.tolist(),
-            "eta": float(self.eta),
-            "boundaries": self.boundaries.tolist(),
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "PrototypeMemory":
-        convert = {"prototypes": _float_array, "eta": float, "boundaries": _float_array}
-        return cls(**json_fields(data, convert, "prototype memory", optional=("boundaries",)))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_jsonable()), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "PrototypeMemory":
-        return read_json(path, "prototype memory", cls.from_jsonable)
 
 
 @dataclass(frozen=True)
@@ -381,9 +348,7 @@ def update_prototypes(
         mask = assignments == c
         if not np.any(mask):
             continue
-        ti = batch.ti[mask]
-        w = np.exp(ti - ti.max())
-        w = w / w.sum()
+        w = _softmax(batch.ti[mask])
         new_rows[c] = mem.eta * new_rows[c] + (1.0 - mem.eta) * (w @ batch.f_m[mask])
     return PrototypeMemory(prototypes=new_rows, eta=mem.eta, boundaries=mem.boundaries)
 

@@ -10,16 +10,14 @@ posterior sampling and the closed-form KL live here; no variational training.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError, ValidationError, json_fields, read_json
+from .errors import ConfigurationError, JsonRecord, UsageError, ValidationError
 from .interaction import INTERACTIVE_FIELDS, InteractiveMetrics
 from .intrinsic import INTRINSIC_FIELDS, IntrinsicMetrics
 from .memory import _float_array, softplus
@@ -33,12 +31,15 @@ def relu(x):
 
 
 @dataclass(frozen=True)
-class GaussianLayer:
+class GaussianLayer(JsonRecord):
     """A dense layer whose weights and biases carry diagonal-Gaussian posteriors.
 
     The arrays are read-only copies of the ones given, so values derived from
     a layer (such as its KL) cannot go stale.
     """
+
+    JSON = dict.fromkeys(("mu_W", "sigma_W", "mu_b", "sigma_b"), _float_array)
+    WHAT = "layer"
 
     mu_w: np.ndarray     # (out, in)
     sigma_w: np.ndarray  # (out, in), elementwise > 0
@@ -72,23 +73,18 @@ class GaussianLayer:
     def out_dim(self) -> int:
         return self.mu_w.shape[0]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "mu_W": self.mu_w.tolist(),
-            "sigma_W": self.sigma_w.tolist(),
-            "mu_b": self.mu_b.tolist(),
-            "sigma_b": self.sigma_b.tolist(),
-        }
 
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "GaussianLayer":
-        keys = ("mu_W", "sigma_W", "mu_b", "sigma_b")  # in field order
-        return cls(*json_fields(data, dict.fromkeys(keys, _float_array), "layer").values())
+def _layers(path) -> tuple[GaussianLayer, ...]:
+    return tuple(map(GaussianLayer.from_jsonable, path))
 
 
 @dataclass(frozen=True)
-class PerceiverParams:
+class PerceiverParams(JsonRecord):
     """Both Bayesian paths plus the shared linear output head."""
+
+    JSON = {"path_i": _layers, "path_r": _layers, "w_o": _float_array, "b_o": float, "lambda_temp": float}
+    OPTIONAL = ("lambda_temp",)
+    WHAT = "perceiver params"
 
     path_i: tuple[GaussianLayer, GaussianLayer]
     path_r: tuple[GaussianLayer, GaussianLayer]
@@ -121,28 +117,6 @@ class PerceiverParams:
     def kl(self) -> tuple[float, float]:
         """``(kl_i, kl_r)``: each path's ``kl_diag_gaussian``, computed once."""
         return kl_diag_gaussian(self.path_i), kl_diag_gaussian(self.path_r)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "path_i": [layer.to_jsonable() for layer in self.path_i],
-            "path_r": [layer.to_jsonable() for layer in self.path_r],
-            "w_o": self.w_o.tolist(),
-            "b_o": float(self.b_o),
-            "lambda_temp": float(self.lambda_temp),
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "PerceiverParams":
-        paths = dict.fromkeys(("path_i", "path_r"), lambda path: tuple(map(GaussianLayer.from_jsonable, path)))
-        convert = {**paths, "w_o": _float_array, "b_o": float, "lambda_temp": float}
-        return cls(**json_fields(data, convert, "perceiver params", optional=("lambda_temp",)))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_jsonable()), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "PerceiverParams":
-        return read_json(path, "perceiver params", cls.from_jsonable)
 
 
 def _init_layer(rng: np.random.Generator, out_dim: int, in_dim: int) -> GaussianLayer:
@@ -181,12 +155,16 @@ def _strings(value) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class DatasetStats:
+class DatasetStats(JsonRecord):
     """Per-metric robust location/scale over a reference corpus.
 
     Metrics whose inter-quartile range degenerates to 0 get scale 1 and are
     listed in ``flags``.
     """
+
+    JSON = {"median": _float_array, "scale": _float_array, "flags": _strings}
+    OPTIONAL = ("flags",)
+    WHAT = "stats"
 
     median: np.ndarray
     scale: np.ndarray
@@ -222,22 +200,6 @@ class DatasetStats:
         scale = np.where(degenerate, 1.0, iqr)
         flags = tuple(name for name, bad in zip(cls.METRIC_FIELDS, degenerate) if bad)
         return cls(median=median, scale=scale, flags=flags)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "median": self.median.tolist(),
-            "scale": self.scale.tolist(),
-            "flags": list(self.flags),
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "DatasetStats":
-        convert = {"median": _float_array, "scale": _float_array, "flags": _strings}
-        return cls(**json_fields(data, convert, "stats", optional=("flags",)))
-
-    @classmethod
-    def load(cls, path) -> "DatasetStats":
-        return read_json(path, "stats", cls.from_jsonable)
 
 
 def metrics_vector(intr: IntrinsicMetrics, inter: InteractiveMetrics) -> np.ndarray:
@@ -312,6 +274,9 @@ def fusion_weights(kl_i: float, kl_r: float, lambda_temp: float) -> tuple[float,
     if not all(map(math.isfinite, (kl_i, kl_r, lambda_temp))):
         raise UsageError("fusion inputs must be finite")
     a, b = lambda_temp * kl_i, lambda_temp * kl_r
+    if math.isinf(a) or math.isinf(b):
+        # lambda * KL overflowed, so unequal KLs put a and b over 1e290 apart: the larger takes all
+        a, b = math.copysign(800.0, lambda_temp) * ((kl_i > kl_r) - (kl_i < kl_r)), 0.0
     m = max(a, b)
     ea, eb = math.exp(a - m), math.exp(b - m)
     interior_hi = math.nextafter(1.0, 0.0)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, read_lines
+from .errors import ParseError, ValidationError, read_lines, write_text
 
 AGENT_KINDS = ("vehicle", "pedestrian", "other")
 
@@ -157,10 +157,12 @@ def _from_table(agent_id: str, rows, kind: str, dt: float) -> Trajectory:
 
 
 def check_radius(name: str, radius: float, agent_frames: int) -> None:
-    """Reject a radius that is not positive and finite, or so small that the agent
-    density ``count / (pi * radius**2)`` summed over ``agent_frames`` overflows."""
-    if not (0 < radius < math.inf and math.pi * radius * radius * sys.float_info.max > agent_frames):
-        raise ValidationError(f"{name} must be positive with a finite density count / (pi {name}^2), got {radius}")
+    """Reject a radius that is not positive and finite, so large that the disc area
+    ``pi * radius**2`` overflows, or so small that the agent density ``count / area``
+    summed over ``agent_frames`` overflows."""
+    area = math.pi * float(radius) * float(radius)
+    if not (0 < radius and area < math.inf and area * sys.float_info.max > agent_frames):
+        raise ValidationError(f"{name} must be positive with a finite area pi {name}^2 and density, got {radius}")
 
 
 @dataclass(frozen=True)
@@ -416,5 +418,5 @@ def scenes_to_csv(scenes: Sequence[Scene]) -> str:
 
 
 def dump_scenes(scenes: Sequence[Scene], path) -> None:
-    """Write scenes to a CSV file on disk."""
-    Path(path).write_text(scenes_to_csv(scenes), encoding="utf-8")
+    """Write scenes to a CSV file on disk; a failure raises UsageError naming it."""
+    write_text(path, scenes_to_csv(scenes))

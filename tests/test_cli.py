@@ -10,6 +10,7 @@ import pytest
 
 from tailscope import cli
 from tailscope.cli import main
+from tailscope.perceiver import default_params
 from tailscope.scene import dump_scenes
 from tailscope.synth import ScenarioSpec, generate
 
@@ -25,6 +26,13 @@ def write_scenes(path, specs):
         scenes.append(scene)
     dump_scenes(scenes, path)
     return scenes
+
+
+def params_json(mutate) -> bytes:
+    """Small default perceiver params as JSON, after ``mutate`` edits the document (a NaN is written as NaN)."""
+    doc = default_params(hidden=3, latent=2).to_jsonable()
+    mutate(doc)
+    return json.dumps(doc).encode()
 
 
 def forecast_line(sample_id, offset, horizon=4):
@@ -171,6 +179,22 @@ class TestRankCommand:
         csv_path = self.make_batch_csv(tmp_path)
         assert run(["rank", "--input", str(csv_path), "--out", str(tmp_path / "rank.json")]) == 0
         assert len(calls) == 2  # one per path, not one per path and scene
+
+    def test_saved_stats_give_the_report_fitted_on_the_batch(self, tmp_path):
+        from tailscope.interaction import compute_interactive
+        from tailscope.intrinsic import compute_intrinsic
+        from tailscope.perceiver import DatasetStats, metrics_vector
+        from tailscope.scene import load_scenes
+
+        csv_path = self.make_batch_csv(tmp_path)
+        scenes = load_scenes(csv_path)
+        vectors = [metrics_vector(compute_intrinsic(s.target), compute_interactive(s)) for s in scenes]
+        DatasetStats.fit(vectors).save(tmp_path / "stats.json")
+        fitted, saved = tmp_path / "fitted.json", tmp_path / "saved.json"
+        base = ["rank", "--input", str(csv_path), "--mode", "sample", "--categories", "2"]
+        assert run(base + ["--out", str(fitted)]) == 0
+        assert run(base + ["--stats", str(tmp_path / "stats.json"), "--out", str(saved)]) == 0
+        assert saved.read_bytes() == fitted.read_bytes()
 
     def test_single_scene_without_stats_fails(self, tmp_path):
         csv_path = tmp_path / "one.csv"
@@ -411,10 +435,18 @@ class TestExitCodeContract:
             ("--params", b"[]", ""),
             ("--stats", None, "cannot read"),
             ("--params", b'{"path_i": [], "path_r": [], "w_o": [], "b_o": 0}', ""),
+            ("--params", params_json(lambda d: d.update(w_o=[d["w_o"]])), "w_o must be a vector, got shape (1, 2)"),
+            ("--params", params_json(lambda d: d["path_i"][0]["mu_W"][0].__setitem__(0, math.nan)),
+             "perceiver params key 'path_i': mu_w contains non-finite values"),
+            ("--params", params_json(lambda d: d["path_r"][1].update(mu_W=[[0.1] * 4] * 2, sigma_W=[[0.1] * 4] * 2)),
+             "path_r: layer input 4 != previous output 3"),
+            ("--stats", json.dumps({"median": [0.0] * 14, "scale": [1.0] * 13 + [0.0]}).encode(),
+             "scales must be strictly positive and finite"),
         ],
         ids=[
             "stats-not-json", "stats-no-median", "stats-not-utf8", "params-not-utf8",
             "params-path_i-int", "params-not-object", "stats-missing-file", "params-no-layers",
+            "params-w_o-2d", "params-nan-weight", "params-layer-width", "stats-zero-scale",
         ],
     )
     def test_bad_rank_sidecar_exits_2(self, tmp_path, capsys, monkeypatch, flag, content, fragment):
@@ -508,20 +540,29 @@ class TestExitCodeContract:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "argv, name",
+        "argv, name, config",
         [
-            (["synth", "--kind", "constant", "--speed", "nan"], "speed"),
-            (["synth", "--kind", "brake", "--decel", "inf"], "decel"),
-            (["synth", "--kind", "grid", "--gap", "1e-300", "--neighbor-radius", "1e-200"], "neighbor_radius"),
-            (["metrics", "--neighbor-radius", "1e-200"], "neighbor_radius"),
+            (["synth", "--kind", "constant", "--speed", "nan"], "speed", None),
+            (["synth", "--kind", "brake", "--decel", "inf"], "decel", None),
+            (["synth", "--kind", "grid", "--gap", "1e-300", "--neighbor-radius", "1e-200"], "neighbor_radius", None),
+            (["metrics", "--neighbor-radius", "1e-200"], "neighbor_radius", None),
+            (["metrics", "--neighbor-radius", "1e160"], "neighbor_radius", None),
+            (["synth", "--kind", "grid", "--neighbor-radius", "1e300"], "neighbor_radius", None),
+            (["metrics"], "rss_params", {"rss_params": {"rho": 1e200}}),
         ],
-        ids=["synth-speed-nan", "synth-decel-inf", "synth-radius-vanishing", "metrics-radius-vanishing"],
+        ids=[
+            "synth-speed-nan", "synth-decel-inf", "synth-radius-vanishing", "metrics-radius-vanishing",
+            "metrics-radius-huge", "synth-radius-huge", "metrics-rss-rho-huge",
+        ],
     )
-    def test_non_finite_or_vanishing_number_exits_2_naming_it(self, tmp_path, capsys, argv, name):
+    def test_non_finite_or_vanishing_number_exits_2_naming_it(self, tmp_path, capsys, argv, name, config):
         if argv[0] == "metrics":
             csv_path = tmp_path / "s.csv"
             write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=s, frames=5) for s in range(2)])
             argv = argv + ["--input", str(csv_path)]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / "config.json")]
         assert run(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"error: {name} must be" in err and "Warning" not in err
@@ -539,6 +580,49 @@ class TestExitCodeContract:
         dump_scenes([replace(scene, agents=agents, target_id="0\x0cx")], csv_path)
         assert run(["metrics", "--input", str(csv_path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["scenes"][0]["scene_id"] == scene.scene_id
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            (3, "nan", "line 3: column 't': non-finite value 'nan'"),
+            (1, " ", "line 3: scene_id and agent_id must be non-empty"),
+            (2, "1.5", "line 3: column 'frame': not an integer: '1.5'"),
+            (None, None, None),
+        ],
+        ids=["nan", "empty-agent-id", "fractional-frame", "blank-line-skipped"],
+    )
+    def test_scene_csv_row_check(self, tmp_path, capsys, field, value, error):
+        csv_path = tmp_path / "s.csv"
+        write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=0, n_agents=2, frames=4)])
+        lines = csv_path.read_text().splitlines()
+        if field is None:
+            lines.insert(2, "")
+        else:
+            cells = lines[2].split(",")
+            cells[field] = value
+            lines[2] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        rc = run(["metrics", "--input", str(csv_path), "--out", str(tmp_path / "out.json")])
+        assert (rc, capsys.readouterr().err) == ((0, "") if error is None else (2, f"error: {error}\n"))
+
+    @pytest.mark.parametrize(
+        "second, error",
+        [
+            ({"modes": [[0.0, 0.0]] * 4}, "line 2: sample 'b': modes must be (K, T, 2), got (4, 2)"),
+            ({"modes": [[[0.0, 0.0]] * 3 + [[math.nan, 0.0]]]}, "line 2: sample 'b': non-finite values"),
+            (None, "evaluate needs at least one sample"),
+        ],
+        ids=["modes-2d", "nan", "empty-file"],
+    )
+    def test_forecast_jsonl_check(self, tmp_path, capsys, second, error):
+        jsonl = tmp_path / "f.jsonl"
+        if second is None:
+            jsonl.write_text("")
+        else:
+            sample = {**json.loads(forecast_line("b", 0.0)), **second}
+            jsonl.write_text(forecast_line("a", 0.0) + "\n" + json.dumps(sample) + "\n")
+        assert run(["eval", "--input", str(jsonl), "--k", "1", "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_readme_tables_every_option():

@@ -20,9 +20,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tailscope.cli import OPTIONS, main  # noqa: E402
 from tailscope.errors import read_json  # noqa: E402
-from tailscope.interaction import RssParams  # noqa: E402
+from tailscope.interaction import RssParams, compute_interactive  # noqa: E402
+from tailscope.intrinsic import compute_intrinsic  # noqa: E402
 from tailscope.memory import CognitiveSetParams, PrototypeMemory  # noqa: E402
-from tailscope.perceiver import DatasetStats, PerceiverParams, default_params  # noqa: E402
+from tailscope.perceiver import (  # noqa: E402
+    CLIP_SIGMA, DatasetStats, PerceiverParams, default_params, fusion_weights, perceive,
+)
 from tailscope.scene import AGENT_KINDS, Scene, Trajectory, parse_scene_csv, scenes_to_csv  # noqa: E402
 from tailscope.synth import SCENARIO_KINDS, ScenarioSpec, generate  # noqa: E402
 
@@ -199,14 +202,15 @@ ID = st.text(
 
 
 @st.composite
-def scenes(draw):
+def scenes(draw, value=FINITE):
+    """One or two valid scenes whose positions and velocities are drawn from ``value``."""
     frames, dt = draw(st.integers(2, 4)), draw(st.sampled_from([0.1, 0.5, 2.0]))
     heading = st.floats(-math.pi, math.pi, exclude_min=True)
     out = []
     for scene_id in draw(st.lists(ID, min_size=1, max_size=2, unique=True)):
         agents = {}
         for agent_id in draw(st.lists(ID, min_size=1, max_size=3, unique=True)):
-            columns = [draw(st.lists(FINITE, min_size=frames * n, max_size=frames * n)) for n in (2, 2)]
+            columns = [draw(st.lists(value, min_size=frames * n, max_size=frames * n)) for n in (2, 2)]
             agents[agent_id] = Trajectory(
                 agent_id, [k * dt for k in range(frames)], np.reshape(columns[0], (frames, 2)),
                 np.reshape(columns[1], (frames, 2)), draw(st.lists(heading, min_size=frames, max_size=frames)),
@@ -281,3 +285,35 @@ def test_prototype_memory_round_trip(workdir, rows, eta, cuts):
 def test_cognitive_set_params_round_trip(workdir, categories, seed, tau, rho_vig, gamma_steep):
     params = CognitiveSetParams.create(categories, 2, tau, rho_vig, gamma_steep, hidden=2, seed=seed)
     round_trip(params, lambda path: read_json(path, "cognitive set params", CognitiveSetParams.from_jsonable))
+
+
+# -- properties: the invariants every score and metric keeps --
+
+
+@given(kl_i=FINITE, kl_r=FINITE, lambda_temp=FINITE)
+def test_fusion_weights_are_interior_and_sum_to_1(kl_i, kl_r, lambda_temp):
+    alpha_i, alpha_r = fusion_weights(kl_i, kl_r, lambda_temp)
+    assert 0 < alpha_i < 1 and 0 < alpha_r < 1
+    assert abs(alpha_i + alpha_r - 1.0) <= 1e-12
+
+
+#: Features as ``normalize_features`` gives them: robust z-scores clipped to +-CLIP_SIGMA.
+FEATURES = st.lists(st.floats(-CLIP_SIGMA, CLIP_SIGMA), min_size=14, max_size=14)
+
+
+@settings(max_examples=30)
+@given(mode=st.sampled_from(["mean", "sample"]), seed=st.integers(0, 2**32 - 1), features=FEATURES)
+def test_perceive_gives_a_finite_nonnegative_tail_index(mode, seed, features):
+    result = perceive(default_params(seed=seed), np.array(features[:8]), np.array(features[8:]), mode=mode, seed=seed)
+    assert math.isfinite(result.ti) and result.ti >= 0
+
+
+@settings(max_examples=40)
+@given(scene_list=scenes(st.floats(-1e6, 1e6)))
+def test_metrics_are_finite_and_nonnegative(scene_list):
+    """Positions (m) and velocities (m/s) up to 1e6 in magnitude. Past about 1e150
+    squared terms overflow float64, and the metrics raise a ValidationError instead."""
+    for scene in scene_list:
+        values = {**compute_intrinsic(scene.target).as_dict(), **compute_interactive(scene).as_dict()}
+        assert all(math.isfinite(v) and v >= 0 for v in values.values()), values
+        assert values["r_lon"] < 1 and values["r_lat"] < 1

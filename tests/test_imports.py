@@ -81,6 +81,7 @@ def test_cli_import_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
     modules = set(json.loads(proc.stdout))
     assert "numpy" not in modules
+    assert "dataclasses" not in modules
     assert {m for m in modules if m.startswith("tailscope")} == {
         "tailscope", "tailscope.cli", "tailscope.errors"
     }
