@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,6 +68,13 @@ class ForecastSample:
             raise ValidationError(
                 f"sample {self.sample_id!r}: probabilities must be >= 0 and sum to 1"
             )
+
+    @classmethod
+    def _from_table(cls, sample_id: str, modes, probs, gt) -> "ForecastSample":
+        """A sample whose arrays a table check has already validated."""
+        sample = object.__new__(cls)
+        sample.__dict__.update(sample_id=sample_id, modes=modes, probs=probs, gt=gt)
+        return sample
 
     @property
     def n_modes(self) -> int:
@@ -276,41 +286,166 @@ def _numbers(record: dict, key: str, maybe_bool: bool) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
+def _record(line: str, line_no: int) -> dict:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON ({exc.msg})", line=line_no) from None
+    if not isinstance(record, dict):
+        raise ParseError("expected a JSON object", line=line_no)
+    missing = {"sample_id", "modes", "probs", "gt"} - set(record)
+    if missing:
+        raise ParseError(f"missing keys {sorted(missing)}", line=line_no)
+    return record
+
+
+def _maybe_bool(line: str) -> bool:
+    """Whether ``line`` may hold a ``true`` or ``false`` token. The four keys and
+    the numbers hold no ``u`` and no ``f`` (but ``Infinity``'s), and a search
+    for one character runs far faster than one for a word, so the word search
+    runs only after a hit."""
+    return ("u" in line and "true" in line) or ("f" in line and "false" in line)
+
+
+def _sample(record: dict, line: str, line_no: int) -> ForecastSample:
+    """One line's sample, converted and validated leaf by leaf."""
+    maybe_bool = _maybe_bool(line)
+    try:
+        return ForecastSample(
+            sample_id=str(record["sample_id"]),
+            modes=_numbers(record, "modes", maybe_bool),
+            probs=_numbers(record, "probs", maybe_bool),
+            gt=_numbers(record, "gt", maybe_bool),
+        )
+    except (ValidationError, ValueError, OverflowError) as exc:
+        raise ParseError(str(exc), line=line_no) from None
+
+
+def _fast_row(record: dict, line: str):
+    """``((K, T), row)``: one line's modes, probs and gt as one flat float row, or
+    None when the line needs ``_sample``'s leaf-by-leaf path.
+
+    The length tests fix the shapes, so the leaves fill exactly one row;
+    ``struct.pack`` takes only numbers, and a ``true``/``false`` token, which
+    it would read as a number, sends the line to ``_sample`` beforehand.
+    """
+    if _maybe_bool(line):
+        return None
+    modes, probs, gt = record["modes"], record["probs"], record["gt"]
+    try:
+        points = list(chain.from_iterable(modes))
+        if not (
+            len(probs) == len(modes)
+            and set(map(len, modes)) == {len(gt)}
+            and set(map(len, points)) == {2} == set(map(len, gt))
+        ):
+            return None
+        leaves = chain(chain.from_iterable(points), probs, chain.from_iterable(gt))
+        row = struct.pack(f"{2 * len(points) + len(probs) + 2 * len(gt)}d", *leaves)
+    except (TypeError, struct.error):
+        return None
+    return (len(modes), len(gt)), np.frombuffer(row)
+
+
+def _row(line: str, line_no: int):
+    """``(sample_id, (K, T), row)`` of one line; its decoded record dies here."""
+    record = _record(line, line_no)
+    fast = _fast_row(record, line)
+    if fast is None:
+        sample = _sample(record, line, line_no)
+        row = np.concatenate([sample.modes.ravel(), sample.probs, sample.gt.ravel()])
+        return sample.sample_id, sample.modes.shape[:2], row
+    return str(record["sample_id"]), *fast
+
+
+class _Table:
+    """The samples of one ``(K, T)`` group as rows of one float table.
+
+    A row holds the K*T*2 mode coordinates, then the K probabilities, then
+    the T*2 ground-truth coordinates. The table grows in place by doubling;
+    no view of it exists until ``samples`` has trimmed it for the last time,
+    so resizing skips numpy's reference check (which a profiler's references
+    would trip).
+    """
+
+    def __init__(self, n_modes: int, horizon: int):
+        self.n_modes, self.horizon = n_modes, horizon
+        self.rows = np.empty((8, n_modes * horizon * 2 + n_modes + horizon * 2))
+        self.ids: list[str] = []
+        self.lines: list[int] = []
+
+    def add(self, sample_id: str, row: np.ndarray, line_no: int) -> None:
+        n = len(self.ids)
+        if n == len(self.rows):
+            self.rows.resize((2 * n, self.rows.shape[1]), refcheck=False)
+        self.rows[n] = row
+        self.ids.append(sample_id)
+        self.lines.append(line_no)
+
+    def _columns(self):
+        n, a = len(self.ids), self.n_modes * self.horizon * 2
+        rows = self.rows[:n]
+        return rows, rows[:, a : a + self.n_modes]
+
+    def bad_lines(self) -> list[int]:
+        """Lines whose row ``ForecastSample`` would reject: a non-finite value,
+        or probabilities that are negative or do not sum to 1 within 1e-9."""
+        rows, probs = self._columns()
+        # a row's sum along the contiguous axis rounds exactly like probs.sum()
+        bad = ~np.isfinite(rows).all(axis=1)
+        bad |= (probs < 0).any(axis=1) | (np.abs(probs.sum(axis=1) - 1.0) > 1e-9)
+        return [self.lines[i] for i in np.flatnonzero(bad)]
+
+    def samples(self):
+        """A ``ForecastSample`` per row, its arrays views of the table."""
+        n, k, t = len(self.ids), self.n_modes, self.horizon
+        self.rows.resize((n, self.rows.shape[1]), refcheck=False)
+        rows, probs = self._columns()
+        modes = rows[:, : k * t * 2].reshape(n, k, t, 2)
+        gt = rows[:, k * t * 2 + k :].reshape(n, t, 2)
+        return map(ForecastSample._from_table, self.ids, modes, probs, gt)
+
+
+def _check_rows(tables, lines: list[str]) -> None:
+    """Raise the first error, in file order, that a row of ``tables`` holds."""
+    for line_no in sorted(line_no for table in tables for line_no in table.bad_lines()):
+        line = lines[line_no - 1]
+        _sample(_record(line, line_no), line, line_no)
+
+
 def parse_forecast_jsonl(source) -> list[ForecastSample]:
     """Parse forecast samples from JSONL (one object per line).
 
     Each line must carry ``sample_id``, ``modes``, ``probs`` and ``gt``. ``source``
-    is a str, bytes, a Path or a file (see ``read_lines``). Errors name the line.
+    is a str, bytes, a Path or a file (see ``read_lines``). An error names the
+    first failing line; a source with no sample raises a ParseError naming it.
     """
-    samples = []
+    lines = read_lines(source, "forecast JSONL")
+    tables: dict[tuple[int, int], _Table] = {}
+    order = []  # each sample's table, in file order
     seen = set()
-    for line_no, line in enumerate(read_lines(source, "forecast JSONL"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})", line=line_no) from None
-        if not isinstance(record, dict):
-            raise ParseError("expected a JSON object", line=line_no)
-        missing = {"sample_id", "modes", "probs", "gt"} - set(record)
-        if missing:
-            raise ParseError(f"missing keys {sorted(missing)}", line=line_no)
-        maybe_bool = "true" in line or "false" in line
-        try:
-            sample = ForecastSample(
-                sample_id=str(record["sample_id"]),
-                modes=_numbers(record, "modes", maybe_bool),
-                probs=_numbers(record, "probs", maybe_bool),
-                gt=_numbers(record, "gt", maybe_bool),
-            )
-        except (ValidationError, ValueError, OverflowError) as exc:
-            raise ParseError(str(exc), line=line_no) from None
-        if sample.sample_id in seen:
-            raise ParseError(f"duplicate sample_id {sample.sample_id!r}", line=line_no)
-        seen.add(sample.sample_id)
-        samples.append(sample)
-    return samples
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            sample_id, key, row = _row(line, line_no)
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = _Table(*key)
+            table.add(sample_id, row, line_no)
+            order.append(table)
+            if sample_id in seen:
+                raise ParseError(f"duplicate sample_id {sample_id!r}", line=line_no)
+            seen.add(sample_id)
+    except ParseError:
+        _check_rows(tables.values(), lines)  # a bad row on an earlier line wins
+        raise
+    _check_rows(tables.values(), lines)
+    if not order:
+        name = os.fspath(source) if isinstance(source, os.PathLike) else "forecast JSONL"
+        raise ParseError(f"{name}: no forecast samples")
+    views = {table: table.samples() for table in tables.values()}
+    return [next(views[table]) for table in order]
 
 
 @dataclass(frozen=True)

@@ -132,9 +132,11 @@ def _generate_brake(spec: ScenarioSpec):
     # When speed/decel is a multiple of dt the backward-difference jerk is a
     # single impulse of decel/dt; otherwise it splits across two frames.
     stop_time = spec.speed / spec.decel
+    t_end = min((spec.frames - 1) * spec.dt, stop_time)
+    if not math.isfinite(max(spec.speed * t_end, spec.decel * (t_end * t_end))):
+        raise UsageError("brake: the distance speed * t - decel * t**2 / 2 overflows; lower speed, decel or dt")
     rows = []
-    # np.float_power rounds like ``**`` but overflows to inf (a non-finite row
-    # the trajectory rejects), where ``**`` raises
+    # np.float_power rounds like ``**``; the check above keeps every term finite
     for k in range(spec.frames):
         t = k * spec.dt
         if t < stop_time:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -489,17 +490,18 @@ class TestExitCodeContract:
         assert str(out) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, config",
+        "argv, config, names",
         [
-            (["synth", "--kind", "circle", "--dt", "1e308"], {}),
-            (["synth", "--kind", "brake", "--speed", "1e160", "--decel", "1", "--dt", "1e160"], {}),
-            (["synth", "--kind", "grid", "--neighbor-radius", "1e300"], {}),
-            (["metrics", "--neighbor-radius", "1e300"], {}),
-            (["metrics"], {"rss_params": {"rho": 1e200}}),
+            (["synth", "--kind", "circle", "--dt", "1e308"], {}, ()),
+            (["synth", "--kind", "brake", "--speed", "1e160", "--decel", "1", "--dt", "1e160"], {}, ("speed", "decel", "dt")),
+            (["synth", "--kind", "grid", "--neighbor-radius", "1e300"], {}, ()),
+            (["metrics", "--neighbor-radius", "1e300"], {}, ()),
+            (["metrics"], {"rss_params": {"rho": 1e200}}, ()),
         ],
         ids=["circle-dt", "brake-stop-time", "synth-radius", "metrics-radius", "rss-rho"],
     )
-    def test_huge_numbers_do_not_overflow_to_exit_1(self, tmp_path, argv, config):
+    def test_huge_numbers_do_not_overflow_to_exit_1(self, tmp_path, capsys, argv, config, names):
+        """Exit 0 or 2 with no numpy warning; where the input is refused, the error names ``names``."""
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         argv = argv + ["--config", str(config_path), "--out", str(tmp_path / "out")]
@@ -507,7 +509,13 @@ class TestExitCodeContract:
             csv_path = tmp_path / "s.csv"
             write_scenes(csv_path, [ScenarioSpec(kind="crossing", seed=s) for s in range(2)])
             argv += ["--input", str(csv_path)]
-        assert run(argv) in (0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a numpy warning becomes exit 1
+            rc = run(argv)
+        assert rc in (0, 2)
+        if names:
+            err = capsys.readouterr().err
+            assert rc == 2 and all(name in err for name in names), err
 
     def test_unknown_config_key_exits_2_naming_it(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"
@@ -610,7 +618,7 @@ class TestExitCodeContract:
         [
             ({"modes": [[0.0, 0.0]] * 4}, "line 2: sample 'b': modes must be (K, T, 2), got (4, 2)"),
             ({"modes": [[[0.0, 0.0]] * 3 + [[math.nan, 0.0]]]}, "line 2: sample 'b': non-finite values"),
-            (None, "evaluate needs at least one sample"),
+            (None, "{path}: no forecast samples"),
         ],
         ids=["modes-2d", "nan", "empty-file"],
     )
@@ -622,7 +630,7 @@ class TestExitCodeContract:
             sample = {**json.loads(forecast_line("b", 0.0)), **second}
             jsonl.write_text(forecast_line("a", 0.0) + "\n" + json.dumps(sample) + "\n")
         assert run(["eval", "--input", str(jsonl), "--k", "1", "--out", str(tmp_path / "o.json")]) == 2
-        assert capsys.readouterr().err == f"error: {error}\n"
+        assert capsys.readouterr().err == f"error: {error.format(path=jsonl)}\n"
 
 
 def test_readme_tables_every_option():

@@ -1,7 +1,8 @@
 """Fuzzed exit-code contract: whatever a config key, a scene CSV line, a
 forecast JSONL line or a rank sidecar holds, ``main()`` exits 0 or 2, never 1
-(an internal error). Round trips: every scene CSV and parameter file the
-package writes reads back exactly."""
+(an internal error). Round trips: every scene CSV, forecast JSONL and
+parameter file the package writes reads back exactly. Properties: the
+invariants every score and metric keeps."""
 
 import contextlib
 import io
@@ -18,8 +19,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from tailscope import evaluation  # noqa: E402
 from tailscope.cli import OPTIONS, main  # noqa: E402
-from tailscope.errors import read_json  # noqa: E402
+from tailscope.errors import ParseError, read_json, read_lines  # noqa: E402
+from tailscope.evaluation import ForecastSample, evaluate, min_ade, min_fde, parse_forecast_jsonl  # noqa: E402
 from tailscope.interaction import RssParams, compute_interactive  # noqa: E402
 from tailscope.intrinsic import compute_intrinsic  # noqa: E402
 from tailscope.memory import CognitiveSetParams, PrototypeMemory  # noqa: E402
@@ -178,6 +181,50 @@ def test_any_forecast_line_exits_0_or_2(workdir, data):
     )
 
 
+def parse_line_by_line(text):
+    """The reference reading of a forecast JSONL: each line converted, validated
+    and checked for a repeated id before the next line is read."""
+    samples, seen = [], set()
+    for line_no, line in enumerate(read_lines(text, "forecast JSONL"), start=1):
+        if line.strip():
+            sample = evaluation._sample(evaluation._record(line, line_no), line, line_no)
+            if sample.sample_id in seen:
+                raise ParseError(f"duplicate sample_id {sample.sample_id!r}", line=line_no)
+            seen.add(sample.sample_id)
+            samples.append(sample)
+    if not samples:
+        raise ParseError("forecast JSONL: no forecast samples")
+    return samples
+
+
+def sample_rows(samples):
+    return [(s.sample_id, s.modes.shape, s.modes.tobytes(), s.probs.tobytes(), s.gt.tobytes()) for s in samples]
+
+
+def parsed(parse, source):
+    """``sample_rows`` of what ``parse`` reads from ``source``, or the error it raised."""
+    try:
+        return sample_rows(parse(source))
+    except ParseError as exc:
+        return str(exc)
+
+
+@given(data=st.data())
+def test_forecast_jsonl_parse_matches_the_line_by_line_reading(workdir, data):
+    """Same samples, or the same error on the same line, after two mutations."""
+    def field(line):
+        try:
+            return json.dumps(mutated_json(json.loads(line), data))
+        except json.JSONDecodeError:  # a line an earlier mutation replaced
+            return line
+
+    lines = (workdir / "forecasts.jsonl").read_text().splitlines()
+    for _ in range(2):
+        lines = mutated_lines(lines, data, field)
+    text = "\n".join(lines) + "\n"
+    assert parsed(parse_forecast_jsonl, text) == parsed(parse_line_by_line, text)
+
+
 @given(mode=st.sampled_from(["mean", "sample"]), data=st.data())
 def test_any_rank_sidecar_node_exits_0_or_2(workdir, mode, data):
     stats = {"median": [0.0] * 14, "scale": [1.0] * 14, "flags": []}
@@ -317,3 +364,43 @@ def test_metrics_are_finite_and_nonnegative(scene_list):
         values = {**compute_intrinsic(scene.target).as_dict(), **compute_interactive(scene).as_dict()}
         assert all(math.isfinite(v) and v >= 0 for v in values.values()), values
         assert values["r_lon"] < 1 and values["r_lat"] < 1
+
+
+@st.composite
+def forecast_sets(draw, value=FINITE, one_horizon=False):
+    """One to six valid forecast samples with unique ids, K drawn per sample and T
+    per sample, or once for the set when ``one_horizon``."""
+    set_horizon = draw(st.integers(1, 3))
+    out = []
+    for sample_id in draw(st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True)):
+        k, t = draw(st.integers(1, 3)), set_horizon if one_horizon else draw(st.integers(1, 3))
+        modes = draw(st.lists(value, min_size=k * t * 2, max_size=k * t * 2))
+        gt = draw(st.lists(value, min_size=t * 2, max_size=t * 2))
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+        out.append(ForecastSample(sample_id, np.reshape(modes, (k, t, 2)), weights / weights.sum(), np.reshape(gt, (t, 2))))
+    return out
+
+
+@settings(max_examples=40)
+@given(samples=forecast_sets(st.floats(-1e6, 1e6), one_horizon=True))
+def test_grouped_evaluate_equals_per_sample_functions(samples):
+    ks = list(range(1, min(s.n_modes for s in samples) + 1))
+    report = evaluate(samples, ks=ks)
+    for sample, row in zip(samples, report.per_sample):
+        assert row["sample_id"] == sample.sample_id
+        assert row["min_ade"] == {str(k): min_ade(sample, k) for k in ks}
+        assert row["min_fde"] == {str(k): min_fde(sample, k) for k in ks}
+
+
+@settings(max_examples=40)
+@given(samples=forecast_sets())
+def test_forecast_jsonl_round_trips_from_every_source(workdir, samples):
+    text = "".join(
+        json.dumps({"sample_id": s.sample_id, "modes": s.modes.tolist(), "probs": s.probs.tolist(), "gt": s.gt.tolist()})
+        + "\n"
+        for s in samples
+    )
+    path = workdir / "round-trip.jsonl"
+    path.write_text(text, encoding="utf-8")
+    for source in (text, text.encode("utf-8"), path):
+        assert parsed(parse_forecast_jsonl, source) == sample_rows(samples)

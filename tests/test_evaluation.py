@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,7 +271,9 @@ class TestParseJsonl:
             parse_forecast_jsonl(text)
 
     @pytest.mark.parametrize("field", ["modes", "probs", "gt"])
-    @pytest.mark.parametrize("leaf", [{}, "1", True], ids=["object", "string", "bool"])
+    @pytest.mark.parametrize(
+        "leaf", [{}, "1", True, False, None], ids=["object", "string", "bool", "false", "null"]
+    )
     def test_non_numeric_leaf_names_line(self, field, leaf):
         record = json.loads(self.line("b"))
         target = record[field]
@@ -280,6 +283,62 @@ class TestParseJsonl:
         text = self.line("a") + "\n" + json.dumps(record) + "\n"
         with pytest.raises(ParseError, match=f"line 2: {field}: .*numbers"):
             parse_forecast_jsonl(text)
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"modes": [[[0.0, 0.0, 0.0], [1.0]]]}, "inhomogeneous"),
+            ({"gt": [[0.0], [1.0, 0.0, 0.0]]}, "inhomogeneous"),
+            ({"modes": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]], "probs": [0.5, 0.5]}, "inhomogeneous"),
+            ({"probs": [0.5, 0.5]}, "one probability per mode"),
+        ],
+        ids=["mode-points", "gt-points", "mode-lengths", "probs-length"],
+    )
+    def test_ragged_arrays_name_line(self, fields, error):
+        text = self.line("a") + "\n" + json.dumps({**json.loads(self.line("b")), **fields}) + "\n"
+        with pytest.raises(ParseError, match=f"^line 2: .*{error}"):
+            parse_forecast_jsonl(text)
+
+    def test_integer_leaves_read_as_floats(self):
+        (sample,) = parse_forecast_jsonl(self.line(modes=[[[0, 0], [1, 0.5]]], probs=[1], gt=[[0, 0], [2, 0]]))
+        assert sample.modes.dtype == sample.probs.dtype == sample.gt.dtype == np.float64
+        assert sample.modes.tolist() == [[[0.0, 0.0], [1.0, 0.5]]] and sample.gt.tolist() == [[0.0, 0.0], [2.0, 0.0]]
+
+    TWO_MODES = {"modes": [[[0.0, 0.0], [1.0, 0.0]]] * 2, "probs": [0.5, 0.5]}
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            ([{"probs": [0.4]}, "{oops"], r"line 2: sample 'b': probabilities"),
+            (["{oops", {"gt": [[math.nan, 0.0], [1.0, 0.0]]}], r"line 2: invalid JSON"),
+            ([{"sample_id": "a", "probs": [0.4]}], r"line 2: sample 'a': probabilities"),
+            ([TWO_MODES, {**TWO_MODES, "probs": [0.5, 0.6]}, {"gt": [[math.inf, 0.0], [0.0, 0.0]]}], r"line 3: sample 'c'"),
+            ([{"modes": [[[0.0, None], [1.0, 0.0]]]}, {"probs": [2.0]}], r"line 2: modes: .*NoneType"),
+        ],
+        ids=["probs-then-json", "json-then-nan", "probs-and-duplicate", "second-group-first", "null-then-probs"],
+    )
+    def test_first_failing_line_wins(self, lines, error):
+        """Line 1 is valid; each later entry is a raw line or the fields that replace a valid line's."""
+        text = [self.line("a")]
+        for sample_id, entry in zip("bcd", lines):
+            if isinstance(entry, str):
+                text.append(entry)
+            else:
+                record = {**json.loads(self.line(sample_id)), **entry}
+                text.append(json.dumps(record))
+        with pytest.raises(ParseError, match=f"^{error}"):
+            parse_forecast_jsonl("\n".join(text) + "\n")
+
+    def test_empty_source_names_it(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n \r\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: no forecast samples$"):
+            parse_forecast_jsonl(path)
+        for source in ("", b"\n"):
+            with pytest.raises(ParseError, match="^forecast JSONL: no forecast samples$"):
+                parse_forecast_jsonl(source)
+        with pytest.raises(UsageError, match="evaluate needs at least one sample"):
+            evaluate([])
 
     def test_non_utf8_bytes_name_line(self):
         data = (self.line("a") + "\n").encode() + b'{"sample_id": "\xff"}\n'
