@@ -144,27 +144,24 @@ def _require_input(opts: dict) -> Path:
 
 
 def _score_scenes(opts: dict):
-    """The input scenes sorted by id, and one ``(intrinsic, interactive)`` pair each."""
-    from .interaction import RssParams, compute_interactive
-    from .intrinsic import compute_intrinsic
+    """The input scenes sorted by id, their (S, 14) metric matrix and their flags."""
+    from .interaction import RssParams, score_scenes
     from .scene import load_scenes
 
     path = _require_input(opts)
     rss = RssParams.from_dict(opts.get("rss_params", {}))
     scenes = load_scenes(path, **_kwargs(opts, "neighbor_radius"))
-    return scenes, [(compute_intrinsic(s.target), compute_interactive(s, rss)) for s in scenes]
+    return (scenes, *score_scenes(scenes, rss))
 
 
 def cmd_metrics(opts: dict) -> int:
     """All 14 metric scalars per scene, one JSON record each."""
-    scenes, pairs = _score_scenes(opts)
+    from .interaction import METRIC_FIELDS
+
+    scenes, rows, flags = _score_scenes(opts)
     records = [
-        {
-            "scene_id": scene.scene_id,
-            "metrics": {**intr.as_dict(), **inter.as_dict()},
-            "flags": sorted(set(intr.flags) | set(inter.flags)),
-        }
-        for scene, (intr, inter) in zip(scenes, pairs)
+        {"scene_id": scene.scene_id, "metrics": dict(zip(METRIC_FIELDS, row)), "flags": list(scene_flags)}
+        for scene, row, scene_flags in zip(scenes, rows.tolist(), flags)
     ]
     _write_json({"scenes": records}, opts.get("out"))
     return 0
@@ -172,8 +169,6 @@ def cmd_metrics(opts: dict) -> int:
 
 def cmd_rank(opts: dict) -> int:
     """Tail Index per scene, descending, with features and fusion weights."""
-    import numpy as np
-
     from . import memory, perceiver
 
     # Sidecars load before the scenes, so a bad one fails before any scoring.
@@ -184,22 +179,20 @@ def cmd_rank(opts: dict) -> int:
         params = perceiver.default_params(**_kwargs(opts, "seed"))
     stats = perceiver.DatasetStats.load(opts["stats"]) if opts.get("stats") else None
 
-    scenes, pairs = _score_scenes(opts)
+    scenes, metrics, _ = _score_scenes(opts)
     if stats is None:
         if len(scenes) < 2:
             raise UsageError(
                 "normalization stats need at least 2 scenes; pass --stats for single scenes"
             )
-        vectors = np.array([perceiver.metrics_vector(i, r) for i, r in pairs])
-        stats = perceiver.DatasetStats.fit(vectors)
+        stats = perceiver.DatasetStats.fit(metrics)
 
+    z, split = stats.zscores(metrics), len(perceiver.INTRINSIC_FIELDS)
+    seeds = [None] * len(scenes)
     if opts.get("mode") == "sample":
         seeds = perceiver.scene_seeds(len(scenes), **_kwargs(opts, "seed"))
-    else:
-        seeds = [None] * len(scenes)
     rows = []
-    for scene, (intr, inter), child in zip(scenes, pairs, seeds):
-        f_i, f_r = perceiver.normalize_features(intr, inter, stats)
+    for scene, f_i, f_r, child in zip(scenes, z[:, :split], z[:, split:], seeds):
         result = perceiver.perceive(params, f_i, f_r, seed=child, **_kwargs(opts, "mode"))
         rows.append(
             {

@@ -6,11 +6,17 @@ conflict, agent density, neighborhood instability) rate the scene as a whole.
 The neighbor set is re-evaluated every frame as the agents within
 ``scene.neighbor_radius`` of the target.
 
-Every score is computed from per-scene arrays rather than per-frame loops:
-the agents' positions and velocities are stacked once into ``(T, n, 2)``
-arrays (T frames, n agents, target first), the target-to-neighbor geometry
-forms ``(T, N)`` arrays over the N neighbors, and the all-pairs conflict
-score reads the ``(T, n(n-1)/2)`` agent pairs of the same stacks.
+Scenes that share an agent count n and a frame count T form a group.
+``_geometry`` stacks a group once into ``(S, T, n, 2)`` positions and
+velocities (target first), the target-to-neighbor geometry forms
+``(S, T, N)`` arrays over the N neighbors, and the all-pairs conflict score
+reads the ``(S, T, n(n-1)/2)`` agent pairs of the same stacks. One kernel
+per score rates a whole group; each per-scene function is that kernel on a
+group of one. Reductions run over the last axis in a single scene's order
+and every other step is elementwise, so a scene's scores are the same bits
+alone or in a group. ``score_scenes`` scores a corpus group by group, in
+chunks of at most ``PAIR_FRAMES_CAP`` pair-frames (one scene at least), so
+the all-pairs temporaries of a dense scene do not grow with the corpus.
 
 The safe-distance scores follow the Responsibility-Sensitive Safety minimum
 separations: the longitudinal/lateral axes are the target's instantaneous
@@ -28,14 +34,21 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .intrinsic import rms_acceleration
-from .scene import Scene, check_radius
+from .intrinsic import INTRINSIC_FIELDS, compute_intrinsic, intrinsic_rows, rms_acceleration
+from .scene import Scene, check_radius, kinematics
 
 #: Agent pairs closer than this (m) are skipped wherever a separation is a
 #: denominator, instead of dividing by ~0.
 EPS_DIST = 0.01
 
 INTERACTIVE_FIELDS = ("r_ittc", "r_lon", "r_lat", "r_mac", "r_ad", "r_ni")
+
+#: The 14 metrics of a scene in canonical order, intrinsic first.
+METRIC_FIELDS = INTRINSIC_FIELDS + INTERACTIVE_FIELDS
+
+#: ``score_scenes`` stacks at most this many frames x agent pairs per chunk
+#: (one scene at least), which bounds its all-pairs temporaries.
+PAIR_FRAMES_CAP = 65_536
 
 
 @dataclass(frozen=True)
@@ -114,29 +127,43 @@ class InteractiveMetrics:
 
 
 class _Geometry(NamedTuple):
-    """A scene's agents stacked over frames T; n = 1 + N agents, target first."""
+    """S scenes of one shape stacked over frames T; n = 1 + N agents, target first."""
 
-    pos: np.ndarray  # (T, n, 2)
-    vel: np.ndarray  # (T, n, 2)
-    neighbors: list  # the N neighbor trajectories, in ``neighbor_ids`` order
-    dp: np.ndarray  # (T, N, 2) neighbor position minus target position
-    dv: np.ndarray  # (T, N, 2) neighbor velocity minus target velocity
-    dist: np.ndarray  # (T, N)
+    pos: np.ndarray  # (S, T, n, 2)
+    vel: np.ndarray  # (S, T, n, 2)
+    tracks: np.ndarray  # (S, n, T, 2) the velocities agent by agent, frames contiguous for per-agent means
+    dt: np.ndarray  # (S, n) each agent's time step
+    headings: np.ndarray  # (S, T) the targets' headings
+    kinds: np.ndarray  # (S, 1, N) the neighbors' kinds, in ``neighbor_ids`` order
+    radius: np.ndarray  # (S, 1, 1) each scene's neighbor radius
+    dp: np.ndarray  # (S, T, N, 2) neighbor position minus target position
+    dv: np.ndarray  # (S, T, N, 2) neighbor velocity minus target velocity
+    dist: np.ndarray  # (S, T, N)
 
 
 def _pair_geometry(pos, vel, a, b):
     """Position and velocity of agents ``b`` relative to agents ``a``, and their distance."""
-    dp = pos[:, b] - pos[:, a]
-    return dp, vel[:, b] - vel[:, a], np.hypot(dp[..., 0], dp[..., 1])
+    dp = pos[..., b, :] - pos[..., a, :]
+    return dp, vel[..., b, :] - vel[..., a, :], np.hypot(dp[..., 0], dp[..., 1])
 
 
-def _geometry(scene: Scene) -> _Geometry:
-    """Stack the scene's agents and relate every neighbor to the target."""
-    neighbors = [scene.agents[agent_id] for agent_id in scene.neighbor_ids()]
-    agents = [scene.target] + neighbors
-    pos = np.stack([traj.positions for traj in agents], axis=1)
-    vel = np.stack([traj.velocities for traj in agents], axis=1)
-    return _Geometry(pos, vel, neighbors, *_pair_geometry(pos, vel, slice(0, 1), slice(1, None)))
+def _geometry(scenes) -> _Geometry:
+    """Stack scenes that share their agent and frame counts, and relate every neighbor to its target."""
+    agents = [traj for s in scenes for traj in (s.target, *map(s.agents.get, s.neighbor_ids()))]
+    shape = (len(scenes), len(agents) // len(scenes), scenes[0].n_frames, 2)
+    tracks = np.stack([traj.velocities for traj in agents]).reshape(shape)
+    pos = np.stack([traj.positions for traj in agents]).reshape(shape).transpose(0, 2, 1, 3).copy()
+    vel = tracks.transpose(0, 2, 1, 3).copy()
+    return _Geometry(
+        pos,
+        vel,
+        tracks,
+        np.array([traj.dt for traj in agents]).reshape(shape[:2]),
+        np.stack([s.target.headings for s in scenes]),
+        np.array([traj.kind for traj in agents]).reshape(shape[:2])[:, None, 1:],
+        np.array([s.neighbor_radius for s in scenes])[:, None, None],
+        *_pair_geometry(pos, vel, slice(0, 1), slice(1, None)),
+    )
 
 
 def _pair_ittc(dp, dv, dist):
@@ -157,25 +184,7 @@ def _pair_ittc(dp, dv, dist):
 
 def _worst(values, near) -> np.ndarray:
     """Per-frame maximum over the in-radius neighbors; 0 for frames with none."""
-    return np.where(near, values, 0.0).max(axis=1, initial=0.0)
-
-
-def ittc_risk(scene: Scene) -> dict:
-    """Worst-neighbor inverse time-to-collision, averaged over frames.
-
-    Returns a dict with ``r_ittc``, the per-frame ``series`` and ``flags``.
-    Frames with no neighbor in radius contribute 0; coincident pairs are
-    skipped with a ``proximity_skip`` flag.
-    """
-    g = _geometry(scene)
-    return _ittc_risk(g, g.dist <= scene.neighbor_radius)
-
-
-def _ittc_risk(g: _Geometry, near) -> dict:
-    value, coincident = _pair_ittc(g.dp, g.dv, g.dist)
-    series = _worst(value, near)
-    flags = ("proximity_skip",) if np.any(coincident & near) else ()
-    return {"r_ittc": float(series.mean()), "series": series, "flags": flags}
+    return np.where(near, values, 0.0).max(axis=-1, initial=0.0)
 
 
 def min_longitudinal_separation(v_i_lon, v_j_lon, params: RssParams):
@@ -224,53 +233,76 @@ def _deficit_risk(required, actual, alpha: float, beta: float) -> np.ndarray:
     return 1.0 - np.float_power(1.0 + ratio, -alpha)
 
 
-def _check_finite(required, near, axis: str) -> None:
-    """Reject a safe distance to an in-radius neighbor that overflowed to inf or nan."""
-    if not np.isfinite(required[near]).all():
-        raise ConfigurationError(f"rss_params must be small enough for a finite {axis} safe distance at these speeds")
+def _rss_error(axis: str) -> ConfigurationError:
+    return ConfigurationError(f"rss_params must be small enough for a finite {axis} safe distance at these speeds")
+
+
+def _unsafe(required, near) -> np.ndarray:
+    """Per scene: a safe distance to an in-radius neighbor overflowed to inf or nan."""
+    return (near & ~np.isfinite(required)).any(axis=(-2, -1))
+
+
+def _checked(scores: dict, name: str, axis: str) -> dict:
+    """A group of one's safe-distance risk; raises if its ``axis`` safe distance overflowed."""
+    if scores["unsafe"][0]:
+        raise _rss_error(axis)
+    return {name: float(scores[name][0]), "series": scores["series"][0], "flags": ()}
+
+
+def ittc_risk(scene: Scene) -> dict:
+    """Worst-neighbor inverse time-to-collision, averaged over frames.
+
+    Returns a dict with ``r_ittc``, the per-frame ``series`` and ``flags``.
+    Frames with no neighbor in radius contribute 0; coincident pairs are
+    skipped with a ``proximity_skip`` flag.
+    """
+    g = _geometry([scene])
+    scores = _ittc_risk(g, g.dist <= g.radius)
+    flags = ("proximity_skip",) * bool(scores["skip"][0])
+    return {"r_ittc": float(scores["r_ittc"][0]), "series": scores["series"][0], "flags": flags}
+
+
+def _ittc_risk(g: _Geometry, near) -> dict:
+    value, coincident = _pair_ittc(g.dp, g.dv, g.dist)
+    series = _worst(value, near)
+    return {"r_ittc": series.mean(axis=-1), "series": series, "skip": (coincident & near).any(axis=(-2, -1))}
 
 
 def rss_longitudinal(scene: Scene, params: RssParams | None = None) -> dict:
     """Worst-neighbor longitudinal safe-distance risk, averaged over frames."""
-    g = _geometry(scene)
-    return _rss_longitudinal(scene, g, g.dist <= scene.neighbor_radius, params or RssParams())
+    g = _geometry([scene])
+    return _checked(_rss_longitudinal(g, g.dist <= g.radius, params or RssParams()), "r_lon", "longitudinal")
 
 
-def _rss_longitudinal(scene: Scene, g: _Geometry, near, params: RssParams) -> dict:
-    heading = scene.target.headings
-    u_lon = np.stack([np.cos(heading), np.sin(heading)], axis=-1)[:, None]
-    is_vehicle = np.array([traj.kind == "vehicle" for traj in g.neighbors], dtype=bool)
-    v_i_lon = np.vecdot(g.vel[:, :1], u_lon)
-    v_j_lon = np.where(is_vehicle, np.vecdot(g.vel[:, 1:], u_lon), 0.0)
+def _rss_longitudinal(g: _Geometry, near, params: RssParams) -> dict:
+    u_lon = np.stack([np.cos(g.headings), np.sin(g.headings)], axis=-1)[:, :, None]
+    v_i_lon = np.vecdot(g.vel[:, :, :1], u_lon)
+    v_j_lon = np.where(g.kinds == "vehicle", np.vecdot(g.vel[:, :, 1:], u_lon), 0.0)
     gap = np.abs(np.vecdot(g.dp, u_lon))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite distance in radius raises below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite distance in radius is flagged
         required = min_longitudinal_separation(v_i_lon, v_j_lon, params)
         risk = _deficit_risk(required, gap, params.alpha_lon, params.beta_lon)
-    _check_finite(required, near, "longitudinal")
     series = _worst(risk, near)
-    return {"r_lon": float(series.mean()), "series": series, "flags": ()}
+    return {"r_lon": series.mean(axis=-1), "series": series, "unsafe": _unsafe(required, near)}
 
 
 def rss_lateral(scene: Scene, params: RssParams | None = None) -> dict:
     """Worst-neighbor lateral safe-distance risk, averaged over frames."""
-    g = _geometry(scene)
-    return _rss_lateral(scene, g, g.dist <= scene.neighbor_radius, params or RssParams())
+    g = _geometry([scene])
+    return _checked(_rss_lateral(g, g.dist <= g.radius, params or RssParams()), "r_lat", "lateral")
 
 
-def _rss_lateral(scene: Scene, g: _Geometry, near, params: RssParams) -> dict:
-    heading = scene.target.headings
-    u_lat = np.stack([-np.sin(heading), np.cos(heading)], axis=-1)[:, None]
-    kinds = np.array([traj.kind for traj in g.neighbors], dtype=str)
+def _rss_lateral(g: _Geometry, near, params: RssParams) -> dict:
+    u_lat = np.stack([-np.sin(g.headings), np.cos(g.headings)], axis=-1)[:, :, None]
     lat_sep = np.vecdot(g.dp, u_lat)
     axis = np.where(lat_sep >= 0, 1.0, -1.0)[..., None] * u_lat
-    v_i_lat = np.vecdot(g.vel[:, :1], axis)
-    v_j_lat = np.vecdot(g.vel[:, 1:], axis)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite distance in radius raises below
-        required = min_lateral_separation(v_i_lat, v_j_lat, kinds, params)
+    v_i_lat = np.vecdot(g.vel[:, :, :1], axis)
+    v_j_lat = np.vecdot(g.vel[:, :, 1:], axis)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite distance in radius is flagged
+        required = min_lateral_separation(v_i_lat, v_j_lat, g.kinds, params)
         risk = _deficit_risk(required, np.abs(lat_sep), params.alpha_lat, params.beta_lat)
-    _check_finite(required, near, "lateral")
     series = _worst(risk, near)
-    return {"r_lat": float(series.mean()), "series": series, "flags": ()}
+    return {"r_lat": series.mean(axis=-1), "series": series, "unsafe": _unsafe(required, near)}
 
 
 def global_scene_risk(scene: Scene, radius: float | None = None) -> dict:
@@ -279,58 +311,97 @@ def global_scene_risk(scene: Scene, radius: float | None = None) -> dict:
     ``radius`` defaults to the scene's neighbor radius and bounds both the
     density disc and the instability neighbor set; it must be finite and > 0.
     """
-    return _global_scene_risk(scene, _geometry(scene), radius)
+    scores = _global_scene_risk(_geometry([scene]), radius)
+    flags = ("proximity_skip",) * bool(scores["skip"][0])
+    return {**{name: float(scores[name][0]) for name in INTERACTIVE_FIELDS[3:]}, "flags": flags}
 
 
-def _global_scene_risk(scene: Scene, g: _Geometry, radius: float | None) -> dict:
-    radius = scene.neighbor_radius if radius is None else radius
-    check_radius("radius", radius, len(scene.agents) * scene.n_frames)
+def _global_scene_risk(g: _Geometry, radius: float | None) -> dict:
+    n_scenes, n_frames, n = g.pos.shape[:3]
+    if radius is not None:
+        check_radius("radius", radius, n * n_frames)
+    radius = g.radius if radius is None else np.full_like(g.radius, radius)
     near = g.dist <= radius
-    n = g.pos.shape[1]
 
     value, coincident = _pair_ittc(*_pair_geometry(g.pos, g.vel, *np.triu_indices(n, 1)))
-    mac_series = np.zeros(scene.n_frames, dtype=float)
+    mac_series = np.zeros((n_scenes, n_frames), dtype=float)
     if n >= 2:
         # a running sum in pair order (cumsum), not np.sum's pairwise one, so
         # the total rounds like a plain loop over the pairs
-        mac_series = np.cumsum(value, axis=1)[:, -1] / (n * (n - 1) / 2.0)
+        mac_series = np.cumsum(value, axis=-1)[..., -1] / (n * (n - 1) / 2.0)
 
-    count = near.sum(axis=1)
-    ad_series = count / (math.pi * np.float_power(radius, 2))
+    count = near.sum(axis=-1)
+    ad_series = count / (math.pi * np.float_power(radius[..., 0], 2))
     # Stable-sorting each frame's in-radius neighbors to the front makes the
     # masked sum one contiguous run, which numpy adds exactly as np.mean adds
     # the list of in-radius values.
-    order = np.argsort(~near, axis=1, kind="stable")
-    c_v = np.array([rms_acceleration(t.velocities, t.dt) for t in g.neighbors], dtype=float)
-    c_v_sum = np.add.reduce(c_v[order], axis=1, where=np.take_along_axis(near, order, axis=1))
+    order = np.argsort(~near, axis=-1, kind="stable")
+    c_v = rms_acceleration(g.tracks[:, 1:], g.dt[:, 1:])[:, None]
+    c_v_sum = np.add.reduce(
+        np.take_along_axis(c_v, order, axis=-1), axis=-1, where=np.take_along_axis(near, order, axis=-1)
+    )
     ni_series = c_v_sum / np.maximum(count, 1)
 
     return {
-        "r_mac": float(mac_series.mean()),
-        "r_ad": float(ad_series.mean()),
-        "r_ni": float(ni_series.mean()),
-        "flags": ("proximity_skip",) if np.any(coincident) else (),
+        "r_mac": mac_series.mean(axis=-1),
+        "r_ad": ad_series.mean(axis=-1),
+        "r_ni": ni_series.mean(axis=-1),
+        "skip": coincident.any(axis=(-2, -1)),
     }
+
+
+def _interactive(g: _Geometry, params: RssParams, radius: float | None = None):
+    """The (S, 6) interactive rows of a group, with per-scene masks: a coincident
+    pair (the ``proximity_skip`` flag) and an overflowed longitudinal and lateral
+    safe distance. Each stage frees its temporaries before the next starts."""
+    gl = _global_scene_risk(g, radius)
+    near = g.dist <= g.radius
+    ittc, lon, lat = _ittc_risk(g, near), _rss_longitudinal(g, near, params), _rss_lateral(g, near, params)
+    rows = np.stack([ittc["r_ittc"], lon["r_lon"], lat["r_lat"], gl["r_mac"], gl["r_ad"], gl["r_ni"]], axis=-1)
+    return rows, gl["skip"], lon["unsafe"], lat["unsafe"]
 
 
 def compute_interactive(
     scene: Scene, params: RssParams | None = None, radius: float | None = None
 ) -> InteractiveMetrics:
     """All six interactive scalars of one scene, from one stack of its agents."""
+    rows, skip, unsafe_lon, unsafe_lat = _interactive(_geometry([scene]), params or RssParams(), radius)
+    for unsafe, axis in ((unsafe_lon, "longitudinal"), (unsafe_lat, "lateral")):
+        if unsafe[0]:
+            raise _rss_error(axis)
+    return InteractiveMetrics(*rows[0].tolist(), flags=("proximity_skip",) * bool(skip[0]))
+
+
+def score_scenes(scenes, params: RssParams | None = None) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+    """The 14 metrics of each scene as an (S, 14) matrix in ``METRIC_FIELDS``
+    order, and each scene's sorted flags.
+
+    Scenes that share an agent count n and a frame count T are scored as one
+    stack, in chunks of at most ``PAIR_FRAMES_CAP // (T * n(n-1)/2)`` scenes
+    (one at least). Row s holds the bits of ``compute_intrinsic`` of the
+    target and ``compute_interactive(scenes[s], params)``; the first scene
+    those would refuse is refused with their error.
+    """
     params = params or RssParams()
-    g = _geometry(scene)
-    near = g.dist <= scene.neighbor_radius
-    ittc = _ittc_risk(g, near)
-    lon = _rss_longitudinal(scene, g, near, params)
-    lat = _rss_lateral(scene, g, near, params)
-    gl = _global_scene_risk(scene, g, radius)
-    flags = sorted(set(ittc["flags"]) | set(lon["flags"]) | set(lat["flags"]) | set(gl["flags"]))
-    return InteractiveMetrics(
-        r_ittc=ittc["r_ittc"],
-        r_lon=lon["r_lon"],
-        r_lat=lat["r_lat"],
-        r_mac=gl["r_mac"],
-        r_ad=gl["r_ad"],
-        r_ni=gl["r_ni"],
-        flags=tuple(flags),
-    )
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, scene in enumerate(scenes):
+        groups.setdefault((len(scene.agents), scene.n_frames), []).append(i)
+    rows = np.empty((len(scenes), len(METRIC_FIELDS)))
+    slow, close, unsafe = np.empty((3, len(scenes)), dtype=bool)
+    split = len(INTRINSIC_FIELDS)
+    for (n, n_frames), members in groups.items():
+        size = max(1, PAIR_FRAMES_CAP // (n_frames * max(1, n * (n - 1) // 2)))
+        for chunk in (members[start : start + size] for start in range(0, len(members), size)):
+            g = _geometry([scenes[i] for i in chunk])
+            rows[chunk, :split], slow[chunk] = intrinsic_rows(kinematics(g.tracks[:, 0], g.headings, g.dt[:, :1]))
+            rows[chunk, split:], close[chunk], unsafe_lon, unsafe_lat = _interactive(g, params)
+            unsafe[chunk] = unsafe_lon | unsafe_lat
+    risks = rows[:, [METRIC_FIELDS.index("r_lon"), METRIC_FIELDS.index("r_lat")]]
+    refused = unsafe | ~((rows >= 0.0) & np.isfinite(rows)).all(axis=1) | (risks >= 1.0).any(axis=1)
+    for i in np.flatnonzero(refused).tolist()[:1]:  # the per-scene calls word the error
+        compute_intrinsic(scenes[i].target)
+        compute_interactive(scenes[i], params)
+    return rows, [
+        ("low_speed_frames",) * a + ("proximity_skip",) * b + ("short_trajectory",) * (scene.n_frames < 3)
+        for scene, a, b in zip(scenes, slow.tolist(), close.tolist())
+    ]

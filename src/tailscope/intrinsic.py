@@ -6,6 +6,13 @@ expectations run over the frames where the underlying backward difference is
 defined (acceleration from frame 1, jerk from frame 2, ...). Trajectories too
 short for a score report 0 for it plus a ``short_trajectory`` flag instead of
 raising, so batch pipelines survive edge agents.
+
+One kernel, ``_scores``, computes all eight over kinematics with optional
+leading axes: the scene pipeline stacks the targets of S scenes of T frames
+as (S, T, 2) velocities, and each per-trajectory function below is the same
+kernel on one trajectory. Reductions run over the last axis in a single
+trajectory's order and every other step is elementwise, so a trajectory's
+scores are the same bits alone or in a stack.
 """
 
 from __future__ import annotations
@@ -71,20 +78,99 @@ class IntrinsicMetrics:
         return np.array([getattr(self, name) for name in INTRINSIC_FIELDS], dtype=float)
 
 
-def _rms(samples: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(samples)))) if samples.size else 0.0
+def _mean(samples: np.ndarray) -> np.ndarray:
+    """Mean over the last axis (numpy's sum, then one division, as ``np.mean``); 0 when empty."""
+    return np.add.reduce(samples, axis=-1) / max(samples.shape[-1], 1)
 
 
-def _rms_rows(samples: np.ndarray) -> float:
-    """RMS of the row-wise Euclidean norm of an (n, 2) array."""
-    if samples.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(np.sum(np.square(samples), axis=1))))
+def _rms(samples: np.ndarray) -> np.ndarray:
+    return np.sqrt(_mean(np.square(samples)))
 
 
-def rms_acceleration(velocities: np.ndarray, dt: float) -> float:
-    """RMS magnitude of the backward-difference acceleration of (T, 2) velocities."""
-    return _rms_rows(np.diff(velocities, axis=0) / dt)
+def _rms_rows(samples: np.ndarray) -> np.ndarray:
+    """RMS over the frames of the Euclidean norm of (..., frames, 2) vectors."""
+    return np.sqrt(_mean(np.sum(np.square(samples), axis=-1)))
+
+
+def rms_acceleration(velocities: np.ndarray, dt) -> np.ndarray:
+    """RMS magnitude of the backward-difference acceleration of (..., T, 2) velocities.
+
+    ``dt`` is a float or an array over the leading axes.
+    """
+    return _rms_rows(np.diff(velocities, axis=-2) / np.expand_dims(dt, (-2, -1)))
+
+
+def curvature_series(kin: KinematicSeries) -> np.ndarray:
+    """Unsigned path curvature |vx*ay - vy*ax| / speed^3 at frames 1..T-1.
+
+    Frames slower than ``EPS_SPEED`` get curvature 0 (the formula is singular
+    at rest).
+    """
+    v = kin.v[..., 1:, :]
+    speed = kin.speed[..., 1:]
+    kappa = np.zeros(speed.shape, dtype=float)
+    ok = speed >= EPS_SPEED
+    cross = np.abs(v[..., 0][ok] * kin.a[..., 1][ok] - v[..., 1][ok] * kin.a[..., 0][ok])
+    kappa[ok] = cross / speed[ok] ** 3
+    return kappa
+
+
+def velocity_autocovariance(velocities: np.ndarray) -> np.ndarray:
+    """gamma(tau) for tau = 0..T-1 over a (..., T, 2) velocity window.
+
+    Uses the dot product of velocity deviations from the window mean and
+    averages each lag over its T - tau overlapping pairs.
+    """
+    v = np.asarray(velocities, dtype=float)
+    d = v - v.mean(axis=-2, keepdims=True)
+    n = d.shape[-2]
+    gamma = np.empty(d.shape[:-1], dtype=float)
+    for tau in range(n):
+        gamma[..., tau] = _mean(np.sum(d[..., : n - tau, :] * d[..., tau:, :], axis=-1))
+    return gamma
+
+
+def _scores(kin: KinematicSeries) -> dict:
+    """The eight scores of ``kin``'s trajectories over its leading axes, plus
+    ``gamma`` (the autocovariance sequences), ``slow`` (the frames slower than
+    ``EPS_SPEED``) and ``short`` (fewer than 3 frames: second-order scores 0)."""
+    slow = kin.speed < EPS_SPEED
+    # RMS of the direction rate over frames whose both ends are fast: sorting
+    # those frames to the front (stably) makes the masked sum one contiguous
+    # run, which numpy adds exactly as it adds the list of those rates.
+    valid = ~(slow[..., 1:] | slow[..., :-1])
+    order = np.argsort(~valid, axis=-1, kind="stable")
+    rate = np.square(np.take_along_axis(kin.phi_rate, order, axis=-1))
+    vd_sum = np.add.reduce(rate, axis=-1, where=np.take_along_axis(valid, order, axis=-1))
+    kappa = curvature_series(kin)
+    gamma = velocity_autocovariance(kin.v)
+    short = kin.v.shape[-2] < 3
+    return {
+        "c_v": _rms_rows(kin.a),
+        "c_j": _rms_rows(kin.j),
+        "c_omega": _rms(kin.omega),
+        "c_alpha": _rms(kin.alpha),
+        "c_vd": np.sqrt(vd_sum / np.maximum(valid.sum(axis=-1), 1)),
+        "c_kappa": _mean(kappa),
+        "c_dkappa": _mean(np.abs(np.diff(kappa, axis=-1) / kin.dt)),
+        "c_dgamma": np.zeros(gamma.shape[:-1]) if short else _mean(np.abs(np.diff(gamma, axis=-1))),
+        "gamma": gamma,
+        "slow": slow,
+        "short": short,
+    }
+
+
+def intrinsic_rows(kin: KinematicSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., 8) scores of a stack of trajectories in ``INTRINSIC_FIELDS``
+    order, and the mask of those with a frame slower than ``EPS_SPEED``."""
+    scores = _scores(kin)
+    return np.stack([scores[name] for name in INTRINSIC_FIELDS], axis=-1), scores["slow"].any(axis=-1)
+
+
+def _picked(scores: dict, names, low_speed: bool) -> dict:
+    """One trajectory's scores ``names`` as floats, with its flags."""
+    flags = ("low_speed_frames",) * low_speed + ("short_trajectory",) * scores["short"]
+    return {**{name: float(scores[name]) for name in names}, "flags": flags}
 
 
 def kinematic_dynamism(traj: Trajectory, kin: KinematicSeries | None = None) -> dict:
@@ -95,41 +181,8 @@ def kinematic_dynamism(traj: Trajectory, kin: KinematicSeries | None = None) -> 
     ``c_vd`` (RMS movement-direction rate over frames faster than
     ``EPS_SPEED``) and ``flags``.
     """
-    kin = kin or derive_kinematics(traj)
-    flags = set()
-    if kin.j.size == 0:
-        flags.add("short_trajectory")
-
-    valid_vd = (kin.speed[1:] >= EPS_SPEED) & (kin.speed[:-1] >= EPS_SPEED)
-    if not np.all(valid_vd):
-        flags.add("low_speed_frames")
-    vd_samples = kin.phi_rate[valid_vd]
-    if vd_samples.size == 0:
-        flags.add("low_speed_frames")
-
-    return {
-        "c_v": rms_acceleration(kin.v, kin.dt),
-        "c_j": _rms_rows(kin.j),
-        "c_omega": _rms(kin.omega),
-        "c_alpha": _rms(kin.alpha),
-        "c_vd": _rms(vd_samples),
-        "flags": tuple(sorted(flags)),
-    }
-
-
-def curvature_series(kin: KinematicSeries) -> np.ndarray:
-    """Unsigned path curvature |vx*ay - vy*ax| / speed^3 at frames 1..T-1.
-
-    Frames slower than ``EPS_SPEED`` get curvature 0 (the formula is singular
-    at rest).
-    """
-    v = kin.v[1:]
-    speed = kin.speed[1:]
-    kappa = np.zeros(len(v), dtype=float)
-    ok = speed >= EPS_SPEED
-    cross = np.abs(v[ok, 0] * kin.a[ok, 1] - v[ok, 1] * kin.a[ok, 0])
-    kappa[ok] = cross / speed[ok] ** 3
-    return kappa
+    scores = _scores(kin or derive_kinematics(traj))
+    return _picked(scores, INTRINSIC_FIELDS[:5], bool(scores["slow"].any()))
 
 
 def geometric_complexity(traj: Trajectory, kin: KinematicSeries | None = None) -> dict:
@@ -138,34 +191,8 @@ def geometric_complexity(traj: Trajectory, kin: KinematicSeries | None = None) -
     Returns a dict with keys ``c_kappa`` (mean |curvature|), ``c_dkappa``
     (mean |curvature rate|) and ``flags``.
     """
-    kin = kin or derive_kinematics(traj)
-    flags = set()
-    kappa = curvature_series(kin)
-    if np.any(kin.speed[1:] < EPS_SPEED):
-        flags.add("low_speed_frames")
-    dkappa = np.diff(kappa) / kin.dt
-    if dkappa.size == 0:
-        flags.add("short_trajectory")
-    return {
-        "c_kappa": float(np.mean(kappa)) if kappa.size else 0.0,
-        "c_dkappa": float(np.mean(np.abs(dkappa))) if dkappa.size else 0.0,
-        "flags": tuple(sorted(flags)),
-    }
-
-
-def velocity_autocovariance(velocities: np.ndarray) -> np.ndarray:
-    """gamma(tau) for tau = 0..T-1 over a (T, 2) velocity window.
-
-    Uses the dot product of velocity deviations from the window mean and
-    averages each lag over its T - tau overlapping pairs.
-    """
-    v = np.asarray(velocities, dtype=float)
-    d = v - v.mean(axis=0)
-    n = len(d)
-    gamma = np.empty(n, dtype=float)
-    for tau in range(n):
-        gamma[tau] = float(np.mean(np.sum(d[: n - tau] * d[tau:], axis=1)))
-    return gamma
+    scores = _scores(kin or derive_kinematics(traj))
+    return _picked(scores, INTRINSIC_FIELDS[5:7], bool(scores["slow"][1:].any()))
 
 
 def temporal_irregularity(traj: Trajectory) -> dict:
@@ -175,29 +202,11 @@ def temporal_irregularity(traj: Trajectory) -> dict:
     the velocity autocovariance), ``gamma`` (the autocovariance sequence) and
     ``flags``. Windows shorter than 3 frames report 0 with a flag.
     """
-    v = traj.velocities
-    gamma = velocity_autocovariance(v)
-    if len(v) < 3:
-        return {"c_dgamma": 0.0, "gamma": gamma, "flags": ("short_trajectory",)}
-    c_dgamma = float(np.mean(np.abs(np.diff(gamma))))
-    return {"c_dgamma": c_dgamma, "gamma": gamma, "flags": ()}
+    scores = _scores(derive_kinematics(traj))
+    return {**_picked(scores, INTRINSIC_FIELDS[7:], False), "gamma": scores["gamma"]}
 
 
 def compute_intrinsic(traj: Trajectory) -> IntrinsicMetrics:
     """All eight intrinsic scalars of one trajectory."""
-    kin = derive_kinematics(traj)
-    dyn = kinematic_dynamism(traj, kin)
-    geo = geometric_complexity(traj, kin)
-    tem = temporal_irregularity(traj)
-    flags = sorted(set(dyn["flags"]) | set(geo["flags"]) | set(tem["flags"]))
-    return IntrinsicMetrics(
-        c_v=dyn["c_v"],
-        c_j=dyn["c_j"],
-        c_omega=dyn["c_omega"],
-        c_alpha=dyn["c_alpha"],
-        c_vd=dyn["c_vd"],
-        c_kappa=geo["c_kappa"],
-        c_dkappa=geo["c_dkappa"],
-        c_dgamma=tem["c_dgamma"],
-        flags=tuple(flags),
-    )
+    scores = _scores(derive_kinematics(traj))
+    return IntrinsicMetrics(**_picked(scores, INTRINSIC_FIELDS, bool(scores["slow"].any())))

@@ -6,19 +6,23 @@ carry diagonal-Gaussian posteriors, fused with weights proportional to
 ``exp(lambda * KL(posterior || standard normal))``, and squashed through a
 softplus so the Tail Index is non-negative. Only forward evaluation, seeded
 posterior sampling and the closed-form KL live here; no variational training.
+
+A corpus is z-scored as one (S, 14) matrix. The forward pass stays one
+``w @ h`` per scene and path, as a batched product rounds differently, and a
+sample-mode scene draws from its own seed, so only one scene's draws are held.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, JsonRecord, UsageError, ValidationError
-from .interaction import INTERACTIVE_FIELDS, InteractiveMetrics
+from .interaction import METRIC_FIELDS, InteractiveMetrics
 from .intrinsic import INTRINSIC_FIELDS, IntrinsicMetrics
 from .memory import _float_array, softplus
 
@@ -170,7 +174,7 @@ class DatasetStats(JsonRecord):
     scale: np.ndarray
     flags: tuple[str, ...] = ()
 
-    METRIC_FIELDS = INTRINSIC_FIELDS + INTERACTIVE_FIELDS
+    METRIC_FIELDS = METRIC_FIELDS
 
     def __post_init__(self):
         object.__setattr__(self, "median", np.asarray(self.median, dtype=float))
@@ -201,6 +205,10 @@ class DatasetStats(JsonRecord):
         flags = tuple(name for name, bad in zip(cls.METRIC_FIELDS, degenerate) if bad)
         return cls(median=median, scale=scale, flags=flags)
 
+    def zscores(self, rows: np.ndarray) -> np.ndarray:
+        """Robust z-scores of (..., 14) metric rows, clipped to [-CLIP_SIGMA, CLIP_SIGMA]."""
+        return np.clip((rows - self.median) / self.scale, -CLIP_SIGMA, CLIP_SIGMA)
+
 
 def metrics_vector(intr: IntrinsicMetrics, inter: InteractiveMetrics) -> np.ndarray:
     """The 14 metric scalars in canonical order (intrinsic first)."""
@@ -211,8 +219,7 @@ def normalize_features(
     intr: IntrinsicMetrics, inter: InteractiveMetrics, stats: DatasetStats
 ) -> tuple[np.ndarray, np.ndarray]:
     """Robust z-scores clipped to [-CLIP_SIGMA, CLIP_SIGMA], split into (F_i, F_r)."""
-    z = (metrics_vector(intr, inter) - stats.median) / stats.scale
-    z = np.clip(z, -CLIP_SIGMA, CLIP_SIGMA)
+    z = stats.zscores(metrics_vector(intr, inter))
     return z[: len(INTRINSIC_FIELDS)], z[len(INTRINSIC_FIELDS):]
 
 
@@ -226,24 +233,30 @@ def bayes_forward(
 
     ``mode="mean"`` uses the posterior means; ``mode="sample"`` draws every
     parameter as mu + sigma * eps with eps from a generator seeded by ``seed``,
-    so the result is deterministic given (layers, x, mode, seed).
+    so the result is deterministic given (layers, x, mode, seed). One
+    ``standard_normal`` call draws every eps, layer by layer, weights before
+    biases: the same stream as one call per array.
     """
     if mode not in ("mean", "sample"):
         raise UsageError(f"mode must be 'mean' or 'sample', got {mode!r}")
     if mode == "sample" and seed is None:
         raise UsageError("sample mode needs a seed")
-    rng = np.random.default_rng(seed) if mode == "sample" else None
+    if mode == "sample":
+        n_params = sum(layer.mu_w.size + layer.mu_b.size for layer in layers)
+        eps = np.random.default_rng(seed).standard_normal(n_params)
     h = np.asarray(x, dtype=float)
+    at = 0
     for idx, layer in enumerate(layers):
         if h.shape != (layer.in_dim,):
             raise ConfigurationError(
                 f"layer {idx} expects input of shape ({layer.in_dim},), got {h.shape}"
             )
-        if mode == "mean":
-            w, b = layer.mu_w, layer.mu_b
-        else:
-            w = layer.mu_w + layer.sigma_w * rng.standard_normal(layer.mu_w.shape)
-            b = layer.mu_b + layer.sigma_b * rng.standard_normal(layer.mu_b.shape)
+        w, b = layer.mu_w, layer.mu_b
+        if mode == "sample":
+            n_w, n_b = w.size, b.size
+            w = w + layer.sigma_w * eps[at : at + n_w].reshape(w.shape)
+            b = b + layer.sigma_b * eps[at + n_w : at + n_w + n_b]
+            at += n_w + n_b
         h = w @ h + b
         if idx < len(layers) - 1:
             h = relu(h)
@@ -263,6 +276,7 @@ def kl_diag_gaussian(layers: Sequence[GaussianLayer]) -> float:
     return total
 
 
+@lru_cache(maxsize=64)  # one computation per parameter set and direction, not one per scene
 def fusion_weights(kl_i: float, kl_r: float, lambda_temp: float) -> tuple[float, float]:
     """Softmax over (lambda * KL) per path, computed max-shifted.
 

@@ -29,6 +29,10 @@ CSV_COLUMNS = ("scene_id", "agent_id", "frame", "t", "x", "y", "vx", "vy", "head
 #: Consecutive timestamp gaps may deviate from dt by at most this much (s).
 DT_TOLERANCE = 1e-6
 
+#: Positions (m) and velocities (m/s) must stay within this magnitude, so no
+#: square of a value or of a difference of two values overflows a float.
+MAX_MAGNITUDE = 1e150
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -82,8 +86,9 @@ class Trajectory:
 
     ``times`` (T,), ``positions`` (T, 2), ``velocities`` (T, 2) and
     ``headings`` (T,) are read-only float copies of the caller's arrays. T >= 2,
-    values are finite, headings lie in (-pi, pi], dt > 0 and every time step is
-    dt within ``DT_TOLERANCE``; errors name the agent and the first failing frame.
+    values are finite, positions and velocities lie within ``MAX_MAGNITUDE``,
+    headings lie in (-pi, pi], dt > 0 and every time step is dt within
+    ``DT_TOLERANCE``; errors name the agent and the first failing frame.
     """
 
     agent_id: str
@@ -112,9 +117,13 @@ class Trajectory:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.kind not in AGENT_KINDS:
             raise ValidationError(f"{who}: unknown agent kind {self.kind!r}")
-        bad = ~np.isfinite(self._stacked()).all(axis=1)
+        table = self._stacked()
+        bad = ~(np.isfinite(table).all(axis=1) & (np.abs(table[:, 1:5]) <= MAX_MAGNITUDE).all(axis=1))
         if bad.any():
-            raise ValidationError(f"{who}: non-finite value at frame {np.argmax(bad)}")
+            raise ValidationError(
+                f"{who}: non-finite value, or a position or velocity beyond {MAX_MAGNITUDE:g}, "
+                f"at frame {np.argmax(bad)}"
+            )
         bad = (self.headings <= -math.pi) | (self.headings > math.pi)
         if bad.any():
             i = np.argmax(bad)
@@ -227,13 +236,15 @@ class Scene:
 
 @dataclass(frozen=True)
 class KinematicSeries:
-    """Backward-difference derivatives of one trajectory.
+    """Backward-difference derivatives of one trajectory, or of a stack of them.
 
     Arrays are aligned to the frames where the difference is defined:
     ``a[k]`` holds the acceleration at frame k+1, ``j[k]`` the jerk at frame
     k+2, and likewise for ``omega``/``alpha``/``phi_rate``. ``v``, ``speed``
     and ``phi`` cover every frame. With fewer than 3 states the second-order
-    series are empty, which is declared behaviour rather than an error.
+    series are empty, which is declared behaviour rather than an error. A
+    stack of S trajectories puts a leading S axis on every array, and ``dt``
+    is then an (S, 1) array.
     """
 
     v: np.ndarray          # (T, 2) velocity as given
@@ -254,23 +265,29 @@ def derive_kinematics(traj: Trajectory) -> KinematicSeries:
     Heading and movement-direction differences are wrapped to (-pi, pi]
     before division by dt, so every rate sample lies in (-pi/dt, pi/dt].
     """
-    v = traj.velocities
-    dt = traj.dt
-    a = np.diff(v, axis=0) / dt
-    j = np.diff(a, axis=0) / dt
-    omega = wrap_angle(np.diff(traj.headings)) / dt
-    alpha = np.diff(omega) / dt
-    phi = np.arctan2(v[:, 1], v[:, 0])
-    phi_rate = wrap_angle(np.diff(phi)) / dt
+    return kinematics(traj.velocities, traj.headings, traj.dt)
+
+
+def kinematics(v: np.ndarray, headings: np.ndarray, dt) -> KinematicSeries:
+    """``derive_kinematics`` of (..., T, 2) velocities and (..., T) headings.
+
+    ``dt`` is a float, or an (..., 1) array of one step per trajectory. Every
+    step is elementwise, so a trajectory's series are the same bits alone or
+    in a stack.
+    """
+    a = np.diff(v, axis=-2) / np.expand_dims(dt, -1)
+    j = np.diff(a, axis=-2) / np.expand_dims(dt, -1)
+    omega = wrap_angle(np.diff(headings, axis=-1)) / dt
+    phi = np.arctan2(v[..., 1], v[..., 0])
     return KinematicSeries(
         v=v,
-        speed=np.linalg.norm(v, axis=1),
+        speed=np.linalg.norm(v, axis=-1),
         a=a,
         j=j,
         omega=omega,
-        alpha=alpha,
+        alpha=np.diff(omega, axis=-1) / dt,
         phi=phi,
-        phi_rate=phi_rate,
+        phi_rate=wrap_angle(np.diff(phi, axis=-1)) / dt,
         dt=dt,
     )
 

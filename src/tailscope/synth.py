@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import UsageError
-from .scene import Scene, Trajectory, check_radius, wrap_angle
+from .scene import DT_TOLERANCE, Scene, Trajectory, check_radius, wrap_angle
 
 SCENARIO_KINDS = ("constant", "circle", "brake", "crossing", "grid")
 
@@ -63,6 +63,22 @@ class ScenarioSpec:
         if self.n_agents < 1:
             raise UsageError(f"n_agents must be >= 1, got {self.n_agents}")
         check_radius("neighbor_radius", self.neighbor_radius, self.n_agents * self.frames)
+        if self.kind == "brake":
+            stop_time = self.speed / self.decel
+            if not math.isfinite(stop_time):
+                raise UsageError(f"brake: the stop time speed / decel overflows, got {self.speed} / {self.decel}")
+            t_end = min((self.frames - 1) * self.dt, stop_time)
+            if not math.isfinite(max(self.speed * t_end, self.decel * (t_end * t_end))):
+                raise UsageError(
+                    "brake: the distance speed * t - decel * t**2 / 2 overflows; lower speed, decel or dt"
+                )
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed time fails the test below
+            gaps = np.diff(np.arange(self.frames) * self.dt)
+        if not np.all(np.abs(gaps - self.dt) <= DT_TOLERANCE):
+            raise UsageError(
+                f"dt must be small enough that the times k * dt of {self.frames} frames "
+                f"are dt apart within {DT_TOLERANCE:g} s, got {self.dt}"
+            )
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -132,11 +148,8 @@ def _generate_brake(spec: ScenarioSpec):
     # When speed/decel is a multiple of dt the backward-difference jerk is a
     # single impulse of decel/dt; otherwise it splits across two frames.
     stop_time = spec.speed / spec.decel
-    t_end = min((spec.frames - 1) * spec.dt, stop_time)
-    if not math.isfinite(max(spec.speed * t_end, spec.decel * (t_end * t_end))):
-        raise UsageError("brake: the distance speed * t - decel * t**2 / 2 overflows; lower speed, decel or dt")
     rows = []
-    # np.float_power rounds like ``**``; the check above keeps every term finite
+    # np.float_power rounds like ``**``; ScenarioSpec keeps every term finite
     for k in range(spec.frames):
         t = k * spec.dt
         if t < stop_time:

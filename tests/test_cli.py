@@ -497,8 +497,14 @@ class TestExitCodeContract:
             (["synth", "--kind", "grid", "--neighbor-radius", "1e300"], {}, ()),
             (["metrics", "--neighbor-radius", "1e300"], {}, ()),
             (["metrics"], {"rss_params": {"rho": 1e200}}, ()),
+            (["synth", "--kind", "brake", "--speed", "1e300", "--decel", "1e-300", "--dt", "1"], {}, ("speed", "decel")),
+            (["synth", "--kind", "constant", "--dt", "1e100"], {}, ("dt",)),
+            (["synth", "--kind", "brake", "--dt", "1e100"], {}, ("dt",)),
         ],
-        ids=["circle-dt", "brake-stop-time", "synth-radius", "metrics-radius", "rss-rho"],
+        ids=[
+            "circle-dt", "brake-stop-time", "synth-radius", "metrics-radius", "rss-rho",
+            "brake-stop-time-overflow", "constant-dt-spacing", "brake-dt-spacing",
+        ],
     )
     def test_huge_numbers_do_not_overflow_to_exit_1(self, tmp_path, capsys, argv, config, names):
         """Exit 0 or 2 with no numpy warning; where the input is refused, the error names ``names``."""
@@ -596,8 +602,10 @@ class TestExitCodeContract:
             (1, " ", "line 3: scene_id and agent_id must be non-empty"),
             (2, "1.5", "line 3: column 'frame': not an integer: '1.5'"),
             (None, None, None),
+            (4, "1e200", "scene 'constant-0': trajectory '0': non-finite value, or a position or velocity "
+             "beyond 1e+150, at frame 1"),
         ],
-        ids=["nan", "empty-agent-id", "fractional-frame", "blank-line-skipped"],
+        ids=["nan", "empty-agent-id", "fractional-frame", "blank-line-skipped", "huge-x"],
     )
     def test_scene_csv_row_check(self, tmp_path, capsys, field, value, error):
         csv_path = tmp_path / "s.csv"

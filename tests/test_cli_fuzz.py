@@ -27,9 +27,12 @@ from tailscope.interaction import RssParams, compute_interactive  # noqa: E402
 from tailscope.intrinsic import compute_intrinsic  # noqa: E402
 from tailscope.memory import CognitiveSetParams, PrototypeMemory  # noqa: E402
 from tailscope.perceiver import (  # noqa: E402
-    CLIP_SIGMA, DatasetStats, PerceiverParams, default_params, fusion_weights, perceive,
+    CLIP_SIGMA, DatasetStats, PerceiverParams, default_params, fusion_weights, metrics_vector,
+    normalize_features, perceive, scene_seeds,
 )
-from tailscope.scene import AGENT_KINDS, Scene, Trajectory, parse_scene_csv, scenes_to_csv  # noqa: E402
+from tailscope.scene import (  # noqa: E402
+    AGENT_KINDS, MAX_MAGNITUDE, Scene, Trajectory, parse_scene_csv, scenes_to_csv,
+)
 from tailscope.synth import SCENARIO_KINDS, ScenarioSpec, generate  # noqa: E402
 
 # No "/" in drawn strings: a drawn output path stays inside the working directory.
@@ -240,6 +243,8 @@ def test_any_rank_sidecar_node_exits_0_or_2(workdir, mode, data):
 # -- round trips: what the package writes, its one reader reads back exactly --
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: Every position or velocity a ``Trajectory`` takes.
+COORDINATE = st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE)
 #: Ids csv.writer quotes where needed and the parser keeps as written: no
 #: surrounding whitespace (the parser strips it) and no \r (written unquoted).
 ID = st.text(
@@ -249,7 +254,7 @@ ID = st.text(
 
 
 @st.composite
-def scenes(draw, value=FINITE):
+def scenes(draw, value=COORDINATE):
     """One or two valid scenes whose positions and velocities are drawn from ``value``."""
     frames, dt = draw(st.integers(2, 4)), draw(st.sampled_from([0.1, 0.5, 2.0]))
     heading = st.floats(-math.pi, math.pi, exclude_min=True)
@@ -404,3 +409,73 @@ def test_forecast_jsonl_round_trips_from_every_source(workdir, samples):
     path.write_text(text, encoding="utf-8")
     for source in (text, text.encode("utf-8"), path):
         assert parsed(parse_forecast_jsonl, source) == sample_rows(samples)
+
+
+# -- scene groups: the grouped CLI path against per-scene calls --
+
+
+@st.composite
+def mixed_corpus(draw):
+    """Two to nine scenes of up to three (agents, frames) shapes, so that groups
+    of one and of several mix. Values come from a drawn seed: agents move fast,
+    slowly, stop on some frames or sit on another agent."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 10), st.integers(2, 12)), min_size=1, max_size=3))
+    out = []
+    for i in range(draw(st.integers(2, 9))):
+        n, frames = shapes[rng.integers(len(shapes))]
+        dt, scale = float(rng.choice([0.1, 0.5, 2.0])), 10.0 ** rng.uniform(-2, 3)
+        agents = {}
+        for a in map(str, range(n)):
+            pos, vel = rng.normal(0.0, scale, (2, frames, 2))
+            style = rng.integers(4)
+            if style == 1:
+                vel *= 1e-3
+            elif style == 2:
+                vel[rng.random(frames) < 0.5] = 0.0
+            elif style == 3 and agents:
+                pos = agents["0"].positions + rng.normal(0.0, 1e-3, (frames, 2))
+            headings = rng.uniform(-math.pi, math.pi, frames)
+            agents[a] = Trajectory(a, np.arange(frames) * dt, pos, vel, headings, AGENT_KINDS[rng.integers(3)], dt)
+        out.append(Scene(f"s{i}", agents, str(rng.integers(n)), neighbor_radius=scale * rng.uniform(0.5, 3.0)))
+    return out
+
+
+def reports(workdir, text, mode):
+    """The metrics and rank (seed 3, two categories) reports of a scene CSV, as bytes."""
+    (workdir / "mixed.csv").write_text(text)
+    out = {}
+    for command, extra in (("metrics", []), ("rank", ["--mode", mode, "--seed", "3", "--categories", "2"])):
+        assert main([command, "--input", "mixed.csv", "--out", f"{command}.json", *extra]) == 0
+        out[command] = (workdir / f"{command}.json").read_bytes()
+    return out
+
+
+@settings(max_examples=30)
+@given(scene_list=mixed_corpus(), mode=st.sampled_from(["mean", "sample"]))
+def test_grouped_reports_equal_per_scene_calls(workdir, scene_list, mode):
+    """Every metric and Tail Index of the grouped CLI pass, bit for bit, from group-of-one calls."""
+    text = scenes_to_csv(scene_list)
+    got = {name: json.loads(report) for name, report in reports(workdir, text, mode).items()}
+    scene_list = parse_scene_csv(text)
+    pairs = [(compute_intrinsic(s.target), compute_interactive(s)) for s in scene_list]
+    for scene, (intr, inter), record in zip(scene_list, pairs, got["metrics"]["scenes"]):
+        assert record["scene_id"] == scene.scene_id
+        assert record["metrics"] == {**intr.as_dict(), **inter.as_dict()}
+        assert record["flags"] == sorted(set(intr.flags) | set(inter.flags))
+    stats = DatasetStats.fit(np.array([metrics_vector(i, r) for i, r in pairs]))
+    params, seeds = default_params(seed=3), scene_seeds(len(scene_list), 3)
+    rows = {row["scene_id"]: row for row in got["rank"]["ranking"]}
+    for scene, (intr, inter), seed in zip(scene_list, pairs, seeds):
+        f_i, f_r = normalize_features(intr, inter, stats)
+        result = perceive(params, f_i, f_r, mode=mode, seed=seed if mode == "sample" else None)
+        row = rows[scene.scene_id]
+        assert (row["ti"], row["f_i"], row["f_r"]) == (result.ti, f_i.tolist(), f_r.tolist())
+
+
+@settings(max_examples=20)
+@given(scene_list=mixed_corpus(), mode=st.sampled_from(["mean", "sample"]), data=st.data())
+def test_scene_order_in_the_csv_does_not_change_a_report(workdir, scene_list, mode, data):
+    lines = scenes_to_csv(scene_list).splitlines(keepends=True)
+    shuffled = lines[:1] + data.draw(st.permutations(lines[1:]))
+    assert reports(workdir, "".join(shuffled), mode) == reports(workdir, "".join(lines), mode)

@@ -275,6 +275,43 @@ class TestWorkDoneOnce:
         gl = global_scene_risk(scene)
         assert (got.r_mac, got.r_ad, got.r_ni) == (gl["r_mac"], gl["r_ad"], gl["r_ni"])
 
+    def test_score_scenes_stacks_each_group_or_chunk_once(self, rng, monkeypatch):
+        """Scenes group by (agents, frames); a group, or each chunk of one, is one stack."""
+        shapes = [(4, 6), (2, 6), (4, 6), (2, 6), (4, 6), (4, 5)]
+        scenes = [
+            make_scene([random_trajectory(rng, str(a), n_frames=frames) for a in range(n)], scene_id=f"s{i}")
+            for i, (n, frames) in enumerate(shapes)
+        ]
+        stacks = []
+        geometry = interaction._geometry
+        monkeypatch.setattr(interaction, "_geometry", lambda group: stacks.append(len(group)) or geometry(group))
+        rows, flags = interaction.score_scenes(scenes)
+        assert stacks == [3, 2, 1]
+        # a cap of two 4-agent, 6-frame scenes (6 pairs x 6 frames each) splits that group
+        stacks.clear()
+        monkeypatch.setattr(interaction, "PAIR_FRAMES_CAP", 2 * 6 * 6 + 1)
+        chunked, _ = interaction.score_scenes(scenes)
+        assert stacks == [2, 1, 2, 1]
+        assert chunked.tobytes() == rows.tobytes()
+        for scene, row, scene_flags in zip(scenes, rows, flags):
+            intr, inter = intrinsic.compute_intrinsic(scene.target), compute_interactive(scene)
+            assert row.tobytes() == np.concatenate([intr.as_vector(), inter.as_vector()]).tobytes()
+            assert scene_flags == tuple(sorted(set(intr.flags) | set(inter.flags)))
+
+    def test_score_scenes_raises_the_first_refused_scenes_error(self):
+        """Per scene in input order: intrinsic errors, then the RSS check, as the per-scene calls raise."""
+        fast = [make_traj("0", [(0.0, 0.0), (1e100, 0.0), (0.0, 0.0)], dt=1e-300)]
+        c_v_overflows = make_scene(fast, scene_id="fast")
+        near_pair = make_scene([make_traj("0", [(1.0, 0.0)] * 3), make_traj("1", [(1.0, 0.0)] * 3, p0=(5.0, 0.0))])
+        params = RssParams(rho=1e200)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValidationError, match="c_v must be finite"):
+                interaction.score_scenes([c_v_overflows, near_pair], params)
+            with pytest.raises(ConfigurationError, match="longitudinal"):
+                interaction.score_scenes([near_pair, c_v_overflows], params)
+            with pytest.raises(ConfigurationError, match="longitudinal"):
+                compute_interactive(near_pair, params)
+
     def test_global_risk_derives_no_neighbor_kinematics(self, rng, monkeypatch):
         def derive_kinematics(traj):
             raise AssertionError(f"derive_kinematics called for agent {traj.agent_id}")

@@ -85,6 +85,15 @@ class TestNormalize:
         with pytest.raises(UsageError):
             DatasetStats.fit(np.ones((1, 14)))
 
+    def test_zscores_of_a_matrix_equal_each_rows_features(self, rng):
+        rows = np.abs(rng.normal(0.0, 3.0, (9, 14))) * np.where(rng.random((9, 14)) < 0.2, 1e6, 1.0)
+        rows[:, 9:11] = rng.random((9, 2))  # r_lon and r_lat lie in [0, 1)
+        stats = DatasetStats.fit(rows[:5])
+        z = stats.zscores(rows)
+        for row, z_row in zip(rows, z):
+            f_i, f_r = normalize_features(*make_metrics(list(row)), stats=stats)
+            assert np.concatenate([f_i, f_r]).tobytes() == z_row.tobytes()
+
 
 class TestBayesForward:
     def test_zero_means_give_zero(self):
@@ -111,6 +120,19 @@ class TestBayesForward:
         c = bayes_forward(params.path_i, x, mode="sample", seed=43)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_one_draw_is_the_stream_of_one_draw_per_array(self):
+        """Every eps in one standard_normal call gives the bits of a call per weight and bias array."""
+        params = default_params(seed=3)
+        x = np.linspace(-2, 2, 8)
+        rng = np.random.default_rng(77)
+        h = x
+        for idx, layer in enumerate(params.path_i):
+            w = layer.mu_w + layer.sigma_w * rng.standard_normal(layer.mu_w.shape)
+            b = layer.mu_b + layer.sigma_b * rng.standard_normal(layer.mu_b.shape)
+            h = w @ h + b
+            h = np.maximum(h, 0.0) if idx == 0 else h
+        assert bayes_forward(params.path_i, x, mode="sample", seed=77).tobytes() == h.tobytes()
 
     def test_shape_mismatch_raises(self):
         layers = (scalar_layer(1.0, 0.0),)
@@ -212,6 +234,14 @@ class TestPerceive:
         b = perceive(params, f_i, f_r, mode="sample", seed=99)
         assert a.ti == b.ti
         assert np.array_equal(a.z_i, b.z_i)
+
+    def test_fusion_weights_computed_once_per_direction(self):
+        params = default_params(hidden=8, latent=4, seed=5)
+        fusion_weights.cache_clear()
+        for invert in (False, True, False, True):
+            result = perceive(params, np.zeros(8), np.zeros(6), invert_fusion=invert)
+            assert (result.alpha_i, result.alpha_r) == fusion_weights(*params.kl, -1.0 if invert else 1.0)
+        assert fusion_weights.cache_info().misses == 2
 
     def test_invert_fusion_flips_weights(self):
         params = default_params(hidden=8, latent=4, seed=5)

@@ -79,6 +79,18 @@ class TestTrajectory:
         with pytest.raises(ValidationError, match="'a'.*frame 2"):
             Trajectory("a", **cols, kind="vehicle", dt=0.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["positions", "velocities"])
+    @pytest.mark.parametrize("bad", [1e200, -1.5 * scene_module.MAX_MAGNITUDE])
+    def test_rejects_huge_coordinates_naming_agent_and_frame(self, name, bad):
+        """A coordinate whose square would overflow is refused before any metric squares it."""
+        cols = self.columns()
+        cols[name][2, 1] = bad
+        with pytest.raises(ValidationError, match=r"trajectory 'a'.*beyond 1e\+150.*frame 2"):
+            Trajectory("a", **cols, kind="vehicle", dt=0.5)
+        cols[name][2, 1] = math.copysign(scene_module.MAX_MAGNITUDE, bad)  # the bound itself is kept
+        Trajectory("a", **cols, kind="vehicle", dt=0.5)
+
     def test_rejects_heading_outside_range_naming_frame(self):
         cols = self.columns()
         cols["headings"][3] = -math.pi
