@@ -29,6 +29,9 @@ from .scene import KinematicSeries, Trajectory, derive_kinematics
 #: such frames contribute kappa = 0 and are excluded from the direction score.
 EPS_SPEED = 0.1
 
+#: The largest speed (m/s) whose cube is finite, rounded down.
+CUBE_SAFE_SPEED = 5e102
+
 INTRINSIC_FIELDS = (
     "c_v",
     "c_j",
@@ -104,14 +107,17 @@ def curvature_series(kin: KinematicSeries) -> np.ndarray:
     """Unsigned path curvature |vx*ay - vy*ax| / speed^3 at frames 1..T-1.
 
     Frames slower than ``EPS_SPEED`` get curvature 0 (the formula is singular
-    at rest).
+    at rest). Above ``CUBE_SAFE_SPEED`` the cube would overflow, so those
+    frames divide by the speed and then by its square.
     """
     v = kin.v[..., 1:, :]
     speed = kin.speed[..., 1:]
     kappa = np.zeros(speed.shape, dtype=float)
     ok = speed >= EPS_SPEED
     cross = np.abs(v[..., 0][ok] * kin.a[..., 1][ok] - v[..., 1][ok] * kin.a[..., 0][ok])
-    kappa[ok] = cross / speed[ok] ** 3
+    s = speed[ok]
+    fast = s > CUBE_SAFE_SPEED
+    kappa[ok] = np.where(fast, cross / s / np.square(s), cross / np.where(fast, 1.0, s) ** 3)
     return kappa
 
 

@@ -7,9 +7,12 @@ toward a tail-biased fallback when no prototype matches well, and a single
 analytic gradient step on the prototype-alignment loss refines the memory
 before it augments the feature vector.
 
-``GateMlp.forward``, ``allocation``, ``similarity`` and ``vigilance_adjust``
-take one sample's vector or a ``(B, .)`` stack whose rows are samples; a batch
-call returns one row per sample and warns once, not once per degenerate row.
+``GateMlp.forward``, ``allocation``, ``similarity``, ``vigilance_adjust`` and
+``augment`` take one sample's vectors or ``(B, .)`` stacks whose rows are
+samples, ``PrototypeMemory.category_of`` one Tail Index or a ``(B,)`` array; a
+batch call returns one row per sample and warns once, not once per degenerate
+row. A one-sample call takes a lean path (mat-vec products, Python floats)
+that matches the batch rows to 1e-12.
 
 Reads (allocation, similarity, vigilance, augment) are pure; the two update
 operations return fresh arrays and never mutate their inputs, but concurrent
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 
@@ -41,15 +45,22 @@ def softplus(x):
 
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function; a float in, a float out through ``math.exp``."""
+    if isinstance(x, float):
+        e = math.exp(-abs(x))
+        return (1.0 if x >= 0 else e) / (1.0 + e)
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return float(out) if out.ndim == 0 else out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, max-shifted per row."""
+    if logits.ndim == 1:  # the builtin max and sum cost less than numpy's reductions on a few entries
+        e = np.exp(logits - max(logits.tolist()))
+        e /= sum(e.tolist())
+        return e
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -66,6 +77,14 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _float_array = partial(np.array, dtype=float)
+
+
+def _finite(name: str, x: np.ndarray) -> np.ndarray:
+    """``x``, or a ValidationError naming ``name`` and its first row with a non-finite entry."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise ValidationError(f"{name} has a non-finite value in row {np.argwhere(bad)[0, 0]}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -113,11 +132,14 @@ class GateMlp(JsonRecord):
         h = np.asarray(h, dtype=float)
         if h.ndim not in (1, 2) or h.shape[-1] != self.input_dim:
             raise ConfigurationError(f"expected input of shape (D,) or (B, D) with D = {self.input_dim}, got {h.shape}")
+        if h.ndim == 1:
+            hid = self.w_hidden @ h + self.b_hidden
+            np.maximum(hid, 0.0, out=hid)
+            return self.w_alloc @ hid + self.b_alloc, float(hid @ self.w_gate) + self.b_gate
         # einsum, not matmul: a batch this wide would reach a threaded BLAS GEMM,
         # whose thread hand-off costs more than the product on a few cores.
         hid = np.maximum(np.einsum("...i,hi->...h", h, self.w_hidden) + self.b_hidden, 0.0)
-        gate = hid @ self.w_gate + self.b_gate
-        return hid @ self.w_alloc.T + self.b_alloc, float(gate) if h.ndim == 1 else gate
+        return hid @ self.w_alloc.T + self.b_alloc, hid @ self.w_gate + self.b_gate
 
     @classmethod
     def create(cls, input_dim: int, categories: int, hidden: int = 32, seed: int = 0) -> "GateMlp":
@@ -225,6 +247,7 @@ class PrototypeMemory(JsonRecord):
             # so equality is tolerated; descending boundaries are not.
             if np.any(np.diff(self.boundaries) < 0):
                 raise ValidationError("boundaries must be ascending")
+        object.__setattr__(self, "_cuts", self.boundaries.tolist())
 
     @property
     def categories(self) -> int:
@@ -234,11 +257,15 @@ class PrototypeMemory(JsonRecord):
     def dim(self) -> int:
         return self.prototypes.shape[1]
 
-    def category_of(self, ti: float) -> int:
-        """Category index of a Tail Index value under the stored boundaries."""
+    def category_of(self, ti: float | np.ndarray) -> int | np.ndarray:
+        """Category index of a Tail Index value under the stored boundaries; an int array for ``(B,)`` values."""
         if not self.boundaries.size:
             raise UsageError("memory has no boundaries recorded")
-        return int(np.searchsorted(self.boundaries, ti, side="right"))
+        if not isinstance(ti, float) and np.ndim(ti):
+            return np.searchsorted(self.boundaries, _finite("ti", np.asarray(ti, dtype=float)), side="right")
+        if not math.isfinite(ti):
+            raise ValidationError(f"Tail Index must be finite, got {ti}")
+        return bisect_right(self._cuts, ti)  # numpy's side="right": ties go to the upper category
 
 
 @dataclass(frozen=True)
@@ -262,6 +289,8 @@ class AdaptationBatch:
                 raise ValidationError(f"{name} must have {b} rows, got {arr.shape}")
         if self.ti.shape != (b,):
             raise ValidationError(f"ti must have shape ({b},), got {self.ti.shape}")
+        for name in ("f_m", "f_i", "f_r", "ti"):
+            _finite(name, getattr(self, name))
 
     def __len__(self) -> int:
         return self.f_m.shape[0]
@@ -369,6 +398,11 @@ def similarity(f_m: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarra
     prototypes = np.asarray(prototypes, dtype=float)
     if f_m.ndim not in (1, 2) or f_m.shape[-1] != prototypes.shape[1]:
         raise ConfigurationError(f"feature shape {f_m.shape} does not match prototype dim {prototypes.shape[1]}")
+    if f_m.ndim == 1:  # one sample: scale the dot products instead of normalising both sides
+        f_norm, row_norms = math.sqrt(f_m @ f_m), np.sqrt((prototypes * prototypes).sum(axis=1))
+        norms = [f_norm, *row_norms.tolist()]
+        if EPS_NORM <= min(norms) and sum(norms) < math.inf:  # a NaN or inf norm makes the sum fail
+            return prototypes @ f_m / row_norms * (tau / f_norm)
     f_hat, _, ok_f = _unit_rows(f_m)
     m_hat, _, ok_m = _unit_rows(prototypes)
     if not (ok_f.all() and ok_m.all()):
@@ -387,7 +421,8 @@ def vigilance_adjust(g: np.ndarray, s: np.ndarray, params: CognitiveSetParams) -
     s = np.asarray(s, dtype=float)
     if s.ndim not in (1, 2) or g.shape != s.shape:
         raise ConfigurationError(f"g of shape {g.shape} and s of shape {s.shape} must both be (C,) or (B, C)")
-    lam = sigmoid(params.gamma_steep * (s.max(axis=-1, keepdims=True) - params.rho_vig))
+    peak = float(s.max()) if s.ndim == 1 else s.max(axis=-1, keepdims=True)
+    lam = sigmoid(params.gamma_steep * (peak - params.rho_vig))
     return lam * g + (1.0 - lam) * params.b_tail
 
 
@@ -471,19 +506,23 @@ def augment(
     m_prime: np.ndarray,
     params: CognitiveSetParams,
 ) -> np.ndarray:
-    """Gated prototype injection: F_v = F_m + sigmoid(gate(h)) * (g' @ M')."""
+    """Gated prototype injection: F_v = F_m + sigmoid(gate(h)) * (g' @ M').
+
+    ``f_m``, ``h`` and ``g_adj`` are one sample's vectors or ``(B, .)`` stacks
+    with one row per sample.
+    """
     f_m = np.asarray(f_m, dtype=float)
     g_adj = np.asarray(g_adj, dtype=float)
     m_prime = np.asarray(m_prime, dtype=float)
-    if m_prime.ndim != 2 or g_adj.shape != (m_prime.shape[0],):
+    if m_prime.ndim != 2 or g_adj.ndim not in (1, 2) or g_adj.shape[-1] != m_prime.shape[0]:
         raise ConfigurationError(
             f"g' of shape {g_adj.shape} does not match prototype matrix {m_prime.shape}"
         )
-    if f_m.shape != (m_prime.shape[1],):
+    if f_m.shape != g_adj.shape[:-1] + m_prime.shape[1:]:
         raise ConfigurationError(
             f"feature shape {f_m.shape} does not match prototype dim {m_prime.shape[1]}"
         )
-    if np.ndim(h) != 1:
-        raise ConfigurationError(f"augment takes one gating input of shape (D,), got {np.shape(h)}")
-    _, gate_logit = params.gate_mlp.forward(h)
-    return f_m + sigmoid(gate_logit) * (g_adj @ m_prime)
+    if np.shape(h)[:-1] != f_m.shape[:-1]:
+        raise ConfigurationError(f"augment takes one gating input per feature row, got {np.shape(h)}")
+    gate = sigmoid(params.gate_mlp.forward(h)[1])
+    return f_m + (gate if f_m.ndim == 1 else gate[:, None]) * (g_adj @ m_prime)

@@ -89,6 +89,11 @@ class Trajectory:
     values are finite, positions and velocities lie within ``MAX_MAGNITUDE``,
     headings lie in (-pi, pi], dt > 0 and every time step is dt within
     ``DT_TOLERANCE``; errors name the agent and the first failing frame.
+
+    Acceleration and jerk (the first and second velocity differences over
+    dt) stay within ``sqrt(float max / 2T)``, and dt is large enough that the
+    heading rates, at most pi / dt, and their change, at most 2 pi / dt^2, do
+    too: every rate the metrics square and sum over the T frames stays finite.
     """
 
     agent_id: str
@@ -115,6 +120,9 @@ class Trajectory:
             raise ValidationError(f"{who} needs at least 2 states, got {n}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValidationError(f"dt must be positive, got {self.dt}")
+        max_rate = math.sqrt(sys.float_info.max / (2 * n))
+        if 2 * math.pi > max_rate * self.dt * self.dt:
+            raise ValidationError(f"{who}: dt {self.dt:g} s lets the heading-rate change 2 pi / dt^2 exceed {max_rate:.3g}")
         if self.kind not in AGENT_KINDS:
             raise ValidationError(f"{who}: unknown agent kind {self.kind!r}")
         table = self._stacked()
@@ -124,6 +132,15 @@ class Trajectory:
                 f"{who}: non-finite value, or a position or velocity beyond {MAX_MAGNITUDE:g}, "
                 f"at frame {np.argmax(bad)}"
             )
+        # |acceleration| <= 2 v / dt and |jerk| <= 4 v / dt^2 for the largest velocity component v:
+        # only past that bound are they worked out frame by frame.
+        if 4 * np.abs(self.velocities).max() > max_rate * self.dt * min(self.dt, 2.0):
+            a = np.diff(self.velocities, axis=0) / self.dt
+            bad = np.zeros(n, dtype=bool)
+            bad[1:] = (np.abs(a) > max_rate).any(axis=1)  # acceleration from frame 1, jerk from frame 2
+            bad[2:] |= (np.abs(np.diff(a, axis=0) / self.dt) > max_rate).any(axis=1)
+            if bad.any():
+                raise ValidationError(f"{who}: acceleration or jerk beyond {max_rate:.3g} at frame {np.argmax(bad)}")
         bad = (self.headings <= -math.pi) | (self.headings > math.pi)
         if bad.any():
             i = np.argmax(bad)

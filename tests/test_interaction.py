@@ -300,8 +300,11 @@ class TestWorkDoneOnce:
 
     def test_score_scenes_raises_the_first_refused_scenes_error(self):
         """Per scene in input order: intrinsic errors, then the RSS check, as the per-scene calls raise."""
-        fast = [make_traj("0", [(0.0, 0.0), (1e100, 0.0), (0.0, 0.0)], dt=1e-300)]
-        c_v_overflows = make_scene(fast, scene_id="fast")
+        # Trajectory refuses a dt that lets a rate overflow, so no valid scene overflows an
+        # intrinsic metric: this trajectory's dt is set to 1e-300 after its checks.
+        fast = make_traj("0", [(0.0, 0.0), (1e100, 0.0), (0.0, 0.0)])
+        object.__setattr__(fast, "dt", 1e-300)
+        c_v_overflows = make_scene([fast], scene_id="fast")
         near_pair = make_scene([make_traj("0", [(1.0, 0.0)] * 3), make_traj("1", [(1.0, 0.0)] * 3, p0=(5.0, 0.0))])
         params = RssParams(rho=1e200)
         with np.errstate(all="ignore"):

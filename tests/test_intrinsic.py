@@ -68,6 +68,14 @@ class TestGeometricComplexity:
         assert math.isfinite(out["c_dkappa"])
         assert "low_speed_frames" in out["flags"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("speed", [1e103, 1e150])
+    def test_speed_whose_cube_overflows_keeps_its_curvature(self, speed):
+        """|v x a| / |v|^3 with a = (0, +-10): 10 / speed^2 at both frames, with no overflow warning."""
+        out = geometric_complexity(make_traj("a", [(speed, 0.0), (speed, 1.0), (speed, 0.0)]))
+        assert out["c_kappa"] == pytest.approx(10.0 / speed / speed, rel=1e-12, abs=0.0)
+        assert out["c_dkappa"] == 0.0
+
 
 class TestTemporalIrregularity:
     def test_constant_velocity_zero(self):

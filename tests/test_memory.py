@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,26 @@ class TestPrototypeMemory:
         assert mem.category_of(1.5) == 1
         assert mem.category_of(9.0) == 2
 
+    def test_category_of_breaks_ties_as_searchsorted_right(self):
+        """A value equal to a cut point, or to tied cut points, goes above them, one at a time or as a batch."""
+        cuts = [-1.0, 0.0, 0.0, 2.5]
+        mem = PrototypeMemory(prototypes=np.ones((5, 2)), boundaries=cuts)
+        tis = np.array([-2.0, -1.0, -0.0, 0.0, 1e-300, 2.5, np.nextafter(2.5, 0.0), 7.0])
+        want = np.searchsorted(cuts, tis, side="right")
+        got = [mem.category_of(ti) for ti in tis]
+        assert all(type(c) is int for c in got) and got == want.tolist()
+        assert [mem.category_of(float(ti)) for ti in tis] == want.tolist()
+        assert np.array_equal(mem.category_of(tis), want)
+        assert mem.category_of(0) == want[3] and mem.category_of(np.int64(3)) == 4
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_category_of_rejects_non_finite_ti(self, bad):
+        mem = PrototypeMemory(prototypes=np.ones((3, 2)), boundaries=[1.0, 2.0])
+        with pytest.raises(ValidationError, match="Tail Index must be finite"):
+            mem.category_of(bad)
+        with pytest.raises(ValidationError, match="ti has a non-finite value in row 2"):
+            mem.category_of(np.array([0.0, 1.0, bad, bad]))
+
     def test_json_round_trip(self, tmp_path):
         mem = PrototypeMemory(prototypes=[[1.0, 2.0], [3.0, 4.0]], eta=0.8, boundaries=[0.5])
         path = tmp_path / "memory.json"
@@ -138,6 +159,18 @@ class TestPrototypeMemory:
         with pytest.raises(ConfigurationError, match="cannot read") as exc:
             PrototypeMemory.load(path)
         assert str(path) in str(exc.value)
+
+
+class TestAdaptationBatch:
+    @pytest.mark.parametrize("name", ["f_m", "f_i", "f_r", "ti"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entry_naming_array_and_row(self, rng, name, bad):
+        batch = random_batch(rng, b=5)
+        arrays = {key: getattr(batch, key).copy() for key in ("f_m", "f_i", "f_r", "ti")}
+        arrays[name].reshape(5, -1)[2, -1] = bad
+        arrays[name].reshape(5, -1)[4, 0] = bad
+        with pytest.raises(ValidationError, match=rf"^{name} has a non-finite value in row 2$"):
+            AdaptationBatch(**arrays)
 
 
 class TestUpdatePrototypes:
@@ -455,7 +488,10 @@ class TestBatchForm:
             assert_rows_match(g, [allocation(h[i], params) for i in range(b)])
             s = similarity(batch.f_m, mem.prototypes, params.tau)
             assert_rows_match(s, [similarity(batch.f_m[i], mem.prototypes, params.tau) for i in range(b)])
-            assert_rows_match(vigilance_adjust(g, s, params), [vigilance_adjust(g[i], s[i], params) for i in range(b)])
+            g_adj = vigilance_adjust(g, s, params)
+            assert_rows_match(g_adj, [vigilance_adjust(g[i], s[i], params) for i in range(b)])
+            f_v = augment(batch.f_m, h, g_adj, mem.prototypes, params)
+            assert_rows_match(f_v, [augment(batch.f_m[i], h[i], g_adj[i], mem.prototypes, params) for i in range(b)])
         assert 1 in sizes
 
     def test_inner_update_matches_per_sample_reference(self, rng):
@@ -495,7 +531,9 @@ class TestBatchForm:
         assert logits.shape == (c,) and type(gate) is float
         g = allocation(batch.h[0], params)
         s = similarity(batch.f_m[0], mem.prototypes, params.tau)
-        assert g.shape == s.shape == vigilance_adjust(g, s, params).shape == (c,)
+        g_adj = vigilance_adjust(g, s, params)
+        assert g.shape == s.shape == g_adj.shape == (c,)
+        assert augment(batch.f_m[0], batch.h[0], g_adj, mem.prototypes, params).shape == (mem.dim,)
 
     def test_three_dimensional_input_rejected(self, rng):
         mem, batch, params = self.random_case(rng)
@@ -511,6 +549,10 @@ class TestBatchForm:
             vigilance_adjust(g[None], s[None], params)
         with pytest.raises(ConfigurationError):
             augment(batch.f_m[0], batch.h, g[0], mem.prototypes, params)
+        with pytest.raises(ConfigurationError):
+            augment(batch.f_m, np.vstack([batch.h, batch.h]), g, mem.prototypes, params)
+        with pytest.raises(ConfigurationError):
+            augment(batch.f_m, batch.h, g[0], mem.prototypes, params)
 
     def test_empty_batch_is_a_usage_error(self, rng):
         mem, batch, params = self.random_case(rng)
@@ -588,10 +630,54 @@ class TestSerialization:
 
 
 class TestSigmoid:
+    SPECIAL = [0.0, -0.0, 745.0, -745.0, math.inf, -math.inf, math.nan]
+
     def test_extremes(self):
         assert sigmoid(0.0) == 0.5
         assert sigmoid(800.0) == 1.0
         assert sigmoid(-800.0) == pytest.approx(0.0, abs=1e-300)
+
+    def test_float_path_within_one_ulp_of_array_path(self, rng):
+        xs = self.SPECIAL + (rng.normal(scale=20.0, size=200)).tolist()
+        arrays = sigmoid(np.array(xs))
+        for x, want in zip(xs, arrays.tolist()):
+            got = sigmoid(x)
+            assert type(got) is float
+            assert (math.isnan(got) and math.isnan(want)) or abs(got - want) <= math.ulp(want), x
+
+    def test_array_path_keeps_the_two_branch_bits(self, rng):
+        x = np.concatenate([self.SPECIAL, rng.normal(scale=20.0, size=200), [1e-300, -1e-300, 36.7, -36.7, 0.5]])
+        e = np.exp(-np.abs(x))
+        two_branch = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert sigmoid(x).tobytes() == two_branch.tobytes()
+        assert sigmoid(x.reshape(2, -1)).tobytes() == two_branch.tobytes()
+
+
+class TestOneSampleSimilarity:
+    """The (D,) path scales dot products; degenerate input falls back to zeros and one warning."""
+
+    @pytest.mark.parametrize("case", ["zero-feature", "nan-feature", "zero-prototype-row", "nan-prototype-row"])
+    def test_degenerate_input_gives_zeros_and_one_warning(self, rng, case):
+        f, m = rng.normal(size=6), rng.normal(size=(4, 6))
+        vector = f if case.endswith("feature") else m[2]  # a view of prototype row 2
+        if case.startswith("zero"):
+            vector[:] = 0.0
+        else:
+            vector[1] = math.nan
+        zeroed = slice(None) if vector is f else 2
+        with pytest.warns(DegenerateInputWarning) as caught:
+            s = similarity(f, m, tau=4.0)
+        assert len(caught) == 1
+        assert np.all(s[zeroed] == 0.0) and np.all(np.isfinite(s))
+        if vector is not f:
+            keep = [0, 1, 3]
+            assert_rows_match(s[keep][None], [similarity(f, m[keep], tau=4.0)])
+
+    def test_healthy_input_raises_no_warning(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = similarity(rng.normal(size=6), rng.normal(size=(4, 6)), tau=4.0)
+        assert s.shape == (4,) and np.all(np.abs(s) <= 4.0 + 1e-12)
 
 
 class TestSoftplus:

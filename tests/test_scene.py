@@ -91,6 +91,29 @@ class TestTrajectory:
         cols[name][2, 1] = math.copysign(scene_module.MAX_MAGNITUDE, bad)  # the bound itself is kept
         Trajectory("a", **cols, kind="vehicle", dt=0.5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_rates_whose_squares_overflow_naming_agent_and_frame(self):
+        """Acceleration or jerk past sqrt(float max / 2T) is refused at its frame; so is a dt
+        small enough that the heading rates could pass it."""
+        t = np.arange(4) * 1e-9
+        cols = {**self.columns(), "times": t, "positions": np.zeros((4, 2))}
+        cols["velocities"][2, 0] = 1e150  # acceleration 1e159 at frame 2
+        with pytest.raises(ValidationError, match=r"trajectory 'a': acceleration or jerk beyond .* at frame 2"):
+            Trajectory("a", **cols, kind="vehicle", dt=1e-9)
+        cols["velocities"][:, 0] = 1e150  # kept: a constant velocity has no acceleration or jerk
+        Trajectory("a", **cols, kind="vehicle", dt=1e-9)
+        with pytest.raises(ValidationError, match=r"trajectory 'a': dt 1e-100 s"):
+            Trajectory("a", **{**cols, "times": t * 1e-91}, kind="vehicle", dt=1e-100)
+
+    @pytest.mark.filterwarnings("error")
+    def test_csv_with_overflowing_jerk_names_scene_agent_and_frame(self):
+        text = (
+            "scene_id,agent_id,frame,t,x,y,vx,vy,heading,kind\n"
+            "s,7,0,0.0,0,0,0,0,0,vehicle\ns,7,1,1e-9,0,0,1e150,0,0,vehicle\ns,7,2,2e-9,0,0,0,0,0,vehicle\n"
+        )
+        with pytest.raises(ValidationError, match=r"scene 's': trajectory '7': .* at frame 1"):
+            parse_scene_csv(text)
+
     def test_rejects_heading_outside_range_naming_frame(self):
         cols = self.columns()
         cols["headings"][3] = -math.pi
