@@ -11,8 +11,13 @@ before it augments the feature vector.
 ``augment`` take one sample's vectors or ``(B, .)`` stacks whose rows are
 samples, ``PrototypeMemory.category_of`` one Tail Index or a ``(B,)`` array; a
 batch call returns one row per sample and warns once, not once per degenerate
-row. A one-sample call takes a lean path (mat-vec products, Python floats)
-that matches the batch rows to 1e-12.
+row. A one-sample call takes a lean path (``ndarray.dot`` mat-vecs, in-place
+arithmetic, Python floats) that matches the batch rows to 1e-12, and two
+one-entry memos keyed by content: ``GateMlp`` keeps its last ``(D,)`` forward
+under the input's bytes (``allocation`` then ``augment`` on one ``h`` run the
+network once), ``similarity`` the last prototype matrix's row norms under its
+shape and bytes. A hit gives a recompute's bits; ``GateMlp`` holds read-only
+copies of its arrays and returns read-only logits, so no memo can go stale.
 
 Reads (allocation, similarity, vigilance, augment) are pure; the two update
 operations return fresh arrays and never mutate their inputs, but concurrent
@@ -104,7 +109,10 @@ class GateMlp(JsonRecord):
 
     def __post_init__(self):
         for name in self._ARRAYS:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "_last", (None, None, None))  # (h bytes, logits, gate) of the last (D,) forward
         if self.w_hidden.ndim != 2:
             raise ConfigurationError(f"w_hidden must be a (hidden, in) matrix, got shape {self.w_hidden.shape}")
         hidden = self.w_hidden.shape[0]
@@ -132,10 +140,20 @@ class GateMlp(JsonRecord):
         h = np.asarray(h, dtype=float)
         if h.ndim not in (1, 2) or h.shape[-1] != self.input_dim:
             raise ConfigurationError(f"expected input of shape (D,) or (B, D) with D = {self.input_dim}, got {h.shape}")
-        if h.ndim == 1:
-            hid = self.w_hidden @ h + self.b_hidden
+        if h.ndim == 1:  # ndarray.dot: the same BLAS mat-vec as @, with less dispatch
+            key = h.tobytes()
+            last = self._last
+            if key == last[0]:
+                return last[1], last[2]
+            hid = self.w_hidden.dot(h)
+            hid += self.b_hidden
             np.maximum(hid, 0.0, out=hid)
-            return self.w_alloc @ hid + self.b_alloc, float(hid @ self.w_gate) + self.b_gate
+            logits = self.w_alloc.dot(hid)
+            logits += self.b_alloc
+            logits.flags.writeable = False
+            gate = float(hid.dot(self.w_gate)) + self.b_gate
+            object.__setattr__(self, "_last", (key, logits, gate))
+            return logits, gate
         # einsum, not matmul: a batch this wide would reach a threaded BLAS GEMM,
         # whose thread hand-off costs more than the product on a few cores.
         hid = np.maximum(np.einsum("...i,hi->...h", h, self.w_hidden) + self.b_hidden, 0.0)
@@ -388,6 +406,11 @@ def allocation(h: np.ndarray, params: CognitiveSetParams) -> np.ndarray:
     return _softmax(logits)
 
 
+#: (shape, bytes) of the last prototype matrix a one-sample similarity saw, its row norms, and whether
+#: every norm is finite and at least EPS_NORM. Keyed by content, so every caller may share it.
+_last_rows = (None, None, False)
+
+
 def similarity(f_m: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarray:
     """Temperature-scaled cosine similarity of ``(D,)`` or ``(B, D)`` features to each prototype row.
 
@@ -399,10 +422,19 @@ def similarity(f_m: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarra
     if f_m.ndim not in (1, 2) or f_m.shape[-1] != prototypes.shape[1]:
         raise ConfigurationError(f"feature shape {f_m.shape} does not match prototype dim {prototypes.shape[1]}")
     if f_m.ndim == 1:  # one sample: scale the dot products instead of normalising both sides
-        f_norm, row_norms = math.sqrt(f_m @ f_m), np.sqrt((prototypes * prototypes).sum(axis=1))
-        norms = [f_norm, *row_norms.tolist()]
-        if EPS_NORM <= min(norms) and sum(norms) < math.inf:  # a NaN or inf norm makes the sum fail
-            return prototypes @ f_m / row_norms * (tau / f_norm)
+        global _last_rows
+        key, rows = (prototypes.shape, prototypes.tobytes()), _last_rows
+        if key != rows[0]:
+            row_norms = np.sqrt((prototypes * prototypes).sum(axis=1))
+            norms = row_norms.tolist()  # a NaN or inf norm makes the sum fail
+            _last_rows = rows = (key, row_norms, EPS_NORM <= min(norms, default=EPS_NORM) and sum(norms) < math.inf)
+        _, row_norms, rows_ok = rows
+        f_norm = math.sqrt(f_m.dot(f_m))
+        if rows_ok and EPS_NORM <= f_norm < math.inf:
+            out = prototypes.dot(f_m)
+            out /= row_norms
+            out *= tau / f_norm
+            return out
     f_hat, _, ok_f = _unit_rows(f_m)
     m_hat, _, ok_m = _unit_rows(prototypes)
     if not (ok_f.all() and ok_m.all()):
@@ -421,7 +453,9 @@ def vigilance_adjust(g: np.ndarray, s: np.ndarray, params: CognitiveSetParams) -
     s = np.asarray(s, dtype=float)
     if s.ndim not in (1, 2) or g.shape != s.shape:
         raise ConfigurationError(f"g of shape {g.shape} and s of shape {s.shape} must both be (C,) or (B, C)")
-    peak = float(s.max()) if s.ndim == 1 else s.max(axis=-1, keepdims=True)
+    if s.shape[-1] != params.categories:
+        raise ConfigurationError(f"g and s cover {s.shape[-1]} categories, params {params.categories}")
+    peak = float(s.max()) if s.ndim == 1 else s.max(axis=-1, keepdims=True)  # not max(): a NaN must propagate
     lam = sigmoid(params.gamma_steep * (peak - params.rho_vig))
     return lam * g + (1.0 - lam) * params.b_tail
 
@@ -525,4 +559,9 @@ def augment(
     if np.shape(h)[:-1] != f_m.shape[:-1]:
         raise ConfigurationError(f"augment takes one gating input per feature row, got {np.shape(h)}")
     gate = sigmoid(params.gate_mlp.forward(h)[1])
-    return f_m + (gate if f_m.ndim == 1 else gate[:, None]) * (g_adj @ m_prime)
+    if f_m.ndim == 2:
+        return f_m + gate[:, None] * (g_adj @ m_prime)
+    out = g_adj.dot(m_prime)
+    out *= gate
+    out += f_m
+    return out

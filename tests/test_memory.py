@@ -341,6 +341,21 @@ class TestVigilance:
             assert np.all(out >= 0)
             assert abs(out.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("shape", [(3,), (1,), (2, 1), (2, 6)])
+    def test_category_count_must_match_params(self, shape):
+        params = make_params(categories=5)
+        width = shape[-1]
+        with pytest.raises(ConfigurationError, match=rf"\b{width} categories, params 5\b"):
+            vigilance_adjust(np.full(shape, 1.0 / width), np.zeros(shape), params)
+
+    def test_nan_similarity_gives_all_nan(self):
+        params = make_params(categories=3)
+        g = np.array([0.2, 0.3, 0.5])
+        s = np.array([[0.9, math.nan, 0.1], [0.2, 0.4, 0.6]])  # the NaN is not the first entry
+        assert np.all(np.isnan(vigilance_adjust(g, s[0], params)))
+        out = vigilance_adjust(np.stack([g, g]), s, params)
+        assert np.all(np.isnan(out[0])) and np.all(np.isfinite(out[1]))
+
 
 class TestProtoLoss:
     def test_neutral_similarity_log_two(self):
@@ -678,6 +693,83 @@ class TestOneSampleSimilarity:
             warnings.simplefilter("error")
             s = similarity(rng.normal(size=6), rng.normal(size=(4, 6)), tau=4.0)
         assert s.shape == (4,) and np.all(np.abs(s) <= 4.0 + 1e-12)
+
+
+def fresh_gate_mlp(mlp):
+    """A new GateMlp with the same weights and an empty memo."""
+    return GateMlp(*(getattr(mlp, name) for name in (*GateMlp._ARRAYS, "b_gate")))
+
+
+def plain_similarity(f, m, tau):
+    """The one-sample similarity recomputed from scratch with @."""
+    return m @ f / np.sqrt((m * m).sum(axis=1)) * (tau / math.sqrt(f @ f))
+
+
+class TestOneSampleMemos:
+    """The last-forward and last-row-norms memos give a recompute's bits and cannot go stale."""
+
+    def test_gate_hit_equals_fresh_recompute(self, rng):
+        mlp = GateMlp.create(input_dim=6, categories=4, hidden=5, seed=3)
+        a, nan = rng.normal(size=6), rng.normal(size=6)
+        nan[2] = math.nan
+        inputs = [a, a.copy(), np.zeros(6), np.full(6, -0.0), np.zeros(6), nan, nan.copy(), a, np.full(6, -0.0)]
+        for h in inputs:
+            logits, gate = mlp.forward(h)
+            want_logits, want_gate = fresh_gate_mlp(mlp).forward(h)
+            assert logits.tobytes() == want_logits.tobytes()  # bit-equal, NaN and the sign of zero included
+            assert gate == want_gate or (math.isnan(gate) and math.isnan(want_gate))
+            assert mlp.forward(h.copy())[0] is logits  # same bytes: served from the memo
+        assert np.isnan(mlp.forward(nan)[1])
+
+    def test_weights_are_read_only_copies(self, rng):
+        w_hidden, w_alloc = rng.normal(size=(5, 6)), rng.normal(size=(4, 5))
+        mlp = GateMlp(w_hidden, np.zeros(5), w_alloc, np.zeros(4), rng.normal(size=5), 0.5)
+        kept = fresh_gate_mlp(mlp)
+        h = rng.normal(size=6)
+        mlp.forward(h)
+        w_hidden[:] = 1.0
+        w_alloc *= -2.0
+        assert mlp.forward(h)[0].tobytes() == kept.forward(h)[0].tobytes()
+        assert mlp.forward(-h)[0].tobytes() == kept.forward(-h)[0].tobytes()
+        for name in GateMlp._ARRAYS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(mlp, name)[0] = 1.0
+
+    def test_returned_logits_cannot_change_the_next_call(self, rng):
+        mlp = GateMlp.create(input_dim=6, categories=4, hidden=5, seed=3)
+        h = rng.normal(size=6)
+        logits, _ = mlp.forward(h)
+        want = logits.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            logits[0] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            logits += 1.0
+        assert np.array_equal(mlp.forward(h)[0], want)
+        params = CognitiveSetParams(tau=10.0, rho_vig=0.5, gamma_steep=10.0, b_tail=default_tail_bias(4), gate_mlp=mlp)
+        g = allocation(h, params)
+        g[:] = 0.0  # allocation's result is the caller's to change
+        assert np.array_equal(mlp.forward(h)[0], want)
+
+    def test_similarity_sees_in_place_changes_to_the_prototypes(self, rng):
+        f, m = rng.normal(size=4), rng.normal(size=(3, 4))
+        assert np.array_equal(similarity(f, m, 2.0), plain_similarity(f, m, 2.0))
+        m[1] += 1.0
+        assert np.array_equal(similarity(f, m, 2.0), plain_similarity(f, m, 2.0))
+        m[2] = 0.0
+        with pytest.warns(DegenerateInputWarning):
+            assert similarity(f, m, 2.0)[2] == 0.0
+        m[2] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(similarity(f, m, 2.0), plain_similarity(f, m, 2.0))
+
+    def test_similarity_keys_the_norms_on_shape_as_well_as_bytes(self, rng):
+        flat = rng.normal(size=12)
+        wide, tall = flat.reshape(2, 6), flat.reshape(3, 4)
+        assert wide.tobytes() == tall.tobytes()
+        f6, f4 = rng.normal(size=6), rng.normal(size=4)
+        for f, m in [(f6, wide), (f4, tall), (f6, wide), (f4, tall)]:
+            assert np.array_equal(similarity(f, m, 3.0), plain_similarity(f, m, 3.0))
 
 
 class TestSoftplus:
