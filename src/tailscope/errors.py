@@ -14,6 +14,10 @@ import os
 from itertools import repeat
 from pathlib import Path
 
+#: Input coordinates (m) and velocities (m/s) must stay within this magnitude,
+#: so no square of a value or of a difference of two values overflows a float.
+MAX_MAGNITUDE = 1e150
+
 
 class TailscopeError(Exception):
     """Base class for all errors raised by this package."""

@@ -7,6 +7,10 @@ modes; the miss rate counts samples whose best final displacement over k
 modes strictly exceeds 2 m; RMSE follows the single-most-likely-mode
 protocol. The worst-case report ranks every sample by a configurable error
 metric and reports the mean errors of the top p% strata.
+
+Every squared pointwise error comes from one kernel, ``_sq_errors``. Mode and
+ground-truth coordinates must lie within ``MAX_MAGNITUDE``, so no squared
+error overflows. JSONL parsing gathers each (K, T) group's rows in one buffer.
 """
 
 from __future__ import annotations
@@ -15,13 +19,14 @@ import json
 import math
 import os
 import struct
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError, read_lines
+from .errors import MAX_MAGNITUDE, ParseError, UsageError, ValidationError, read_lines
 
 #: A sample is missed when its best final displacement exceeds this (m).
 MISS_THRESHOLD = 2.0
@@ -58,12 +63,14 @@ class ForecastSample:
             raise ValidationError(
                 f"sample {self.sample_id!r}: need one probability per mode"
             )
-        if not (
-            np.all(np.isfinite(self.modes))
-            and np.all(np.isfinite(self.probs))
-            and np.all(np.isfinite(self.gt))
-        ):
+        if self.modes.shape[1] < 1:
+            raise ValidationError(f"sample {self.sample_id!r}: horizon must be >= 1, got 0")
+        if not all(np.all(np.isfinite(a)) for a in (self.modes, self.probs, self.gt)):
             raise ValidationError(f"sample {self.sample_id!r}: non-finite values")
+        if any(np.any(np.abs(a) > MAX_MAGNITUDE) for a in (self.modes, self.gt)):
+            raise ValidationError(
+                f"sample {self.sample_id!r}: a mode or gt coordinate beyond {MAX_MAGNITUDE:g}"
+            )
         if np.any(self.probs < 0) or abs(float(self.probs.sum()) - 1.0) > 1e-9:
             raise ValidationError(
                 f"sample {self.sample_id!r}: probabilities must be >= 0 and sum to 1"
@@ -100,9 +107,24 @@ class LossWeights:
                 raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def _sq_errors(modes: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """The (..., K, T) squared errors x*x + y*y of (..., K, T, 2) modes against
+    the (..., T, 2) ground truth. Their sqrt and a mean over the contiguous last
+    axis round exactly like np.linalg.norm(...).mean(axis=-1), so reports keep
+    every bit. The y terms go one mode at a time: no temporary outgrows the result.
+    """
+    sq = modes[..., 0] - gt[..., None, :, 0]
+    sq *= sq
+    for k in range(modes.shape[-3]):
+        y = modes[..., k, :, 1] - gt[..., 1]
+        y *= y
+        sq[..., k, :] += y
+    return sq
+
+
 def ade_per_mode(sample: ForecastSample) -> np.ndarray:
     """Mean pointwise L2 error of each mode against the ground truth."""
-    return np.linalg.norm(sample.modes - sample.gt[None], axis=2).mean(axis=1)
+    return np.sqrt(_sq_errors(sample.modes, sample.gt)).mean(axis=1)
 
 
 def _check_k(samples: Sequence[ForecastSample], ks: Sequence[int]) -> None:
@@ -134,17 +156,8 @@ def _group_errors(group: Sequence[ForecastSample]):
     the (S, T) squared pointwise errors of each sample's most likely mode.
     """
     probs = np.stack([s.probs for s in group])
-    diff = np.stack([s.modes for s in group])
-    diff -= np.stack([s.gt for s in group])[:, None]  # (S, K, T, 2)
-    top = diff[np.arange(len(group)), np.argmax(probs, axis=1)]
-    # x*x + y*y, sqrt and a mean over the contiguous last axis round exactly
-    # like the per-sample np.linalg.norm(...).mean(axis=1), so reports keep
-    # every bit.
-    top *= top
-    sq = top[..., 0] + top[..., 1]
-    diff *= diff
-    d = diff[..., 0] + diff[..., 1]
-    del diff
+    d = _sq_errors(np.stack([s.modes for s in group]), np.stack([s.gt for s in group]))
+    sq = d[np.arange(len(group)), np.argmax(probs, axis=1)]
     np.sqrt(d, out=d)  # (S, K, T) pointwise distances
     # One stable sort puts the k most probable modes first, ties in mode
     # order; the running minimum along it is min over the top k, for every k.
@@ -227,18 +240,24 @@ def worst_case_subsets(errors: Mapping[str, float], percents: Sequence[float]) -
 
     For each percentage the ceil(p*n/100) largest errors are selected, with
     ties broken toward the lexicographically larger sample id so membership
-    is deterministic. Returns ``{p: {"count", "sample_ids", "mean"}}``.
+    is deterministic. Returns ``{p: {"count", "sample_ids", "mean"}}``. A
+    non-finite error, or a percentage that selects no sample, is refused.
     """
     if not errors:
         raise UsageError("worst_case_subsets needs at least one sample")
     for p in percents:
         if not 0.0 < p <= 100.0:
             raise UsageError(f"percent {p} outside (0, 100]")
+    for sample_id, err in errors.items():
+        if not math.isfinite(err):
+            raise UsageError(f"sample {sample_id!r}: non-finite error {err!r}")
     ranked = sorted(errors.items(), key=lambda kv: (kv[1], kv[0]), reverse=True)
     n = len(ranked)
     out = {}
     for p in percents:
         count = math.ceil(round(p * n / 100.0, 9))  # round() drops float noise before ceil
+        if count == 0:
+            raise UsageError(f"percent {p} of {n} samples selects no sample")
         subset = ranked[:count]
         out[p] = {
             "count": count,
@@ -256,9 +275,9 @@ def task_loss(sample: ForecastSample, weights: LossWeights | None = None) -> dic
     floored at ``EPS_PROB``. Returns ``{"l_task", "k_star"}``.
     """
     weights = weights or LossWeights()
-    ades = ade_per_mode(sample)
-    k_star = int(np.argmin(ades))
-    mse = float(np.mean(np.sum((sample.modes[k_star] - sample.gt) ** 2, axis=1)))
+    sq = _sq_errors(sample.modes, sample.gt)
+    k_star = int(np.argmin(np.sqrt(sq).mean(axis=1)))
+    mse = float(sq[k_star].mean())
     nll = -math.log(max(float(sample.probs[k_star]), EPS_PROB))
     return {"l_task": mse + weights.lambda_cls * nll, "k_star": k_star}
 
@@ -322,8 +341,8 @@ def _sample(record: dict, line: str, line_no: int) -> ForecastSample:
 
 
 def _fast_row(record: dict, line: str):
-    """``((K, T), row)``: one line's modes, probs and gt as one flat float row, or
-    None when the line needs ``_sample``'s leaf-by-leaf path.
+    """``((K, T), row)``: one line's modes, probs and gt as the bytes of one flat
+    float row, or None when the line needs ``_sample``'s leaf-by-leaf path.
 
     The length tests fix the shapes, so the leaves fill exactly one row;
     ``struct.pack`` takes only numbers, and a ``true``/``false`` token, which
@@ -344,7 +363,7 @@ def _fast_row(record: dict, line: str):
         row = struct.pack(f"{2 * len(points) + len(probs) + 2 * len(gt)}d", *leaves)
     except (TypeError, struct.error):
         return None
-    return (len(modes), len(gt)), np.frombuffer(row)
+    return (len(modes), len(gt)), row
 
 
 def _row(line: str, line_no: int):
@@ -354,63 +373,34 @@ def _row(line: str, line_no: int):
     if fast is None:
         sample = _sample(record, line, line_no)
         row = np.concatenate([sample.modes.ravel(), sample.probs, sample.gt.ravel()])
-        return sample.sample_id, sample.modes.shape[:2], row
+        return sample.sample_id, sample.modes.shape[:2], row.tobytes()
     return str(record["sample_id"]), *fast
 
 
-class _Table:
-    """The samples of one ``(K, T)`` group as rows of one float table.
+def _check_rows(groups: dict, lines: list[str]) -> dict:
+    """Each ``(K, T)`` group's ``(modes, probs, gt)`` arrays, views of its row
+    buffer (which then refuses to grow); raises the first error, in file
+    order, that a row holds.
 
-    A row holds the K*T*2 mode coordinates, then the K probabilities, then
-    the T*2 ground-truth coordinates. The table grows in place by doubling;
-    no view of it exists until ``samples`` has trimmed it for the last time,
-    so resizing skips numpy's reference check (which a profiler's references
-    would trip).
+    A row holds the K*T*2 mode coordinates, the K probabilities, then the T*2
+    ground-truth coordinates. It is bad where ``ForecastSample`` would reject
+    it: a value NaN or beyond ``MAX_MAGNITUDE`` (valid probabilities are far
+    below it), or probabilities negative or not summing to 1 within 1e-9.
     """
-
-    def __init__(self, n_modes: int, horizon: int):
-        self.n_modes, self.horizon = n_modes, horizon
-        self.rows = np.empty((8, n_modes * horizon * 2 + n_modes + horizon * 2))
-        self.ids: list[str] = []
-        self.lines: list[int] = []
-
-    def add(self, sample_id: str, row: np.ndarray, line_no: int) -> None:
-        n = len(self.ids)
-        if n == len(self.rows):
-            self.rows.resize((2 * n, self.rows.shape[1]), refcheck=False)
-        self.rows[n] = row
-        self.ids.append(sample_id)
-        self.lines.append(line_no)
-
-    def _columns(self):
-        n, a = len(self.ids), self.n_modes * self.horizon * 2
-        rows = self.rows[:n]
-        return rows, rows[:, a : a + self.n_modes]
-
-    def bad_lines(self) -> list[int]:
-        """Lines whose row ``ForecastSample`` would reject: a non-finite value,
-        or probabilities that are negative or do not sum to 1 within 1e-9."""
-        rows, probs = self._columns()
+    tables, bad_lines = {}, []
+    for (k, t), (ids, line_nos, buffer) in groups.items():
+        a = k * t * 2
+        rows = np.frombuffer(buffer).reshape(len(ids), -1)
+        probs = rows[:, a : a + k]
+        bad = ~(np.abs(rows) <= MAX_MAGNITUDE).all(axis=1)
         # a row's sum along the contiguous axis rounds exactly like probs.sum()
-        bad = ~np.isfinite(rows).all(axis=1)
         bad |= (probs < 0).any(axis=1) | (np.abs(probs.sum(axis=1) - 1.0) > 1e-9)
-        return [self.lines[i] for i in np.flatnonzero(bad)]
-
-    def samples(self):
-        """A ``ForecastSample`` per row, its arrays views of the table."""
-        n, k, t = len(self.ids), self.n_modes, self.horizon
-        self.rows.resize((n, self.rows.shape[1]), refcheck=False)
-        rows, probs = self._columns()
-        modes = rows[:, : k * t * 2].reshape(n, k, t, 2)
-        gt = rows[:, k * t * 2 + k :].reshape(n, t, 2)
-        return map(ForecastSample._from_table, self.ids, modes, probs, gt)
-
-
-def _check_rows(tables, lines: list[str]) -> None:
-    """Raise the first error, in file order, that a row of ``tables`` holds."""
-    for line_no in sorted(line_no for table in tables for line_no in table.bad_lines()):
+        bad_lines += [line_nos[i] for i in np.flatnonzero(bad)]
+        tables[k, t] = rows[:, :a].reshape(-1, k, t, 2), probs, rows[:, a + k :].reshape(-1, t, 2)
+    for line_no in sorted(bad_lines):
         line = lines[line_no - 1]
         _sample(_record(line, line_no), line, line_no)
+    return tables
 
 
 def parse_forecast_jsonl(source) -> list[ForecastSample]:
@@ -421,31 +411,31 @@ def parse_forecast_jsonl(source) -> list[ForecastSample]:
     first failing line; a source with no sample raises a ParseError naming it.
     """
     lines = read_lines(source, "forecast JSONL")
-    tables: dict[tuple[int, int], _Table] = {}
-    order = []  # each sample's table, in file order
+    groups: dict[tuple[int, int], tuple[list[str], list[int], array]] = {}
+    order = []  # each sample's (K, T), in file order
     seen = set()
     try:
         for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             sample_id, key, row = _row(line, line_no)
-            table = tables.get(key)
-            if table is None:
-                table = tables[key] = _Table(*key)
-            table.add(sample_id, row, line_no)
-            order.append(table)
+            ids, line_nos, rows = groups.setdefault(key, ([], [], array("d")))
+            ids.append(sample_id)
+            line_nos.append(line_no)
+            rows.frombytes(row)
+            order.append(key)
             if sample_id in seen:
                 raise ParseError(f"duplicate sample_id {sample_id!r}", line=line_no)
             seen.add(sample_id)
     except ParseError:
-        _check_rows(tables.values(), lines)  # a bad row on an earlier line wins
+        _check_rows(groups, lines)  # a bad row on an earlier line wins
         raise
-    _check_rows(tables.values(), lines)
+    tables = _check_rows(groups, lines)
     if not order:
         name = os.fspath(source) if isinstance(source, os.PathLike) else "forecast JSONL"
         raise ParseError(f"{name}: no forecast samples")
-    views = {table: table.samples() for table in tables.values()}
-    return [next(views[table]) for table in order]
+    views = {key: map(ForecastSample._from_table, groups[key][0], *table) for key, table in tables.items()}
+    return [next(views[key]) for key in order]
 
 
 @dataclass(frozen=True)

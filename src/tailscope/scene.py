@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, read_lines, write_text
+from .errors import MAX_MAGNITUDE, ParseError, ValidationError, read_lines, write_text
 
 AGENT_KINDS = ("vehicle", "pedestrian", "other")
 
@@ -28,10 +28,6 @@ CSV_COLUMNS = ("scene_id", "agent_id", "frame", "t", "x", "y", "vx", "vy", "head
 
 #: Consecutive timestamp gaps may deviate from dt by at most this much (s).
 DT_TOLERANCE = 1e-6
-
-#: Positions (m) and velocities (m/s) must stay within this magnitude, so no
-#: square of a value or of a difference of two values overflows a float.
-MAX_MAGNITUDE = 1e150
 
 _TWO_PI = 2.0 * math.pi
 

@@ -280,6 +280,15 @@ class TestEvalCommand:
         assert run(["eval", "--input", str(jsonl), "--k", "1", "--topk", "5"]) == 2
         assert "rank_metric" in capsys.readouterr().err
 
+    def test_empty_worst_case_stratum_exits_2(self, tmp_path, capsys):
+        jsonl = tmp_path / "f.jsonl"
+        jsonl.write_text("".join(forecast_line(f"s{i}", 0.1 * i) + "\n" for i in range(50)))
+        argv = ["eval", "--input", str(jsonl), "--k", "1", "--topk", "1e-12", "--rank-metric", "min_ade"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv + ["--rank-k", "1", "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == "error: percent 1e-12 of 50 samples selects no sample\n"
+
     def test_flags_beat_config(self, tmp_path):
         jsonl = tmp_path / "f.jsonl"
         jsonl.write_text(forecast_line("a", 3.0) + "\n")
@@ -500,10 +509,11 @@ class TestExitCodeContract:
             (["synth", "--kind", "brake", "--speed", "1e300", "--decel", "1e-300", "--dt", "1"], {}, ("speed", "decel")),
             (["synth", "--kind", "constant", "--dt", "1e100"], {}, ("dt",)),
             (["synth", "--kind", "brake", "--dt", "1e100"], {}, ("dt",)),
+            (["eval", "--k", "1", "--topk", "50", "--rank-metric", "min_ade", "--rank-k", "1"], {}, ("'b'", "1e+150")),
         ],
         ids=[
             "circle-dt", "brake-stop-time", "synth-radius", "metrics-radius", "rss-rho",
-            "brake-stop-time-overflow", "constant-dt-spacing", "brake-dt-spacing",
+            "brake-stop-time-overflow", "constant-dt-spacing", "brake-dt-spacing", "eval-coordinates",
         ],
     )
     def test_huge_numbers_do_not_overflow_to_exit_1(self, tmp_path, capsys, argv, config, names):
@@ -515,6 +525,11 @@ class TestExitCodeContract:
             csv_path = tmp_path / "s.csv"
             write_scenes(csv_path, [ScenarioSpec(kind="crossing", seed=s) for s in range(2)])
             argv += ["--input", str(csv_path)]
+        elif argv[0] == "eval":
+            jsonl = tmp_path / "f.jsonl"
+            huge = {"sample_id": "b", "modes": [[[1e308, 1e308]] * 4], "probs": [1.0], "gt": [[-1e308, -1e308]] * 4}
+            jsonl.write_text(forecast_line("a", 0.0) + "\n" + json.dumps(huge) + "\n")
+            argv += ["--input", str(jsonl)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # a numpy warning becomes exit 1
             rc = run(argv)

@@ -243,7 +243,7 @@ def test_any_rank_sidecar_node_exits_0_or_2(workdir, mode, data):
 # -- round trips: what the package writes, its one reader reads back exactly --
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-#: Every position or velocity a ``Trajectory`` takes.
+#: Every position or velocity a ``Trajectory`` takes, and every forecast coordinate.
 COORDINATE = st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE)
 #: Ids csv.writer quotes where needed and the parser keeps as written: no
 #: surrounding whitespace (the parser strips it) and no \r (written unquoted).
@@ -372,7 +372,7 @@ def test_metrics_are_finite_and_nonnegative(scene_list):
 
 
 @st.composite
-def forecast_sets(draw, value=FINITE, one_horizon=False):
+def forecast_sets(draw, value=COORDINATE, one_horizon=False):
     """One to six valid forecast samples with unique ids, K drawn per sample and T
     per sample, or once for the set when ``one_horizon``."""
     set_horizon = draw(st.integers(1, 3))

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from oracles import worst_case_oracle
-from tailscope.errors import ParseError, UsageError, ValidationError
+from tailscope.errors import MAX_MAGNITUDE, ParseError, UsageError, ValidationError
 from tailscope.evaluation import (
     EvalReport,
     ForecastSample,
     LossWeights,
+    ade_per_mode,
     evaluate,
     min_ade,
     min_fde,
@@ -196,6 +197,20 @@ class TestWorstCase:
         with pytest.raises(UsageError):
             worst_case_subsets({"a": 1.0}, [100.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_error_rejected_naming_first_id(self, bad):
+        with pytest.raises(UsageError, match=r"^sample 'b': non-finite error"):
+            worst_case_subsets({"a": 1.0, "b": bad, "c": 0.5, "d": bad}, [34.0])
+
+    def test_empty_stratum_rejected(self, rng):
+        errors = {f"s{i}": float(i) for i in range(50)}
+        with pytest.raises(UsageError, match=r"^percent 1e-12 of 50 samples selects no sample$"):
+            worst_case_subsets(errors, [5.0, 1e-12])
+        assert worst_case_subsets(errors, [1.0])[1.0]["count"] == 1
+        samples = [random_sample(rng, f"s{i}") for i in range(50)]
+        with pytest.raises(UsageError, match="selects no sample"):
+            evaluate(samples, ks=(1,), percents=(1e-12,), rank_metric="min_ade", rank_k=1)
+
 
 class TestLosses:
     def test_exact_confident_mode_zero_loss(self):
@@ -232,6 +247,55 @@ class TestLosses:
     def test_weights_non_negative(self):
         with pytest.raises(ValidationError):
             LossWeights(lambda_1=-0.5)
+
+
+class TestSquaredErrorKernel:
+    """One kernel computes every squared pointwise error, with the bits of the
+    spellings it replaced."""
+
+    SHAPES = [(1, 1), (2, 5), (6, 30), (5, 12)]
+
+    def drawn(self, rng, k, t):
+        for i in range(25):
+            sample = random_sample(rng, f"s{i}", k=k, horizon=t)
+            scale = 10.0 ** rng.integers(-3, 4)
+            yield ForecastSample(sample.sample_id, np.round(sample.modes * scale, 3), sample.probs, sample.gt * scale)
+
+    @pytest.mark.parametrize("k, t", SHAPES)
+    def test_ade_per_mode_equals_norm_spelling(self, rng, k, t):
+        for sample in self.drawn(rng, k, t):
+            old = np.linalg.norm(sample.modes - sample.gt[None], axis=2).mean(axis=1)
+            assert np.array_equal(ade_per_mode(sample), old)
+
+    @pytest.mark.parametrize("k, t", SHAPES)
+    def test_task_loss_equals_power_spelling(self, rng, k, t):
+        for sample in self.drawn(rng, k, t):
+            k_star = int(np.argmin(np.linalg.norm(sample.modes - sample.gt[None], axis=2).mean(axis=1)))
+            mse = float(np.mean(np.sum((sample.modes[k_star] - sample.gt) ** 2, axis=1)))
+            nll = -math.log(max(float(sample.probs[k_star]), 1e-12))
+            assert task_loss(sample) == {"l_task": mse + nll, "k_star": k_star}
+
+
+class TestSampleBounds:
+    def test_zero_horizon_rejected(self):
+        with pytest.raises(ValidationError, match=r"^sample 'z': horizon must be >= 1, got 0$"):
+            ForecastSample("z", np.zeros((2, 0, 2)), np.array([0.5, 0.5]), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("field", ["modes", "gt"])
+    @pytest.mark.parametrize("bad", [1e151, -1e200, 1e308])
+    def test_coordinate_beyond_bound_rejected(self, field, bad):
+        arrays = {"modes": np.zeros((2, 3, 2)), "gt": np.zeros((3, 2))}
+        arrays[field].flat[-1] = bad
+        with pytest.raises(ValidationError, match=r"^sample 'x': a mode or gt coordinate beyond 1e\+150$"):
+            ForecastSample("x", probs=np.array([0.5, 0.5]), **arrays)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bound_itself_scores_without_overflow(self):
+        gt = np.full((3, 2), -MAX_MAGNITUDE)
+        samples = [ForecastSample(f"s{i}", np.full((2, 3, 2), MAX_MAGNITUDE), np.array([0.5, 0.5]), gt) for i in range(3)]
+        report = evaluate(samples, ks=(1, 2), percents=(50.0,), rank_metric="min_fde", rank_k=2)
+        assert math.isfinite(report.aggregate["rmse"]["overall"])
+        assert math.isfinite(task_loss(samples[0])["l_task"])
 
 
 class TestParseJsonl:
@@ -328,6 +392,28 @@ class TestParseJsonl:
                 text.append(json.dumps(record))
         with pytest.raises(ParseError, match=f"^{error}"):
             parse_forecast_jsonl("\n".join(text) + "\n")
+
+    @pytest.mark.parametrize("sample_id", ["b", "true"], ids=["table-path", "per-sample-path"])
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"gt": [[0.0, 1e200], [1.0, 0.0]]}, "a mode or gt coordinate beyond 1e\\+150"),
+            ({"modes": [[[0.0, 0.0], [-1e151, 0.0]]]}, "a mode or gt coordinate beyond 1e\\+150"),
+            ({"probs": [1e200]}, "probabilities must be"),
+            ({"modes": [[[0.0, 0.0], [1e150, -1e150]]]}, None),
+        ],
+        ids=["gt", "modes", "probs", "bound-kept"],
+    )
+    def test_magnitude_bound_on_both_paths(self, sample_id, fields, error):
+        """A ``true`` in the id sends the line down the per-sample path; both paths refuse the same lines."""
+        text = self.line("a") + "\n" + json.dumps({**json.loads(self.line(sample_id)), **fields}) + "\n"
+        if error is None:
+            samples = parse_forecast_jsonl(text)
+            assert samples[1].modes.tolist() == fields["modes"]
+            assert all(a.flags.writeable for s in samples for a in (s.modes, s.probs, s.gt))
+        else:
+            with pytest.raises(ParseError, match=f"^line 2: sample '{sample_id}': {error}"):
+                parse_forecast_jsonl(text)
 
     def test_empty_source_names_it(self, tmp_path):
         path = tmp_path / "empty.jsonl"
