@@ -144,24 +144,24 @@ def _require_input(opts: dict) -> Path:
 
 
 def _score_scenes(opts: dict):
-    """The input scenes sorted by id, their (S, 14) metric matrix and their flags."""
+    """The input's scene ids in order, their (S, 14) metric matrix and their flags."""
     from .interaction import RssParams, score_scenes
-    from .scene import load_scenes
+    from .scene import read_scene_columns
 
     path = _require_input(opts)
     rss = RssParams.from_dict(opts.get("rss_params", {}))
-    scenes = load_scenes(path, **_kwargs(opts, "neighbor_radius"))
-    return (scenes, *score_scenes(scenes, rss))
+    columns = read_scene_columns(path, **_kwargs(opts, "neighbor_radius"))
+    return (columns.ids, *score_scenes(columns, rss))
 
 
 def cmd_metrics(opts: dict) -> int:
     """All 14 metric scalars per scene, one JSON record each."""
     from .interaction import METRIC_FIELDS
 
-    scenes, rows, flags = _score_scenes(opts)
+    ids, rows, flags = _score_scenes(opts)
     records = [
-        {"scene_id": scene.scene_id, "metrics": dict(zip(METRIC_FIELDS, row)), "flags": list(scene_flags)}
-        for scene, row, scene_flags in zip(scenes, rows.tolist(), flags)
+        {"scene_id": scene_id, "metrics": dict(zip(METRIC_FIELDS, row)), "flags": list(scene_flags)}
+        for scene_id, row, scene_flags in zip(ids, rows.tolist(), flags)
     ]
     _write_json({"scenes": records}, opts.get("out"))
     return 0
@@ -179,24 +179,24 @@ def cmd_rank(opts: dict) -> int:
         params = perceiver.default_params(**_kwargs(opts, "seed"))
     stats = perceiver.DatasetStats.load(opts["stats"]) if opts.get("stats") else None
 
-    scenes, metrics, _ = _score_scenes(opts)
+    ids, metrics, _ = _score_scenes(opts)
     if stats is None:
-        if len(scenes) < 2:
+        if len(ids) < 2:
             raise UsageError(
                 "normalization stats need at least 2 scenes; pass --stats for single scenes"
             )
         stats = perceiver.DatasetStats.fit(metrics)
 
     z, split = stats.zscores(metrics), len(perceiver.INTRINSIC_FIELDS)
-    seeds = [None] * len(scenes)
+    seeds = [None] * len(ids)
     if opts.get("mode") == "sample":
-        seeds = perceiver.scene_seeds(len(scenes), **_kwargs(opts, "seed"))
+        seeds = perceiver.scene_seeds(len(ids), **_kwargs(opts, "seed"))
     rows = []
-    for scene, f_i, f_r, child in zip(scenes, z[:, :split], z[:, split:], seeds):
+    for scene_id, f_i, f_r, child in zip(ids, z[:, :split], z[:, split:], seeds):
         result = perceiver.perceive(params, f_i, f_r, seed=child, **_kwargs(opts, "mode"))
         rows.append(
             {
-                "scene_id": scene.scene_id,
+                "scene_id": scene_id,
                 "ti": result.ti,
                 "alpha_i": result.alpha_i,
                 "alpha_r": result.alpha_r,

@@ -67,6 +67,16 @@ def _read(path, what: str, error: type) -> bytes:
         raise error(f"{what}: cannot read ({getattr(exc, 'strerror', None) or exc})") from None
 
 
+def read_source(source, what: str) -> tuple[str | bytes, str]:
+    """The str or bytes content of a str, bytes, a path (``os.PathLike``) or a
+    file, and the name its errors use: the path, or else ``what``. An
+    unreadable path raises UsageError naming it."""
+    if isinstance(source, os.PathLike):
+        what = os.fspath(source)
+        return _read(source, what, UsageError), what
+    return (source if isinstance(source, (str, bytes)) else source.read()), what
+
+
 def read_lines(source, what: str) -> list[str]:
     """The lines of a str, UTF-8 bytes, a path (``os.PathLike``) or a file.
 
@@ -75,11 +85,7 @@ def read_lines(source, what: str) -> list[str]:
     ``str.splitlines`` breaks stay inside their line. An unreadable path raises
     UsageError, bad UTF-8 a ParseError, naming the path or else ``what``.
     """
-    if isinstance(source, os.PathLike):
-        what = os.fspath(source)
-        text = _read(source, what, UsageError)
-    else:
-        text = source if isinstance(source, (str, bytes)) else source.read()
+    text, what = read_source(source, what)
     if isinstance(text, bytes):
         text = decode_utf8(text, what)
     pieces = text.splitlines(keepends=True)

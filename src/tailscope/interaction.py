@@ -6,17 +6,18 @@ conflict, agent density, neighborhood instability) rate the scene as a whole.
 The neighbor set is re-evaluated every frame as the agents within
 ``scene.neighbor_radius`` of the target.
 
-Scenes that share an agent count n and a frame count T form a group.
-``_geometry`` stacks a group once into ``(S, T, n, 2)`` positions and
-velocities (target first), the target-to-neighbor geometry forms
-``(S, T, N)`` arrays over the N neighbors, and the all-pairs conflict score
-reads the ``(S, T, n(n-1)/2)`` agent pairs of the same stacks. One kernel
-per score rates a whole group; each per-scene function is that kernel on a
-group of one. Reductions run over the last axis in a single scene's order
-and every other step is elementwise, so a scene's scores are the same bits
-alone or in a group. ``score_scenes`` scores a corpus group by group, in
-chunks of at most ``PAIR_FRAMES_CAP`` pair-frames (one scene at least), so
-the all-pairs temporaries of a dense scene do not grow with the corpus.
+Scenes that share an agent count n and a frame count T form a group, held as
+the columns of a ``scene.SceneGroup``. ``_geometry`` restacks a group once
+into ``(S, T, n, 2)`` positions and velocities (target first), the
+target-to-neighbor geometry forms ``(S, T, N)`` arrays over the N neighbors,
+and the all-pairs conflict score reads the ``(S, T, n(n-1)/2)`` agent pairs
+of the same stacks. One kernel per score rates a whole group; each per-scene
+function is that kernel on a group of one. Reductions run over the last axis
+in a single scene's order and every other step is elementwise, so a scene's
+scores are the same bits alone or in a group. ``score_scenes`` scores a
+corpus group by group, in chunks of at most ``PAIR_FRAMES_CAP`` pair-frames
+(one scene at least), so the all-pairs temporaries of a dense scene do not
+grow with the corpus.
 
 The safe-distance scores follow the Responsibility-Sensitive Safety minimum
 separations: the longitudinal/lateral axes are the target's instantaneous
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .intrinsic import INTRINSIC_FIELDS, compute_intrinsic, intrinsic_rows, rms_acceleration
-from .scene import Scene, check_radius, kinematics
+from .scene import Scene, SceneColumns, SceneGroup, check_radius, kinematics
 
 #: Agent pairs closer than this (m) are skipped wherever a separation is a
 #: denominator, instead of dividing by ~0.
@@ -147,21 +148,19 @@ def _pair_geometry(pos, vel, a, b):
     return dp, vel[..., b, :] - vel[..., a, :], np.hypot(dp[..., 0], dp[..., 1])
 
 
-def _geometry(scenes) -> _Geometry:
-    """Stack scenes that share their agent and frame counts, and relate every neighbor to its target."""
-    agents = [traj for s in scenes for traj in (s.target, *map(s.agents.get, s.neighbor_ids()))]
-    shape = (len(scenes), len(agents) // len(scenes), scenes[0].n_frames, 2)
-    tracks = np.stack([traj.velocities for traj in agents]).reshape(shape)
-    pos = np.stack([traj.positions for traj in agents]).reshape(shape).transpose(0, 2, 1, 3).copy()
+def _geometry(group: SceneGroup) -> _Geometry:
+    """Restack a group's columns frame-major and relate every neighbor to its target."""
+    tracks = group.block[..., 3:5].copy()
+    pos = group.block[..., 1:3].transpose(0, 2, 1, 3).copy()
     vel = tracks.transpose(0, 2, 1, 3).copy()
     return _Geometry(
         pos,
         vel,
         tracks,
-        np.array([traj.dt for traj in agents]).reshape(shape[:2]),
-        np.stack([s.target.headings for s in scenes]),
-        np.array([traj.kind for traj in agents]).reshape(shape[:2])[:, None, 1:],
-        np.array([s.neighbor_radius for s in scenes])[:, None, None],
+        group.dt,
+        group.block[:, 0, :, 5].copy(),
+        group.kinds[:, None, 1:],
+        group.radius[:, None, None],
         *_pair_geometry(pos, vel, slice(0, 1), slice(1, None)),
     )
 
@@ -256,7 +255,7 @@ def ittc_risk(scene: Scene) -> dict:
     Frames with no neighbor in radius contribute 0; coincident pairs are
     skipped with a ``proximity_skip`` flag.
     """
-    g = _geometry([scene])
+    g = _geometry(SceneGroup.of([scene]))
     scores = _ittc_risk(g, g.dist <= g.radius)
     flags = ("proximity_skip",) * bool(scores["skip"][0])
     return {"r_ittc": float(scores["r_ittc"][0]), "series": scores["series"][0], "flags": flags}
@@ -270,7 +269,7 @@ def _ittc_risk(g: _Geometry, near) -> dict:
 
 def rss_longitudinal(scene: Scene, params: RssParams | None = None) -> dict:
     """Worst-neighbor longitudinal safe-distance risk, averaged over frames."""
-    g = _geometry([scene])
+    g = _geometry(SceneGroup.of([scene]))
     return _checked(_rss_longitudinal(g, g.dist <= g.radius, params or RssParams()), "r_lon", "longitudinal")
 
 
@@ -288,7 +287,7 @@ def _rss_longitudinal(g: _Geometry, near, params: RssParams) -> dict:
 
 def rss_lateral(scene: Scene, params: RssParams | None = None) -> dict:
     """Worst-neighbor lateral safe-distance risk, averaged over frames."""
-    g = _geometry([scene])
+    g = _geometry(SceneGroup.of([scene]))
     return _checked(_rss_lateral(g, g.dist <= g.radius, params or RssParams()), "r_lat", "lateral")
 
 
@@ -311,7 +310,7 @@ def global_scene_risk(scene: Scene, radius: float | None = None) -> dict:
     ``radius`` defaults to the scene's neighbor radius and bounds both the
     density disc and the instability neighbor set; it must be finite and > 0.
     """
-    scores = _global_scene_risk(_geometry([scene]), radius)
+    scores = _global_scene_risk(_geometry(SceneGroup.of([scene])), radius)
     flags = ("proximity_skip",) * bool(scores["skip"][0])
     return {**{name: float(scores[name][0]) for name in INTERACTIVE_FIELDS[3:]}, "flags": flags}
 
@@ -365,7 +364,7 @@ def compute_interactive(
     scene: Scene, params: RssParams | None = None, radius: float | None = None
 ) -> InteractiveMetrics:
     """All six interactive scalars of one scene, from one stack of its agents."""
-    rows, skip, unsafe_lon, unsafe_lat = _interactive(_geometry([scene]), params or RssParams(), radius)
+    rows, skip, unsafe_lon, unsafe_lat = _interactive(_geometry(SceneGroup.of([scene])), params or RssParams(), radius)
     for unsafe, axis in ((unsafe_lon, "longitudinal"), (unsafe_lat, "lateral")):
         if unsafe[0]:
             raise _rss_error(axis)
@@ -376,32 +375,33 @@ def score_scenes(scenes, params: RssParams | None = None) -> tuple[np.ndarray, l
     """The 14 metrics of each scene as an (S, 14) matrix in ``METRIC_FIELDS``
     order, and each scene's sorted flags.
 
-    Scenes that share an agent count n and a frame count T are scored as one
-    stack, in chunks of at most ``PAIR_FRAMES_CAP // (T * n(n-1)/2)`` scenes
-    (one at least). Row s holds the bits of ``compute_intrinsic`` of the
-    target and ``compute_interactive(scenes[s], params)``; the first scene
-    those would refuse is refused with their error.
+    ``scenes`` is a list of scenes or their :class:`SceneColumns`. Scenes that
+    share an agent count n and a frame count T are scored as one stack, in
+    chunks of at most ``PAIR_FRAMES_CAP // (T * n(n-1)/2)`` scenes (one at
+    least). Row s holds the bits of ``compute_intrinsic`` of the target and
+    ``compute_interactive(scenes[s], params)``; the first scene those would
+    refuse is refused with their error.
     """
     params = params or RssParams()
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, scene in enumerate(scenes):
-        groups.setdefault((len(scene.agents), scene.n_frames), []).append(i)
-    rows = np.empty((len(scenes), len(METRIC_FIELDS)))
-    slow, close, unsafe = np.empty((3, len(scenes)), dtype=bool)
+    columns = scenes if isinstance(scenes, SceneColumns) else SceneColumns.of(scenes)
+    rows = np.empty((len(columns), len(METRIC_FIELDS)))
+    slow, close, unsafe, short = np.empty((4, len(columns)), dtype=bool)
     split = len(INTRINSIC_FIELDS)
-    for (n, n_frames), members in groups.items():
+    for group in columns.groups:
+        n, n_frames = group.block.shape[1:3]
+        short[group.index] = n_frames < 3
         size = max(1, PAIR_FRAMES_CAP // (n_frames * max(1, n * (n - 1) // 2)))
-        for chunk in (members[start : start + size] for start in range(0, len(members), size)):
-            g = _geometry([scenes[i] for i in chunk])
-            rows[chunk, :split], slow[chunk] = intrinsic_rows(kinematics(g.tracks[:, 0], g.headings, g.dt[:, :1]))
-            rows[chunk, split:], close[chunk], unsafe_lon, unsafe_lat = _interactive(g, params)
-            unsafe[chunk] = unsafe_lon | unsafe_lat
+        for chunk in (group[start : start + size] for start in range(0, len(group), size)):
+            g, i = _geometry(chunk), chunk.index
+            rows[i, :split], slow[i] = intrinsic_rows(kinematics(g.tracks[:, 0], g.headings, g.dt[:, :1]))
+            rows[i, split:], close[i], unsafe_lon, unsafe_lat = _interactive(g, params)
+            unsafe[i] = unsafe_lon | unsafe_lat
     risks = rows[:, [METRIC_FIELDS.index("r_lon"), METRIC_FIELDS.index("r_lat")]]
     refused = unsafe | ~((rows >= 0.0) & np.isfinite(rows)).all(axis=1) | (risks >= 1.0).any(axis=1)
     for i in np.flatnonzero(refused).tolist()[:1]:  # the per-scene calls word the error
         compute_intrinsic(scenes[i].target)
         compute_interactive(scenes[i], params)
     return rows, [
-        ("low_speed_frames",) * a + ("proximity_skip",) * b + ("short_trajectory",) * (scene.n_frames < 3)
-        for scene, a, b in zip(scenes, slow.tolist(), close.tolist())
+        ("low_speed_frames",) * a + ("proximity_skip",) * b + ("short_trajectory",) * c
+        for a, b, c in zip(slow.tolist(), close.tolist(), short.tolist())
     ]

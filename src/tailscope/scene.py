@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import MAX_MAGNITUDE, ParseError, ValidationError, read_lines, write_text
+from .errors import MAX_MAGNITUDE, ParseError, ValidationError, read_lines, read_source, write_text
 
 AGENT_KINDS = ("vehicle", "pedestrian", "other")
 
@@ -305,6 +305,86 @@ def kinematics(v: np.ndarray, headings: np.ndarray, dt) -> KinematicSeries:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class SceneGroup:
+    """S scenes of n agents and T frames as columns. Each scene's agents come
+    target first, then in ``neighbor_ids`` order."""
+
+    index: np.ndarray  # (S,) the scenes' positions in their corpus
+    block: np.ndarray  # (S, n, T, 6) t, x, y, vx, vy, heading per frame
+    kinds: np.ndarray  # (S, n) agent kinds
+    dt: np.ndarray  # (S, n) each agent's time step
+    radius: np.ndarray  # (S,) neighbor radii
+    agents: np.ndarray  # (S, n) agent ids (objects)
+    first: np.ndarray  # (S, n) ranks the agents in the order a Scene's dict holds them
+
+    @classmethod
+    def of(cls, scenes: Sequence[Scene], index=None) -> SceneGroup:
+        """The scenes, which share their agent and frame counts, as one group."""
+        agents = [(s.target_id, *s.neighbor_ids()) for s in scenes]
+        trajs = [s.agents[a] for s, row in zip(scenes, agents) for a in row]
+        shape = (len(scenes), len(agents[0]))
+        return cls(
+            np.arange(len(scenes)) if index is None else np.asarray(index),
+            np.stack([traj._stacked() for traj in trajs]).reshape(*shape, -1, 6),
+            np.array([traj.kind for traj in trajs]).reshape(shape),
+            np.array([traj.dt for traj in trajs], dtype=float).reshape(shape),
+            np.array([s.neighbor_radius for s in scenes], dtype=float),
+            np.array(agents, dtype=object),
+            np.array([[list(s.agents).index(a) for a in row] for s, row in zip(scenes, agents)]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, rows: slice) -> SceneGroup:
+        return SceneGroup(*(getattr(self, name)[rows] for name in self.__dataclass_fields__))
+
+    def scene(self, s: int, scene_id: str) -> Scene:
+        """Row ``s`` as a :class:`Scene`."""
+        agents = {}
+        for j in np.argsort(self.first[s]).tolist():
+            table, agent_id = self.block[s, j], self.agents[s, j]
+            agents[agent_id] = Trajectory(
+                agent_id, table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5], str(self.kinds[s, j]), float(self.dt[s, j])
+            )
+        return Scene(scene_id, agents, self.agents[s, 0], neighbor_radius=float(self.radius[s]))
+
+
+@dataclass(frozen=True, eq=False)
+class SceneColumns:
+    """A corpus of scenes as groups of one shape; ``ids`` holds the scene ids
+    and each group's ``index`` its scenes' positions there. Indexing gives
+    a :class:`Scene`."""
+
+    ids: list[str]
+    groups: list[SceneGroup]
+
+    @classmethod
+    def of(cls, scenes: Sequence[Scene]) -> SceneColumns:
+        members: dict[tuple[int, int], list[int]] = {}
+        for i, scene in enumerate(scenes):
+            members.setdefault((len(scene.agents), scene.n_frames), []).append(i)
+        groups = [SceneGroup.of([scenes[i] for i in index], index) for index in members.values()]
+        return cls([scene.scene_id for scene in scenes], groups)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Scene:
+        for group in self.groups:
+            for s in np.flatnonzero(group.index == i).tolist():
+                return group.scene(s, self.ids[i])
+        raise IndexError(i)
+
+    def scenes(self) -> list[Scene]:
+        out = [None] * len(self.ids)
+        for group in self.groups:
+            for s, i in enumerate(group.index.tolist()):
+                out[i] = group.scene(s, self.ids[i])
+        return out
+
+
 def _csv_errors(reader):
     """The records of a ``csv.reader``; a csv module error becomes a ParseError naming its line."""
     try:
@@ -323,6 +403,191 @@ def _parse_float(raw: str, column: str, line: int) -> float:
     return value
 
 
+#: The only bytes a scene CSV may hold for ``_columns`` to read it; a quote,
+#: space, tab, ``\r`` or non-ASCII byte sends the file through the row loop.
+_PLAIN = b"".join(bytes(range(ord(a), ord(b) + 1)) for a, b in ("az", "AZ", "09")) + b"+-._,\n"
+_HEADER = ",".join(CSV_COLUMNS).encode()
+_ROW = np.dtype([("frame", "i8"), ("v", "f8", (6,))])
+
+
+def _keys(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """Each row's field ``buf[start:end]`` in one fixed-width bytes array; None
+    when the widest field would make that array larger than ``buf``."""
+    width = end - start
+    size = max(int(width.max()), 1)
+    if size * len(width) > len(buf):
+        return None
+    out = np.zeros((len(width), size), dtype=np.uint8)
+    for j in range(size):
+        has = width > j
+        out[has, j] = buf[start[has] + j]
+    return out.view(f"S{size}")[:, 0]
+
+
+def _runs(scene: np.ndarray, agent: np.ndarray, frame: np.ndarray) -> np.ndarray | None:
+    """Where each (scene, agent) run of rows starts, or None unless every pair
+    is one run with increasing frames."""
+    new = np.ones(len(frame), dtype=bool)
+    new[1:] = (scene[1:] != scene[:-1]) | (agent[1:] != agent[:-1])
+    if ((frame[1:] <= frame[:-1]) & ~new[1:]).any():
+        return None
+    starts = np.flatnonzero(new)
+    s, a = scene[starts], agent[starts]
+    o = np.lexsort((a, s))
+    return None if ((s[o][1:] == s[o][:-1]) & (a[o][1:] == a[o][:-1])).any() else starts
+
+
+def _plain_rows(data) -> tuple | None:
+    """The rows of a plain scene CSV as arrays: scene, agent, kind and target
+    keys, frames and ``(t, x, y, vx, vy, heading)`` values. None when the file
+    holds a byte outside ``_PLAIN``, a line without its header's fields, a
+    number ``loadtxt`` does not read or a value the row loop refuses."""
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    if not data or data.translate(None, _PLAIN):
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    head = data.index(b"\n")
+    has_target_col = data[:head] == _HEADER + b",target"
+    n_rows, n_cols = data.count(b"\n") - 1, len(CSV_COLUMNS) + has_target_col
+    if not (has_target_col or data[:head] == _HEADER) or n_rows == 0:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    body = buf[head + 1 :]
+    sep = np.flatnonzero((body == ord(",")) | (body == ord("\n"))) + (head + 1)
+    if sep.size != n_rows * n_cols:
+        return None
+    # csv refuses a field longer than its limit
+    if np.diff(sep, prepend=head).max() > csv.field_size_limit() + 1:
+        return None
+    sep = sep.reshape(n_rows, n_cols)  # each line's commas, then its newline
+    # an int64 frame takes at most 20 characters; int() refuses more than
+    # sys.get_int_max_str_digits() digits, which loadtxt reads
+    if (buf[sep[:, -1]] != ord("\n")).any() or (sep[:, 2] - sep[:, 1]).max() > 21:
+        return None
+    line_start = np.concatenate(([head], sep[:-1, -1])) + 1
+    fields = (0, 1, 9, 10) if has_target_col else (0, 1, 9)  # scene, agent, kind and target
+    keys = [_keys(buf, line_start if c == 0 else sep[:, c - 1] + 1, sep[:, c]) for c in fields]
+    if any(k is None for k in keys):
+        return None
+    scene, agent, kind = keys[:3]
+    flag = keys[3] if has_target_col else np.zeros(n_rows, dtype="S1")
+    try:
+        table = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1, usecols=range(2, 9), comments=None, dtype=_ROW, ndmin=1)
+    except ValueError:
+        return None
+    v = table["v"]
+    ok = (
+        (scene != b"") & (agent != b"") & np.isin(kind, [k.encode() for k in AGENT_KINDS])
+        & np.isin(flag, [b"", b"0", b"1"]) & np.isfinite(v).all(axis=1)
+        & (np.abs(v[:, 1:5]) <= MAX_MAGNITUDE).all(axis=1) & (v[:, 5] > -math.pi) & (v[:, 5] <= math.pi)
+    )
+    return (scene, agent, kind, flag, table["frame"], v, has_target_col) if ok.all() else None
+
+
+def _columns(data, neighbor_radius: float) -> SceneColumns | None:
+    """The scenes of a plain scene CSV as columns, with every check of
+    ``Trajectory`` and ``Scene`` as an array mask. None when ``_plain_rows``
+    refuses the file or a check fails: the row loop then reads it and words
+    the error."""
+    rows = _plain_rows(data)
+    if rows is None:
+        return None
+    scene, agent, kind, flag, frame, v, has_target_col = rows
+    n_rows = len(frame)
+    order = np.arange(n_rows)
+    starts = _runs(scene, agent, frame)
+    if starts is None:
+        order = np.lexsort((frame, agent, scene))
+        scene, agent, kind, flag, frame = scene[order], agent[order], kind[order], flag[order], frame[order]
+        starts = _runs(scene, agent, frame)
+        if starts is None:  # a duplicate frame
+            return None
+    v = v[order]
+    length = np.diff(starts, append=n_rows)
+    within = np.ones(n_rows, dtype=bool)
+    within[starts] = False  # the rows that continue their agent's run
+    if (length < 2).any() or ((kind != np.roll(kind, 1)) & within).any() or ((flag != np.roll(flag, 1)) & within).any():
+        return None
+
+    ids, scene_of = np.unique(scene[starts], return_inverse=True)
+    agent_ids, agent_of = np.unique(agent[starts], return_inverse=True)
+    agent_ids = agent_ids.astype(str).astype(object)
+    id_rank = np.empty(len(agent_ids), dtype=int)
+    id_rank[sorted(range(len(agent_ids)), key=lambda i: _id_key(agent_ids[i]))] = np.arange(len(agent_ids))
+    target = flag[starts] == b"1"
+    n_agents = np.bincount(scene_of, minlength=len(ids))
+    if has_target_col and (np.bincount(scene_of[target], minlength=len(ids)) != 1).any():
+        return None
+    # The runs by scene, target first, then in neighbor_ids order. Without a
+    # target column the lowest id comes first, and it is the target.
+    by_scene = np.lexsort((id_rank[agent_of], ~target, scene_of))
+    scene_start = np.cumsum(n_agents) - n_agents
+    targets = by_scene[scene_start]
+    target_run, n_frames = targets[scene_of], length[targets]
+
+    # dt is each scene's most frequent gap rounded to 9 digits, the smallest on
+    # a tie; Python's round runs once per distinct raw gap
+    t = v[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap fails the checks below
+        gaps = np.diff(t)[within[1:]]
+        raw, raw_of = np.unique(gaps, return_inverse=True)
+        rounded, code = np.unique([round(g, 9) for g in raw.tolist()], return_inverse=True)
+        pair, count = np.unique(np.repeat(scene_of, length - 1) * len(rounded) + code[raw_of], return_counts=True)
+        pair_scene, pair_code = np.divmod(pair, len(rounded))
+        best = np.lexsort((pair_code, -count, pair_scene))
+        best = best[np.diff(pair_scene[best], prepend=-1) != 0]
+        dt = rounded[pair_code[best]][scene_of]  # per run
+        max_rate = np.sqrt(sys.float_info.max / (2 * length))
+        t_end = t[starts + length - 1]
+        refused = (
+            ~((dt > 0) & (dt < math.inf)) | (2 * math.pi > max_rate * dt * dt)
+            # the runs whose acceleration and jerk Trajectory works out frame by frame
+            | (4 * np.maximum.reduceat(np.abs(v[:, 3:5]).max(axis=1), starts) > max_rate * dt * np.minimum(dt, 2.0))
+            | (length != length[target_run]) | (np.abs(t[starts] - t[starts][target_run]) > DT_TOLERANCE)
+            | (np.abs(t_end - t_end[target_run]) > DT_TOLERANCE)
+        )
+        if refused.any() or ((gaps <= 0) | (np.abs(gaps - np.repeat(dt, length - 1)) > DT_TOLERANCE)).any():
+            return None
+    try:
+        for agent_frames in set((n_agents * n_frames).tolist()):
+            check_radius("neighbor_radius", neighbor_radius, agent_frames)
+    except ValidationError:
+        return None
+
+    first = np.minimum.reduceat(order, starts)
+    kinds = kind[starts].astype(str)
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, shape in enumerate(zip(n_agents.tolist(), n_frames.tolist())):
+        members.setdefault(shape, []).append(i)
+    groups = []
+    for (n, n_frame), index in members.items():
+        runs = by_scene[scene_start[index][:, None] + np.arange(n)]  # (S, n)
+        block = v[starts[runs][..., None] + np.arange(n_frame)]
+        radius = np.full(len(index), float(neighbor_radius))
+        groups.append(SceneGroup(np.array(index), block, kinds[runs], dt[runs], radius, agent_ids[agent_of[runs]], first[runs]))
+    return SceneColumns(ids.astype(str).tolist(), groups)
+
+
+def read_scene_columns(source, neighbor_radius: float = 50.0) -> SceneColumns:
+    """The scenes of a scene CSV as :class:`SceneColumns`, sorted by scene id;
+    ``parse_scene_csv`` gives the same scenes as objects.
+
+    A file of plain fields (``_PLAIN``) takes the column path; any other file,
+    and any file a check refuses, is read by the row loop, which gives the
+    same scenes or words the error.
+    """
+    data, what = read_source(source, "scene CSV")
+    columns = _columns(data, neighbor_radius)
+    if columns is None:
+        lines, data = read_lines(data, what), None  # the row loop needs no bytes
+        columns = SceneColumns.of(_parse_rows(lines, neighbor_radius))
+    return columns
+
+
 def parse_scene_csv(source, neighbor_radius: float = 50.0) -> list[Scene]:
     """Parse a scene CSV stream into validated :class:`Scene` objects.
 
@@ -332,9 +597,20 @@ def parse_scene_csv(source, neighbor_radius: float = 50.0) -> list[Scene]:
     per scene from the modal gap between consecutive timestamps.
 
     ``source`` is a str, bytes, a Path or a file (see ``read_lines``). Scenes
-    are returned sorted by scene id.
+    are returned sorted by scene id. A file ``read_scene_columns`` reads by
+    columns gives its scenes from those columns.
     """
-    reader = csv.reader(read_lines(source, "scene CSV"))
+    data, what = read_source(source, "scene CSV")
+    columns = _columns(data, neighbor_radius)
+    if columns is None:
+        lines, data = read_lines(data, what), None  # the row loop needs no bytes
+        return _parse_rows(lines, neighbor_radius)
+    return columns.scenes()
+
+
+def _parse_rows(lines: list[str], neighbor_radius: float) -> list[Scene]:
+    """``parse_scene_csv`` row by row: every error names its line, or its scene and agent."""
+    reader = csv.reader(lines)
     records = _csv_errors(reader)
     try:
         header = next(records)
@@ -346,9 +622,8 @@ def parse_scene_csv(source, neighbor_radius: float = 50.0) -> list[Scene]:
         raise ParseError(f"bad header {header!r}, expected {','.join(CSV_COLUMNS)}[,target]", line=1)
 
     n_cols = len(header)
-    # rows[scene][agent] -> (kind, list of (frame, t, x, y, vx, vy, heading))
-    rows: dict[str, dict[str, tuple[str, list[tuple]]]] = {}
-    flagged: dict[str, set[str]] = {}
+    # rows[scene][agent] -> (kind, target flag, list of (frame, t, x, y, vx, vy, heading))
+    rows: dict[str, dict[str, tuple[str, str, list[tuple]]]] = {}
     for row in records:
         line_no = reader.line_num  # the record's last line: a quoted field may span lines
         if not row:
@@ -375,21 +650,20 @@ def parse_scene_csv(source, neighbor_radius: float = 50.0) -> list[Scene]:
             raise ValidationError(
                 f"line {line_no}: unknown kind {kind!r}, expected one of {'|'.join(AGENT_KINDS)}"
             )
-        agent_kind, agent_rows = rows.setdefault(scene_id, {}).setdefault(agent_id, (kind, []))
+        flag = row[10].strip() if has_target_col else ""
+        agent_kind, agent_flag, agent_rows = rows.setdefault(scene_id, {}).setdefault(agent_id, (kind, flag, []))
         if agent_kind != kind:
             raise ValidationError(f"line {line_no}: agent {agent_id!r} changes kind to {kind!r}")
-        if has_target_col:
-            flag = row[10].strip()
-            if flag not in ("", "0", "1"):
-                raise ParseError(f"column 'target': expected 0 or 1, got {flag!r}", line=line_no)
-            if flag == "1":
-                flagged.setdefault(scene_id, set()).add(agent_id)
+        if flag not in ("", "0", "1"):
+            raise ParseError(f"column 'target': expected 0 or 1, got {flag!r}", line=line_no)
+        if agent_flag != flag:
+            raise ValidationError(f"line {line_no}: agent {agent_id!r} changes target flag to {flag!r}")
         agent_rows.append((frame, t, x, y, vx, vy, heading))
 
     scenes = []
     for scene_id in sorted(rows):
         gaps = []
-        for agent_id, (_, agent_rows) in rows[scene_id].items():
+        for agent_id, (_, _, agent_rows) in rows[scene_id].items():
             agent_rows.sort(key=lambda r: r[0])
             for prev, cur in zip(agent_rows, agent_rows[1:]):
                 if prev[0] == cur[0]:
@@ -405,13 +679,13 @@ def parse_scene_csv(source, neighbor_radius: float = 50.0) -> list[Scene]:
         try:
             trajectories = {
                 agent_id: _from_table(agent_id, [r[1:] for r in agent_rows], kind, dt)
-                for agent_id, (kind, agent_rows) in rows[scene_id].items()
+                for agent_id, (kind, _, agent_rows) in rows[scene_id].items()
             }
         except ValidationError as exc:
             raise ValidationError(f"scene {scene_id!r}: {exc}") from None
 
         if has_target_col:
-            marked = sorted(flagged.get(scene_id, ()))
+            marked = sorted(a for a, (_, flag, _) in rows[scene_id].items() if flag == "1")
             if len(marked) != 1:
                 raise ValidationError(
                     f"scene {scene_id!r}: expected exactly one agent with target=1, "

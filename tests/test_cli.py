@@ -171,6 +171,19 @@ class TestRankCommand:
         assert {row["category"] for row in payload["ranking"]} <= {0, 1}
         assert len(payload["boundaries"]) == 1
 
+    def test_metrics_and_rank_build_no_trajectory(self, tmp_path, monkeypatch):
+        """The scene columns go from the CSV to the metrics without a Trajectory or Scene."""
+        from tailscope import scene
+
+        def forbidden(self):
+            raise AssertionError(f"built {type(self).__name__}")
+
+        csv_path = self.make_batch_csv(tmp_path)
+        monkeypatch.setattr(scene.Trajectory, "__post_init__", forbidden)
+        monkeypatch.setattr(scene.Scene, "__post_init__", forbidden)
+        assert run(["metrics", "--input", str(csv_path), "--out", str(tmp_path / "m.json")]) == 0
+        assert run(["rank", "--input", str(csv_path), "--mode", "sample", "--out", str(tmp_path / "r.json")]) == 0
+
     def test_kl_computed_once_per_params(self, tmp_path, monkeypatch):
         from tailscope import perceiver
 
@@ -419,7 +432,7 @@ class TestExitCodeContract:
         def no_load(*args, **kwargs):
             raise AssertionError("scenes loaded before the config was checked")
 
-        monkeypatch.setattr("tailscope.scene.load_scenes", no_load)
+        monkeypatch.setattr("tailscope.scene.read_scene_columns", no_load)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         csv_path = tmp_path / "s.csv"
@@ -466,7 +479,7 @@ class TestExitCodeContract:
         def no_load(*args, **kwargs):
             raise AssertionError("scenes loaded before the sidecar was read")
 
-        monkeypatch.setattr("tailscope.scene.load_scenes", no_load)
+        monkeypatch.setattr("tailscope.scene.read_scene_columns", no_load)
         sidecar = tmp_path / "sidecar.json"
         if content is not None:
             sidecar.write_bytes(content)
@@ -476,7 +489,7 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("command", ["rank", "synth"])
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setattr("tailscope.scene.load_scenes", lambda *a, **k: pytest.fail("loaded"))
+        monkeypatch.setattr("tailscope.scene.read_scene_columns", lambda *a, **k: pytest.fail("loaded"))
         argv = [command, "--seed", "-3", "--out", str(tmp_path / "out")]
         argv += ["--input", str(tmp_path)] if command == "rank" else ["--kind", "constant"]
         assert run(argv) == 2

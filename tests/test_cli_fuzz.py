@@ -5,6 +5,7 @@ parameter file the package writes reads back exactly. Properties: the
 invariants every score and metric keeps."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -19,9 +20,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from tailscope import evaluation  # noqa: E402
+from tailscope import evaluation, scene  # noqa: E402
 from tailscope.cli import OPTIONS, main  # noqa: E402
-from tailscope.errors import ParseError, read_json, read_lines  # noqa: E402
+from tailscope.errors import ParseError, TailscopeError, read_json, read_lines  # noqa: E402
 from tailscope.evaluation import ForecastSample, evaluate, min_ade, min_fde, parse_forecast_jsonl  # noqa: E402
 from tailscope.interaction import RssParams, compute_interactive  # noqa: E402
 from tailscope.intrinsic import compute_intrinsic  # noqa: E402
@@ -226,6 +227,77 @@ def test_forecast_jsonl_parse_matches_the_line_by_line_reading(workdir, data):
         lines = mutated_lines(lines, data, field)
     text = "\n".join(lines) + "\n"
     assert parsed(parse_forecast_jsonl, text) == parsed(parse_line_by_line, text)
+
+
+#: Cells the column path must refuse or read exactly as ``float``/``int`` do:
+#: quotes, spaces, underscores, signs, non-finite and non-ASCII numbers, an
+#: integer written as a float, more digits than ``int`` reads, a field longer
+#: than ``csv`` reads, every kind and target flag.
+SCENE_CELLS = st.sampled_from([
+    '"0"', '"a,b"', " 1", "1 ", "\t2", "1_000", "1_0", "nan", "inf", "-inf", "+3", "+0.5", "-0", "1.0", "1e0",
+    "\u0663", "007", "", "0", "1", "x", "1e400", "1e-400", "99999999999999999999",
+    "9000000000000000000", "-9000000000000000000", ".5", "5.", "0x10", "0" * 4301, "1" * (csv.field_size_limit() + 1),
+    *AGENT_KINDS, "Vehicle",
+])
+
+
+def read_row_by_row(text):
+    """The reference reading of a scene CSV: the row loop, whatever the file holds."""
+    return scene._parse_rows(read_lines(text, "scene CSV"), 50.0)
+
+
+def scene_bits(scene_list):
+    """Every scene in order: ids, target, radius and each agent's kind, dt and rows, bit for bit."""
+    return [
+        (s.scene_id, s.target_id, s.neighbor_radius,
+         [(a, t.kind, t.dt.hex(), t._stacked().tobytes()) for a, t in s.agents.items()])
+        for s in scene_list
+    ]
+
+
+def parsed_scenes(parse, text):
+    try:
+        return scene_bits(parse(text))
+    except TailscopeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def mutated_scene_csv(lines, data):
+    """``lines`` with one cell, line ending, line or the row order changed."""
+    lines = list(lines)
+    i = data.draw(st.integers(1, len(lines) - 1))
+    how = data.draw(st.sampled_from(["cell", "cell", "crlf", "blank", "shuffle", "repeat", "drop", "untarget"]))
+    if how == "cell":
+        cells = lines[i].split(",")
+        c = data.draw(st.integers(0, len(cells) - 1))
+        cells[c] = data.draw(SCENE_CELLS | TEXT | st.floats().map(repr) | st.integers().map(str))
+        lines[i] = ",".join(cells)
+    elif how == "crlf":
+        lines[i] += "\r"
+    elif how == "blank":
+        lines.insert(i, "")
+    elif how == "shuffle":
+        lines[1:] = data.draw(st.permutations(lines[1:]))
+    elif how == "repeat":
+        lines.insert(i, lines[i])
+    elif how == "drop":
+        del lines[i]
+    elif lines[0].endswith(",target"):
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    return lines
+
+
+@given(data=st.data())
+def test_scene_csv_parse_matches_the_row_by_row_reading(workdir, data):
+    """The column path gives the row loop's scenes, bit for bit, or its error, after two
+    mutations; so do the columns the CLI scores, whichever path read them."""
+    lines = (workdir / "scenes.csv").read_text().splitlines()
+    for _ in range(2):
+        lines = mutated_scene_csv(lines, data)
+    text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
+    want = parsed_scenes(read_row_by_row, text)
+    assert parsed_scenes(parse_scene_csv, text) == want
+    assert parsed_scenes(lambda t: scene.read_scene_columns(t).scenes(), text) == want
 
 
 @given(mode=st.sampled_from(["mean", "sample"]), data=st.data())

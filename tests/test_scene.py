@@ -1,5 +1,6 @@
 """Domain types, CSV ingestion and the backward-difference kinematics."""
 
+import csv
 import math
 import pickle
 
@@ -310,6 +311,32 @@ class TestParseSceneCsv:
         with pytest.raises(ValidationError, match="line 3.*kind"):
             parse_scene_csv(text)
 
+    @pytest.mark.parametrize("first, then", [("1", "0"), ("0", "1"), ("0", ""), ("", "1")])
+    def test_agent_changing_target_flag_names_line(self, first, then):
+        text = (
+            HEADER
+            + ",target"
+            + f"\ns,a,0,0.0,0,0,1,0,0.0,vehicle,{first}"
+            + f"\ns,a,1,0.5,0,0,1,0,0.0,vehicle,{then}"
+            + "\ns,b,0,0.0,5,0,1,0,0.0,vehicle,0"
+            + "\ns,b,1,0.5,5,0,1,0,0.0,vehicle,0\n"
+        )
+        for source in (text, text.replace("\n", "\r\n")):  # the column path, then the row loop alone
+            with pytest.raises(ValidationError, match=f"line 3: agent 'a' changes target flag to '{then}'"):
+                parse_scene_csv(source)
+
+    @pytest.mark.parametrize(
+        "frame, x, error",
+        [("0" * 4301, "0", "line 2: column 'frame': not an integer"),
+         ("0", "1" * (csv.field_size_limit() + 1), "line 2: bad CSV \\(field larger than field limit")],
+        ids=["int-digit-limit", "csv-field-limit"],
+    )
+    def test_plain_values_python_refuses_are_refused(self, frame, x, error):
+        """loadtxt reads both; int() and csv do not, so neither may the column path."""
+        text = HEADER + f"\ns,a,{frame},0.0,{x},0,1,0,0.0,vehicle\ns,a,1,0.5,0,0,1,0,0.0,vehicle\n"
+        with pytest.raises(ParseError, match=error):
+            parse_scene_csv(text)
+
     def test_gap_error_names_scene_agent_and_frame(self):
         text = (
             HEADER
@@ -402,6 +429,48 @@ class TestParseSceneCsv:
         text = HEADER + "\ns,a,0,0.0,0,0,1,0,0.0,vehicle\ns,a,1,0.5,0.5,0,1,0,0.0,vehicle\n"
         (scene,) = parse_scene_csv(text.encode("utf-8"))
         assert scene.dt == pytest.approx(0.5)
+
+
+class TestColumnPath:
+    """Plain files are read by the column path alone: the row loop never runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_row_loop(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the row loop read a plain scene CSV")
+
+        monkeypatch.setattr(scene_module, "_parse_rows", forbidden)
+
+    def test_golden_csv(self):
+        from test_golden import golden_csv
+
+        columns = scene_module.read_scene_columns(golden_csv())
+        assert columns.ids == [f"g{s:02d}" for s in range(10)]
+        assert sorted(i for g in columns.groups for i in g.index.tolist()) == list(range(10))
+
+    def test_written_corpus_shuffled_or_not(self, rng):
+        scenes = [
+            make_scene([random_trajectory(rng, agent_id=str(a), n_frames=frames) for a in range(n)], scene_id=f"s{i}")
+            for i, (n, frames) in enumerate([(3, 6), (1, 6), (3, 6), (12, 2), (2, 9)])
+        ]
+        lines = scenes_to_csv(scenes).splitlines(keepends=True)
+        shuffled = lines[:1] + [lines[i] for i in rng.permutation(np.arange(1, len(lines)))]
+        for text in ("".join(lines), "".join(shuffled), "".join(lines).rstrip("\n")):
+            parsed = parse_scene_csv(text)
+            assert [s.scene_id for s in parsed] == [s.scene_id for s in scenes]
+            for got, want in zip(parsed, scenes):
+                assert got.target_id == want.target_id and got.agents.keys() == want.agents.keys()
+                for agent_id, traj in want.agents.items():
+                    assert got.agents[agent_id]._stacked().tobytes() == traj._stacked().tobytes()
+
+    def test_synth_output(self, tmp_path):
+        from tailscope.synth import SCENARIO_KINDS, ScenarioSpec, generate
+
+        for kind in SCENARIO_KINDS:
+            scene, _ = generate(ScenarioSpec(kind=kind))
+            scene_module.dump_scenes([scene], tmp_path / f"{kind}.csv")
+            (parsed,) = scene_module.load_scenes(tmp_path / f"{kind}.csv")
+            assert parsed.scene_id == scene.scene_id and set(parsed.agents) == set(scene.agents)
 
 
 class TestScene:
