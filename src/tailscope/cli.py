@@ -5,21 +5,20 @@ Exit codes are stable across commands: 0 success, 1 internal error, 2 usage
 or parse error. Every option is declared once, in ``OPTIONS``, and can be
 given as a flag or as a key of a JSON config file (flags win); the config
 path comes from ``--config`` or the ``TAILSCOPE_CONFIG`` environment
-variable. Options are checked before any input is read. Reports are
-deterministic JSON: keys sorted, floats serialized with round-trip
+variable. Options are checked before any input is read. Reports go through
+``errors.write_report``: keys sorted, finite floats with round-trip
 precision, so reruns on unchanged inputs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import ConfigurationError, TailscopeError, UsageError, read_json, write_text
+from .errors import ConfigurationError, TailscopeError, UsageError, read_json, report_text, write_report
 
 CONFIG_ENV_VAR = "TAILSCOPE_CONFIG"
 
@@ -115,14 +114,6 @@ def _kwargs(opts: dict, *keys: str, **renamed: str) -> dict:
     return {kw: opts[key] for key, kw in names.items() if key in opts}
 
 
-def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        write_text(out, text)
-
-
 def _known_keys(config) -> dict:
     if not isinstance(config, dict):
         raise ConfigurationError("config must be a JSON object")
@@ -163,7 +154,7 @@ def cmd_metrics(opts: dict) -> int:
         {"scene_id": scene_id, "metrics": dict(zip(METRIC_FIELDS, row)), "flags": list(scene_flags)}
         for scene_id, row, scene_flags in zip(ids, rows.tolist(), flags)
     ]
-    _write_json({"scenes": records}, opts.get("out"))
+    write_report(opts.get("out"), {"scenes": records})
     return 0
 
 
@@ -214,7 +205,7 @@ def cmd_rank(opts: dict) -> int:
         for row, cat in zip(rows, partition.assignments):
             row["category"] = int(cat)
         payload["boundaries"] = partition.boundaries.tolist()
-    _write_json(payload, opts.get("out"))
+    write_report(opts.get("out"), payload)
     return 0
 
 
@@ -226,7 +217,7 @@ def cmd_eval(opts: dict) -> int:
     report = evaluation.evaluate(
         samples, **_kwargs(opts, "threshold", "rank_metric", "rank_k", k="ks", topk="percents")
     )
-    _write_json(report.to_jsonable(), opts.get("out"))
+    write_report(opts.get("out"), report.to_jsonable())
     return 0
 
 
@@ -244,9 +235,10 @@ def cmd_synth(opts: dict) -> int:
         raise UsageError("synth needs --out for the scene CSV")
     spec = ScenarioSpec(**_kwargs(opts, *(f.name for f in fields(ScenarioSpec))))
     scene, oracle = generate(spec)
+    sidecar = {"spec": spec.to_dict(), "oracle": oracle}
+    report_text(sidecar)  # a sidecar refused for a non-finite value leaves no scene CSV behind
     dump_scenes([scene], out)
-    oracle_out = opts.get("oracle_out") or f"{out}.oracle.json"
-    _write_json({"spec": spec.to_dict(), "oracle": oracle}, oracle_out)
+    write_report(opts.get("oracle_out") or f"{out}.oracle.json", sidecar)
     return 0
 
 

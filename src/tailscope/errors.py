@@ -6,12 +6,17 @@ else escaping the library is a bug. The CLI maps TailscopeError to exit
 code 2 (bad input / bad usage) and everything else to exit code 1. Every
 input file is read and every output file written here, so each failure names
 its file, line or key; :class:`JsonRecord` reads and writes every parameter
-record from one table of its JSON keys.
+record from one table of its JSON keys, and ``write_report`` writes every
+report.
 """
 
 import json
+import math
 import os
+import sys
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 from pathlib import Path
 
 #: Input coordinates (m) and velocities (m/s) must stay within this magnitude,
@@ -140,6 +145,98 @@ def write_text(path, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte or lone surrogate
         raise UsageError(f"cannot write {path}: {exc}") from None
+
+
+class _NonFinite(Exception):
+    """A report holds NaN or an infinity; ``write_report`` finds its path."""
+
+
+def _items(values, pad: str):
+    """The JSON of each item of the non-empty list ``values`` at indentation
+    ``pad``. Floats, strings, and objects that share their keys go a column at a
+    time through C loops: the objects' columns fill one row template. Any other
+    list goes item by item."""
+    first = values[0]
+    try:
+        if isinstance(first, float):
+            text = list(map(float.__repr__, values))
+            if not all(map(math.isfinite, values)):
+                raise _NonFinite
+            return text
+        if isinstance(first, str):
+            return list(map(_escape, values))
+        if isinstance(first, dict) and first:
+            keys = first.keys()
+            if all(map(keys.__eq__, map(dict.keys, values))):
+                inner, keys = pad + "  ", sorted(keys)
+                columns = [_items(list(map(itemgetter(key), values)), inner) for key in keys]
+                template = ",".join(inner + _escape(key).replace("%", "%%") + ": %s" for key in keys)
+                return map(f"{{{template}{pad}}}".__mod__, zip(*columns))
+    except TypeError:  # an item of another type than the first
+        pass
+    return [_encode(value, pad) for value in values]
+
+
+def _encode(value, pad: str) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it at
+    indentation ``pad`` (a newline and spaces), refusing NaN and infinities."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None or value is True or value is False:
+        return json.dumps(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise _NonFinite
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        return "[" + inner + ("," + inner).join(_items(value, inner)) + pad + "]" if value else "[]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        keys = sorted(value)
+        items = _items([value[key] for key in keys], inner)
+        return "{" + ",".join(map("{}{}: {}".format, repeat(inner), map(_escape, keys), items)) + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _non_finite_path(value, path: str = "") -> str | None:
+    """The key path of the first non-finite number in ``value``, in written order."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path
+    if isinstance(value, dict):
+        children = ((f"{path}.{key}" if path else key, value[key]) for key in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        children = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    for child_path, item in children:
+        found = _non_finite_path(item, child_path)
+        if found is not None:
+            return found
+    return None
+
+
+def report_text(report) -> str:
+    """A report of dicts (string keys), lists, strings, numbers, booleans and
+    None as ``json.dumps(report, indent=2, sort_keys=True)`` writes it, plus a
+    newline. A NaN or an infinity raises UsageError naming its key path."""
+    try:
+        return _encode(report, "\n") + "\n"
+    except _NonFinite:
+        raise UsageError(f"report value at {_non_finite_path(report)!r} is not a finite number") from None
+
+
+def write_report(path, report) -> None:
+    """Write ``report_text(report)`` to the file at ``path`` or, when it is None
+    or ``-``, to stdout."""
+    text = report_text(report)
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        write_text(path, text)
 
 
 def _jsonable(value, convert):

@@ -10,7 +10,8 @@ metric and reports the mean errors of the top p% strata.
 
 Every squared pointwise error comes from one kernel, ``_sq_errors``. Mode and
 ground-truth coordinates must lie within ``MAX_MAGNITUDE``, so no squared
-error overflows. JSONL parsing gathers each (K, T) group's rows in one buffer.
+error overflows. JSONL parsing gathers each (K, T) group's rows in one
+buffer, and a :class:`Table` of each group is what every score reads.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import math
 import os
 import struct
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -127,21 +129,68 @@ def ade_per_mode(sample: ForecastSample) -> np.ndarray:
     return np.sqrt(_sq_errors(sample.modes, sample.gt)).mean(axis=1)
 
 
-def _check_k(samples: Sequence[ForecastSample], ks: Sequence[int]) -> None:
+@dataclass(frozen=True, eq=False)
+class Table:
+    """The samples of one (K, T) shape: their increasing positions ``index`` in
+    the corpus, (S, K, T, 2) ``modes``, (S, K) ``probs`` and (S, T, 2) ``gt``."""
+
+    index: np.ndarray
+    modes: np.ndarray
+    probs: np.ndarray
+    gt: np.ndarray
+
+    @classmethod
+    def of(cls, samples: Sequence[ForecastSample]) -> list[Table]:
+        """One table per (K, T) of ``samples``, in order of each one's first sample."""
+        members: dict[tuple[int, int], list[int]] = {}
+        for i, sample in enumerate(samples):
+            members.setdefault(sample.modes.shape[:2], []).append(i)
+        return [
+            cls(np.array(index), *(np.stack([getattr(samples[i], name) for i in index]) for name in ("modes", "probs", "gt")))
+            for index in members.values()
+        ]
+
+
+class Forecasts(Sequence):
+    """Forecast samples as tables of one shape, in order of each table's first
+    sample; ``ids`` holds the sample ids and each table's ``index`` its samples'
+    positions there. Indexing gives a :class:`ForecastSample` viewing its row."""
+
+    def __init__(self, ids: list[str], tables: list[Table]):
+        self.ids, self.tables = ids, tables
+
+    @classmethod
+    def of(cls, samples: Sequence[ForecastSample]) -> Forecasts:
+        return samples if isinstance(samples, cls) else cls([s.sample_id for s in samples], Table.of(samples))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        """The sample at position ``i``, or a list of the samples of a slice."""
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self.ids))[i]]
+        i = range(len(self.ids))[i]
+        for t in self.tables:
+            r = int(np.searchsorted(t.index, i))
+            if r < len(t.index) and t.index[r] == i:
+                return ForecastSample._from_table(self.ids[i], t.modes[r], t.probs[r], t.gt[r])
+
+
+def _check_k(forecasts: Forecasts, ks: Sequence[int]) -> None:
     """Reject the first sample, in input order, with a k of ``ks`` (sorted) outside 1..K."""
-    for sample in samples:
-        if ks[0] < 1 or ks[-1] > sample.n_modes:
-            k = next(k for k in ks if not 1 <= k <= sample.n_modes)
-            raise UsageError(f"sample {sample.sample_id!r}: k={k} outside 1..{sample.n_modes}")
+    for t in forecasts.tables:
+        n_modes = t.probs.shape[1]
+        if ks[0] < 1 or ks[-1] > n_modes:
+            k = next(k for k in ks if not 1 <= k <= n_modes)
+            raise UsageError(f"sample {forecasts.ids[t.index[0]]!r}: k={k} outside 1..{n_modes}")
 
 
-def _check_horizon(samples: Sequence[ForecastSample]) -> None:
-    horizon = samples[0].horizon
-    for sample in samples:
-        if sample.horizon != horizon:
-            raise UsageError(
-                f"sample {sample.sample_id!r}: horizon {sample.horizon} != {horizon}"
-            )
+def _check_horizon(forecasts: Forecasts) -> None:
+    horizon = forecasts.tables[0].gt.shape[1]
+    for t in forecasts.tables:
+        if t.gt.shape[1] != horizon:
+            raise UsageError(f"sample {forecasts.ids[t.index[0]]!r}: horizon {t.gt.shape[1]} != {horizon}")
 
 
 def _check_threshold(threshold: float) -> None:
@@ -149,52 +198,49 @@ def _check_threshold(threshold: float) -> None:
         raise UsageError(f"miss threshold must be finite and >= 0, got {threshold!r}")
 
 
-def _group_errors(group: Sequence[ForecastSample]):
-    """Every minADE_k/minFDE_k of S samples sharing (K, T), plus their RMSE terms.
+def _group_errors(table: Table):
+    """Every minADE_k/minFDE_k of a table's S samples, plus their RMSE terms.
 
     Returns two (S, K) arrays whose column k-1 holds minADE_k / minFDE_k, and
     the (S, T) squared pointwise errors of each sample's most likely mode.
     """
-    probs = np.stack([s.probs for s in group])
-    d = _sq_errors(np.stack([s.modes for s in group]), np.stack([s.gt for s in group]))
-    sq = d[np.arange(len(group)), np.argmax(probs, axis=1)]
+    d = _sq_errors(table.modes, table.gt)
+    sq = d[np.arange(len(d)), np.argmax(table.probs, axis=1)]
     np.sqrt(d, out=d)  # (S, K, T) pointwise distances
     # One stable sort puts the k most probable modes first, ties in mode
     # order; the running minimum along it is min over the top k, for every k.
-    order = np.argsort(-probs, axis=1, kind="stable")
+    order = np.argsort(-table.probs, axis=1, kind="stable")
     ade = np.minimum.accumulate(np.take_along_axis(d.mean(axis=-1), order, axis=1), axis=1)
     fde = np.minimum.accumulate(np.take_along_axis(d[..., -1], order, axis=1), axis=1)
     return ade, fde, sq
 
 
-def _score(samples: Sequence[ForecastSample]):
-    """Per-sample errors in input order, one array pass per (K, T) group.
+def _score(forecasts: Forecasts):
+    """Per-sample errors in input order, one array pass per table.
 
     Returns ``(ade, fde, sq)``: ``ade[k-1]`` and ``fde[k-1]`` are the (N,)
     minADE_k / minFDE_k of every sample (NaN beyond a sample's own K), and
     ``sq`` is the (N, T) squared error of each most likely mode, or None when
     the horizons differ.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, sample in enumerate(samples):
-        groups.setdefault(sample.modes.shape[:2], []).append(i)
-    n = len(samples)
-    k_max = max(n_modes for n_modes, _ in groups)
+    n, tables = len(forecasts), forecasts.tables
+    k_max = max(t.probs.shape[1] for t in tables)
     ade, fde = np.full((k_max, n), np.nan), np.full((k_max, n), np.nan)
-    horizons = {t for _, t in groups}
+    horizons = {t.gt.shape[1] for t in tables}
     sq = np.empty((n, horizons.pop())) if len(horizons) == 1 else None
-    for (n_modes, _), idx in groups.items():
-        g_ade, g_fde, g_sq = _group_errors([samples[i] for i in idx])
-        ade[:n_modes, idx] = g_ade.T
-        fde[:n_modes, idx] = g_fde.T
+    for t in tables:
+        g_ade, g_fde, g_sq = _group_errors(t)
+        ade[: g_ade.shape[1], t.index] = g_ade.T
+        fde[: g_ade.shape[1], t.index] = g_fde.T
         if sq is not None:
-            sq[idx] = g_sq
+            sq[t.index] = g_sq
     return ade, fde, sq
 
 
 def _scored(samples: Sequence[ForecastSample], k: int):
-    _check_k(samples, [k])
-    return _score(samples)
+    forecasts = Forecasts.of(samples)
+    _check_k(forecasts, [k])
+    return _score(forecasts)
 
 
 def min_ade(sample: ForecastSample, k: int) -> float:
@@ -231,8 +277,9 @@ def rmse(samples: Sequence[ForecastSample]) -> dict:
     """
     if not samples:
         raise UsageError("rmse needs at least one sample")
-    _check_horizon(samples)
-    return _rmse(_score(samples)[2])
+    forecasts = Forecasts.of(samples)
+    _check_horizon(forecasts)
+    return _rmse(_score(forecasts)[2])
 
 
 def worst_case_subsets(errors: Mapping[str, float], percents: Sequence[float]) -> dict:
@@ -318,17 +365,12 @@ def _record(line: str, line_no: int) -> dict:
     return record
 
 
-def _maybe_bool(line: str) -> bool:
-    """Whether ``line`` may hold a ``true`` or ``false`` token. The four keys and
-    the numbers hold no ``u`` and no ``f`` (but ``Infinity``'s), and a search
-    for one character runs far faster than one for a word, so the word search
-    runs only after a hit."""
-    return ("u" in line and "true" in line) or ("f" in line and "false" in line)
-
-
 def _sample(record: dict, line: str, line_no: int) -> ForecastSample:
     """One line's sample, converted and validated leaf by leaf."""
-    maybe_bool = _maybe_bool(line)
+    # Whether the line may hold a true or false token: the keys and numbers hold
+    # no "u" and no "f" (but Infinity's), and a search for one character runs far
+    # faster than one for a word.
+    maybe_bool = ("u" in line and "true" in line) or ("f" in line and "false" in line)
     try:
         return ForecastSample(
             sample_id=str(record["sample_id"]),
@@ -340,90 +382,99 @@ def _sample(record: dict, line: str, line_no: int) -> ForecastSample:
         raise ParseError(str(exc), line=line_no) from None
 
 
-def _fast_row(record: dict, line: str):
-    """``((K, T), row)``: one line's modes, probs and gt as the bytes of one flat
-    float row, or None when the line needs ``_sample``'s leaf-by-leaf path.
+#: What ``_flat_row``'s skeleton deletes: the characters of a JSON number and JSON's whitespace.
+_SKIP = b"0123456789.eE+- \t\r\n"
 
-    The length tests fix the shapes, so the leaves fill exactly one row;
-    ``struct.pack`` takes only numbers, and a ``true``/``false`` token, which
-    it would read as a number, sends the line to ``_sample`` beforehand.
+
+def _skeleton(k: int, t: int) -> bytes:
+    """The part after ``"modes"`` of a line of K modes and T steps, with every
+    ``_SKIP`` character deleted."""
+    line = json.dumps({"modes": [[[0, 0]] * t] * k, "probs": [0] * k, "gt": [[0, 0]] * t}, separators=(",", ":"))
+    return line[len('{"modes"') :].encode().translate(None, _SKIP)
+
+
+def _flat_row(line: str, skeletons: dict):
+    """``(sample_id, (K, T), row)`` of a line whose ``"modes"``, ``"probs"`` and
+    ``"gt"`` come last, in that order, as arrays of numbers of one (K, T) shape;
+    None for any other line.
+
+    ``json.loads`` reads the line, so JSON decides every token, key and id. The
+    part after the first ``"modes"``, with every ``_SKIP`` character deleted
+    (a character beyond ASCII reads as "?"), must equal the ``_skeleton`` of
+    the line's (K, T): that fixes the nesting and leaves room for no true,
+    false, null, string or NaN, so the arrays flatten straight into one row.
+    ``skeletons`` caches ``_skeleton``.
     """
-    if _maybe_bool(line):
-        return None
-    modes, probs, gt = record["modes"], record["probs"], record["gt"]
+    flat = chain.from_iterable
     try:
-        points = list(chain.from_iterable(modes))
-        if not (
-            len(probs) == len(modes)
-            and set(map(len, modes)) == {len(gt)}
-            and set(map(len, points)) == {2} == set(map(len, gt))
-        ):
+        record = json.loads(line)
+        key = k, t = len(record["probs"]), len(record["gt"])
+        if not 0 < k * t < len(line):  # K*T points take more than K*T characters
             return None
-        leaves = chain(chain.from_iterable(points), probs, chain.from_iterable(gt))
-        row = struct.pack(f"{2 * len(points) + len(probs) + 2 * len(gt)}d", *leaves)
-    except (TypeError, struct.error):
+        skeleton = skeletons[key] if key in skeletons else skeletons.setdefault(key, _skeleton(k, t))
+        if line.encode("ascii", "replace").partition(b'"modes"')[2].translate(None, _SKIP) != skeleton:
+            return None
+        row = struct.pack(f"{2 * k * t + k + 2 * t}d", *flat(flat(record["modes"])), *record["probs"], *flat(record["gt"]))
+        return str(record["sample_id"]), key, row
+    except (ValueError, KeyError, TypeError, OverflowError, struct.error):  # _row words the error
         return None
-    return (len(modes), len(gt)), row
 
 
 def _row(line: str, line_no: int):
-    """``(sample_id, (K, T), row)`` of one line; its decoded record dies here."""
-    record = _record(line, line_no)
-    fast = _fast_row(record, line)
-    if fast is None:
-        sample = _sample(record, line, line_no)
-        row = np.concatenate([sample.modes.ravel(), sample.probs, sample.gt.ravel()])
-        return sample.sample_id, sample.modes.shape[:2], row.tobytes()
-    return str(record["sample_id"]), *fast
+    """``(sample_id, (K, T), row)`` of one line, read and checked leaf by leaf."""
+    sample = _sample(_record(line, line_no), line, line_no)
+    row = np.concatenate([sample.modes.ravel(), sample.probs, sample.gt.ravel()])
+    return sample.sample_id, sample.modes.shape[:2], row.tobytes()
 
 
-def _check_rows(groups: dict, lines: list[str]) -> dict:
-    """Each ``(K, T)`` group's ``(modes, probs, gt)`` arrays, views of its row
-    buffer (which then refuses to grow); raises the first error, in file
-    order, that a row holds.
+def _check_rows(groups: dict, lines: list[str]) -> list[Table]:
+    """Each ``(K, T)`` group's table, whose arrays view its row buffer (which
+    then refuses to grow); raises the first error, in file order, that a row
+    holds.
 
     A row holds the K*T*2 mode coordinates, the K probabilities, then the T*2
     ground-truth coordinates. It is bad where ``ForecastSample`` would reject
     it: a value NaN or beyond ``MAX_MAGNITUDE`` (valid probabilities are far
     below it), or probabilities negative or not summing to 1 within 1e-9.
     """
-    tables, bad_lines = {}, []
-    for (k, t), (ids, line_nos, buffer) in groups.items():
+    tables, bad_lines = [], []
+    for (k, t), (index, line_nos, buffer) in groups.items():
         a = k * t * 2
-        rows = np.frombuffer(buffer).reshape(len(ids), -1)
+        rows = np.frombuffer(buffer).reshape(len(index), -1)
         probs = rows[:, a : a + k]
         bad = ~(np.abs(rows) <= MAX_MAGNITUDE).all(axis=1)
         # a row's sum along the contiguous axis rounds exactly like probs.sum()
         bad |= (probs < 0).any(axis=1) | (np.abs(probs.sum(axis=1) - 1.0) > 1e-9)
         bad_lines += [line_nos[i] for i in np.flatnonzero(bad)]
-        tables[k, t] = rows[:, :a].reshape(-1, k, t, 2), probs, rows[:, a + k :].reshape(-1, t, 2)
+        tables.append(Table(np.array(index), rows[:, :a].reshape(-1, k, t, 2), probs, rows[:, a + k :].reshape(-1, t, 2)))
     for line_no in sorted(bad_lines):
-        line = lines[line_no - 1]
-        _sample(_record(line, line_no), line, line_no)
+        _row(lines[line_no - 1], line_no)
     return tables
 
 
-def parse_forecast_jsonl(source) -> list[ForecastSample]:
+def parse_forecast_jsonl(source) -> Forecasts:
     """Parse forecast samples from JSONL (one object per line).
 
     Each line must carry ``sample_id``, ``modes``, ``probs`` and ``gt``. ``source``
-    is a str, bytes, a Path or a file (see ``read_lines``). An error names the
-    first failing line; a source with no sample raises a ParseError naming it.
+    is a str, bytes, a Path or a file (see ``read_lines``). Returns the samples
+    as :class:`Forecasts`. A line ``_flat_row`` takes goes straight into its
+    group's row; any other goes leaf by leaf through ``_sample``, which also
+    words every error. An error names the first failing line; a source with
+    no sample raises a ParseError naming it.
     """
     lines = read_lines(source, "forecast JSONL")
-    groups: dict[tuple[int, int], tuple[list[str], list[int], array]] = {}
-    order = []  # each sample's (K, T), in file order
-    seen = set()
+    groups: dict[tuple[int, int], tuple[list[int], list[int], array]] = {}
+    ids, seen, skeletons = [], set(), {}
     try:
         for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
+            if line.isspace():  # read_lines gives no empty line
                 continue
-            sample_id, key, row = _row(line, line_no)
-            ids, line_nos, rows = groups.setdefault(key, ([], [], array("d")))
-            ids.append(sample_id)
+            sample_id, key, row = _flat_row(line, skeletons) or _row(line, line_no)
+            index, line_nos, rows = groups.setdefault(key, ([], [], array("d")))
+            index.append(len(ids))
             line_nos.append(line_no)
             rows.frombytes(row)
-            order.append(key)
+            ids.append(sample_id)
             if sample_id in seen:
                 raise ParseError(f"duplicate sample_id {sample_id!r}", line=line_no)
             seen.add(sample_id)
@@ -431,11 +482,10 @@ def parse_forecast_jsonl(source) -> list[ForecastSample]:
         _check_rows(groups, lines)  # a bad row on an earlier line wins
         raise
     tables = _check_rows(groups, lines)
-    if not order:
+    if not ids:
         name = os.fspath(source) if isinstance(source, os.PathLike) else "forecast JSONL"
         raise ParseError(f"{name}: no forecast samples")
-    views = {key: map(ForecastSample._from_table, groups[key][0], *table) for key, table in tables.items()}
-    return [next(views[key]) for key in order]
+    return Forecasts(ids, tables)
 
 
 @dataclass(frozen=True)
@@ -469,7 +519,8 @@ def evaluate(
     ``ks`` selects the mode counts for minADE/minFDE/miss rate. When
     ``percents`` is non-empty a worst-case table is built by ranking every
     sample on ``rank_metric`` (``min_ade`` or ``min_fde``, no default) at
-    ``rank_k`` modes and averaging both errors over each stratum.
+    ``rank_k`` modes and averaging both errors over each stratum. Sample ids
+    must be unique.
     """
     if not samples:
         raise UsageError("evaluate needs at least one sample")
@@ -485,15 +536,18 @@ def evaluate(
         raise UsageError(f"rank_metric must be one of {RANK_METRICS}, got {rank_metric!r}")
 
     _check_threshold(threshold)
-    _check_k(samples, ks)
-    _check_horizon(samples)
+    forecasts = Forecasts.of(samples)
+    ids, seen = forecasts.ids, set()
+    if len(set(ids)) < len(ids):  # name the first id met a second time
+        raise UsageError(f"duplicate sample_id {next(i for i in ids if i in seen or seen.add(i))!r}")
+    _check_k(forecasts, ks)
+    _check_horizon(forecasts)
     if percents:
-        _check_k(samples, [rank_k])
+        _check_k(forecasts, [rank_k])
 
-    ade, fde, sq = _score(samples)
+    ade, fde, sq = _score(forecasts)
     keys = [str(k) for k in ks]
     rows = [k - 1 for k in ks]
-    ids = [s.sample_id for s in samples]
     per_sample = [
         {
             "sample_id": sample_id,

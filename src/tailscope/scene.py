@@ -403,8 +403,9 @@ def _parse_float(raw: str, column: str, line: int) -> float:
     return value
 
 
-#: The only bytes a scene CSV may hold for ``_columns`` to read it; a quote,
-#: space, tab, ``\r`` or non-ASCII byte sends the file through the row loop.
+#: The only bytes a scene CSV may hold for ``_columns`` to read it, once each
+#: ``\r\n`` is read as ``\n``; a quote, space, tab, other ``\r`` or non-ASCII
+#: byte sends the file through the row loop.
 _PLAIN = b"".join(bytes(range(ord(a), ord(b) + 1)) for a, b in ("az", "AZ", "09")) + b"+-._,\n"
 _HEADER = ",".join(CSV_COLUMNS).encode()
 _ROW = np.dtype([("frame", "i8"), ("v", "f8", (6,))])
@@ -446,6 +447,7 @@ def _plain_rows(data) -> tuple | None:
         if not data.isascii():
             return None
         data = data.encode("ascii")
+    data = data.replace(b"\r\n", b"\n")  # a line ending the row loop also drops
     if not data or data.translate(None, _PLAIN):
         return None
     if not data.endswith(b"\n"):

@@ -370,6 +370,14 @@ class TestSynthCommand:
         assert run(["synth", "--out", str(tmp_path / "x.csv")]) == 2
         assert "--kind" in capsys.readouterr().err
 
+    def test_non_finite_oracle_is_refused_naming_its_key(self, tmp_path, capsys):
+        """speed * omega overflows: the report writer refuses to write Infinity."""
+        argv = ["synth", "--kind", "circle", "--speed", "1e150", "--radius", "1e-150", "--out", str(tmp_path / "x.csv")]
+        assert run(argv) == 2
+        assert "report value at 'oracle.c_v' is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "x.csv.oracle.json").exists()
+
 
 class TestExitCodeContract:
     def test_unknown_command_exits_2(self):

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -213,9 +214,79 @@ def parsed(parse, source):
         return str(exc)
 
 
+#: Number tokens JSON refuses, reads as no finite float or as an integer, and
+#: tokens that are no number; each may stand for one number of a line.
+TOKENS = st.sampled_from([
+    "01", ".5", "1.", "+1", "-", "1e", "1e+", "--1", "1-2", "NaN", "Infinity", "-Infinity", "1e999", "-1e999",
+    "true", "false", "null", "1E5", "-0", "-0.0", "1e-400", "1" + "0" * 400, "\u0661", "0x1", "1_0", "",
+])
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def skeleton_mutated(line, data):
+    """``line`` with one change aimed at the fast decode's layout check: a
+    number token, a stray or moved number, a space or other separators, the
+    name, order or repetition of its keys, the nesting of its modes, or its id."""
+    try:
+        record = json.loads(line)
+        modes = record["modes"]
+        k, t = len(modes), len(modes[0])
+        points = [point for mode in modes for point in mode]
+        well_formed = isinstance(record["sample_id"], str) and t > 0 and all(len(m) == t for m in modes)
+        well_formed = well_formed and all(isinstance(p, list) for p in points)
+    except (ValueError, KeyError, TypeError, IndexError):
+        well_formed = False
+    spans = [m.span() for m in NUMBER.finditer(line, line.find('"modes"'))]
+    if not (well_formed and spans):  # a line an earlier mutation broke
+        return line
+    how = data.draw(st.sampled_from([
+        "token", "stray", "move", "space", "unspace", "separators", "key", "order", "repeat", "ragged", "transpose",
+        "swap", "id",
+    ]))
+    if how == "token":
+        start, end = data.draw(st.sampled_from(spans))
+        return line[:start] + data.draw(TOKENS) + line[end:]
+    if how == "stray":  # a number beside a bracket, a brace, a key's quote or the line's end
+        i = data.draw(st.sampled_from([i for i, c in enumerate(line) if c in '[]{}"'] + [len(line) - 1]))
+        i += data.draw(st.integers(0, 1))
+        return line[:i] + data.draw(st.sampled_from(["7", "1e5", "-", "0", "-0.5"])) + line[i:]
+    if how == "move":  # a number moved across the bracket beside it
+        start, end = data.draw(st.sampled_from(spans))
+        if line[start - 1] == "[":
+            return line[: start - 1] + line[start:end] + "[" + line[end:]
+        return line[:start] + line[end] + line[start:end] + line[end + 1 :]
+    if how == "separators":
+        items, keys = data.draw(st.sampled_from([",", ", ", " , ", ",\t"])), data.draw(st.sampled_from([":", ": ", " :"]))
+        return json.dumps(record, separators=(items, keys))
+    if how in ("space", "unspace"):
+        spots = [i for i, c in enumerate(line) if c in (" " if how == "unspace" else ",:[]{")]
+        i = data.draw(st.sampled_from(spots))
+        return line[:i] + line[i + 1 :] if how == "unspace" else line[: i + 1] + " " + line[i + 1 :]
+    if how == "key":  # the number characters of a key, or a key that differs from "modes" only in them
+        return line.replace('"modes"', data.draw(st.sampled_from(['"mods"', '"mod1s"', '"modEs"', '"mo-des"', '"modes1"'])))
+    if how == "order":
+        keys = data.draw(st.permutations(list(record)))
+        return json.dumps({key: record[key] for key in keys})
+    if how == "repeat":
+        key = data.draw(st.sampled_from(list(record)))
+        return line[:-1] + f", {json.dumps(key)}: {json.dumps(record[key])}}}"
+    if how == "ragged":
+        record["modes"][data.draw(st.integers(0, k - 1))].pop()
+    elif how == "transpose":
+        record["modes"] = [[list(axis) for axis in zip(*mode)] for mode in modes]
+    elif how == "swap":
+        record["modes"] = [points[i * k : (i + 1) * k] for i in range(t)]
+    else:
+        record["sample_id"] += data.draw(st.sampled_from(['"', "\\", "[", "]", "é", "\t", "\u2028", "\x7f"]))
+        return json.dumps(record, ensure_ascii=data.draw(st.booleans()))
+    return json.dumps(record)
+
+
+@settings(max_examples=300)
 @given(data=st.data())
 def test_forecast_jsonl_parse_matches_the_line_by_line_reading(workdir, data):
-    """Same samples, or the same error on the same line, after two mutations."""
+    """Same samples, or the same error on the same line, after two mutations and
+    one aimed at the fast decode's layout check."""
     def field(line):
         try:
             return json.dumps(mutated_json(json.loads(line), data))
@@ -225,6 +296,9 @@ def test_forecast_jsonl_parse_matches_the_line_by_line_reading(workdir, data):
     lines = (workdir / "forecasts.jsonl").read_text().splitlines()
     for _ in range(2):
         lines = mutated_lines(lines, data, field)
+    if lines:
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = skeleton_mutated(lines[i], data)
     text = "\n".join(lines) + "\n"
     assert parsed(parse_forecast_jsonl, text) == parsed(parse_line_by_line, text)
 

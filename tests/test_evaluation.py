@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from oracles import worst_case_oracle
+from tailscope import evaluation
 from tailscope.errors import MAX_MAGNITUDE, ParseError, UsageError, ValidationError
 from tailscope.evaluation import (
     EvalReport,
     ForecastSample,
     LossWeights,
+    Table,
     ade_per_mode,
     evaluate,
     min_ade,
@@ -363,6 +365,33 @@ class TestParseJsonl:
         with pytest.raises(ParseError, match=f"^line 2: .*{error}"):
             parse_forecast_jsonl(text)
 
+    @pytest.mark.parametrize("ascii", [True, False])
+    @pytest.mark.parametrize("sample_id", ['a"b', "a\\b", "\\", "é", "\u2028", "\x7f", "[]", '"', ""])
+    def test_ids_read_as_json_reads_them(self, sample_id, ascii):
+        line = json.dumps({**json.loads(self.line()), "sample_id": sample_id}, ensure_ascii=ascii)
+        text = self.line("first") + "\n" + line + "\n"
+        assert [s.sample_id for s in parse_forecast_jsonl(text)] == ["first", sample_id]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"sample_id": "a", "modes": [[[0.0, 0.0]7]], "probs": [1.0], "gt": [[0.0, 0.0]]}',
+            '{"sample_id": "a", "modes": [[[0.0, 0.0]]], "probs": [1.0], "gt": [[0.0, 0.0]]}9',
+            '{"sample_id": "a", "modes": [[[0.0, 0.0]]], "probs": [1.0], "gt": 1[[0.0, 0.0]]}',
+            '{"sample_id": "a", "modes": 0.0[[[, 0.0]]], "probs": [1.0], "gt": [[0.0, 0.0]]}',
+            '{"sample_id": "a"7, "modes": [[0.0[, 0.0]]], "probs": [1.0], "gt": [[0.0, 0.0]]}',
+        ],
+    )
+    def test_stray_or_moved_number_is_invalid_json(self, line):
+        """A number beside a bracket, a brace or a key, or moved across one."""
+        with pytest.raises(ParseError, match=r"^line 1: invalid JSON \("):
+            parse_forecast_jsonl(line + "\n")
+
+    def test_space_inside_a_key_is_no_key(self):
+        line = self.line().replace('"probs"', '"pro bs"')
+        with pytest.raises(ParseError, match=r"^line 1: missing keys \['probs'\]$"):
+            parse_forecast_jsonl(line)
+
     def test_integer_leaves_read_as_floats(self):
         (sample,) = parse_forecast_jsonl(self.line(modes=[[[0, 0], [1, 0.5]]], probs=[1], gt=[[0, 0], [2, 0]]))
         assert sample.modes.dtype == sample.probs.dtype == sample.gt.dtype == np.float64
@@ -430,6 +459,53 @@ class TestParseJsonl:
         data = (self.line("a") + "\n").encode() + b'{"sample_id": "\xff"}\n'
         with pytest.raises(ParseError, match="line 2: .*UTF-8"):
             parse_forecast_jsonl(data)
+
+
+class TestFlatDecode:
+    """Lines that end in ``"modes"``, ``"probs"`` and ``"gt"`` arrays of one
+    shape, as ``json.dumps`` writes them with any separators and any id, are
+    flattened straight into their table's row: the leaf-by-leaf path never
+    runs on them."""
+
+    @pytest.fixture(autouse=True)
+    def no_leaf_by_leaf_path(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a json.dumps line went leaf by leaf")
+
+        monkeypatch.setattr(evaluation, "_sample", forbidden)
+
+    def test_golden_jsonl(self):
+        from test_golden import golden_jsonl
+
+        samples = parse_forecast_jsonl(golden_jsonl())
+        assert [s.sample_id for s in samples] == [f"f{i:02d}" for i in range(40)]
+        assert [t.probs.shape[1] for t in samples.tables] == [3, 6]
+
+    def test_written_corpus(self, rng):
+        """Shapes, ids and numbers of every kind json.dumps writes, with every line ending."""
+        ids = ["a", "", "[x]", "é", "\U0001f600", 'q"\\', "1"]
+        shapes = [(1, 1), (3, 8), (6, 30), (2, 1), (1, 5), (3, 8), (6, 30)]
+        want, lines = [], []
+        for sample_id, (k, t) in zip(ids, shapes):
+            modes = rng.normal(scale=10.0 ** rng.integers(-300, 150), size=(k, t, 2))
+            modes.flat[0], modes.flat[-1] = -0.0, MAX_MAGNITUDE
+            gt = rng.normal(size=(t, 2)).round(3)
+            probs = np.full(k, 1 / k)
+            want.append(ForecastSample(sample_id, modes, probs, gt))
+            record = {"sample_id": sample_id, "modes": modes.tolist(), "probs": probs.tolist(), "gt": gt.tolist()}
+            if k == 2:  # integer leaves
+                record["gt"] = [[int(x), -int(y)] for x, y in rng.integers(-5, 5, size=(t, 2))]
+                want[-1] = ForecastSample(sample_id, modes, probs, record["gt"])
+            lines.append(json.dumps(record, ensure_ascii=len(lines) % 2 == 0))
+        lines[1] = json.dumps(json.loads(lines[1]), separators=(",", ":"))
+        lines[2] = json.dumps(json.loads(lines[2]), separators=(" ,\t", " :  "))
+        for end in ("\n", "\r\n", "\r"):
+            samples = parse_forecast_jsonl(end.join(lines))
+            assert len(samples) == len(want)
+            for got, sample in zip(samples, want):
+                assert got.sample_id == sample.sample_id
+                for name in ("modes", "probs", "gt"):
+                    assert getattr(got, name).tobytes() == getattr(sample, name).tobytes()
 
 
 class TestEvaluate:
@@ -500,6 +576,28 @@ class TestEvaluate:
             assert got["sample_ids"] == stratum["sample_ids"]
             assert got["min_ade"] == float(np.mean([ade_by_id[i] for i in got["sample_ids"]]))
             assert got["min_fde"] == float(np.mean([fde_by_id[i] for i in got["sample_ids"]]))
+
+    def test_duplicate_ids_rejected_naming_the_first_repeat(self, rng):
+        a, b, c = (random_sample(rng, sample_id) for sample_id in "abc")
+        with pytest.raises(UsageError, match=r"^duplicate sample_id 'a'$"):
+            evaluate([a, a, c], ks=(1,), percents=(100.0,), rank_metric="min_ade", rank_k=1)
+        with pytest.raises(UsageError, match=r"^duplicate sample_id 'b'$"):
+            evaluate([a, b, b, a], ks=(1,))
+
+    def test_parsed_tables_score_as_their_samples(self, rng):
+        """The parse's tables, and a list of the samples they give, make one report."""
+        text = "".join(
+            json.dumps({"sample_id": s.sample_id, "modes": s.modes.tolist(), "probs": s.probs.tolist(), "gt": s.gt.tolist()})
+            + "\n"
+            for s in (random_sample(rng, f"s{i}", k=(2, 4)[i % 2]) for i in range(30))
+        )
+        parsed = parse_forecast_jsonl(text)
+        kwargs = dict(ks=(1, 2), percents=(10.0, 50.0), rank_metric="min_fde", rank_k=2)
+        assert evaluate(parsed, **kwargs) == evaluate(list(parsed), **kwargs)
+        assert parsed[-1].sample_id == "s29" and parsed[-1].modes.base is not None
+        assert len(Table.of(list(parsed))) == len(parsed.tables) == 2
+        assert [s.sample_id for s in parsed[-3:-8:-2]] == ["s27", "s25", "s23"] == [s.sample_id for s in parsed[27:22:-2]]
+        assert parsed[5:2] == []
 
     def test_k_error_names_first_short_sample_in_input_order(self, rng):
         # groups by first appearance: K=6 (s0), K=4 (s1, s3), K=2 (s2)

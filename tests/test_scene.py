@@ -321,7 +321,7 @@ class TestParseSceneCsv:
             + "\ns,b,0,0.0,5,0,1,0,0.0,vehicle,0"
             + "\ns,b,1,0.5,5,0,1,0,0.0,vehicle,0\n"
         )
-        for source in (text, text.replace("\n", "\r\n")):  # the column path, then the row loop alone
+        for source in (text, text.replace("\n", "\r\n"), text.replace("\n", "\r")):  # the column path twice, then the row loop alone
             with pytest.raises(ValidationError, match=f"line 3: agent 'a' changes target flag to '{then}'"):
                 parse_scene_csv(source)
 
@@ -462,6 +462,23 @@ class TestColumnPath:
                 assert got.target_id == want.target_id and got.agents.keys() == want.agents.keys()
                 for agent_id, traj in want.agents.items():
                     assert got.agents[agent_id]._stacked().tobytes() == traj._stacked().tobytes()
+
+    def test_crlf_endings(self, rng):
+        def bits(scene_list):
+            return [
+                (s.scene_id, s.target_id, [(a, t.kind, t.dt, t._stacked().tobytes()) for a, t in s.agents.items()])
+                for s in scene_list
+            ]
+
+        scenes = [
+            make_scene([random_trajectory(rng, agent_id=str(a), n_frames=5) for a in range(n)], scene_id=f"s{n}")
+            for n in (1, 3)
+        ]
+        text = scenes_to_csv(scenes)
+        crlf = text.replace("\n", "\r\n")
+        mixed = "".join(line.replace("\n", "\r\n") if i % 2 else line for i, line in enumerate(text.splitlines(True)))
+        for source in (crlf, crlf.encode(), crlf.rstrip("\r\n"), mixed):
+            assert bits(parse_scene_csv(source)) == bits(parse_scene_csv(text))
 
     def test_synth_output(self, tmp_path):
         from tailscope.synth import SCENARIO_KINDS, ScenarioSpec, generate
