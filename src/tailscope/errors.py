@@ -105,15 +105,24 @@ def read_lines(source, what: str) -> list[str]:
     return lines
 
 
+def decode_json(text: str, error, position: bool = True):
+    """``json.loads(text)``; text it cannot decode raises ``error("invalid JSON (reason)")``:
+    a syntax error (with its position unless ``position`` is False), a number
+    with more digits than ``int`` reads, or nesting deeper than the recursion limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+        reason = exc if position or not isinstance(exc, json.JSONDecodeError) else exc.msg
+        raise error(f"invalid JSON ({reason})") from None
+
+
 def read_json(path, what: str, convert):
     """``convert`` of the JSON document in the file at ``path``. A read, JSON or
     conversion failure raises ConfigurationError, bad UTF-8 a ParseError, each
     naming ``what`` and the file."""
     what = f"{what} {path}"
-    try:
-        data = json.loads(decode_utf8(_read(path, what, ConfigurationError), what))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{what}: invalid JSON ({exc})") from None
+    text = decode_utf8(_read(path, what, ConfigurationError), what)
+    data = decode_json(text, lambda message: ConfigurationError(f"{what}: {message}"))
     try:
         return convert(data)
     except ConfigurationError as exc:
@@ -122,14 +131,20 @@ def read_json(path, what: str, convert):
 
 def json_fields(data, convert: dict, what: str, optional=()) -> dict:
     """Each key of a JSON object through its converter, in ``convert``'s order (an
-    absent ``optional`` key left out); a missing or bad key raises ConfigurationError."""
+    absent ``optional`` key left out); a missing, unknown or bad key (a float
+    that is not finite too) raises ConfigurationError."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(convert))
+    if unknown:
+        raise ConfigurationError(f"{what} has unknown key {', '.join(map(repr, unknown))}")
     fields = {}
     for key, fn in convert.items():
         try:
             if key in data or key not in optional:
-                fields[key] = fn(data[key])
+                fields[key] = value = fn(data[key])
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"expected a finite number, got {value}")
         except KeyError:
             raise ConfigurationError(f"{what} missing key '{key}'") from None
         except (TypeError, ValueError, OverflowError) as exc:

@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import MAX_MAGNITUDE, ParseError, UsageError, ValidationError, read_lines
+from .errors import MAX_MAGNITUDE, ParseError, UsageError, ValidationError, decode_json, read_lines
 
 #: A sample is missed when its best final displacement exceeds this (m).
 MISS_THRESHOLD = 2.0
@@ -353,10 +353,7 @@ def _numbers(record: dict, key: str, maybe_bool: bool) -> np.ndarray:
 
 
 def _record(line: str, line_no: int) -> dict:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON ({exc.msg})", line=line_no) from None
+    record = decode_json(line, lambda message: ParseError(message, line=line_no), position=False)
     if not isinstance(record, dict):
         raise ParseError("expected a JSON object", line=line_no)
     missing = {"sample_id", "modes", "probs", "gt"} - set(record)
@@ -416,8 +413,8 @@ def _flat_row(line: str, skeletons: dict):
             return None
         row = struct.pack(f"{2 * k * t + k + 2 * t}d", *flat(flat(record["modes"])), *record["probs"], *flat(record["gt"]))
         return str(record["sample_id"]), key, row
-    except (ValueError, KeyError, TypeError, OverflowError, struct.error):  # _row words the error
-        return None
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError, struct.error):
+        return None  # _row words the error
 
 
 def _row(line: str, line_no: int):

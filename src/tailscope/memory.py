@@ -81,7 +81,7 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.divide(x, norms, out=np.zeros_like(x), where=ok), norms, ok
 
 
-_float_array = partial(np.array, dtype=float)
+_float_array = partial(np.asarray_chkfinite, dtype=float)  # a NaN or infinity raises ValueError
 
 
 def _finite(name: str, x: np.ndarray) -> np.ndarray:

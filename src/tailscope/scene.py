@@ -174,7 +174,7 @@ class Trajectory:
 
 def _from_table(agent_id: str, rows, kind: str, dt: float) -> Trajectory:
     """A trajectory from ``(t, x, y, vx, vy, heading)`` rows."""
-    table = np.array(rows, dtype=float).reshape(len(rows), 6)
+    table = np.asarray(rows, dtype=float).reshape(len(rows), 6)
     return Trajectory(agent_id, table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5], kind, dt)
 
 
@@ -344,10 +344,8 @@ class SceneGroup:
         """Row ``s`` as a :class:`Scene`."""
         agents = {}
         for j in np.argsort(self.first[s]).tolist():
-            table, agent_id = self.block[s, j], self.agents[s, j]
-            agents[agent_id] = Trajectory(
-                agent_id, table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5], str(self.kinds[s, j]), float(self.dt[s, j])
-            )
+            agent_id, kind = self.agents[s, j], str(self.kinds[s, j])
+            agents[agent_id] = _from_table(agent_id, self.block[s, j], kind, float(self.dt[s, j]))
         return Scene(scene_id, agents, self.agents[s, 0], neighbor_radius=float(self.radius[s]))
 
 
@@ -403,52 +401,23 @@ def _parse_float(raw: str, column: str, line: int) -> float:
     return value
 
 
-#: The only bytes a scene CSV may hold for ``_columns`` to read it, once each
-#: ``\r\n`` is read as ``\n``; a quote, space, tab, other ``\r`` or non-ASCII
-#: byte sends the file through the row loop.
+#: The only bytes a scene CSV may hold for ``_columns`` to read it (``\r\n`` read
+#: as ``\n``): with no quote, every comma or newline ends a field. A space, tab,
+#: other ``\r`` or non-ASCII byte sends the file through the row loop too.
 _PLAIN = b"".join(bytes(range(ord(a), ord(b) + 1)) for a, b in ("az", "AZ", "09")) + b"+-._,\n"
 _HEADER = ",".join(CSV_COLUMNS).encode()
-_ROW = np.dtype([("frame", "i8"), ("v", "f8", (6,))])
-
-
-def _keys(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """Each row's field ``buf[start:end]`` in one fixed-width bytes array; None
-    when the widest field would make that array larger than ``buf``."""
-    width = end - start
-    size = max(int(width.max()), 1)
-    if size * len(width) > len(buf):
-        return None
-    out = np.zeros((len(width), size), dtype=np.uint8)
-    for j in range(size):
-        has = width > j
-        out[has, j] = buf[start[has] + j]
-    return out.view(f"S{size}")[:, 0]
-
-
-def _runs(scene: np.ndarray, agent: np.ndarray, frame: np.ndarray) -> np.ndarray | None:
-    """Where each (scene, agent) run of rows starts, or None unless every pair
-    is one run with increasing frames."""
-    new = np.ones(len(frame), dtype=bool)
-    new[1:] = (scene[1:] != scene[:-1]) | (agent[1:] != agent[:-1])
-    if ((frame[1:] <= frame[:-1]) & ~new[1:]).any():
-        return None
-    starts = np.flatnonzero(new)
-    s, a = scene[starts], agent[starts]
-    o = np.lexsort((a, s))
-    return None if ((s[o][1:] == s[o][:-1]) & (a[o][1:] == a[o][:-1])).any() else starts
 
 
 def _plain_rows(data) -> tuple | None:
-    """The rows of a plain scene CSV as arrays: scene, agent, kind and target
-    keys, frames and ``(t, x, y, vx, vy, heading)`` values. None when the file
-    holds a byte outside ``_PLAIN``, a line without its header's fields, a
-    number ``loadtxt`` does not read or a value the row loop refuses."""
+    """The rows of a plain scene CSV, read by one ``loadtxt``: scene, agent, kind and
+    target bytes, each as wide as its column's widest cell, frames and ``(t, x, y, vx,
+    vy, heading)`` values. None when the file holds a byte outside ``_PLAIN``, a line
+    without its header's fields, a number ``loadtxt`` does not read or a value the row
+    loop refuses."""
     if isinstance(data, str):
-        if not data.isascii():
-            return None
-        data = data.encode("ascii")
+        data = data.encode("ascii", "replace")  # a "?" is not plain
     data = data.replace(b"\r\n", b"\n")  # a line ending the row loop also drops
-    if not data or data.translate(None, _PLAIN):
+    if data.translate(None, _PLAIN):  # an empty file fails the header check
         return None
     if not data.endswith(b"\n"):
         data += b"\n"
@@ -458,36 +427,32 @@ def _plain_rows(data) -> tuple | None:
     if not (has_target_col or data[:head] == _HEADER) or n_rows == 0:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    body = buf[head + 1 :]
-    sep = np.flatnonzero((body == ord(",")) | (body == ord("\n"))) + (head + 1)
-    if sep.size != n_rows * n_cols:
+    sep = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))[n_cols - 1 :]  # from the header's newline
+    if sep.size != n_rows * n_cols + 1 or (buf[sep[::n_cols]] != ord("\n")).any():
         return None
-    # csv refuses a field longer than its limit
-    if np.diff(sep, prepend=head).max() > csv.field_size_limit() + 1:
+    # each column's widest cell: every line's commas, then its newline, end its fields
+    width = np.diff(sep).reshape(n_rows, n_cols).max(axis=0) - 1
+    size = np.maximum(width, 1)
+    # csv refuses a field longer than its limit; an int64 frame takes at most 20
+    # characters, and int() refuses more than sys.get_int_max_str_digits()
+    # digits, which loadtxt reads; no key column may take more bytes than the file
+    if width.max() > csv.field_size_limit() or width[2] > 20 or size[[0, 1, 9, -1]].max() * n_rows > len(buf):
         return None
-    sep = sep.reshape(n_rows, n_cols)  # each line's commas, then its newline
-    # an int64 frame takes at most 20 characters; int() refuses more than
-    # sys.get_int_max_str_digits() digits, which loadtxt reads
-    if (buf[sep[:, -1]] != ord("\n")).any() or (sep[:, 2] - sep[:, 1]).max() > 21:
-        return None
-    line_start = np.concatenate(([head], sep[:-1, -1])) + 1
-    fields = (0, 1, 9, 10) if has_target_col else (0, 1, 9)  # scene, agent, kind and target
-    keys = [_keys(buf, line_start if c == 0 else sep[:, c - 1] + 1, sep[:, c]) for c in fields]
-    if any(k is None for k in keys):
-        return None
-    scene, agent, kind = keys[:3]
-    flag = keys[3] if has_target_col else np.zeros(n_rows, dtype="S1")
+    formats = [f"S{w}" for w in size.tolist()]
+    formats[2:9] = ["i8", "6f8"]  # the frame and (t, x, y, vx, vy, heading)
+    dtype = np.dtype(list(zip(("scene", "agent", "frame", "v", "kind", "flag"), formats)))
     try:
-        table = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1, usecols=range(2, 9), comments=None, dtype=_ROW, ndmin=1)
+        table = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1, comments=None, dtype=dtype, ndmin=1)
     except ValueError:
         return None
-    v = table["v"]
+    scene, agent, kind, frame, v = (table[name] for name in ("scene", "agent", "kind", "frame", "v"))
+    flag = table["flag"] if has_target_col else np.zeros(n_rows, dtype="S1")
     ok = (
         (scene != b"") & (agent != b"") & np.isin(kind, [k.encode() for k in AGENT_KINDS])
         & np.isin(flag, [b"", b"0", b"1"]) & np.isfinite(v).all(axis=1)
         & (np.abs(v[:, 1:5]) <= MAX_MAGNITUDE).all(axis=1) & (v[:, 5] > -math.pi) & (v[:, 5] <= math.pi)
     )
-    return (scene, agent, kind, flag, table["frame"], v, has_target_col) if ok.all() else None
+    return (scene, agent, kind, flag, frame, v, has_target_col) if ok.all() else None
 
 
 def _columns(data, neighbor_radius: float) -> SceneColumns | None:
@@ -499,27 +464,21 @@ def _columns(data, neighbor_radius: float) -> SceneColumns | None:
     if rows is None:
         return None
     scene, agent, kind, flag, frame, v, has_target_col = rows
-    n_rows = len(frame)
-    order = np.arange(n_rows)
-    starts = _runs(scene, agent, frame)
-    if starts is None:
-        order = np.lexsort((frame, agent, scene))
-        scene, agent, kind, flag, frame = scene[order], agent[order], kind[order], flag[order], frame[order]
-        starts = _runs(scene, agent, frame)
-        if starts is None:  # a duplicate frame
-            return None
-    v = v[order]
-    length = np.diff(starts, append=n_rows)
-    within = np.ones(n_rows, dtype=bool)
-    within[starts] = False  # the rows that continue their agent's run
-    if (length < 2).any() or ((kind != np.roll(kind, 1)) & within).any() or ((flag != np.roll(flag, 1)) & within).any():
+    order = np.lexsort((frame, agent, scene))
+    scene, agent, kind, flag, frame, v = (column[order] for column in (scene, agent, kind, flag, frame, v))
+    within = np.zeros(len(order), dtype=bool)  # the rows that continue their agent's run
+    within[1:] = (scene[1:] == scene[:-1]) & (agent[1:] == agent[:-1])
+    starts = np.flatnonzero(~within)
+    length = np.diff(starts, append=len(order))
+    # a lone frame, or within a run a duplicate frame or a change of kind or target flag
+    changes = (frame[1:] == frame[:-1]) | (kind[1:] != kind[:-1]) | (flag[1:] != flag[:-1])
+    if (length < 2).any() or (changes & within[1:]).any():
         return None
 
     ids, scene_of = np.unique(scene[starts], return_inverse=True)
     agent_ids, agent_of = np.unique(agent[starts], return_inverse=True)
     agent_ids = agent_ids.astype(str).astype(object)
-    id_rank = np.empty(len(agent_ids), dtype=int)
-    id_rank[sorted(range(len(agent_ids)), key=lambda i: _id_key(agent_ids[i]))] = np.arange(len(agent_ids))
+    id_rank = np.argsort(sorted(range(len(agent_ids)), key=lambda i: _id_key(agent_ids[i])))
     target = flag[starts] == b"1"
     n_agents = np.bincount(scene_of, minlength=len(ids))
     if has_target_col and (np.bincount(scene_of[target], minlength=len(ids)) != 1).any():
@@ -538,7 +497,8 @@ def _columns(data, neighbor_radius: float) -> SceneColumns | None:
         gaps = np.diff(t)[within[1:]]
         raw, raw_of = np.unique(gaps, return_inverse=True)
         rounded, code = np.unique([round(g, 9) for g in raw.tolist()], return_inverse=True)
-        pair, count = np.unique(np.repeat(scene_of, length - 1) * len(rounded) + code[raw_of], return_counts=True)
+        scene_code = np.repeat(scene_of, length - 1) * len(rounded) + code[raw_of]
+        pair, count = np.unique(scene_code, return_counts=True)
         pair_scene, pair_code = np.divmod(pair, len(rounded))
         best = np.lexsort((pair_code, -count, pair_scene))
         best = best[np.diff(pair_scene[best], prepend=-1) != 0]
@@ -548,15 +508,15 @@ def _columns(data, neighbor_radius: float) -> SceneColumns | None:
         refused = (
             ~((dt > 0) & (dt < math.inf)) | (2 * math.pi > max_rate * dt * dt)
             # the runs whose acceleration and jerk Trajectory works out frame by frame
-            | (4 * np.maximum.reduceat(np.abs(v[:, 3:5]).max(axis=1), starts) > max_rate * dt * np.minimum(dt, 2.0))
+            | (4 * np.maximum.reduceat(np.abs(v[:, 3:5]).max(axis=1), starts)
+               > max_rate * dt * np.minimum(dt, 2.0))
             | (length != length[target_run]) | (np.abs(t[starts] - t[starts][target_run]) > DT_TOLERANCE)
             | (np.abs(t_end - t_end[target_run]) > DT_TOLERANCE)
         )
         if refused.any() or ((gaps <= 0) | (np.abs(gaps - np.repeat(dt, length - 1)) > DT_TOLERANCE)).any():
             return None
-    try:
-        for agent_frames in set((n_agents * n_frames).tolist()):
-            check_radius("neighbor_radius", neighbor_radius, agent_frames)
+    try:  # the largest scene sets the bound
+        check_radius("neighbor_radius", neighbor_radius, int((n_agents * n_frames).max()))
     except ValidationError:
         return None
 
@@ -570,7 +530,9 @@ def _columns(data, neighbor_radius: float) -> SceneColumns | None:
         runs = by_scene[scene_start[index][:, None] + np.arange(n)]  # (S, n)
         block = v[starts[runs][..., None] + np.arange(n_frame)]
         radius = np.full(len(index), float(neighbor_radius))
-        groups.append(SceneGroup(np.array(index), block, kinds[runs], dt[runs], radius, agent_ids[agent_of[runs]], first[runs]))
+        groups.append(SceneGroup(
+            np.array(index), block, kinds[runs], dt[runs], radius, agent_ids[agent_of[runs]], first[runs]
+        ))
     return SceneColumns(ids.astype(str).tolist(), groups)
 
 

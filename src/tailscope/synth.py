@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import UsageError
-from .scene import DT_TOLERANCE, Scene, Trajectory, check_radius, wrap_angle
+from .scene import DT_TOLERANCE, Scene, _from_table, check_radius, wrap_angle
 
 SCENARIO_KINDS = ("constant", "circle", "brake", "crossing", "grid")
 
@@ -84,21 +84,15 @@ class ScenarioSpec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _traj(agent_id, rows, dt, kind="vehicle"):
-    t, x, y, vx, vy, heading = np.array(rows, dtype=float).T
-    return Trajectory(
-        agent_id, t, np.column_stack((x, y)), np.column_stack((vx, vy)), heading, kind, dt
-    )
-
-
-def _constant_rows(times, p0, direction, speed):
+def _constant(agent_id, times, p0, direction, speed, dt):
     vx = speed * math.cos(direction)
     vy = speed * math.sin(direction)
     heading = wrap_angle(direction)
-    return [
+    rows = [
         (t, p0[0] + vx * t, p0[1] + vy * t, vx, vy, heading)
         for t in times
     ]
+    return _from_table(agent_id, rows, "vehicle", dt)
 
 
 def _generate_constant(spec: ScenarioSpec):
@@ -108,7 +102,7 @@ def _generate_constant(spec: ScenarioSpec):
     for idx in range(spec.n_agents):
         p0 = rng.uniform(-50.0, 50.0, size=2)
         direction = rng.uniform(-math.pi, math.pi)
-        agents[str(idx)] = _traj(str(idx), _constant_rows(times, p0, direction, spec.speed), spec.dt)
+        agents[str(idx)] = _constant(str(idx), times, p0, direction, spec.speed, spec.dt)
     oracle = {
         "c_v": 0.0, "c_j": 0.0, "c_omega": 0.0, "c_alpha": 0.0, "c_vd": 0.0,
         "c_kappa": 0.0, "c_dkappa": 0.0, "c_dgamma": 0.0, "r_ni": 0.0,
@@ -132,7 +126,7 @@ def _generate_circle(spec: ScenarioSpec):
         vx = -spec.speed * math.sin(psi)
         vy = spec.speed * math.cos(psi)
         rows.append((t, x, y, vx, vy, wrap_angle(psi + math.pi / 2)))
-    agents = {"0": _traj("0", rows, spec.dt)}
+    agents = {"0": _from_table("0", rows, "vehicle", spec.dt)}
     oracle = {
         "c_omega": omega,
         "c_alpha": 0.0,
@@ -159,7 +153,7 @@ def _generate_brake(spec: ScenarioSpec):
             v = 0.0
             x = spec.speed * stop_time - 0.5 * spec.decel * np.float_power(stop_time, 2)
         rows.append((t, x, 0.0, v, 0.0, 0.0))
-    agents = {"0": _traj("0", rows, spec.dt)}
+    agents = {"0": _from_table("0", rows, "vehicle", spec.dt)}
     oracle = {"stop_time": stop_time, "c_omega": 0.0, "c_kappa": 0.0}
     return agents, oracle
 
@@ -169,8 +163,8 @@ def _generate_crossing(spec: ScenarioSpec):
     times = [k * spec.dt for k in range(spec.frames)]
     closing = 2.0 * spec.speed
     agents = {
-        "0": _traj("0", _constant_rows(times, (-spec.gap / 2.0, 0.0), 0.0, spec.speed), spec.dt),
-        "1": _traj("1", _constant_rows(times, (spec.gap / 2.0, 0.0), math.pi, spec.speed), spec.dt),
+        "0": _constant("0", times, (-spec.gap / 2.0, 0.0), 0.0, spec.speed, spec.dt),
+        "1": _constant("1", times, (spec.gap / 2.0, 0.0), math.pi, spec.speed, spec.dt),
     }
     final_gap = spec.gap - closing * times[-1]
     if final_gap <= 0:
@@ -188,12 +182,12 @@ def _generate_crossing(spec: ScenarioSpec):
 def _generate_grid(spec: ScenarioSpec):
     # Static target at the origin ringed by static neighbors at distance gap.
     times = [k * spec.dt for k in range(spec.frames)]
-    agents = {"0": _traj("0", _constant_rows(times, (0.0, 0.0), 0.0, 0.0), spec.dt)}
+    agents = {"0": _constant("0", times, (0.0, 0.0), 0.0, 0.0, spec.dt)}
     n_neighbors = spec.n_agents - 1
     for idx in range(n_neighbors):
         angle = 2.0 * math.pi * idx / max(n_neighbors, 1)
         p0 = (spec.gap * math.cos(angle), spec.gap * math.sin(angle))
-        agents[str(idx + 1)] = _traj(str(idx + 1), _constant_rows(times, p0, 0.0, 0.0), spec.dt)
+        agents[str(idx + 1)] = _constant(str(idx + 1), times, p0, 0.0, 0.0, spec.dt)
     oracle = {
         "r_ittc": 0.0,
         "r_mac": 0.0,

@@ -468,16 +468,27 @@ class TestExitCodeContract:
             ("--params", b'{"path_i": [], "path_r": [], "w_o": [], "b_o": 0}', ""),
             ("--params", params_json(lambda d: d.update(w_o=[d["w_o"]])), "w_o must be a vector, got shape (1, 2)"),
             ("--params", params_json(lambda d: d["path_i"][0]["mu_W"][0].__setitem__(0, math.nan)),
-             "perceiver params key 'path_i': mu_w contains non-finite values"),
+             "perceiver params key 'path_i': layer key 'mu_W' is malformed: array must not contain infs or NaNs"),
             ("--params", params_json(lambda d: d["path_r"][1].update(mu_W=[[0.1] * 4] * 2, sigma_W=[[0.1] * 4] * 2)),
              "path_r: layer input 4 != previous output 3"),
             ("--stats", json.dumps({"median": [0.0] * 14, "scale": [1.0] * 13 + [0.0]}).encode(),
              "scales must be strictly positive and finite"),
+            ("--stats", b'{"median": [1' + b"0" * 5000 + b'], "scale": [1.0]}', "invalid JSON (Exceeds the limit"),
+            ("--config", b'{"seed": 1' + b"0" * 5000 + b"}", "invalid JSON (Exceeds the limit"),
+            ("--config", b'{"k": ' + b"[" * 50000 + b"]" * 50000 + b"}", "invalid JSON (maximum recursion depth"),
+            ("--stats", json.dumps({"median": [math.nan] * 14, "scale": [1.0] * 14}).encode(),
+             "stats key 'median' is malformed: array must not contain infs or NaNs"),
+            ("--params", params_json(lambda d: d.update(w_o=[math.inf, 0.0])),
+             "perceiver params key 'w_o' is malformed: array must not contain infs or NaNs"),
+            ("--params", params_json(lambda d: d.update(lambda_tmp=2.0)),
+             "perceiver params has unknown key 'lambda_tmp'"),
         ],
         ids=[
             "stats-not-json", "stats-no-median", "stats-not-utf8", "params-not-utf8",
             "params-path_i-int", "params-not-object", "stats-missing-file", "params-no-layers",
             "params-w_o-2d", "params-nan-weight", "params-layer-width", "stats-zero-scale",
+            "stats-5000-digits", "config-5000-digits", "config-deep-nesting", "stats-nan-median",
+            "params-inf-w_o", "params-misspelled-key",
         ],
     )
     def test_bad_rank_sidecar_exits_2(self, tmp_path, capsys, monkeypatch, flag, content, fragment):
@@ -663,16 +674,24 @@ class TestExitCodeContract:
             ({"modes": [[0.0, 0.0]] * 4}, "line 2: sample 'b': modes must be (K, T, 2), got (4, 2)"),
             ({"modes": [[[0.0, 0.0]] * 3 + [[math.nan, 0.0]]]}, "line 2: sample 'b': non-finite values"),
             (None, "{path}: no forecast samples"),
+            (forecast_line("b", 0.0).replace("[[[0.0", "[[[1" + "0" * 5000, 1),
+             "line 2: invalid JSON (Exceeds the limit (4300 digits) for integer string conversion: value has 5001 "
+             "digits; use sys.set_int_max_str_digits() to increase the limit)"),
+            ('{"sample_id": "b", "modes": ' + "[" * 50000 + "]" * 50000 + ', "probs": [1.0], "gt": [[0.0, 0.0]]}',
+             "line 2: invalid JSON (maximum recursion depth exceeded while decoding a JSON array from a unicode "
+             "string)"),
         ],
-        ids=["modes-2d", "nan", "empty-file"],
+        ids=["modes-2d", "nan", "empty-file", "5000-digits", "deep-nesting"],
     )
     def test_forecast_jsonl_check(self, tmp_path, capsys, second, error):
+        """``second``: the second line's changes to the first's keys, or the whole line."""
         jsonl = tmp_path / "f.jsonl"
         if second is None:
             jsonl.write_text("")
         else:
-            sample = {**json.loads(forecast_line("b", 0.0)), **second}
-            jsonl.write_text(forecast_line("a", 0.0) + "\n" + json.dumps(sample) + "\n")
+            if not isinstance(second, str):
+                second = json.dumps({**json.loads(forecast_line("b", 0.0)), **second})
+            jsonl.write_text(forecast_line("a", 0.0) + "\n" + second + "\n")
         assert run(["eval", "--input", str(jsonl), "--k", "1", "--out", str(tmp_path / "o.json")]) == 2
         assert capsys.readouterr().err == f"error: {error.format(path=jsonl)}\n"
 

@@ -305,11 +305,12 @@ def test_forecast_jsonl_parse_matches_the_line_by_line_reading(workdir, data):
 
 #: Cells the column path must refuse or read exactly as ``float``/``int`` do:
 #: quotes, spaces, underscores, signs, non-finite and non-ASCII numbers, an
-#: integer written as a float, more digits than ``int`` reads, a field longer
-#: than ``csv`` reads, every kind and target flag.
+#: integer written as a float, more digits than ``int`` reads, frames of 20
+#: and 21 characters, a field longer than ``csv`` reads, every kind and
+#: target flag.
 SCENE_CELLS = st.sampled_from([
     '"0"', '"a,b"', " 1", "1 ", "\t2", "1_000", "1_0", "nan", "inf", "-inf", "+3", "+0.5", "-0", "1.0", "1e0",
-    "\u0663", "007", "", "0", "1", "x", "1e400", "1e-400", "99999999999999999999",
+    "\u0663", "007", "", "0", "1", "x", "1e400", "1e-400", "99999999999999999999", "0" * 19 + "1", "0" * 20 + "1",
     "9000000000000000000", "-9000000000000000000", ".5", "5.", "0x10", "0" * 4301, "1" * (csv.field_size_limit() + 1),
     *AGENT_KINDS, "Vehicle",
 ])
@@ -337,10 +338,15 @@ def parsed_scenes(parse, text):
 
 
 def mutated_scene_csv(lines, data):
-    """``lines`` with one cell, line ending, line or the row order changed."""
+    """``lines`` with one cell, line ending, line or the row order changed, one
+    target flag emptied, or one agent's ids and kind widened or its rows split."""
     lines = list(lines)
     i = data.draw(st.integers(1, len(lines) - 1))
-    how = data.draw(st.sampled_from(["cell", "cell", "crlf", "blank", "shuffle", "repeat", "drop", "untarget"]))
+    how = data.draw(st.sampled_from([
+        "cell", "cell", "crlf", "blank", "shuffle", "repeat", "drop", "untarget",
+        "empty-target", "widest-last", "split",
+    ]))
+    key = lines[i].split(",")[:2]
     if how == "cell":
         cells = lines[i].split(",")
         c = data.draw(st.integers(0, len(cells) - 1))
@@ -356,6 +362,20 @@ def mutated_scene_csv(lines, data):
         lines.insert(i, lines[i])
     elif how == "drop":
         del lines[i]
+    elif how == "empty-target":  # the last field: the target flag, or the kind without that column
+        lines[i] = lines[i].rsplit(",", 1)[0] + ","
+    elif how == "widest-last":  # line i's scene id, agent id and kind widened, its agent's rows moved last
+        rows = [line.split(",") for line in lines[1:]]
+        moved = [row for row in rows if row[:2] == key and len(row) > 9]
+        for row in rows:
+            if row[0] == key[0]:
+                row[0] += "-wide"
+        for row in moved:
+            row[1], row[9] = row[1] + "-wide", "pedestrian"
+        lines[1:] = [",".join(row) for row in rows if row not in moved] + [",".join(row) for row in moved]
+    elif how == "split":  # line i's agent becomes two runs of interleaved frames, the second last
+        moved = [line for line in lines[1:] if line.split(",")[:2] == key][::2]
+        lines = [line for line in lines if line not in moved] + moved
     elif lines[0].endswith(",target"):
         lines = [line.rsplit(",", 1)[0] for line in lines]
     return lines

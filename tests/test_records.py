@@ -2,12 +2,13 @@
 through one codec, and every file is written by one writer."""
 
 import json
+import math
 import re
 from dataclasses import fields
 
 import pytest
 
-from tailscope.errors import UsageError, write_text
+from tailscope.errors import ConfigurationError, UsageError, write_text
 from tailscope.memory import CognitiveSetParams, GateMlp, PrototypeMemory
 from tailscope.perceiver import DatasetStats, GaussianLayer, PerceiverParams, default_params
 from tailscope.scene import dump_scenes
@@ -59,6 +60,49 @@ def test_table_lists_every_field_in_order_with_optional_keys_last(cls):
     """``from_jsonable`` builds a record positionally from its table."""
     assert [key.lower() for key in cls.JSON] == [f.name for f in fields(cls)]
     assert list(cls.JSON)[len(cls.JSON) - len(cls.OPTIONAL):] == list(cls.OPTIONAL)
+
+
+#: Per record, a key path whose numbers turn non-finite, and the error that names it.
+NON_FINITE = [
+    ("layer", "mu_W", "layer key 'mu_W' is malformed: array must not contain infs or NaNs"),
+    ("perceiver", "w_o", "perceiver params key 'w_o' is malformed: array must not contain infs or NaNs"),
+    ("perceiver", "lambda_temp", "perceiver params key 'lambda_temp' is malformed: expected a finite number, got "),
+    ("stats", "median", "stats key 'median' is malformed: array must not contain infs or NaNs"),
+    ("gate", "b_gate", "gate mlp key 'b_gate' is malformed: expected a finite number, got "),
+    ("cognitive-set", "b_tail", "cognitive set params key 'b_tail' is malformed: array must not contain infs or NaNs"),
+    ("cognitive-set", "gate_mlp.w_gate",
+     "cognitive set params key 'gate_mlp': gate mlp key 'w_gate' is malformed: array must not contain infs or NaNs"),
+    ("memory", "boundaries", "prototype memory key 'boundaries' is malformed: array must not contain infs or NaNs"),
+    ("memory", "eta", "prototype memory key 'eta' is malformed: expected a finite number, got "),
+]
+
+
+def poisoned(value):
+    """``value`` with its last number replaced by the string ``"BAD"``."""
+    return value[:-1] + [poisoned(value[-1])] if isinstance(value, list) else "BAD"
+
+
+@pytest.mark.parametrize("name, key, error", NON_FINITE, ids=[f"{name}-{key}" for name, key, _ in NON_FINITE])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_load_refuses_a_non_finite_number_naming_its_key(tmp_path, name, key, error, token):
+    record, text = SAVED[name]
+    doc = node = json.loads(text)
+    *parents, leaf = key.split(".")
+    for parent in parents:
+        node = node[parent]
+    node[leaf] = poisoned(node[leaf])
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(doc).replace('"BAD"', token))
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}: {error}")):
+        type(record).load(path)
+
+
+@pytest.mark.parametrize("record, text", SAVED.values(), ids=SAVED)
+def test_load_refuses_an_unknown_key_naming_it(tmp_path, record, text):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps({**json.loads(text), "lambda_tmp": 1.0}))
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}: {record.WHAT} has unknown key 'lambda_tmp'")):
+        type(record).load(path)
 
 
 WRITERS = {

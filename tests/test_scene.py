@@ -463,6 +463,28 @@ class TestColumnPath:
                 for agent_id, traj in want.agents.items():
                     assert got.agents[agent_id]._stacked().tobytes() == traj._stacked().tobytes()
 
+    def test_ids_and_kinds_of_unequal_widths(self, rng):
+        """Each key column is read as wide as its widest cell, wherever that cell is."""
+        layout = {
+            "s": [("7", "other"), ("a", "vehicle")],
+            "scene-wide": [("1", "vehicle"), ("agent-wider", "pedestrian")],
+        }
+        scenes = [
+            make_scene([random_trajectory(rng, agent_id=a, n_frames=4, kind=k) for a, k in agents], scene_id=sid)
+            for sid, agents in layout.items()
+        ]
+        lines = scenes_to_csv(scenes).splitlines(keepends=True)
+        # as written, the widest cells last, and with empty target flags but one per scene
+        for source in (lines, lines[:1] + lines[:0:-1], [line.replace(",0\n", ",\n") for line in lines]):
+            parsed = parse_scene_csv("".join(source))
+            assert [(s.scene_id, s.target_id) for s in parsed] == [(s.scene_id, s.target_id) for s in scenes]
+            first_seen = list(dict.fromkeys(tuple(line.split(",")[:2]) for line in source[1:]))
+            for got, want in zip(parsed, scenes):
+                assert list(got.agents) == [a for s, a in first_seen if s == want.scene_id]
+                for agent_id, traj in want.agents.items():
+                    assert got.agents[agent_id].kind == traj.kind
+                    assert got.agents[agent_id]._stacked().tobytes() == traj._stacked().tobytes()
+
     def test_crlf_endings(self, rng):
         def bits(scene_list):
             return [
@@ -488,6 +510,18 @@ class TestColumnPath:
             scene_module.dump_scenes([scene], tmp_path / f"{kind}.csv")
             (parsed,) = scene_module.load_scenes(tmp_path / f"{kind}.csv")
             assert parsed.scene_id == scene.scene_id and set(parsed.agents) == set(scene.agents)
+
+
+def test_column_path_refuses_a_key_column_larger_than_the_file(rng):
+    """A key column holds its widest cell's bytes on every row, so an id that
+    would make it larger than the file sends the file to the row loop."""
+    trajs = [random_trajectory(rng, n_frames=2) for _ in range(100)]
+    for width, plain in ((50, True), (1000, False)):
+        scenes = [make_scene([traj], scene_id=f"s{i:02d}") for i, traj in enumerate(trajs)]
+        scenes.append(make_scene([trajs[0]], scene_id="w" * width))
+        text = scenes_to_csv(scenes)
+        assert (scene_module._plain_rows(text) is not None) == plain
+        assert [s.scene_id for s in parse_scene_csv(text)] == [s.scene_id for s in scenes]
 
 
 class TestScene:
