@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import ConfigurationError, TailscopeError, UsageError, read_json, report_text, write_report
+from .errors import TailscopeError, UsageError, json_fields, read_json, report_text, write_report
 
 CONFIG_ENV_VAR = "TAILSCOPE_CONFIG"
 
@@ -114,18 +114,11 @@ def _kwargs(opts: dict, *keys: str, **renamed: str) -> dict:
     return {kw: opts[key] for key, kw in names.items() if key in opts}
 
 
-def _known_keys(config) -> dict:
-    if not isinstance(config, dict):
-        raise ConfigurationError("config must be a JSON object")
-    unknown = sorted(set(config) - set(OPTIONS))
-    if unknown:
-        raise ConfigurationError(f"config has unknown key {', '.join(map(repr, unknown))}")
-    return config
-
-
 def _load_config(args) -> dict:
+    """The config file's options: every key optional, each value as given (``_options`` checks it)."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    return read_json(path, "config file", _known_keys) if path else {}
+    as_given = dict.fromkeys(OPTIONS, lambda value: value)
+    return read_json(path, "config file", lambda data: json_fields(data, as_given, "config", OPTIONS)) if path else {}
 
 
 def _require_input(opts: dict) -> Path:
@@ -140,7 +133,7 @@ def _score_scenes(opts: dict):
     from .scene import read_scene_columns
 
     path = _require_input(opts)
-    rss = RssParams.from_dict(opts.get("rss_params", {}))
+    rss = RssParams.from_jsonable(opts.get("rss_params", {}))
     columns = read_scene_columns(path, **_kwargs(opts, "neighbor_radius"))
     return (columns.ids, *score_scenes(columns, rss))
 
@@ -223,7 +216,7 @@ def cmd_eval(opts: dict) -> int:
 
 def cmd_synth(opts: dict) -> int:
     """Generate a synthetic scene CSV plus its oracle sidecar JSON."""
-    from dataclasses import fields
+    from dataclasses import asdict, fields
 
     from .scene import dump_scenes
     from .synth import SCENARIO_KINDS, ScenarioSpec, generate
@@ -235,7 +228,7 @@ def cmd_synth(opts: dict) -> int:
         raise UsageError("synth needs --out for the scene CSV")
     spec = ScenarioSpec(**_kwargs(opts, *(f.name for f in fields(ScenarioSpec))))
     scene, oracle = generate(spec)
-    sidecar = {"spec": spec.to_dict(), "oracle": oracle}
+    sidecar = {"spec": asdict(spec), "oracle": oracle}
     report_text(sidecar)  # a sidecar refused for a non-finite value leaves no scene CSV behind
     dump_scenes([scene], out)
     write_report(opts.get("oracle_out") or f"{out}.oracle.json", sidecar)

@@ -6,8 +6,9 @@ else escaping the library is a bug. The CLI maps TailscopeError to exit
 code 2 (bad input / bad usage) and everything else to exit code 1. Every
 input file is read and every output file written here, so each failure names
 its file, line or key; :class:`JsonRecord` reads and writes every parameter
-record from one table of its JSON keys, and ``write_report`` writes every
-report.
+record from one table of its JSON keys through ``json_fields``, which reads the
+config file too; ``number`` and ``numbers`` decide what a JSON number is, and
+``write_report`` writes every report.
 """
 
 import json
@@ -129,10 +130,36 @@ def read_json(path, what: str, convert):
         raise ConfigurationError(f"{path}: {exc}") from None
 
 
+def number(value) -> float:
+    """A JSON number as a finite float; a boolean, string or other type raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
+
+
+def numbers(value, maybe_bool: bool = True, prefix: str = ""):
+    """``value`` as a float array whose leaves are all JSON numbers, else a
+    ValueError that starts with ``prefix``. numpy's type discovery finds strings,
+    objects and nulls but folds booleans into numbers, so the leaves are checked
+    one by one when ``maybe_bool`` or numpy found no numeric type."""
+    import numpy as np  # here, so importing the CLI loads no numpy
+
+    values = np.asarray(value)
+    if maybe_bool or values.dtype.kind not in "iuf":
+        other = set(map(type, np.asarray(value, dtype=object).ravel().tolist())) - {int, float}
+        if other:
+            names = ", ".join(sorted(t.__name__ for t in other))
+            raise ValueError(f"{prefix}expected arrays of numbers, found {names}")
+    return values.astype(float, copy=False)
+
+
 def json_fields(data, convert: dict, what: str, optional=()) -> dict:
     """Each key of a JSON object through its converter, in ``convert``'s order (an
-    absent ``optional`` key left out); a missing, unknown or bad key (a float
-    that is not finite too) raises ConfigurationError."""
+    absent ``optional`` key left out); a missing, unknown or bad key raises
+    ConfigurationError."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{what} must be a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - set(convert))
@@ -142,9 +169,7 @@ def json_fields(data, convert: dict, what: str, optional=()) -> dict:
     for key, fn in convert.items():
         try:
             if key in data or key not in optional:
-                fields[key] = value = fn(data[key])
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ValueError(f"expected a finite number, got {value}")
+                fields[key] = fn(data[key])
         except KeyError:
             raise ConfigurationError(f"{what} missing key '{key}'") from None
         except (TypeError, ValueError, OverflowError) as exc:
@@ -255,7 +280,7 @@ def write_report(path, report) -> None:
 
 
 def _jsonable(value, convert):
-    if convert is float:  # an integer-valued float field is written as 10.0, not 10
+    if convert is number:  # an integer-valued float field is written as 10.0, not 10
         return float(value)
     if isinstance(value, JsonRecord):
         return value.to_jsonable()
@@ -268,9 +293,9 @@ class JsonRecord:
     """Base of a dataclass read and written as one JSON object.
 
     ``JSON`` maps each key, in field order, to the converter that reads it;
-    ``OPTIONAL`` keys, listed last, may be absent; ``WHAT`` names the record in
-    errors. ``to_jsonable``, ``from_jsonable``, ``save`` and ``load`` all
-    derive from that one table.
+    ``OPTIONAL`` keys may be absent (the field keeps its default); ``WHAT``
+    names the record in errors. ``to_jsonable``, ``from_jsonable``, ``save``
+    and ``load`` all derive from that one table.
     """
 
     JSON = {}
@@ -285,7 +310,8 @@ class JsonRecord:
 
     @classmethod
     def from_jsonable(cls, data):
-        return cls(*json_fields(data, cls.JSON, cls.WHAT, cls.OPTIONAL).values())
+        fields = json_fields(data, cls.JSON, cls.WHAT, cls.OPTIONAL)
+        return cls(**{name: fields[key] for key, name in zip(cls.JSON, cls.__dataclass_fields__) if key in fields})
 
     def save(self, path) -> None:
         write_text(path, json.dumps(self.to_jsonable()))

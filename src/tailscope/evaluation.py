@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import MAX_MAGNITUDE, ParseError, UsageError, ValidationError, decode_json, read_lines
+from .errors import MAX_MAGNITUDE, ParseError, UsageError, ValidationError, decode_json, numbers, read_lines
 
 #: A sample is missed when its best final displacement exceeds this (m).
 MISS_THRESHOLD = 2.0
@@ -139,17 +139,6 @@ class Table:
     probs: np.ndarray
     gt: np.ndarray
 
-    @classmethod
-    def of(cls, samples: Sequence[ForecastSample]) -> list[Table]:
-        """One table per (K, T) of ``samples``, in order of each one's first sample."""
-        members: dict[tuple[int, int], list[int]] = {}
-        for i, sample in enumerate(samples):
-            members.setdefault(sample.modes.shape[:2], []).append(i)
-        return [
-            cls(np.array(index), *(np.stack([getattr(samples[i], name) for i in index]) for name in ("modes", "probs", "gt")))
-            for index in members.values()
-        ]
-
 
 class Forecasts(Sequence):
     """Forecast samples as tables of one shape, in order of each table's first
@@ -161,7 +150,18 @@ class Forecasts(Sequence):
 
     @classmethod
     def of(cls, samples: Sequence[ForecastSample]) -> Forecasts:
-        return samples if isinstance(samples, cls) else cls([s.sample_id for s in samples], Table.of(samples))
+        """``samples`` unchanged if already Forecasts, else one table per (K, T) of
+        the list, in order of each one's first sample."""
+        if isinstance(samples, cls):
+            return samples
+        members: dict[tuple[int, int], list[int]] = {}
+        for i, sample in enumerate(samples):
+            members.setdefault(sample.modes.shape[:2], []).append(i)
+        tables = [
+            Table(np.array(index), *(np.stack([getattr(samples[i], name) for i in index]) for name in ("modes", "probs", "gt")))
+            for index in members.values()
+        ]
+        return cls([s.sample_id for s in samples], tables)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -335,46 +335,22 @@ def total_loss(l_task: float, l_ti: float, l_meta: float, weights: LossWeights |
     return l_task + weights.lambda_1 * l_ti + weights.lambda_2 * l_meta
 
 
-def _numbers(record: dict, key: str, maybe_bool: bool) -> np.ndarray:
-    """``record[key]`` as a float array; every leaf must be a JSON number.
-
-    numpy's type discovery finds strings, objects and nulls, but it folds
-    booleans into numbers, so the leaves are checked one by one when the line
-    holds a ``true``/``false`` token or numpy found no numeric type.
-    """
-    values = np.asarray(record[key])
-    if maybe_bool or values.dtype.kind not in "iuf":
-        values = np.asarray(record[key], dtype=object)
-        other = set(map(type, values.ravel().tolist())) - {int, float}
-        if other:
-            names = ", ".join(sorted(t.__name__ for t in other))
-            raise ValueError(f"{key}: expected arrays of numbers, found {names}")
-    return values.astype(float, copy=False)
-
-
-def _record(line: str, line_no: int) -> dict:
+def _sample(line: str, line_no: int) -> ForecastSample:
+    """One line's sample, decoded, converted and validated leaf by leaf: the
+    reader that words every error of a forecast line."""
     record = decode_json(line, lambda message: ParseError(message, line=line_no), position=False)
     if not isinstance(record, dict):
         raise ParseError("expected a JSON object", line=line_no)
     missing = {"sample_id", "modes", "probs", "gt"} - set(record)
     if missing:
         raise ParseError(f"missing keys {sorted(missing)}", line=line_no)
-    return record
-
-
-def _sample(record: dict, line: str, line_no: int) -> ForecastSample:
-    """One line's sample, converted and validated leaf by leaf."""
     # Whether the line may hold a true or false token: the keys and numbers hold
     # no "u" and no "f" (but Infinity's), and a search for one character runs far
     # faster than one for a word.
     maybe_bool = ("u" in line and "true" in line) or ("f" in line and "false" in line)
     try:
-        return ForecastSample(
-            sample_id=str(record["sample_id"]),
-            modes=_numbers(record, "modes", maybe_bool),
-            probs=_numbers(record, "probs", maybe_bool),
-            gt=_numbers(record, "gt", maybe_bool),
-        )
+        modes, probs, gt = (numbers(record[key], maybe_bool, f"{key}: ") for key in ("modes", "probs", "gt"))
+        return ForecastSample(str(record["sample_id"]), modes, probs, gt)
     except (ValidationError, ValueError, OverflowError) as exc:
         raise ParseError(str(exc), line=line_no) from None
 
@@ -419,7 +395,7 @@ def _flat_row(line: str, skeletons: dict):
 
 def _row(line: str, line_no: int):
     """``(sample_id, (K, T), row)`` of one line, read and checked leaf by leaf."""
-    sample = _sample(_record(line, line_no), line, line_no)
+    sample = _sample(line, line_no)
     row = np.concatenate([sample.modes.ravel(), sample.probs, sample.gt.ravel()])
     return sample.sample_id, sample.modes.shape[:2], row.tobytes()
 
@@ -495,12 +471,7 @@ class EvalReport:
     config_echo: dict
 
     def to_jsonable(self) -> dict:
-        return {
-            "per_sample": list(self.per_sample),
-            "aggregate": self.aggregate,
-            "worst_case": self.worst_case,
-            "config_echo": self.config_echo,
-        }
+        return {**vars(self), "per_sample": list(self.per_sample)}
 
 
 def evaluate(

@@ -29,12 +29,12 @@ velocity means approaching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, JsonRecord, ValidationError, number
 from .intrinsic import INTRINSIC_FIELDS, compute_intrinsic, intrinsic_rows, rms_acceleration
 from .scene import Scene, SceneColumns, SceneGroup, check_radius, kinematics
 
@@ -53,12 +53,19 @@ PAIR_FRAMES_CAP = 65_536
 
 
 @dataclass(frozen=True)
-class RssParams:
+class RssParams(JsonRecord):
     """Reaction/acceleration bounds and risk-curve shapes for the safe-distance scores.
 
     The defaults follow common RSS practice; every value is configurable and
-    must be strictly positive.
+    must be strictly positive. As JSON (the ``rss_params`` option) each key is
+    optional.
     """
+
+    JSON = dict.fromkeys(
+        "rho rho_ped a_max b_min b_max a_lat_max b_lat_min mu_lat alpha_lon beta_lon alpha_lat beta_lat".split(), number
+    )
+    OPTIONAL = tuple(JSON)
+    WHAT = "option 'rss_params'"
 
     rho: float = 0.5          # target reaction time (s)
     rho_ped: float = 1.0      # pedestrian reaction time (s)
@@ -74,21 +81,10 @@ class RssParams:
     beta_lat: float = 1.0     # lateral risk-curve scale
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"RssParams.{f.name} must be > 0, got {value!r}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RssParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown RssParams keys: {sorted(unknown)}")
-        return cls(**data)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in self.JSON:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"RssParams.{name} must be > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -349,22 +345,20 @@ def _global_scene_risk(g: _Geometry, radius: float | None) -> dict:
     }
 
 
-def _interactive(g: _Geometry, params: RssParams, radius: float | None = None):
+def _interactive(g: _Geometry, params: RssParams):
     """The (S, 6) interactive rows of a group, with per-scene masks: a coincident
     pair (the ``proximity_skip`` flag) and an overflowed longitudinal and lateral
     safe distance. Each stage frees its temporaries before the next starts."""
-    gl = _global_scene_risk(g, radius)
+    gl = _global_scene_risk(g, None)
     near = g.dist <= g.radius
     ittc, lon, lat = _ittc_risk(g, near), _rss_longitudinal(g, near, params), _rss_lateral(g, near, params)
     rows = np.stack([ittc["r_ittc"], lon["r_lon"], lat["r_lat"], gl["r_mac"], gl["r_ad"], gl["r_ni"]], axis=-1)
     return rows, gl["skip"], lon["unsafe"], lat["unsafe"]
 
 
-def compute_interactive(
-    scene: Scene, params: RssParams | None = None, radius: float | None = None
-) -> InteractiveMetrics:
+def compute_interactive(scene: Scene, params: RssParams | None = None) -> InteractiveMetrics:
     """All six interactive scalars of one scene, from one stack of its agents."""
-    rows, skip, unsafe_lon, unsafe_lat = _interactive(_geometry(SceneGroup.of([scene])), params or RssParams(), radius)
+    rows, skip, unsafe_lon, unsafe_lat = _interactive(_geometry(SceneGroup.of([scene])), params or RssParams())
     for unsafe, axis in ((unsafe_lon, "longitudinal"), (unsafe_lat, "lateral")):
         if unsafe[0]:
             raise _rss_error(axis)

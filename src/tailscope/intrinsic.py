@@ -179,7 +179,7 @@ def _picked(scores: dict, names, low_speed: bool) -> dict:
     return {**{name: float(scores[name]) for name in names}, "flags": flags}
 
 
-def kinematic_dynamism(traj: Trajectory, kin: KinematicSeries | None = None) -> dict:
+def kinematic_dynamism(traj: Trajectory) -> dict:
     """Scores for the severity of motion-state change.
 
     Returns a dict with keys ``c_v`` (RMS acceleration), ``c_j`` (RMS jerk),
@@ -187,17 +187,17 @@ def kinematic_dynamism(traj: Trajectory, kin: KinematicSeries | None = None) -> 
     ``c_vd`` (RMS movement-direction rate over frames faster than
     ``EPS_SPEED``) and ``flags``.
     """
-    scores = _scores(kin or derive_kinematics(traj))
+    scores = _scores(derive_kinematics(traj))
     return _picked(scores, INTRINSIC_FIELDS[:5], bool(scores["slow"].any()))
 
 
-def geometric_complexity(traj: Trajectory, kin: KinematicSeries | None = None) -> dict:
+def geometric_complexity(traj: Trajectory) -> dict:
     """Scores for the spatial intricacy of the path.
 
     Returns a dict with keys ``c_kappa`` (mean |curvature|), ``c_dkappa``
     (mean |curvature rate|) and ``flags``.
     """
-    scores = _scores(kin or derive_kinematics(traj))
+    scores = _scores(derive_kinematics(traj))
     return _picked(scores, INTRINSIC_FIELDS[5:7], bool(scores["slow"][1:].any()))
 
 

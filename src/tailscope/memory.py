@@ -32,11 +32,10 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputWarning, JsonRecord, UsageError, ValidationError
+from .errors import ConfigurationError, DegenerateInputWarning, JsonRecord, UsageError, ValidationError, number, numbers
 
 #: Vectors with a norm below this are treated as directionless.
 EPS_NORM = 1e-12
@@ -81,7 +80,9 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.divide(x, norms, out=np.zeros_like(x), where=ok), norms, ok
 
 
-_float_array = partial(np.asarray_chkfinite, dtype=float)  # a NaN or infinity raises ValueError
+def _float_array(value) -> np.ndarray:
+    """``value`` as a float array of JSON numbers; a NaN or infinity raises ValueError."""
+    return np.asarray_chkfinite(numbers(value))
 
 
 def _finite(name: str, x: np.ndarray) -> np.ndarray:
@@ -97,7 +98,7 @@ class GateMlp(JsonRecord):
     """Small dense network with an allocation head (C logits) and a scalar gate head."""
 
     _ARRAYS = ("w_hidden", "b_hidden", "w_alloc", "b_alloc", "w_gate")
-    JSON = {**dict.fromkeys(_ARRAYS, _float_array), "b_gate": float}
+    JSON = {**dict.fromkeys(_ARRAYS, _float_array), "b_gate": number}
     WHAT = "gate mlp"
 
     w_hidden: np.ndarray  # (hidden, in)
@@ -182,7 +183,7 @@ def default_tail_bias(categories: int) -> np.ndarray:
 class CognitiveSetParams(JsonRecord):
     """Temperature, vigilance and tail-bias parameters of the cognitive set mechanism."""
 
-    JSON = dict(tau=float, rho_vig=float, gamma_steep=float, b_tail=_float_array, gate_mlp=GateMlp.from_jsonable)
+    JSON = dict(tau=number, rho_vig=number, gamma_steep=number, b_tail=_float_array, gate_mlp=GateMlp.from_jsonable)
     WHAT = "cognitive set params"
 
     tau: float = 10.0          # similarity temperature
@@ -237,7 +238,7 @@ class CognitiveSetParams(JsonRecord):
 class PrototypeMemory(JsonRecord):
     """C x D prototype matrix with momentum factor and TI percentile boundaries."""
 
-    JSON = {"prototypes": _float_array, "eta": float, "boundaries": _float_array}
+    JSON = {"prototypes": _float_array, "eta": number, "boundaries": _float_array}
     OPTIONAL = ("boundaries",)
     WHAT = "prototype memory"
 

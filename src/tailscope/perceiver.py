@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, JsonRecord, UsageError, ValidationError
+from .errors import ConfigurationError, JsonRecord, UsageError, ValidationError, number
 from .interaction import METRIC_FIELDS, InteractiveMetrics
 from .intrinsic import INTRINSIC_FIELDS, IntrinsicMetrics
 from .memory import _float_array, softplus
@@ -86,7 +86,7 @@ def _layers(path) -> tuple[GaussianLayer, ...]:
 class PerceiverParams(JsonRecord):
     """Both Bayesian paths plus the shared linear output head."""
 
-    JSON = {"path_i": _layers, "path_r": _layers, "w_o": _float_array, "b_o": float, "lambda_temp": float}
+    JSON = {"path_i": _layers, "path_r": _layers, "w_o": _float_array, "b_o": number, "lambda_temp": number}
     OPTIONAL = ("lambda_temp",)
     WHAT = "perceiver params"
 

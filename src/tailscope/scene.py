@@ -416,7 +416,8 @@ def _plain_rows(data) -> tuple | None:
     loop refuses."""
     if isinstance(data, str):
         data = data.encode("ascii", "replace")  # a "?" is not plain
-    data = data.replace(b"\r\n", b"\n")  # a line ending the row loop also drops
+    if b"\r" in data:  # a search for one byte runs far faster than the replace
+        data = data.replace(b"\r\n", b"\n")  # a line ending the row loop also drops
     if data.translate(None, _PLAIN):  # an empty file fails the header check
         return None
     if not data.endswith(b"\n"):

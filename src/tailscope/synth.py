@@ -12,7 +12,7 @@ differencing, which is the thing under test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +79,6 @@ class ScenarioSpec:
                 f"dt must be small enough that the times k * dt of {self.frames} frames "
                 f"are dt apart within {DT_TOLERANCE:g} s, got {self.dt}"
             )
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _constant(agent_id, times, p0, direction, speed, dt):

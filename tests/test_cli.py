@@ -419,6 +419,9 @@ class TestExitCodeContract:
             ("rank", {"memory": {"categories": 2.5}}),
             pytest.param("rank", {"memory": 5}, id="rank-memory-int"),
             ("rank", {"rss_params": 5}),
+            pytest.param("rank", {"rss_params": {"rho": True}}, id="rank-rss_params-bool"),
+            pytest.param("metrics", {"rss_params": {"b_max": "8"}}, id="metrics-rss_params-string"),
+            pytest.param("metrics", {"rss_params": {"nope": 1.0}}, id="metrics-rss_params-unknown-key"),
             ("rank", {"params": 5}),
             ("rank", {"perceiver_params": 5}),
             ("rank", {"stats": ["a"]}),
@@ -482,13 +485,22 @@ class TestExitCodeContract:
              "perceiver params key 'w_o' is malformed: array must not contain infs or NaNs"),
             ("--params", params_json(lambda d: d.update(lambda_tmp=2.0)),
              "perceiver params has unknown key 'lambda_tmp'"),
+            ("--stats", json.dumps({"median": ["0"] + [0.0] * 13, "scale": [1.0] * 14}).encode(),
+             "stats key 'median' is malformed: expected arrays of numbers, found str"),
+            ("--stats", json.dumps({"median": [False] + [0.0] * 13, "scale": [1.0] * 14}).encode(),
+             "stats key 'median' is malformed: expected arrays of numbers, found bool"),
+            ("--params", params_json(lambda d: d.update(b_o="0.0")),
+             "perceiver params key 'b_o' is malformed: expected a number, got '0.0'"),
+            ("--params", params_json(lambda d: d.update(lambda_temp=True)),
+             "perceiver params key 'lambda_temp' is malformed: expected a number, got True"),
         ],
         ids=[
             "stats-not-json", "stats-no-median", "stats-not-utf8", "params-not-utf8",
             "params-path_i-int", "params-not-object", "stats-missing-file", "params-no-layers",
             "params-w_o-2d", "params-nan-weight", "params-layer-width", "stats-zero-scale",
             "stats-5000-digits", "config-5000-digits", "config-deep-nesting", "stats-nan-median",
-            "params-inf-w_o", "params-misspelled-key",
+            "params-inf-w_o", "params-misspelled-key", "stats-string-median", "stats-bool-median",
+            "params-string-b_o", "params-bool-lambda_temp",
         ],
     )
     def test_bad_rank_sidecar_exits_2(self, tmp_path, capsys, monkeypatch, flag, content, fragment):
@@ -580,6 +592,23 @@ class TestExitCodeContract:
         assert "'neighbour_radius'" in capsys.readouterr().err
         config.write_text(json.dumps({"categories": 3}))  # a rank key: the config may be shared
         assert run(argv + ["--config", str(config)]) == 0
+
+    @pytest.mark.parametrize(
+        "config, error",
+        [
+            ([1, 2], "{path}: config must be a JSON object, got list"),
+            ({"rss_params": {"nope": 1.0}}, "option 'rss_params' has unknown key 'nope'"),
+            ({"rss_params": {"rho": True}}, "option 'rss_params' key 'rho' is malformed: expected a number, got True"),
+        ],
+        ids=["not-object", "rss_params-unknown-key", "rss_params-bool"],
+    )
+    def test_config_error_names_its_type_or_key(self, tmp_path, capsys, config, error):
+        csv_path = tmp_path / "s.csv"
+        write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=0, n_agents=1)])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run(["metrics", "--input", str(csv_path), "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {error.format(path=path)}\n"
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -192,7 +192,7 @@ def parse_line_by_line(text):
     samples, seen = [], set()
     for line_no, line in enumerate(read_lines(text, "forecast JSONL"), start=1):
         if line.strip():
-            sample = evaluation._sample(evaluation._record(line, line_no), line, line_no)
+            sample = evaluation._sample(line, line_no)
             if sample.sample_id in seen:
                 raise ParseError(f"duplicate sample_id {sample.sample_id!r}", line=line_no)
             seen.add(sample.sample_id)

@@ -13,8 +13,8 @@ from tailscope.errors import MAX_MAGNITUDE, ParseError, UsageError, ValidationEr
 from tailscope.evaluation import (
     EvalReport,
     ForecastSample,
+    Forecasts,
     LossWeights,
-    Table,
     ade_per_mode,
     evaluate,
     min_ade,
@@ -595,9 +595,32 @@ class TestEvaluate:
         kwargs = dict(ks=(1, 2), percents=(10.0, 50.0), rank_metric="min_fde", rank_k=2)
         assert evaluate(parsed, **kwargs) == evaluate(list(parsed), **kwargs)
         assert parsed[-1].sample_id == "s29" and parsed[-1].modes.base is not None
-        assert len(Table.of(list(parsed))) == len(parsed.tables) == 2
+        assert len(Forecasts.of(list(parsed)).tables) == len(parsed.tables) == 2
         assert [s.sample_id for s in parsed[-3:-8:-2]] == ["s27", "s25", "s23"] == [s.sample_id for s in parsed[27:22:-2]]
         assert parsed[5:2] == []
+
+    def test_forecasts_of_keeps_forecasts_and_tables_a_list_as_the_parse_does(self, rng):
+        samples = [random_sample(rng, f"s{i}", k=(2, 4, 2)[i % 3], horizon=(3, 5)[i % 2]) for i in range(12)]
+        text = "".join(
+            json.dumps({"sample_id": s.sample_id, "modes": s.modes.tolist(), "probs": s.probs.tolist(), "gt": s.gt.tolist()})
+            + "\n"
+            for s in samples
+        )
+        parsed = parse_forecast_jsonl(text)
+        assert Forecasts.of(parsed) is parsed
+        built = Forecasts.of(samples)
+        assert built.ids == parsed.ids and len(built.tables) == len(parsed.tables) == 4
+        for got, want in zip(built.tables, parsed.tables):
+            for name in ("index", "modes", "probs", "gt"):
+                assert getattr(got, name).shape == getattr(want, name).shape
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_report_jsonable_per_sample_is_a_list(self, rng):
+        report = evaluate([random_sample(rng, f"s{i}") for i in range(3)], ks=(1,))
+        payload = report.to_jsonable()
+        assert isinstance(report.per_sample, tuple) and payload["per_sample"] == list(report.per_sample)
+        assert type(payload["per_sample"]) is list
+        assert sorted(payload) == ["aggregate", "config_echo", "per_sample", "worst_case"]
 
     def test_k_error_names_first_short_sample_in_input_order(self, rng):
         # groups by first appearance: K=6 (s0), K=4 (s1, s3), K=2 (s2)

@@ -328,11 +328,11 @@ class TestTypes:
         with pytest.raises(ConfigurationError):
             RssParams(rho=0.0)
         with pytest.raises(ConfigurationError):
-            RssParams.from_dict({"rho": 0.5, "nope": 1.0})
+            RssParams.from_jsonable({"rho": 0.5, "nope": 1.0})
 
     def test_params_json_round_trip(self):
         params = RssParams(rho=0.7, b_max=9.0)
-        assert RssParams.from_dict(params.to_dict()) == params
+        assert RssParams.from_jsonable(params.to_jsonable()) == params
 
     def test_metrics_range_validation(self):
         with pytest.raises(ValidationError):

@@ -9,12 +9,13 @@ from dataclasses import fields
 import pytest
 
 from tailscope.errors import ConfigurationError, UsageError, write_text
+from tailscope.interaction import RssParams
 from tailscope.memory import CognitiveSetParams, GateMlp, PrototypeMemory
 from tailscope.perceiver import DatasetStats, GaussianLayer, PerceiverParams, default_params
 from tailscope.scene import dump_scenes
 from tailscope.synth import ScenarioSpec, generate
 
-RECORDS = [GaussianLayer, PerceiverParams, DatasetStats, GateMlp, CognitiveSetParams, PrototypeMemory]
+RECORDS = [GaussianLayer, PerceiverParams, DatasetStats, GateMlp, CognitiveSetParams, PrototypeMemory, RssParams]
 
 LAYER = GaussianLayer([[1, 2]], [[1, 1]], [0], [2])
 LAYER_JSON = '{"mu_W": [[1.0, 2.0]], "sigma_W": [[1.0, 1.0]], "mu_b": [0.0], "sigma_b": [2.0]}'
@@ -44,6 +45,11 @@ SAVED = {
         PrototypeMemory([[1, 2], [3, 4]], 1, [5]),
         '{"prototypes": [[1.0, 2.0], [3.0, 4.0]], "eta": 1.0, "boundaries": [5.0]}',
     ),
+    "rss": (
+        RssParams(rho=1, b_max=9),
+        '{"rho": 1.0, "rho_ped": 1.0, "a_max": 3.0, "b_min": 4.0, "b_max": 9.0, "a_lat_max": 0.9, "b_lat_min": 1.2, '
+        '"mu_lat": 0.5, "alpha_lon": 1.0, "beta_lon": 1.0, "alpha_lat": 1.0, "beta_lat": 1.0}',
+    ),
 }
 
 
@@ -57,7 +63,7 @@ def test_save_writes_one_json_object_that_load_reads_back(tmp_path, record, text
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_table_lists_every_field_in_order_with_optional_keys_last(cls):
-    """``from_jsonable`` builds a record positionally from its table."""
+    """``to_jsonable`` and ``from_jsonable`` pair each key with the field at its position."""
     assert [key.lower() for key in cls.JSON] == [f.name for f in fields(cls)]
     assert list(cls.JSON)[len(cls.JSON) - len(cls.OPTIONAL):] == list(cls.OPTIONAL)
 
@@ -74,6 +80,7 @@ NON_FINITE = [
      "cognitive set params key 'gate_mlp': gate mlp key 'w_gate' is malformed: array must not contain infs or NaNs"),
     ("memory", "boundaries", "prototype memory key 'boundaries' is malformed: array must not contain infs or NaNs"),
     ("memory", "eta", "prototype memory key 'eta' is malformed: expected a finite number, got "),
+    ("rss", "b_max", "option 'rss_params' key 'b_max' is malformed: expected a finite number, got "),
 ]
 
 
@@ -95,6 +102,30 @@ def test_load_refuses_a_non_finite_number_naming_its_key(tmp_path, name, key, er
     path.write_text(json.dumps(doc).replace('"BAD"', token))
     with pytest.raises(ConfigurationError, match=re.escape(f"{path}: {error}")):
         type(record).load(path)
+
+
+@pytest.mark.parametrize("name, key, error", NON_FINITE, ids=[f"{name}-{key}" for name, key, _ in NON_FINITE])
+@pytest.mark.parametrize("token", ["true", "false", '"0.5"', "null"])
+def test_load_refuses_a_boolean_or_string_for_a_number_naming_its_key(tmp_path, name, key, error, token):
+    """A JSON number is an int or a float token: never a boolean, a string or null."""
+    record, text = SAVED[name]
+    doc = node = json.loads(text)
+    *parents, leaf = key.split(".")
+    for parent in parents:
+        node = node[parent]
+    node[leaf] = poisoned(node[leaf])
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(doc).replace('"BAD"', token))
+    where = error.partition(" is malformed: ")[0]
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}: {where} is malformed: expected ")):
+        type(record).load(path)
+
+
+def test_a_key_may_be_optional_anywhere_in_the_table():
+    """``from_jsonable`` pairs keys with fields by name: an absent optional key
+    keeps its field's default wherever it stands."""
+    assert RssParams.from_jsonable({"b_max": 9}) == RssParams(b_max=9.0)
+    assert RssParams.from_jsonable({}) == RssParams()
 
 
 @pytest.mark.parametrize("record, text", SAVED.values(), ids=SAVED)
