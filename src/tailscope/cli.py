@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import TailscopeError, UsageError, json_fields, read_json, report_text, write_report
+from .errors import JsonRecord, TailscopeError, UsageError, json_fields, read_json, report_text, write_report
 
 CONFIG_ENV_VAR = "TAILSCOPE_CONFIG"
 
@@ -73,14 +73,14 @@ def _describe(opt: Option) -> str:
 
 
 def _check(key: str, value):
-    """``value`` of option ``key``, checked against its type and minimum. A float
-    option also takes an integer; no number option takes a boolean."""
+    """``value`` of option ``key``, checked against its type and minimum. A float option
+    also takes an integer, a dict one the record read from it; no number takes a boolean."""
     opt = OPTIONS[key]
     kind, items = (opt.kind[0], value) if isinstance(opt.kind, list) else (opt.kind, [value])
     if isinstance(kind, tuple):
         ok = value in kind
     else:
-        types = (int, float) if kind is float else kind
+        types = {float: (int, float), dict: (dict, JsonRecord)}.get(kind, kind)
         ok = isinstance(items, list) and all(
             isinstance(v, types) and not isinstance(v, bool)
             and (opt.minimum is None or v >= opt.minimum)
@@ -115,10 +115,15 @@ def _kwargs(opts: dict, *keys: str, **renamed: str) -> dict:
 
 
 def _load_config(args) -> dict:
-    """The config file's options: every key optional, each value as given (``_options`` checks it)."""
+    """The config file's options, every key optional; ``rss_params`` is read here so its errors name the file."""
+    def convert(data) -> dict:
+        config = json_fields(data, dict.fromkeys(OPTIONS, lambda value: value), "config", OPTIONS)
+        if config.get("rss_params") is not None and args.command in OPTIONS["rss_params"].commands.split():
+            from .interaction import RssParams
+            config["rss_params"] = RssParams.from_jsonable(config["rss_params"])
+        return config
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    as_given = dict.fromkeys(OPTIONS, lambda value: value)
-    return read_json(path, "config file", lambda data: json_fields(data, as_given, "config", OPTIONS)) if path else {}
+    return read_json(path, "config file", convert) if path else {}
 
 
 def _require_input(opts: dict) -> Path:
@@ -129,13 +134,11 @@ def _require_input(opts: dict) -> Path:
 
 def _score_scenes(opts: dict):
     """The input's scene ids in order, their (S, 14) metric matrix and their flags."""
-    from .interaction import RssParams, score_scenes
+    from .interaction import score_scenes
     from .scene import read_scene_columns
 
-    path = _require_input(opts)
-    rss = RssParams.from_jsonable(opts.get("rss_params", {}))
-    columns = read_scene_columns(path, **_kwargs(opts, "neighbor_radius"))
-    return (columns.ids, *score_scenes(columns, rss))
+    columns = read_scene_columns(_require_input(opts), **_kwargs(opts, "neighbor_radius"))
+    return (columns.ids, *score_scenes(columns, opts.get("rss_params")))
 
 
 def cmd_metrics(opts: dict) -> int:
@@ -283,6 +286,8 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # Before numpy loads: a pass's BLAS calls are small mat-vecs, so more threads only spin.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -30,10 +30,6 @@ from .memory import _float_array, softplus
 CLIP_SIGMA = 10.0
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
-
-
 @dataclass(frozen=True)
 class GaussianLayer(JsonRecord):
     """A dense layer whose weights and biases carry diagonal-Gaussian posteriors.
@@ -158,6 +154,16 @@ def _strings(value) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _median_quartiles(rows: np.ndarray) -> list[np.ndarray]:
+    """Per column, the bits of ``np.median`` and ``np.quantile`` at 0.25/0.75, without importing numpy.ma."""
+    n, at = len(rows), np.array([0.25, 0.75]) * (len(rows) - 1)
+    mid, lo = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2], at.astype(int)  # numpy's kth: +-0 ties match
+    m, q = (np.partition(rows, kth, axis=0) for kth in (mid + [-1], sorted({0, -1, *lo, *(lo + 1)})))
+    a, b, t = q[lo], q[lo + 1], (at - lo)[:, None]  # numpy's lerp works from the nearer end
+    values = m[mid].mean(axis=0), *np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    return [np.where(np.isnan(p[-1]), p[-1], v) for p, v in zip((m, q, q), values)]  # a NaN sorts last
+
+
 @dataclass(frozen=True)
 class DatasetStats(JsonRecord):
     """Per-metric robust location/scale over a reference corpus.
@@ -197,8 +203,7 @@ class DatasetStats(JsonRecord):
             )
         if rows.shape[0] < 2:
             raise UsageError(f"need at least 2 reference samples, got {rows.shape[0]}")
-        median = np.median(rows, axis=0)
-        q25, q75 = np.quantile(rows, [0.25, 0.75], axis=0)
+        median, q25, q75 = _median_quartiles(rows)
         iqr = q75 - q25
         degenerate = ~(np.isfinite(iqr) & (iqr > 0))
         scale = np.where(degenerate, 1.0, iqr)
@@ -259,7 +264,7 @@ def bayes_forward(
             at += n_w + n_b
         h = w @ h + b
         if idx < len(layers) - 1:
-            h = relu(h)
+            h = np.maximum(h, 0.0)  # ReLU
     return h
 
 

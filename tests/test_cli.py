@@ -106,6 +106,18 @@ class TestMetricsCommand:
         r_b = json.loads(out_b.read_text())["scenes"][0]["metrics"]["r_lon"]
         assert r_b > r_a  # longer reaction time, larger required gap, more risk
 
+    def test_rss_params_is_read_only_by_the_commands_that_take_it(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rss_params": {"nope": 1.0}}))  # a shared config's metrics key
+        jsonl = tmp_path / "f.jsonl"
+        jsonl.write_text(forecast_line("a", 0.0) + "\n")
+        eval_argv = ["eval", "--input", str(jsonl), "--k", "1", "--out", str(tmp_path / "e.json")]
+        assert run(eval_argv + ["--config", str(config)]) == 0
+        csv_path = tmp_path / "scene.csv"
+        write_scenes(csv_path, [ScenarioSpec(kind="crossing", frames=4, dt=0.1, gap=12.0)])
+        config.write_text(json.dumps({"rss_params": None}))  # null, as for every option, is not given
+        assert run(["metrics", "--input", str(csv_path), "--config", str(config)]) == 0
+
     def test_env_var_config_fallback(self, tmp_path, monkeypatch):
         csv_path = tmp_path / "scene.csv"
         write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=1, n_agents=1)])
@@ -597,10 +609,12 @@ class TestExitCodeContract:
         "config, error",
         [
             ([1, 2], "{path}: config must be a JSON object, got list"),
-            ({"rss_params": {"nope": 1.0}}, "option 'rss_params' has unknown key 'nope'"),
-            ({"rss_params": {"rho": True}}, "option 'rss_params' key 'rho' is malformed: expected a number, got True"),
+            ({"rss_params": {"nope": 1.0}}, "{path}: option 'rss_params' has unknown key 'nope'"),
+            ({"rss_params": {"rho": True}}, "{path}: option 'rss_params' key 'rho' is malformed: expected a number, got True"),
+            ({"rss_params": {"rho": -1.0}}, "{path}: RssParams.rho must be > 0, got -1.0"),
+            ({"rss_params": [1]}, "{path}: option 'rss_params' must be a JSON object, got list"),
         ],
-        ids=["not-object", "rss_params-unknown-key", "rss_params-bool"],
+        ids=["not-object", "rss_params-unknown-key", "rss_params-bool", "rss_params-negative", "rss_params-list"],
     )
     def test_config_error_names_its_type_or_key(self, tmp_path, capsys, config, error):
         csv_path = tmp_path / "s.csv"

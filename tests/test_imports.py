@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import tailscope
+from tailscope import cli
 from tailscope.scene import dump_scenes
 from tailscope.synth import ScenarioSpec, generate
 
@@ -124,3 +125,37 @@ def test_command_loads_only_its_modules(tmp_path, command, runs, absent):
     loaded = modules & {f"tailscope.{name}" for name in absent}
     assert not loaded, f"{command} loaded {sorted(loaded)}"
     assert "concurrent.futures.process" not in modules
+    assert "numpy.ma" not in modules  # np.median and np.quantile would load it
+
+
+def _entry_sees(threads):
+    """``OPENBLAS_NUM_THREADS`` (``threads``, or unset if None) as ``cli.entry()`` hands it to
+    a stubbed ``cli.main`` in a fresh interpreter, and whether numpy was loaded by then."""
+    code = (
+        "import json, os, sys\n"
+        "from tailscope import cli\n"
+        "seen = lambda: [os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules]\n"
+        "cli.main = lambda: print(json.dumps(seen())) or 0\n"
+        "cli.entry()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tailscope.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("given, seen", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_entry_runs_blas_on_one_thread_unless_told_otherwise(given, seen):
+    assert _entry_sees(given) == [seen, False]
+
+
+def test_in_process_main_leaves_the_environment_alone(tmp_path):
+    before = dict(os.environ)
+    argv = ["eval", "--input", _forecasts_jsonl(tmp_path), "--k", "1", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    assert dict(os.environ) == before

@@ -14,6 +14,7 @@ from tailscope.perceiver import (
     GaussianLayer,
     PerceiverParams,
     TailIndexResult,
+    _median_quartiles,
     bayes_forward,
     default_params,
     fusion_weights,
@@ -67,6 +68,27 @@ class TestNormalize:
         stats = DatasetStats.fit(rows)
         assert stats.median[0] == pytest.approx(1.0)
         assert stats.scale[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 10, 33])
+    @pytest.mark.parametrize("kind", ["spread", "ties", "signed-zeros", "nan-column"])
+    def test_fit_has_the_bits_of_numpy_median_and_quantile(self, n, kind):
+        """numpy's median and quantile load numpy.ma; fit's own take keeps their bits,
+        including which of +0 and -0 a tie yields and a NaN column staying NaN."""
+        rng = np.random.default_rng(n)
+        for _ in range(25):
+            rows = rng.normal(size=(n, 14)) * 10.0 ** rng.uniform(-5, 5, 14)
+            if kind == "ties":
+                rows = rng.integers(-2, 3, (n, 14)).astype(float)
+            elif kind == "signed-zeros":
+                rows = rng.choice([0.0, -0.0, 1.0, -1.0], (n, 14))
+            elif kind == "nan-column":
+                rows[rng.integers(n), 3] = np.nan
+            want = [np.median(rows, axis=0), *np.quantile(rows, [0.25, 0.75], axis=0)]
+            got = _median_quartiles(rows)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+            assert DatasetStats.fit(rows).median.tobytes() == want[0].tobytes()
+        if kind == "nan-column":
+            assert np.isnan(got[0][3]) and np.isnan(got[1][3]) and np.isnan(got[2][3])
 
     def test_clipping(self):
         stats = DatasetStats(median=np.zeros(14), scale=np.ones(14))
