@@ -18,7 +18,9 @@ import sys
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import JsonRecord, TailscopeError, UsageError, json_fields, read_json, report_text, write_report
+from .errors import (
+    ConfigurationError, JsonRecord, TailscopeError, UsageError, json_fields, read_json, report_text, write_report,
+)
 
 CONFIG_ENV_VAR = "TAILSCOPE_CONFIG"
 
@@ -91,39 +93,39 @@ def _check(key: str, value):
     return float(value) if opt.kind is float else value
 
 
-def _options(args, config: dict) -> dict:
+def _options(args) -> dict:
     """The options of ``args.command`` that were given, each from its flag, else
-    from the config, checked. ``memory.categories`` stands in for ``categories``."""
-    opts = {}
-    for key, opt in OPTIONS.items():
-        if args.command in opt.commands.split():
-            value = getattr(args, key, None)
-            if value is None:
-                value = config.get(key)
-            if value is not None:
-                opts[key] = _check(key, value)
-    memory = opts.get("memory", {})
-    if "categories" not in opts and memory.get("categories") is not None:
-        opts["categories"] = _check("categories", memory["categories"])
-    return opts
+    from the config file, checked; a config value's error names the file.
+    ``memory.categories`` stands in for ``categories``."""
+    flags = {key: getattr(args, key) for key in OPTIONS if getattr(args, key, None) is not None}
+
+    def convert(data) -> dict:
+        config = json_fields(data, dict.fromkeys(OPTIONS, lambda value: value), "config", OPTIONS)
+        config = {
+            key: value for key, value in config.items()
+            if value is not None and key not in flags and args.command in OPTIONS[key].commands.split()
+        }
+        if "rss_params" in config:
+            from .interaction import RssParams
+            config["rss_params"] = RssParams.from_jsonable(config["rss_params"])
+        try:
+            config = {key: _check(key, value) for key, value in config.items()}
+            memory = config.get("memory", {})
+            if "categories" not in {**config, **flags} and memory.get("categories") is not None:
+                config["categories"] = _check("categories", memory["categories"])
+        except UsageError as exc:
+            raise ConfigurationError(str(exc)) from None
+        return config
+
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    config = read_json(path, "config file", convert) if path else {}
+    return {**config, **{key: _check(key, value) for key, value in flags.items()}}
 
 
 def _kwargs(opts: dict, *keys: str, **renamed: str) -> dict:
     """The given options among ``keys`` and ``renamed`` (key=keyword) as keyword arguments."""
     names = {**{key: key for key in keys}, **renamed}
     return {kw: opts[key] for key, kw in names.items() if key in opts}
-
-
-def _load_config(args) -> dict:
-    """The config file's options, every key optional; ``rss_params`` is read here so its errors name the file."""
-    def convert(data) -> dict:
-        config = json_fields(data, dict.fromkeys(OPTIONS, lambda value: value), "config", OPTIONS)
-        if config.get("rss_params") is not None and args.command in OPTIONS["rss_params"].commands.split():
-            from .interaction import RssParams
-            config["rss_params"] = RssParams.from_jsonable(config["rss_params"])
-        return config
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    return read_json(path, "config file", convert) if path else {}
 
 
 def _require_input(opts: dict) -> Path:
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(_options(args, _load_config(args)))
+        return args.handler(_options(args))
     except TailscopeError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -5,6 +5,13 @@ Every type is immutable after construction and every function is pure.
 Derivatives are backward differences, ``x'(t) = (x(t) - x(t - dt)) / dt``, so
 each derived series starts one frame later than its source; angle differences
 are wrapped to (-pi, pi] before dividing by dt.
+
+A scene CSV is read by one of two tokenizers into one row table: one
+``loadtxt`` reads a plain file (``_plain_rows``), ``csv.reader`` with
+``int``/``float`` per cell any other (``_csv_rows``). One validator,
+``_columns``, checks the table with array masks and raises the error a
+line-by-line reading would meet first. ``Trajectory`` and ``Scene`` run the
+same check kernels, ``_trajectory_faults`` and ``_scene_faults``.
 """
 
 from __future__ import annotations
@@ -13,10 +20,10 @@ import csv
 import io
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -75,6 +82,62 @@ class AgentState:
 
 _COLUMNS = ("times", "positions", "velocities", "headings")
 
+#: The text of each ``Trajectory`` check, in the order it makes them;
+#: ``_trajectory_faults`` holds their masks.
+_TRAJECTORY_ERRORS = (
+    "{who} needs at least 2 states, got {n}",
+    "dt must be positive, got {dt}",
+    "{who}: dt {dt:g} s lets the heading-rate change 2 pi / dt^2 exceed {max_rate:.3g}",
+    "{who}: unknown agent kind {kind!r}",
+    "{who}: non-finite value, or a position or velocity beyond {max_magnitude:g}, at frame {frame}",
+    "{who}: acceleration or jerk beyond {max_rate:.3g} at frame {frame}",
+    "{who}: frame {frame} heading {heading} outside (-pi, pi]",
+    "{who}: gap {gap:.9g} s at frame {frame} is not dt={dt:.9g} s",
+)
+
+
+def _trajectory_faults(table, starts, length, dt, kind_ok) -> tuple[np.ndarray, np.ndarray]:
+    """``Trajectory``'s checks on runs of ``(t, x, y, vx, vy, heading)`` rows: run r
+    is ``table[starts[r]:starts[r] + length[r]]``, at time step ``dt[r]``, of a
+    known kind where ``kind_ok[r]``. Each run's first failing check, an index
+    into ``_TRAJECTORY_ERRORS`` (-1 for none), and the frame that check names."""
+    n = len(table)
+    faults = np.zeros((len(starts), len(_TRAJECTORY_ERRORS)), dtype=bool)
+    frames = np.zeros(faults.shape, dtype=np.intp)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        max_rate = np.sqrt(sys.float_info.max / (2 * length))
+        faults[:, 0] = length < 2
+        faults[:, 1] = ~((dt > 0) & (dt < math.inf))
+        faults[:, 2] = 2 * math.pi > max_rate * dt * dt
+        faults[:, 3] = ~kind_ok
+        t, heading, gaps = table[:, 0], table[:, 5], np.zeros(n)
+        gaps[1:] = t[1:] - t[:-1]
+        bad_gap = (gaps <= 0) | (np.abs(gaps - np.repeat(dt, length)) > DT_TOLERANCE)
+        bad_gap[starts[length > 0]] = False  # a run's first row has no gap
+        masks = {
+            4: ~(np.isfinite(table).all(axis=1) & (np.abs(table[:, 1:5]) <= MAX_MAGNITUDE).all(axis=1)),
+            6: (heading <= -math.pi) | (heading > math.pi),
+            7: bad_gap,
+        }
+        for check, mask in masks.items():
+            if mask.any():  # each run's first row where the mask holds, else its length
+                hits = np.flatnonzero(mask)
+                frames[:, check] = np.append(hits, n)[np.searchsorted(hits, starts)] - starts
+                faults[:, check] = frames[:, check] < length
+        # |acceleration| <= 2 v / dt and |jerk| <= 4 v / dt^2 for the largest velocity component v:
+        # only past that bound are they worked out frame by frame.
+        v = np.zeros(n + 1)  # an empty run reads the extra 0
+        v[:n] = np.abs(table[:, 3:5]).max(axis=1)
+        heavy = 4 * np.maximum.reduceat(v, starts) > max_rate * dt * np.minimum(dt, 2.0)
+    for r in np.flatnonzero(heavy & ~faults[:, :5].any(axis=1)).tolist():
+        a = np.diff(table[starts[r] : starts[r] + length[r], 3:5], axis=0) / dt[r]
+        bad = np.zeros(length[r], dtype=bool)
+        bad[1:] = (np.abs(a) > max_rate[r]).any(axis=1)  # acceleration from frame 1, jerk from frame 2
+        bad[2:] |= (np.abs(np.diff(a, axis=0) / dt[r]) > max_rate[r]).any(axis=1)
+        faults[r, 5], frames[r, 5] = bad.any(), np.argmax(bad)
+    check = np.where(faults.any(axis=1), faults.argmax(axis=1), -1)
+    return check, frames[np.arange(len(check)), check]
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -90,6 +153,7 @@ class Trajectory:
     dt) stay within ``sqrt(float max / 2T)``, and dt is large enough that the
     heading rates, at most pi / dt, and their change, at most 2 pi / dt^2, do
     too: every rate the metrics square and sum over the T frames stays finite.
+    The checks are ``_trajectory_faults``, which also checks a scene CSV's runs.
     """
 
     agent_id: str
@@ -105,49 +169,25 @@ class Trajectory:
             column = np.array(getattr(self, name), dtype=float)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        who = f"trajectory {self.agent_id!r}"
         n = len(self.times) if self.times.ndim == 1 else -1
         shapes = [getattr(self, name).shape for name in _COLUMNS]
         if shapes != [(n,), (n, 2), (n, 2), (n,)]:
             raise ValidationError(
-                f"{who}: {', '.join(_COLUMNS)} need shapes (T,), (T, 2), (T, 2), (T,), got {shapes}"
+                f"trajectory {self.agent_id!r}: {', '.join(_COLUMNS)} need shapes (T,), (T, 2), (T, 2), (T,), "
+                f"got {shapes}"
             )
-        if n < 2:
-            raise ValidationError(f"{who} needs at least 2 states, got {n}")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        max_rate = math.sqrt(sys.float_info.max / (2 * n))
-        if 2 * math.pi > max_rate * self.dt * self.dt:
-            raise ValidationError(f"{who}: dt {self.dt:g} s lets the heading-rate change 2 pi / dt^2 exceed {max_rate:.3g}")
-        if self.kind not in AGENT_KINDS:
-            raise ValidationError(f"{who}: unknown agent kind {self.kind!r}")
         table = self._stacked()
-        bad = ~(np.isfinite(table).all(axis=1) & (np.abs(table[:, 1:5]) <= MAX_MAGNITUDE).all(axis=1))
-        if bad.any():
-            raise ValidationError(
-                f"{who}: non-finite value, or a position or velocity beyond {MAX_MAGNITUDE:g}, "
-                f"at frame {np.argmax(bad)}"
-            )
-        # |acceleration| <= 2 v / dt and |jerk| <= 4 v / dt^2 for the largest velocity component v:
-        # only past that bound are they worked out frame by frame.
-        if 4 * np.abs(self.velocities).max() > max_rate * self.dt * min(self.dt, 2.0):
-            a = np.diff(self.velocities, axis=0) / self.dt
-            bad = np.zeros(n, dtype=bool)
-            bad[1:] = (np.abs(a) > max_rate).any(axis=1)  # acceleration from frame 1, jerk from frame 2
-            bad[2:] |= (np.abs(np.diff(a, axis=0) / self.dt) > max_rate).any(axis=1)
-            if bad.any():
-                raise ValidationError(f"{who}: acceleration or jerk beyond {max_rate:.3g} at frame {np.argmax(bad)}")
-        bad = (self.headings <= -math.pi) | (self.headings > math.pi)
-        if bad.any():
-            i = np.argmax(bad)
-            raise ValidationError(f"{who}: frame {i} heading {self.headings[i]} outside (-pi, pi]")
-        gaps = np.diff(self.times)
-        bad = (gaps <= 0) | (np.abs(gaps - self.dt) > DT_TOLERANCE)
-        if bad.any():
-            i = np.argmax(bad)
-            raise ValidationError(
-                f"{who}: gap {gaps[i]:.9g} s at frame {i + 1} is not dt={self.dt:.9g} s"
-            )
+        (check,), (frame,) = _trajectory_faults(
+            table, np.zeros(1, dtype=np.intp), np.array([n]), np.array([self.dt], dtype=float),
+            np.array([self.kind in AGENT_KINDS]),
+        )
+        if check >= 0:
+            raise ValidationError(_TRAJECTORY_ERRORS[check].format(
+                who=f"trajectory {self.agent_id!r}", n=n, dt=self.dt, kind=self.kind, frame=frame,
+                max_magnitude=MAX_MAGNITUDE, max_rate=math.sqrt(sys.float_info.max / (2 * max(n, 1))),
+                heading=table[frame, 5] if frame < n else None,
+                gap=table[frame, 0] - table[frame - 1, 0] if 0 < frame < n else None,
+            ))
 
     @classmethod
     def from_states(cls, agent_id: str, states: Iterable[AgentState], dt: float) -> Trajectory:
@@ -178,13 +218,39 @@ def _from_table(agent_id: str, rows, kind: str, dt: float) -> Trajectory:
     return Trajectory(agent_id, table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5], kind, dt)
 
 
+def _radius_fits(radius: float, agent_frames):
+    """Whether ``radius`` passes ``check_radius`` for ``agent_frames``, a count or an array of them."""
+    area = math.pi * float(radius) * float(radius)
+    return (0 < radius) & (area < math.inf) & (area * sys.float_info.max > agent_frames)
+
+
 def check_radius(name: str, radius: float, agent_frames: int) -> None:
     """Reject a radius that is not positive and finite, so large that the disc area
     ``pi * radius**2`` overflows, or so small that the agent density ``count / area``
     summed over ``agent_frames`` overflows."""
-    area = math.pi * float(radius) * float(radius)
-    if not (0 < radius and area < math.inf and area * sys.float_info.max > agent_frames):
+    if not _radius_fits(radius, agent_frames):
         raise ValidationError(f"{name} must be positive with a finite area pi {name}^2 and density, got {radius}")
+
+
+#: The text of each ``Scene`` check of an agent against the target, in the order it makes them.
+_SCENE_ERRORS = (
+    "key {agent!r} holds trajectory {holds!r}",
+    "agent {agent!r} dt {dt:.9g} differs from target dt {target_dt:.9g}",
+    "agent {agent!r} does not cover the same time range as the target",
+)
+
+
+def _scene_faults(key_ok, length, dt, start, end, target) -> np.ndarray:
+    """``Scene``'s checks of runs (agents) that hold their key where ``key_ok``, of
+    ``length`` frames from time ``start`` to ``end`` at step ``dt``, against run
+    ``target[r]``, the target of run r's scene. Each run's first failing check,
+    an index into ``_SCENE_ERRORS`` (-1 for none)."""
+    def far(a):
+        return np.abs(a - a[target]) > DT_TOLERANCE
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        faults = np.column_stack((~key_ok, far(dt), (length != length[target]) | far(start) | far(end)))
+    return np.where(faults.any(axis=1), faults.argmax(axis=1), -1)
 
 
 @dataclass(frozen=True)
@@ -192,7 +258,8 @@ class Scene:
     """All agent trajectories of one scene plus the designated target agent.
 
     ``neighbor_radius`` bounds the per-frame neighbor set used by the
-    interaction metrics.
+    interaction metrics. Every agent shares the target's dt and time range
+    (``_scene_faults``).
     """
 
     scene_id: str
@@ -209,26 +276,17 @@ class Scene:
             )
         ref = self.agents[self.target_id]
         check_radius("neighbor_radius", self.neighbor_radius, len(self.agents) * len(ref))
-        for agent_id, traj in self.agents.items():
-            if traj.agent_id != agent_id:
-                raise ValidationError(
-                    f"scene {self.scene_id!r}: key {agent_id!r} holds trajectory "
-                    f"{traj.agent_id!r}"
-                )
-            if abs(traj.dt - ref.dt) > DT_TOLERANCE:
-                raise ValidationError(
-                    f"scene {self.scene_id!r}: agent {agent_id!r} dt {traj.dt:.9g} "
-                    f"differs from target dt {ref.dt:.9g}"
-                )
-            if (
-                len(traj) != len(ref)
-                or abs(traj.times[0] - ref.times[0]) > DT_TOLERANCE
-                or abs(traj.times[-1] - ref.times[-1]) > DT_TOLERANCE
-            ):
-                raise ValidationError(
-                    f"scene {self.scene_id!r}: agent {agent_id!r} does not cover the "
-                    f"same time range as the target"
-                )
+        trajs = list(self.agents.values())
+        check = _scene_faults(
+            np.array([traj.agent_id == agent_id for agent_id, traj in self.agents.items()]),
+            np.array([len(traj) for traj in trajs]), np.array([traj.dt for traj in trajs], dtype=float),
+            np.array([traj.times[0] for traj in trajs]), np.array([traj.times[-1] for traj in trajs]),
+            np.full(len(trajs), list(self.agents).index(self.target_id)),
+        )
+        for (agent_id, traj), c in zip(self.agents.items(), check.tolist()):
+            if c >= 0:
+                text = _SCENE_ERRORS[c].format(agent=agent_id, holds=traj.agent_id, dt=traj.dt, target_dt=ref.dt)
+                raise ValidationError(f"scene {self.scene_id!r}: {text}")
 
     @property
     def dt(self) -> float:
@@ -349,6 +407,14 @@ class SceneGroup:
         return Scene(scene_id, agents, self.agents[s, 0], neighbor_radius=float(self.radius[s]))
 
 
+def _by_shape(shapes) -> dict[tuple[int, int], list[int]]:
+    """The positions of each (agents, frames) shape, in order of first appearance."""
+    members: dict[tuple[int, int], list[int]] = {}
+    for i, shape in enumerate(shapes):
+        members.setdefault(shape, []).append(i)
+    return members
+
+
 @dataclass(frozen=True, eq=False)
 class SceneColumns:
     """A corpus of scenes as groups of one shape; ``ids`` holds the scene ids
@@ -360,9 +426,7 @@ class SceneColumns:
 
     @classmethod
     def of(cls, scenes: Sequence[Scene]) -> SceneColumns:
-        members: dict[tuple[int, int], list[int]] = {}
-        for i, scene in enumerate(scenes):
-            members.setdefault((len(scene.agents), scene.n_frames), []).append(i)
+        members = _by_shape((len(scene.agents), scene.n_frames) for scene in scenes)
         groups = [SceneGroup.of([scenes[i] for i in index], index) for index in members.values()]
         return cls([scene.scene_id for scene in scenes], groups)
 
@@ -383,41 +447,39 @@ class SceneColumns:
         return out
 
 
-def _csv_errors(reader):
-    """The records of a ``csv.reader``; a csv module error becomes a ParseError naming its line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(f"bad CSV ({exc})", line=reader.line_num) from None
-
-
-def _parse_float(raw: str, column: str, line: int) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ParseError(f"column {column!r}: not a number: {raw!r}", line=line) from None
-    if not math.isfinite(value):
-        raise ParseError(f"column {column!r}: non-finite value {raw!r}", line=line)
-    return value
-
-
-#: The only bytes a scene CSV may hold for ``_columns`` to read it (``\r\n`` read
-#: as ``\n``): with no quote, every comma or newline ends a field. A space, tab,
-#: other ``\r`` or non-ASCII byte sends the file through the row loop too.
+#: The only bytes a plain scene CSV holds (``\r\n`` read as ``\n``): with no
+#: quote or space every comma or newline ends a field, and ``loadtxt`` reads a
+#: number as ``int``/``float`` do, or refuses it, as it does ``1_000``.
 _PLAIN = b"".join(bytes(range(ord(a), ord(b) + 1)) for a, b in ("az", "AZ", "09")) + b"+-._,\n"
 _HEADER = ",".join(CSV_COLUMNS).encode()
 
 
-def _plain_rows(data) -> tuple | None:
-    """The rows of a plain scene CSV, read by one ``loadtxt``: scene, agent, kind and
-    target bytes, each as wide as its column's widest cell, frames and ``(t, x, y, vx,
-    vy, heading)`` values. None when the file holds a byte outside ``_PLAIN``, a line
-    without its header's fields, a number ``loadtxt`` does not read or a value the row
-    loop refuses."""
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """A scene CSV's records in file order, filled by ``_plain_rows`` or
+    ``_csv_rows`` and checked by ``_columns``. ``keys`` holds the scene, agent,
+    kind and target-flag columns, each as its sorted distinct stripped values
+    and each row's index into them; ``cells(i)`` gives record i as written."""
+
+    keys: tuple
+    frame: np.ndarray  # (N,) int64, or Python ints past its range
+    v: np.ndarray  # (N, 6) t, x, y, vx, vy, heading
+    unread: np.ndarray  # (N, 7) the frame and value cells int()/float() refused, read as 0
+    line: np.ndarray  # (N,) each record's last physical line
+    cells: Callable[[int], list[str]]
+    has_target_col: bool
+    stop: ParseError | None = None  # the bad CSV or field count that ended the records
+
+
+def _plain_rows(data) -> _Rows | None:
+    """The rows of a plain scene CSV, read by one ``loadtxt`` with each key column
+    as bytes as wide as its widest cell. None, and ``_csv_rows`` reads the file,
+    when it holds a byte outside ``_PLAIN`` or a line without its header's
+    fields, or a cell that ``loadtxt``, ``int`` or ``csv`` refuses and another reads."""
     if isinstance(data, str):
         data = data.encode("ascii", "replace")  # a "?" is not plain
     if b"\r" in data:  # a search for one byte runs far faster than the replace
-        data = data.replace(b"\r\n", b"\n")  # a line ending the row loop also drops
+        data = data.replace(b"\r\n", b"\n")  # a line ending csv also drops
     if data.translate(None, _PLAIN):  # an empty file fails the header check
         return None
     if not data.endswith(b"\n"):
@@ -446,111 +508,228 @@ def _plain_rows(data) -> tuple | None:
         table = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1, comments=None, dtype=dtype, ndmin=1)
     except ValueError:
         return None
-    scene, agent, kind, frame, v = (table[name] for name in ("scene", "agent", "kind", "frame", "v"))
     flag = table["flag"] if has_target_col else np.zeros(n_rows, dtype="S1")
-    ok = (
-        (scene != b"") & (agent != b"") & np.isin(kind, [k.encode() for k in AGENT_KINDS])
-        & np.isin(flag, [b"", b"0", b"1"]) & np.isfinite(v).all(axis=1)
-        & (np.abs(v[:, 1:5]) <= MAX_MAGNITUDE).all(axis=1) & (v[:, 5] > -math.pi) & (v[:, 5] <= math.pi)
+    keys = [np.unique(column, return_inverse=True) for column in (table["scene"], table["agent"], table["kind"], flag)]
+    return _Rows(
+        tuple((values.astype(str).tolist(), codes) for values, codes in keys), table["frame"], table["v"],
+        np.zeros((n_rows, 7), dtype=bool), np.arange(2, n_rows + 2),
+        lambda i: data.split(b"\n", i + 2)[i + 1].decode().split(","), has_target_col,
     )
-    return (scene, agent, kind, flag, frame, v, has_target_col) if ok.all() else None
 
 
-def _columns(data, neighbor_radius: float) -> SceneColumns | None:
-    """The scenes of a plain scene CSV as columns, with every check of
-    ``Trajectory`` and ``Scene`` as an array mask. None when ``_plain_rows``
-    refuses the file or a check fails: the row loop then reads it and words
-    the error."""
-    rows = _plain_rows(data)
-    if rows is None:
-        return None
-    scene, agent, kind, flag, frame, v, has_target_col = rows
-    order = np.lexsort((frame, agent, scene))
-    scene, agent, kind, flag, frame, v = (column[order] for column in (scene, agent, kind, flag, frame, v))
+def _factor(cells) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct stripped ``cells`` and each cell's index into them."""
+    cells = list(map(str.strip, cells))
+    values = sorted(set(cells))
+    index = dict(zip(values, range(len(values))))
+    return values, np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))
+
+
+def _csv_rows(data, what: str) -> _Rows:
+    """The rows of any scene CSV, read by ``csv.reader`` with ``int``/``float`` per
+    cell. A missing or bad header raises a ParseError here."""
+    reader = csv.reader(read_lines(data, what))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ParseError("empty input, expected a header row", line=1) from None
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV ({exc})", line=reader.line_num) from None
+    has_target_col = tuple(header) == CSV_COLUMNS + ("target",)
+    if not has_target_col and tuple(header) != CSV_COLUMNS:
+        raise ParseError(f"bad header {header!r}, expected {','.join(CSV_COLUMNS)}[,target]", line=1)
+
+    n_cols, records, lines, stop = len(header), [], [], None
+    try:
+        for row in reader:
+            if len(row) == n_cols:
+                records.append(row)
+                lines.append(reader.line_num)  # the record's last line: a quoted field may span lines
+            elif row:  # a blank line is no record
+                stop = ParseError(f"expected {n_cols} columns, got {len(row)}", line=reader.line_num)
+                break
+    except csv.Error as exc:
+        stop = ParseError(f"bad CSV ({exc})", line=reader.line_num)
+    cells = list(chain.from_iterable(records))
+    columns = [cells[c::n_cols] for c in range(n_cols)] + [[""] * len(records)]  # empty flags stand in for no target column
+    unread = np.zeros((len(records), 7), dtype=bool)
+    numbers = []
+    for c, (convert, column) in enumerate(zip((int,) + (float,) * 6, columns[2:9])):
+        try:
+            numbers.append(list(map(convert, column)))
+        except ValueError:  # read cell by cell
+            for i, cell in enumerate(column):
+                try:
+                    column[i] = convert(cell)
+                except ValueError:
+                    column[i], unread[i, c] = 0, True
+            numbers.append(column)
+    try:
+        frame = np.array(numbers[0], dtype=np.int64)
+    except OverflowError:
+        frame = np.array(numbers[0], dtype=object)
+    return _Rows(
+        tuple(map(_factor, (columns[0], columns[1], columns[9], columns[10]))), frame,
+        np.column_stack(numbers[1:]).reshape(-1, 6), unread, np.array(lines, dtype=np.intp),
+        records.__getitem__, has_target_col, stop,
+    )
+
+
+def _check_lines(rows: _Rows, first: np.ndarray) -> None:
+    """Raise the first error a line-by-line reading meets within the lines: line
+    by line, and within a line in its order: empty ids, the frame, each value,
+    the heading range, the kind, a kind change, the target flag and a flag
+    change, each change against ``first``, the agent's first row. Then ``rows.stop``."""
+    (ids, scene_of), (agent_ids, agent_of), (kinds, kind_of), (flags, flag_of) = rows.keys
+
+    def holds(values, allowed):
+        return np.array([value in allowed for value in values], dtype=bool)
+
+    heading = rows.v[:, 5]
+    faults = np.column_stack((
+        holds(ids, ("",))[scene_of] | holds(agent_ids, ("",))[agent_of],
+        rows.unread[:, 0],
+        rows.unread[:, 1:] | ~np.isfinite(rows.v),
+        ~((heading > -math.pi) & (heading <= math.pi)),
+        ~holds(kinds, AGENT_KINDS)[kind_of],
+        kind_of != kind_of[first],
+        ~holds(flags, ("", "0", "1"))[flag_of],
+        flag_of != flag_of[first],
+    ))
+    bad = faults.any(axis=1)
+    if not bad.any():
+        if rows.stop is not None:
+            raise rows.stop
+        return
+    i = int(np.argmax(bad))
+    check, line, cells = int(np.argmax(faults[i])), int(rows.line[i]), rows.cells(i)
+    agent, kind, flag = agent_ids[agent_of[i]], kinds[kind_of[i]], flags[flag_of[i]]
+    if check == 0:
+        raise ParseError("scene_id and agent_id must be non-empty", line=line)
+    if check == 1:
+        raise ParseError(f"column 'frame': not an integer: {cells[2]!r}", line=line)
+    if check < 8:  # the values t, x, y, vx, vy and heading
+        what = "not a number:" if rows.unread[i, check - 1] else "non-finite value"
+        raise ParseError(f"column {CSV_COLUMNS[check + 1]!r}: {what} {cells[check + 1]!r}", line=line)
+    if check == 11:
+        raise ParseError(f"column 'target': expected 0 or 1, got {flag!r}", line=line)
+    raise ValidationError(f"line {line}: " + {
+        8: f"heading must lie in (-pi, pi], got {float(heading[i])}",
+        9: f"unknown kind {kind!r}, expected one of {'|'.join(AGENT_KINDS)}",
+        10: f"agent {agent!r} changes kind to {kind!r}",
+        12: f"agent {agent!r} changes target flag to {flag!r}",
+    }[check])
+
+
+def _columns(rows: _Rows, neighbor_radius: float) -> SceneColumns:
+    """The scenes of ``rows`` as columns, sorted by scene id. Every check of a
+    line-by-line reading runs as an array mask, and the first to fail in its
+    order raises: ``_check_lines``; then scene by scene a duplicate frame,
+    every agent with a single frame, ``Trajectory``'s checks, the target count
+    and ``Scene``'s, each on the agents in the order they first appear."""
+    (ids, scene_of), (agent_ids, agent_of), (kinds, kind_of), (flags, flag_of) = rows.keys
+    frame = rows.frame if rows.frame.dtype != object else np.unique(rows.frame, return_inverse=True)[1]
+    order = np.lexsort((frame, agent_of, scene_of))
+    scene_of, agent_of, kind_of, flag_of, frame, v = (
+        column[order] for column in (scene_of, agent_of, kind_of, flag_of, frame, rows.v)
+    )
     within = np.zeros(len(order), dtype=bool)  # the rows that continue their agent's run
-    within[1:] = (scene[1:] == scene[:-1]) & (agent[1:] == agent[:-1])
+    within[1:] = (scene_of[1:] == scene_of[:-1]) & (agent_of[1:] == agent_of[:-1])
     starts = np.flatnonzero(~within)
     length = np.diff(starts, append=len(order))
-    # a lone frame, or within a run a duplicate frame or a change of kind or target flag
-    changes = (frame[1:] == frame[:-1]) | (kind[1:] != kind[:-1]) | (flag[1:] != flag[:-1])
-    if (length < 2).any() or (changes & within[1:]).any():
-        return None
+    first = np.minimum.reduceat(order, starts) if len(order) else order  # each run's first row in the file
+    row_first = np.empty_like(order)
+    row_first[order] = np.repeat(first, length)
+    _check_lines(rows, row_first)
+    if not len(order):
+        return SceneColumns([], [])
+    run_scene, run_agent = scene_of[starts], agent_of[starts]
+    scene_runs = np.flatnonzero(np.diff(run_scene, prepend=-1))  # each scene's first run
+    n_agents = np.diff(scene_runs, append=len(starts))
 
-    ids, scene_of = np.unique(scene[starts], return_inverse=True)
-    agent_ids, agent_of = np.unique(agent[starts], return_inverse=True)
-    agent_ids = agent_ids.astype(str).astype(object)
+    agent_ids = np.array(agent_ids, dtype=object)
     id_rank = np.argsort(sorted(range(len(agent_ids)), key=lambda i: _id_key(agent_ids[i])))
-    target = flag[starts] == b"1"
-    n_agents = np.bincount(scene_of, minlength=len(ids))
-    if has_target_col and (np.bincount(scene_of[target], minlength=len(ids)) != 1).any():
-        return None
+    target = np.array([flag == "1" for flag in flags], dtype=bool)[flag_of[starts]]
     # The runs by scene, target first, then in neighbor_ids order. Without a
     # target column the lowest id comes first, and it is the target.
-    by_scene = np.lexsort((id_rank[agent_of], ~target, scene_of))
-    scene_start = np.cumsum(n_agents) - n_agents
-    targets = by_scene[scene_start]
-    target_run, n_frames = targets[scene_of], length[targets]
+    by_scene = np.lexsort((id_rank[run_agent], ~target, run_scene))
+    targets = by_scene[scene_runs]
+    n_frames = length[targets]
 
     # dt is each scene's most frequent gap rounded to 9 digits, the smallest on
     # a tie; Python's round runs once per distinct raw gap
-    t = v[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap fails the checks below
+    t, dt = v[:, 0], np.full(len(ids), np.nan)  # a scene with no gap fails before its dt is read
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap fails Trajectory's checks
         gaps = np.diff(t)[within[1:]]
+    if gaps.size:
         raw, raw_of = np.unique(gaps, return_inverse=True)
         rounded, code = np.unique([round(g, 9) for g in raw.tolist()], return_inverse=True)
-        scene_code = np.repeat(scene_of, length - 1) * len(rounded) + code[raw_of]
-        pair, count = np.unique(scene_code, return_counts=True)
+        pair, count = np.unique(scene_of[1:][within[1:]] * len(rounded) + code[raw_of], return_counts=True)
         pair_scene, pair_code = np.divmod(pair, len(rounded))
         best = np.lexsort((pair_code, -count, pair_scene))
         best = best[np.diff(pair_scene[best], prepend=-1) != 0]
-        dt = rounded[pair_code[best]][scene_of]  # per run
-        max_rate = np.sqrt(sys.float_info.max / (2 * length))
-        t_end = t[starts + length - 1]
-        refused = (
-            ~((dt > 0) & (dt < math.inf)) | (2 * math.pi > max_rate * dt * dt)
-            # the runs whose acceleration and jerk Trajectory works out frame by frame
-            | (4 * np.maximum.reduceat(np.abs(v[:, 3:5]).max(axis=1), starts)
-               > max_rate * dt * np.minimum(dt, 2.0))
-            | (length != length[target_run]) | (np.abs(t[starts] - t[starts][target_run]) > DT_TOLERANCE)
-            | (np.abs(t_end - t_end[target_run]) > DT_TOLERANCE)
-        )
-        if refused.any() or ((gaps <= 0) | (np.abs(gaps - np.repeat(dt, length - 1)) > DT_TOLERANCE)).any():
-            return None
-    try:  # the largest scene sets the bound
-        check_radius("neighbor_radius", neighbor_radius, int((n_agents * n_frames).max()))
-    except ValidationError:
-        return None
+        dt[pair_scene[best]] = rounded[pair_code[best]]
+    run_dt = dt[run_scene]
+    duplicate = np.zeros(len(order), dtype=bool)
+    duplicate[1:] = within[1:] & (frame[1:] == frame[:-1])
+    run_duplicate = np.logical_or.reduceat(duplicate, starts)
+    check, _ = _trajectory_faults(v, starts, length, run_dt, np.ones(len(starts), dtype=bool))
+    ends = t[starts + length - 1]
+    cover = _scene_faults(np.ones(len(starts), dtype=bool), length, run_dt, t[starts], ends, targets[run_scene])
+    faults = np.column_stack((
+        np.logical_or.reduceat(run_duplicate, scene_runs),
+        np.maximum.reduceat(length, scene_runs) == 1,
+        np.logical_or.reduceat(check >= 0, scene_runs),
+        rows.has_target_col & (np.add.reduceat(target.astype(int), scene_runs) != 1),
+        ~_radius_fits(neighbor_radius, n_agents * n_frames),
+        np.logical_or.reduceat(cover >= 0, scene_runs),
+    ))
+    if faults.any():
+        s = int(np.argmax(faults.any(axis=1)))
+        fault, where = int(np.argmax(faults[s])), f"scene {ids[s]!r}"
+        runs = np.arange(scene_runs[s], scene_runs[s] + n_agents[s])
+        runs = runs[np.argsort(first[runs])]  # the scene's agents in the order they first appear
+        if fault == 0:
+            r = runs[run_duplicate[runs]][0]
+            k = starts[r] + np.argmax(duplicate[starts[r] : starts[r] + length[r]])
+            raise ValidationError(f"{where} agent {agent_ids[run_agent[r]]!r}: duplicate frame {rows.frame[order[k]]}")
+        if fault == 1:
+            raise ValidationError(f"{where}: every agent has a single frame only")
+        if fault == 3:
+            marked = sorted(agent_ids[run_agent[runs[target[runs]]]].tolist())
+            raise ValidationError(f"{where}: expected exactly one agent with target=1, got {marked or 'none'}")
+        agents = {}
+        try:  # the scene's objects word its first failing Trajectory check, or Scene check
+            for r in runs.tolist():
+                agent_id, kind = agent_ids[run_agent[r]], kinds[kind_of[starts[r]]]
+                agents[agent_id] = _from_table(agent_id, v[starts[r] : starts[r] + length[r]], kind, float(dt[s]))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+        Scene(ids[s], agents, agent_ids[run_agent[targets[s]]], neighbor_radius=neighbor_radius)
 
-    first = np.minimum.reduceat(order, starts)
-    kinds = kind[starts].astype(str)
-    members: dict[tuple[int, int], list[int]] = {}
-    for i, shape in enumerate(zip(n_agents.tolist(), n_frames.tolist())):
-        members.setdefault(shape, []).append(i)
+    kinds = np.array(kinds)[kind_of[starts]]
     groups = []
-    for (n, n_frame), index in members.items():
-        runs = by_scene[scene_start[index][:, None] + np.arange(n)]  # (S, n)
+    for (n, n_frame), index in _by_shape(zip(n_agents.tolist(), n_frames.tolist())).items():
+        runs = by_scene[scene_runs[index][:, None] + np.arange(n)]  # (S, n)
         block = v[starts[runs][..., None] + np.arange(n_frame)]
         radius = np.full(len(index), float(neighbor_radius))
         groups.append(SceneGroup(
-            np.array(index), block, kinds[runs], dt[runs], radius, agent_ids[agent_of[runs]], first[runs]
+            np.array(index), block, kinds[runs], run_dt[runs], radius, agent_ids[run_agent[runs]], first[runs]
         ))
-    return SceneColumns(ids.astype(str).tolist(), groups)
+    return SceneColumns(ids, groups)
 
 
 def read_scene_columns(source, neighbor_radius: float = 50.0) -> SceneColumns:
     """The scenes of a scene CSV as :class:`SceneColumns`, sorted by scene id;
     ``parse_scene_csv`` gives the same scenes as objects.
 
-    A file of plain fields (``_PLAIN``) takes the column path; any other file,
-    and any file a check refuses, is read by the row loop, which gives the
-    same scenes or words the error.
+    A plain file (``_PLAIN`` bytes only) is read by one ``loadtxt``, any other
+    by ``csv.reader``. Both fill one row table, which ``_columns`` checks and
+    groups: an error names the first failing line, or scene, agent and frame,
+    that a line-by-line reading would meet.
     """
     data, what = read_source(source, "scene CSV")
-    columns = _columns(data, neighbor_radius)
-    if columns is None:
-        lines, data = read_lines(data, what), None  # the row loop needs no bytes
-        columns = SceneColumns.of(_parse_rows(lines, neighbor_radius))
-    return columns
+    return _columns(_plain_rows(data) or _csv_rows(data, what), neighbor_radius)
 
 
 def parse_scene_csv(source, neighbor_radius: float = 50.0) -> list[Scene]:
@@ -562,105 +741,9 @@ def parse_scene_csv(source, neighbor_radius: float = 50.0) -> list[Scene]:
     per scene from the modal gap between consecutive timestamps.
 
     ``source`` is a str, bytes, a Path or a file (see ``read_lines``). Scenes
-    are returned sorted by scene id. A file ``read_scene_columns`` reads by
-    columns gives its scenes from those columns.
+    are returned sorted by scene id, built from ``read_scene_columns``.
     """
-    data, what = read_source(source, "scene CSV")
-    columns = _columns(data, neighbor_radius)
-    if columns is None:
-        lines, data = read_lines(data, what), None  # the row loop needs no bytes
-        return _parse_rows(lines, neighbor_radius)
-    return columns.scenes()
-
-
-def _parse_rows(lines: list[str], neighbor_radius: float) -> list[Scene]:
-    """``parse_scene_csv`` row by row: every error names its line, or its scene and agent."""
-    reader = csv.reader(lines)
-    records = _csv_errors(reader)
-    try:
-        header = next(records)
-    except StopIteration:
-        raise ParseError("empty input, expected a header row", line=1) from None
-    header = [h.strip() for h in header]
-    has_target_col = tuple(header) == CSV_COLUMNS + ("target",)
-    if not has_target_col and tuple(header) != CSV_COLUMNS:
-        raise ParseError(f"bad header {header!r}, expected {','.join(CSV_COLUMNS)}[,target]", line=1)
-
-    n_cols = len(header)
-    # rows[scene][agent] -> (kind, target flag, list of (frame, t, x, y, vx, vy, heading))
-    rows: dict[str, dict[str, tuple[str, str, list[tuple]]]] = {}
-    for row in records:
-        line_no = reader.line_num  # the record's last line: a quoted field may span lines
-        if not row:
-            continue
-        if len(row) != n_cols:
-            raise ParseError(f"expected {n_cols} columns, got {len(row)}", line=line_no)
-        scene_id, agent_id = row[0].strip(), row[1].strip()
-        if not scene_id or not agent_id:
-            raise ParseError("scene_id and agent_id must be non-empty", line=line_no)
-        try:
-            frame = int(row[2])
-        except ValueError:
-            raise ParseError(f"column 'frame': not an integer: {row[2]!r}", line=line_no) from None
-        t = _parse_float(row[3], "t", line_no)
-        x = _parse_float(row[4], "x", line_no)
-        y = _parse_float(row[5], "y", line_no)
-        vx = _parse_float(row[6], "vx", line_no)
-        vy = _parse_float(row[7], "vy", line_no)
-        heading = _parse_float(row[8], "heading", line_no)
-        if not -math.pi < heading <= math.pi:
-            raise ValidationError(f"line {line_no}: heading must lie in (-pi, pi], got {heading}")
-        kind = row[9].strip()
-        if kind not in AGENT_KINDS:
-            raise ValidationError(
-                f"line {line_no}: unknown kind {kind!r}, expected one of {'|'.join(AGENT_KINDS)}"
-            )
-        flag = row[10].strip() if has_target_col else ""
-        agent_kind, agent_flag, agent_rows = rows.setdefault(scene_id, {}).setdefault(agent_id, (kind, flag, []))
-        if agent_kind != kind:
-            raise ValidationError(f"line {line_no}: agent {agent_id!r} changes kind to {kind!r}")
-        if flag not in ("", "0", "1"):
-            raise ParseError(f"column 'target': expected 0 or 1, got {flag!r}", line=line_no)
-        if agent_flag != flag:
-            raise ValidationError(f"line {line_no}: agent {agent_id!r} changes target flag to {flag!r}")
-        agent_rows.append((frame, t, x, y, vx, vy, heading))
-
-    scenes = []
-    for scene_id in sorted(rows):
-        gaps = []
-        for agent_id, (_, _, agent_rows) in rows[scene_id].items():
-            agent_rows.sort(key=lambda r: r[0])
-            for prev, cur in zip(agent_rows, agent_rows[1:]):
-                if prev[0] == cur[0]:
-                    raise ValidationError(
-                        f"scene {scene_id!r} agent {agent_id!r}: duplicate frame {cur[0]}"
-                    )
-                gaps.append(cur[1] - prev[1])
-        if not gaps:
-            raise ValidationError(f"scene {scene_id!r}: every agent has a single frame only")
-        counts = Counter(round(g, 9) for g in gaps)
-        top = max(counts.values())
-        dt = min(g for g, c in counts.items() if c == top)
-        try:
-            trajectories = {
-                agent_id: _from_table(agent_id, [r[1:] for r in agent_rows], kind, dt)
-                for agent_id, (kind, _, agent_rows) in rows[scene_id].items()
-            }
-        except ValidationError as exc:
-            raise ValidationError(f"scene {scene_id!r}: {exc}") from None
-
-        if has_target_col:
-            marked = sorted(a for a, (_, flag, _) in rows[scene_id].items() if flag == "1")
-            if len(marked) != 1:
-                raise ValidationError(
-                    f"scene {scene_id!r}: expected exactly one agent with target=1, "
-                    f"got {marked or 'none'}"
-                )
-            target_id = marked[0]
-        else:
-            target_id = min(trajectories, key=_id_key)
-        scenes.append(Scene(scene_id, trajectories, target_id, neighbor_radius=neighbor_radius))
-    return scenes
+    return read_scene_columns(source, neighbor_radius).scenes()
 
 
 def load_scenes(path, neighbor_radius: float = 50.0) -> list[Scene]:

@@ -624,6 +624,26 @@ class TestExitCodeContract:
         assert run(["metrics", "--input", str(csv_path), "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {error.format(path=path)}\n"
 
+    @pytest.mark.parametrize(
+        "command, config, error",
+        [
+            ("rank", {"seed": "x"}, "option 'seed': expected integer >= 0, got 'x'"),
+            ("metrics", {"neighbor_radius": "x"}, "option 'neighbor_radius': expected number, got 'x'"),
+            ("rank", {"memory": {"categories": 2.5}}, "option 'categories': expected integer, got 2.5"),
+        ],
+        ids=["seed", "neighbor_radius", "memory-categories"],
+    )
+    def test_mistyped_config_value_names_its_file(self, tmp_path, capsys, command, config, error):
+        """A config value's error names the config file, as an unknown key's does; a flag's names none."""
+        csv_path = tmp_path / "s.csv"
+        write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=s, frames=5) for s in range(2)])
+        path = tmp_path / "c2.json"
+        path.write_text(json.dumps(config))
+        assert run([command, "--input", str(csv_path), "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {error}\n"
+        assert run(["rank", "--input", str(csv_path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: option 'seed': expected integer >= 0, got -1\n"
+
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_bytes(b'{"k": [1], "note": "\xff"}')

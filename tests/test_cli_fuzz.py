@@ -37,6 +37,8 @@ from tailscope.scene import (  # noqa: E402
 )
 from tailscope.synth import SCENARIO_KINDS, ScenarioSpec, generate  # noqa: E402
 
+import scene_reference  # noqa: E402
+
 # No "/" in drawn strings: a drawn output path stays inside the working directory.
 TEXT = st.text(st.characters(blacklist_characters="/"), max_size=8)
 PLAUSIBLE = st.sampled_from(["mean", "sample", "min_ade", "min_fde", "-", "", *SCENARIO_KINDS])
@@ -303,7 +305,7 @@ def test_forecast_jsonl_parse_matches_the_line_by_line_reading(workdir, data):
     assert parsed(parse_forecast_jsonl, text) == parsed(parse_line_by_line, text)
 
 
-#: Cells the column path must refuse or read exactly as ``float``/``int`` do:
+#: Cells both tokenizers must refuse or read exactly as ``float``/``int`` do:
 #: quotes, spaces, underscores, signs, non-finite and non-ASCII numbers, an
 #: integer written as a float, more digits than ``int`` reads, frames of 20
 #: and 21 characters, a field longer than ``csv`` reads, every kind and
@@ -317,8 +319,8 @@ SCENE_CELLS = st.sampled_from([
 
 
 def read_row_by_row(text):
-    """The reference reading of a scene CSV: the row loop, whatever the file holds."""
-    return scene._parse_rows(read_lines(text, "scene CSV"), 50.0)
+    """The reference reading of a scene CSV: the frozen row loop, whatever the file holds."""
+    return scene_reference.parse_rows(read_lines(text, "scene CSV"), 50.0)
 
 
 def scene_bits(scene_list):
@@ -333,25 +335,49 @@ def scene_bits(scene_list):
 def parsed_scenes(parse, text):
     try:
         return scene_bits(parse(text))
-    except TailscopeError as exc:
+    except (TailscopeError, scene_reference.ParseError, scene_reference.ValidationError) as exc:
         return type(exc).__name__, str(exc)
 
 
 def mutated_scene_csv(lines, data):
     """``lines`` with one cell, line ending, line or the row order changed, one
-    target flag emptied, or one agent's ids and kind widened or its rows split."""
+    target flag emptied, or one agent's ids and kind widened or its rows split;
+    or, aimed at the validator's order, a quoted field spanning two lines, an
+    underscore number, a bad cell after an earlier line's heading or kind
+    fault, or a huge coordinate on a line with a bad kind."""
     lines = list(lines)
     i = data.draw(st.integers(1, len(lines) - 1))
     how = data.draw(st.sampled_from([
         "cell", "cell", "crlf", "blank", "shuffle", "repeat", "drop", "untarget",
-        "empty-target", "widest-last", "split",
+        "empty-target", "widest-last", "split", "two-lines", "underscore", "late-cell", "huge-bad-kind",
     ]))
     key = lines[i].split(",")[:2]
+    cells = lines[i].split(",")
     if how == "cell":
-        cells = lines[i].split(",")
         c = data.draw(st.integers(0, len(cells) - 1))
         cells[c] = data.draw(SCENE_CELLS | TEXT | st.floats().map(repr) | st.integers().map(str))
         lines[i] = ",".join(cells)
+    elif how == "two-lines":  # csv reads on to the closing quote, so later lines are numbered from there
+        c = data.draw(st.integers(0, len(cells) - 1))
+        cells[c] = '"' + data.draw(st.sampled_from(["", " ", "x"])).join((cells[c], "\n")) + '"'
+        lines[i] = ",".join(cells)
+    elif how == "underscore":  # loadtxt refuses it, int() and float() read it
+        if len(cells) > 8:
+            cells[data.draw(st.integers(2, 8))] = "1_000"
+            lines[i] = ",".join(cells)
+    elif how == "late-cell":  # a heading or kind fault, then a bad cell on the same or a later line
+        if len(cells) > 9:
+            cells[data.draw(st.sampled_from([8, 9]))] = data.draw(st.sampled_from(["3.5", "-7", "bike", "Vehicle"]))
+            lines[i] = ",".join(cells)
+        j = data.draw(st.integers(i, len(lines) - 1))
+        later = lines[j].split(",")
+        later[data.draw(st.integers(0, len(later) - 1))] = data.draw(SCENE_CELLS)
+        lines[j] = ",".join(later)
+    elif how == "huge-bad-kind":  # MAX_MAGNITUDE is a trajectory check, the kind a line check
+        if len(cells) > 9:
+            cells[data.draw(st.integers(4, 7))] = data.draw(st.sampled_from(["1e200", "-1e151"]))
+            cells[9] = "bike"
+            lines[i] = ",".join(cells)
     elif how == "crlf":
         lines[i] += "\r"
     elif how == "blank":
@@ -381,10 +407,12 @@ def mutated_scene_csv(lines, data):
     return lines
 
 
+@settings(max_examples=300)
 @given(data=st.data())
 def test_scene_csv_parse_matches_the_row_by_row_reading(workdir, data):
-    """The column path gives the row loop's scenes, bit for bit, or its error, after two
-    mutations; so do the columns the CLI scores, whichever path read them."""
+    """``parse_scene_csv`` gives the reference row loop's scenes, bit for bit, or
+    its error, type and text, after two mutations; so do the columns the CLI
+    scores."""
     lines = (workdir / "scenes.csv").read_text().splitlines()
     for _ in range(2):
         lines = mutated_scene_csv(lines, data)

@@ -321,7 +321,7 @@ class TestParseSceneCsv:
             + "\ns,b,0,0.0,5,0,1,0,0.0,vehicle,0"
             + "\ns,b,1,0.5,5,0,1,0,0.0,vehicle,0\n"
         )
-        for source in (text, text.replace("\n", "\r\n"), text.replace("\n", "\r")):  # the column path twice, then the row loop alone
+        for source in (text, text.replace("\n", "\r\n"), text.replace("\n", "\r")):  # loadtxt twice, then csv.reader
             with pytest.raises(ValidationError, match=f"line 3: agent 'a' changes target flag to '{then}'"):
                 parse_scene_csv(source)
 
@@ -332,7 +332,7 @@ class TestParseSceneCsv:
         ids=["int-digit-limit", "csv-field-limit"],
     )
     def test_plain_values_python_refuses_are_refused(self, frame, x, error):
-        """loadtxt reads both; int() and csv do not, so neither may the column path."""
+        """loadtxt reads both; int() and csv do not, so the file goes to the csv tokenizer, which refuses them."""
         text = HEADER + f"\ns,a,{frame},0.0,{x},0,1,0,0.0,vehicle\ns,a,1,0.5,0,0,1,0,0.0,vehicle\n"
         with pytest.raises(ParseError, match=error):
             parse_scene_csv(text)
@@ -432,14 +432,14 @@ class TestParseSceneCsv:
 
 
 class TestColumnPath:
-    """Plain files are read by the column path alone: the row loop never runs."""
+    """Plain files are read by ``loadtxt`` alone: the csv tokenizer never runs."""
 
     @pytest.fixture(autouse=True)
-    def no_row_loop(self, monkeypatch):
+    def no_csv_tokenizer(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("the row loop read a plain scene CSV")
+            raise AssertionError("the csv tokenizer read a plain scene CSV")
 
-        monkeypatch.setattr(scene_module, "_parse_rows", forbidden)
+        monkeypatch.setattr(scene_module, "_csv_rows", forbidden)
 
     def test_golden_csv(self):
         from test_golden import golden_csv
@@ -512,16 +512,19 @@ class TestColumnPath:
             assert parsed.scene_id == scene.scene_id and set(parsed.agents) == set(scene.agents)
 
 
-def test_column_path_refuses_a_key_column_larger_than_the_file(rng):
+def test_column_path_refuses_a_key_column_larger_than_the_file(rng, monkeypatch):
     """A key column holds its widest cell's bytes on every row, so an id that
-    would make it larger than the file sends the file to the row loop."""
+    would make it larger than the file sends the file to the csv tokenizer."""
+    read, tokenized = scene_module._csv_rows, []
+    monkeypatch.setattr(scene_module, "_csv_rows", lambda *args: tokenized.append(1) or read(*args))
     trajs = [random_trajectory(rng, n_frames=2) for _ in range(100)]
     for width, plain in ((50, True), (1000, False)):
         scenes = [make_scene([traj], scene_id=f"s{i:02d}") for i, traj in enumerate(trajs)]
         scenes.append(make_scene([trajs[0]], scene_id="w" * width))
         text = scenes_to_csv(scenes)
-        assert (scene_module._plain_rows(text) is not None) == plain
+        tokenized.clear()
         assert [s.scene_id for s in parse_scene_csv(text)] == [s.scene_id for s in scenes]
+        assert tokenized == ([] if plain else [1])
 
 
 class TestScene:
@@ -529,6 +532,16 @@ class TestScene:
         traj = make_traj("a", [(1.0, 0.0)] * 3)
         with pytest.raises(ValidationError, match="target"):
             Scene(scene_id="s", agents={"a": traj}, target_id="zzz")
+
+    def test_agent_checks_name_the_first_failing_agent_in_dict_order(self):
+        a, b = make_traj("a", [(1.0, 0.0)] * 3), make_traj("b", [(1.0, 0.0)] * 3, dt=0.2)
+        c = make_traj("c", [(1.0, 0.0)] * 4)
+        with pytest.raises(ValidationError, match=r"^scene 's': key 'x' holds trajectory 'c'$"):
+            Scene("s", {"a": a, "x": c, "b": b}, "a")
+        with pytest.raises(ValidationError, match=r"^scene 's': agent 'b' dt 0.2 differs from target dt 0.1$"):
+            Scene("s", {"a": a, "b": b, "c": c}, "a")
+        with pytest.raises(ValidationError, match=r"^scene 's': agent 'c' does not cover the same time range"):
+            Scene("s", {"a": a, "c": c, "b": b}, "a")
 
     def test_neighbor_ids_excludes_target(self):
         scene = make_scene([make_traj(i, [(1.0, 0.0)] * 3) for i in ("3", "1", "2")])
