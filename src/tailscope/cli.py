@@ -45,13 +45,13 @@ OPTIONS = {
     "stats": Option("rank", str, help="normalization stats JSON (default: fit on the batch)"),
     "mode": Option("rank", ("mean", "sample"), help="perceiver forward mode"),
     "seed": Option("rank synth", int, 0, help="seed of the sample mode, default init or scene"),
-    "categories": Option("rank", int, help="partition the ranking into TI categories"),
+    "categories": Option("rank", int, 1, help="partition the ranking into TI categories"),
     "memory": Option("rank", dict, flag=None, help="only its categories key is read"),
-    "k": Option("eval", [int], help="mode counts, e.g. 1,5,10"),
+    "k": Option("eval", [int], 1, help="mode counts, e.g. 1,5,10"),
     "threshold": Option("eval", float, help="miss-rate threshold (m)"),
     "topk": Option("eval", [float], help="worst-case percents, e.g. 1,2,3,4,5"),
-    "rank_metric": Option("eval", str, help="min_ade or min_fde: ranks the worst-case strata"),
-    "rank_k": Option("eval", int, help="mode count for the ranking metric"),
+    "rank_metric": Option("eval", ("min_ade", "min_fde"), help="ranks the worst-case strata"),
+    "rank_k": Option("eval", int, 1, help="mode count for the ranking metric"),
     "kind": Option("synth", str, help="constant, circle, brake, crossing or grid"),
     "frames": Option("synth", int, help="frame count"),
     "dt": Option("synth", float, help="time step (s)"),
@@ -164,6 +164,10 @@ def cmd_rank(opts: dict) -> int:
     params_path = opts.get("params") or opts.get("perceiver_params")
     if params_path:
         params = perceiver.PerceiverParams.load(params_path)
+        widths = params.path_i[0].in_dim, params.path_r[0].in_dim
+        if widths != (8, 6):
+            what = f"first layers take {widths[0]} and {widths[1]} inputs"
+            raise ConfigurationError(f"{params_path}: {what}, not the 8 intrinsic and 6 interactive metrics")
     else:
         params = perceiver.default_params(**_kwargs(opts, "seed"))
     stats = perceiver.DatasetStats.load(opts["stats"]) if opts.get("stats") else None
@@ -198,7 +202,7 @@ def cmd_rank(opts: dict) -> int:
     rows.sort(key=lambda r: (-r["ti"], r["scene_id"]))
 
     payload = {"ranking": rows, "stats": stats.to_jsonable()}
-    if opts.get("categories"):
+    if "categories" in opts:
         partition = memory.partition_categories([r["ti"] for r in rows], opts["categories"])
         for row, cat in zip(rows, partition.assignments):
             row["category"] = int(cat)

@@ -179,6 +179,13 @@ def json_fields(data, convert: dict, what: str, optional=()) -> dict:
     return fields
 
 
+def unchecked(cls, *values):
+    """``cls(*values)`` for a dataclass, skipping ``__post_init__``: only for a row of a table checked as a whole."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 def write_text(path, text: str) -> None:
     """Write ``text`` as UTF-8 to the file at ``path``; a failure raises UsageError naming it."""
     try:

@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import MAX_MAGNITUDE, ParseError, UsageError, ValidationError, decode_json, numbers, read_lines
+from .errors import MAX_MAGNITUDE, ParseError, UsageError, ValidationError, decode_json, numbers, read_lines, unchecked
 
 #: A sample is missed when its best final displacement exceeds this (m).
 MISS_THRESHOLD = 2.0
@@ -49,9 +49,8 @@ class ForecastSample:
     gt: np.ndarray     # (T, 2)
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", np.asarray(self.modes, dtype=float))
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        object.__setattr__(self, "gt", np.asarray(self.gt, dtype=float))
+        for name in ("modes", "probs", "gt"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.modes.ndim != 3 or self.modes.shape[2] != 2:
             raise ValidationError(
                 f"sample {self.sample_id!r}: modes must be (K, T, 2), got {self.modes.shape}"
@@ -77,13 +76,6 @@ class ForecastSample:
             raise ValidationError(
                 f"sample {self.sample_id!r}: probabilities must be >= 0 and sum to 1"
             )
-
-    @classmethod
-    def _from_table(cls, sample_id: str, modes, probs, gt) -> "ForecastSample":
-        """A sample whose arrays a table check has already validated."""
-        sample = object.__new__(cls)
-        sample.__dict__.update(sample_id=sample_id, modes=modes, probs=probs, gt=gt)
-        return sample
 
     @property
     def n_modes(self) -> int:
@@ -174,7 +166,7 @@ class Forecasts(Sequence):
         for t in self.tables:
             r = int(np.searchsorted(t.index, i))
             if r < len(t.index) and t.index[r] == i:
-                return ForecastSample._from_table(self.ids[i], t.modes[r], t.probs[r], t.gt[r])
+                return unchecked(ForecastSample, self.ids[i], t.modes[r], t.probs[r], t.gt[r])
 
 
 def _check_k(forecasts: Forecasts, ks: Sequence[int]) -> None:

@@ -8,16 +8,16 @@ The neighbor set is re-evaluated every frame as the agents within
 
 Scenes that share an agent count n and a frame count T form a group, held as
 the columns of a ``scene.SceneGroup``. ``_geometry`` restacks a group once
-into ``(S, T, n, 2)`` positions and velocities (target first), the
-target-to-neighbor geometry forms ``(S, T, N)`` arrays over the N neighbors,
-and the all-pairs conflict score reads the ``(S, T, n(n-1)/2)`` agent pairs
-of the same stacks. One kernel per score rates a whole group; each per-scene
-function is that kernel on a group of one. Reductions run over the last axis
-in a single scene's order and every other step is elementwise, so a scene's
-scores are the same bits alone or in a group. ``score_scenes`` scores a
-corpus group by group, in chunks of at most ``PAIR_FRAMES_CAP`` pair-frames
-(one scene at least), so the all-pairs temporaries of a dense scene do not
-grow with the corpus.
+into ``(S, T, n, 2)`` positions and velocities (target first) and relates
+each of the n(n-1)/2 agent pairs once, in ``np.triu_indices`` order: the
+first N pairs join the target to its N neighbors, and the local scores read
+those, the all-pairs conflict score every pair. One kernel per score rates a
+whole group; each per-scene function is that kernel on a group of one.
+Reductions run over the last axis in a single scene's order and every other
+step is elementwise, so a scene's scores are the same bits alone or in a
+group. ``score_scenes`` scores a corpus group by group, in chunks of at most
+``PAIR_FRAMES_CAP`` pair-frames (one scene at least), so the all-pairs
+temporaries of a dense scene do not grow with the corpus.
 
 The safe-distance scores follow the Responsibility-Sensitive Safety minimum
 separations: the longitudinal/lateral axes are the target's instantaneous
@@ -124,9 +124,9 @@ class InteractiveMetrics:
 
 
 class _Geometry(NamedTuple):
-    """S scenes of one shape stacked over frames T; n = 1 + N agents, target first."""
+    """S scenes of one shape stacked over frames T; n = 1 + N agents, target first.
+    The P = n(n-1)/2 agent pairs are in ``np.triu_indices(n, 1)`` order, the target's N first."""
 
-    pos: np.ndarray  # (S, T, n, 2)
     vel: np.ndarray  # (S, T, n, 2)
     tracks: np.ndarray  # (S, n, T, 2) the velocities agent by agent, frames contiguous for per-agent means
     dt: np.ndarray  # (S, n) each agent's time step
@@ -134,30 +134,25 @@ class _Geometry(NamedTuple):
     kinds: np.ndarray  # (S, 1, N) the neighbors' kinds, in ``neighbor_ids`` order
     radius: np.ndarray  # (S, 1, 1) each scene's neighbor radius
     dp: np.ndarray  # (S, T, N, 2) neighbor position minus target position
-    dv: np.ndarray  # (S, T, N, 2) neighbor velocity minus target velocity
     dist: np.ndarray  # (S, T, N)
-
-
-def _pair_geometry(pos, vel, a, b):
-    """Position and velocity of agents ``b`` relative to agents ``a``, and their distance."""
-    dp = pos[..., b, :] - pos[..., a, :]
-    return dp, vel[..., b, :] - vel[..., a, :], np.hypot(dp[..., 0], dp[..., 1])
+    near: np.ndarray  # (S, T, N) the neighbors within ``radius``
+    ittc: np.ndarray  # (S, T, P) each pair's ``_pair_ittc`` rate
+    coincident: np.ndarray  # (S, T, P) the pairs closer than ``EPS_DIST``
 
 
 def _geometry(group: SceneGroup) -> _Geometry:
-    """Restack a group's columns frame-major and relate every neighbor to its target."""
+    """Restack a group's columns frame-major and relate every agent pair once."""
     tracks = group.block[..., 3:5].copy()
     pos = group.block[..., 1:3].transpose(0, 2, 1, 3).copy()
     vel = tracks.transpose(0, 2, 1, 3).copy()
+    (a, b), local = np.triu_indices(pos.shape[2], 1), slice(pos.shape[2] - 1)  # the target's pairs
+    dp = pos[..., b, :] - pos[..., a, :]
+    dist = np.hypot(dp[..., 0], dp[..., 1])
+    radius = group.radius[:, None, None]
     return _Geometry(
-        pos,
-        vel,
-        tracks,
-        group.dt,
-        group.block[:, 0, :, 5].copy(),
-        group.kinds[:, None, 1:],
-        group.radius[:, None, None],
-        *_pair_geometry(pos, vel, slice(0, 1), slice(1, None)),
+        vel, tracks, group.dt, group.block[:, 0, :, 5].copy(), group.kinds[:, None, 1:], radius,
+        dp[..., local, :], dist[..., local], dist[..., local] <= radius,
+        *_pair_ittc(dp, vel[..., b, :] - vel[..., a, :], dist),
     )
 
 
@@ -177,9 +172,9 @@ def _pair_ittc(dp, dv, dist):
     return np.divide(closing, np.float_power(dist, 2), out=np.zeros_like(dist), where=ok), coincident
 
 
-def _worst(values, near) -> np.ndarray:
-    """Per-frame maximum over the in-radius neighbors; 0 for frames with none."""
-    return np.where(near, values, 0.0).max(axis=-1, initial=0.0)
+def _worst(g: _Geometry, values) -> np.ndarray:
+    """Per-frame maximum of ``values`` over the in-radius neighbors; 0 for frames with none."""
+    return np.where(g.near, values, 0.0).max(axis=-1, initial=0.0)
 
 
 def min_longitudinal_separation(v_i_lon, v_j_lon, params: RssParams):
@@ -228,19 +223,18 @@ def _deficit_risk(required, actual, alpha: float, beta: float) -> np.ndarray:
     return 1.0 - np.float_power(1.0 + ratio, -alpha)
 
 
-def _rss_error(axis: str) -> ConfigurationError:
-    return ConfigurationError(f"rss_params must be small enough for a finite {axis} safe distance at these speeds")
-
-
-def _unsafe(required, near) -> np.ndarray:
-    """Per scene: a safe distance to an in-radius neighbor overflowed to inf or nan."""
-    return (near & ~np.isfinite(required)).any(axis=(-2, -1))
+def _rss_scores(g: _Geometry, name: str, required, risk) -> dict:
+    """The worst in-radius ``risk`` per frame (``series``), its frame mean (``name``), and
+    per scene whether a safe distance to an in-radius neighbor overflowed to inf or nan."""
+    series = _worst(g, risk)
+    unsafe = (g.near & ~np.isfinite(required)).any(axis=(-2, -1))
+    return {name: series.mean(axis=-1), "series": series, "unsafe": unsafe}
 
 
 def _checked(scores: dict, name: str, axis: str) -> dict:
     """A group of one's safe-distance risk; raises if its ``axis`` safe distance overflowed."""
     if scores["unsafe"][0]:
-        raise _rss_error(axis)
+        raise ConfigurationError(f"rss_params must be small enough for a finite {axis} safe distance at these speeds")
     return {name: float(scores[name][0]), "series": scores["series"][0], "flags": ()}
 
 
@@ -251,25 +245,24 @@ def ittc_risk(scene: Scene) -> dict:
     Frames with no neighbor in radius contribute 0; coincident pairs are
     skipped with a ``proximity_skip`` flag.
     """
-    g = _geometry(SceneGroup.of([scene]))
-    scores = _ittc_risk(g, g.dist <= g.radius)
+    scores = _ittc_risk(_geometry(SceneGroup.of([scene])))
     flags = ("proximity_skip",) * bool(scores["skip"][0])
     return {"r_ittc": float(scores["r_ittc"][0]), "series": scores["series"][0], "flags": flags}
 
 
-def _ittc_risk(g: _Geometry, near) -> dict:
-    value, coincident = _pair_ittc(g.dp, g.dv, g.dist)
-    series = _worst(value, near)
-    return {"r_ittc": series.mean(axis=-1), "series": series, "skip": (coincident & near).any(axis=(-2, -1))}
+def _ittc_risk(g: _Geometry) -> dict:
+    n_near = g.near.shape[-1]  # the target's pairs come first
+    series = _worst(g, g.ittc[..., :n_near])
+    skip = (g.coincident[..., :n_near] & g.near).any(axis=(-2, -1))
+    return {"r_ittc": series.mean(axis=-1), "series": series, "skip": skip}
 
 
 def rss_longitudinal(scene: Scene, params: RssParams | None = None) -> dict:
     """Worst-neighbor longitudinal safe-distance risk, averaged over frames."""
-    g = _geometry(SceneGroup.of([scene]))
-    return _checked(_rss_longitudinal(g, g.dist <= g.radius, params or RssParams()), "r_lon", "longitudinal")
+    return _checked(_rss_longitudinal(_geometry(SceneGroup.of([scene])), params or RssParams()), "r_lon", "longitudinal")
 
 
-def _rss_longitudinal(g: _Geometry, near, params: RssParams) -> dict:
+def _rss_longitudinal(g: _Geometry, params: RssParams) -> dict:
     u_lon = np.stack([np.cos(g.headings), np.sin(g.headings)], axis=-1)[:, :, None]
     v_i_lon = np.vecdot(g.vel[:, :, :1], u_lon)
     v_j_lon = np.where(g.kinds == "vehicle", np.vecdot(g.vel[:, :, 1:], u_lon), 0.0)
@@ -277,17 +270,15 @@ def _rss_longitudinal(g: _Geometry, near, params: RssParams) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite distance in radius is flagged
         required = min_longitudinal_separation(v_i_lon, v_j_lon, params)
         risk = _deficit_risk(required, gap, params.alpha_lon, params.beta_lon)
-    series = _worst(risk, near)
-    return {"r_lon": series.mean(axis=-1), "series": series, "unsafe": _unsafe(required, near)}
+    return _rss_scores(g, "r_lon", required, risk)
 
 
 def rss_lateral(scene: Scene, params: RssParams | None = None) -> dict:
     """Worst-neighbor lateral safe-distance risk, averaged over frames."""
-    g = _geometry(SceneGroup.of([scene]))
-    return _checked(_rss_lateral(g, g.dist <= g.radius, params or RssParams()), "r_lat", "lateral")
+    return _checked(_rss_lateral(_geometry(SceneGroup.of([scene])), params or RssParams()), "r_lat", "lateral")
 
 
-def _rss_lateral(g: _Geometry, near, params: RssParams) -> dict:
+def _rss_lateral(g: _Geometry, params: RssParams) -> dict:
     u_lat = np.stack([-np.sin(g.headings), np.cos(g.headings)], axis=-1)[:, :, None]
     lat_sep = np.vecdot(g.dp, u_lat)
     axis = np.where(lat_sep >= 0, 1.0, -1.0)[..., None] * u_lat
@@ -296,8 +287,7 @@ def _rss_lateral(g: _Geometry, near, params: RssParams) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite distance in radius is flagged
         required = min_lateral_separation(v_i_lat, v_j_lat, g.kinds, params)
         risk = _deficit_risk(required, np.abs(lat_sep), params.alpha_lat, params.beta_lat)
-    series = _worst(risk, near)
-    return {"r_lat": series.mean(axis=-1), "series": series, "unsafe": _unsafe(required, near)}
+    return _rss_scores(g, "r_lat", required, risk)
 
 
 def global_scene_risk(scene: Scene, radius: float | None = None) -> dict:
@@ -312,28 +302,26 @@ def global_scene_risk(scene: Scene, radius: float | None = None) -> dict:
 
 
 def _global_scene_risk(g: _Geometry, radius: float | None) -> dict:
-    n_scenes, n_frames, n = g.pos.shape[:3]
-    if radius is not None:
+    n_scenes, n_frames, n = g.vel.shape[:3]
+    if radius is not None:  # a radius of its own: its own neighbor sets
         check_radius("radius", radius, n * n_frames)
-    radius = g.radius if radius is None else np.full_like(g.radius, radius)
-    near = g.dist <= radius
+        g = g._replace(radius=np.full_like(g.radius, radius), near=g.dist <= radius)
 
-    value, coincident = _pair_ittc(*_pair_geometry(g.pos, g.vel, *np.triu_indices(n, 1)))
     mac_series = np.zeros((n_scenes, n_frames), dtype=float)
     if n >= 2:
         # a running sum in pair order (cumsum), not np.sum's pairwise one, so
         # the total rounds like a plain loop over the pairs
-        mac_series = np.cumsum(value, axis=-1)[..., -1] / (n * (n - 1) / 2.0)
+        mac_series = np.cumsum(g.ittc, axis=-1)[..., -1] / (n * (n - 1) / 2.0)
 
-    count = near.sum(axis=-1)
-    ad_series = count / (math.pi * np.float_power(radius[..., 0], 2))
+    count = g.near.sum(axis=-1)
+    ad_series = count / (math.pi * np.float_power(g.radius[..., 0], 2))
     # Stable-sorting each frame's in-radius neighbors to the front makes the
     # masked sum one contiguous run, which numpy adds exactly as np.mean adds
     # the list of in-radius values.
-    order = np.argsort(~near, axis=-1, kind="stable")
+    order = np.argsort(~g.near, axis=-1, kind="stable")
     c_v = rms_acceleration(g.tracks[:, 1:], g.dt[:, 1:])[:, None]
     c_v_sum = np.add.reduce(
-        np.take_along_axis(c_v, order, axis=-1), axis=-1, where=np.take_along_axis(near, order, axis=-1)
+        np.take_along_axis(c_v, order, axis=-1), axis=-1, where=np.take_along_axis(g.near, order, axis=-1)
     )
     ni_series = c_v_sum / np.maximum(count, 1)
 
@@ -341,27 +329,26 @@ def _global_scene_risk(g: _Geometry, radius: float | None) -> dict:
         "r_mac": mac_series.mean(axis=-1),
         "r_ad": ad_series.mean(axis=-1),
         "r_ni": ni_series.mean(axis=-1),
-        "skip": coincident.any(axis=(-2, -1)),
+        "skip": g.coincident.any(axis=(-2, -1)),
     }
 
 
 def _interactive(g: _Geometry, params: RssParams):
-    """The (S, 6) interactive rows of a group, with per-scene masks: a coincident
-    pair (the ``proximity_skip`` flag) and an overflowed longitudinal and lateral
-    safe distance. Each stage frees its temporaries before the next starts."""
+    """The (S, 6) interactive rows of a group, the per-scene mask of a coincident
+    pair (the ``proximity_skip`` flag), and the longitudinal and lateral scores,
+    whose ``unsafe`` masks an overflowed safe distance. Each stage frees its
+    temporaries before the next starts."""
     gl = _global_scene_risk(g, None)
-    near = g.dist <= g.radius
-    ittc, lon, lat = _ittc_risk(g, near), _rss_longitudinal(g, near, params), _rss_lateral(g, near, params)
+    ittc, lon, lat = _ittc_risk(g), _rss_longitudinal(g, params), _rss_lateral(g, params)
     rows = np.stack([ittc["r_ittc"], lon["r_lon"], lat["r_lat"], gl["r_mac"], gl["r_ad"], gl["r_ni"]], axis=-1)
-    return rows, gl["skip"], lon["unsafe"], lat["unsafe"]
+    return rows, gl["skip"], lon, lat
 
 
 def compute_interactive(scene: Scene, params: RssParams | None = None) -> InteractiveMetrics:
     """All six interactive scalars of one scene, from one stack of its agents."""
-    rows, skip, unsafe_lon, unsafe_lat = _interactive(_geometry(SceneGroup.of([scene])), params or RssParams())
-    for unsafe, axis in ((unsafe_lon, "longitudinal"), (unsafe_lat, "lateral")):
-        if unsafe[0]:
-            raise _rss_error(axis)
+    rows, skip, lon, lat = _interactive(_geometry(SceneGroup.of([scene])), params or RssParams())
+    _checked(lon, "r_lon", "longitudinal")
+    _checked(lat, "r_lat", "lateral")
     return InteractiveMetrics(*rows[0].tolist(), flags=("proximity_skip",) * bool(skip[0]))
 
 
@@ -388,8 +375,8 @@ def score_scenes(scenes, params: RssParams | None = None) -> tuple[np.ndarray, l
         for chunk in (group[start : start + size] for start in range(0, len(group), size)):
             g, i = _geometry(chunk), chunk.index
             rows[i, :split], slow[i] = intrinsic_rows(kinematics(g.tracks[:, 0], g.headings, g.dt[:, :1]))
-            rows[i, split:], close[i], unsafe_lon, unsafe_lat = _interactive(g, params)
-            unsafe[i] = unsafe_lon | unsafe_lat
+            rows[i, split:], close[i], lon, lat = _interactive(g, params)
+            unsafe[i] = lon["unsafe"] | lat["unsafe"]
     risks = rows[:, [METRIC_FIELDS.index("r_lon"), METRIC_FIELDS.index("r_lat")]]
     refused = unsafe | ~((rows >= 0.0) & np.isfinite(rows)).all(axis=1) | (risks >= 1.0).any(axis=1)
     for i in np.flatnonzero(refused).tolist()[:1]:  # the per-scene calls word the error

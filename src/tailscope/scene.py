@@ -11,7 +11,9 @@ A scene CSV is read by one of two tokenizers into one row table: one
 ``int``/``float`` per cell any other (``_csv_rows``). One validator,
 ``_columns``, checks the table with array masks and raises the error a
 line-by-line reading would meet first. ``Trajectory`` and ``Scene`` run the
-same check kernels, ``_trajectory_faults`` and ``_scene_faults``.
+same check kernels, ``_trajectory_faults`` and ``_scene_faults``, but a parsed
+scene is checked once, by ``_columns``: its trajectories are read-only views
+of its group's columns, built without a second check.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import MAX_MAGNITUDE, ParseError, ValidationError, read_lines, read_source, write_text
+from .errors import MAX_MAGNITUDE, ParseError, ValidationError, read_lines, read_source, unchecked, write_text
 
 AGENT_KINDS = ("vehicle", "pedestrian", "other")
 
@@ -144,7 +146,8 @@ class Trajectory:
     """Time-ordered kinematics of one agent, sampled at a uniform interval dt.
 
     ``times`` (T,), ``positions`` (T, 2), ``velocities`` (T, 2) and
-    ``headings`` (T,) are read-only float copies of the caller's arrays. T >= 2,
+    ``headings`` (T,) are read-only float arrays: copies of the caller's
+    arrays, or in a parsed scene views of its ``SceneGroup.block``. T >= 2,
     values are finite, positions and velocities lie within ``MAX_MAGNITUDE``,
     headings lie in (-pi, pi], dt > 0 and every time step is dt within
     ``DT_TOLERANCE``; errors name the agent and the first failing frame.
@@ -366,7 +369,8 @@ def kinematics(v: np.ndarray, headings: np.ndarray, dt) -> KinematicSeries:
 @dataclass(frozen=True, eq=False)
 class SceneGroup:
     """S scenes of n agents and T frames as columns. Each scene's agents come
-    target first, then in ``neighbor_ids`` order."""
+    target first, then in ``neighbor_ids`` order. Only ``_columns`` and ``of``
+    build a group, each from checked scenes, and its ``block`` is read-only."""
 
     index: np.ndarray  # (S,) the scenes' positions in their corpus
     block: np.ndarray  # (S, n, T, 6) t, x, y, vx, vy, heading per frame
@@ -375,6 +379,9 @@ class SceneGroup:
     radius: np.ndarray  # (S,) neighbor radii
     agents: np.ndarray  # (S, n) agent ids (objects)
     first: np.ndarray  # (S, n) ranks the agents in the order a Scene's dict holds them
+
+    def __post_init__(self):
+        self.block.flags.writeable = False
 
     @classmethod
     def of(cls, scenes: Sequence[Scene], index=None) -> SceneGroup:
@@ -399,12 +406,14 @@ class SceneGroup:
         return SceneGroup(*(getattr(self, name)[rows] for name in self.__dataclass_fields__))
 
     def scene(self, s: int, scene_id: str) -> Scene:
-        """Row ``s`` as a :class:`Scene`."""
+        """Row ``s`` as a :class:`Scene` whose trajectories view ``block``, checked with the group, not again."""
         agents = {}
         for j in np.argsort(self.first[s]).tolist():
-            agent_id, kind = self.agents[s, j], str(self.kinds[s, j])
-            agents[agent_id] = _from_table(agent_id, self.block[s, j], kind, float(self.dt[s, j]))
-        return Scene(scene_id, agents, self.agents[s, 0], neighbor_radius=float(self.radius[s]))
+            agent_id, t = self.agents[s, j], self.block[s, j]
+            agents[agent_id] = unchecked(
+                Trajectory, agent_id, t[:, 0], t[:, 1:3], t[:, 3:5], t[:, 5], str(self.kinds[s, j]), float(self.dt[s, j])
+            )
+        return unchecked(Scene, scene_id, agents, self.agents[s, 0], float(self.radius[s]))
 
 
 def _by_shape(shapes) -> dict[tuple[int, int], list[int]]:

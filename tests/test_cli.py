@@ -333,9 +333,16 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("k", "1,5"), ("k", [1, True]), ("topk", "5"), ("threshold", "x"), ("rank_k", "x")],
+        [
+            ("k", "1,5"), ("k", [1, True]), ("topk", "5"), ("threshold", "x"), ("rank_k", "x"),
+            ("k", [0]), ("rank_k", 0), ("rank_metric", "bogus"),
+        ],
     )
-    def test_mistyped_config_option_exits_2(self, tmp_path, capsys, key, value):
+    def test_mistyped_config_option_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
+        def no_load(*args, **kwargs):
+            raise AssertionError("forecasts loaded before the config was checked")
+
+        monkeypatch.setattr("tailscope.evaluation.parse_forecast_jsonl", no_load)
         jsonl = tmp_path / "f.jsonl"
         jsonl.write_text(forecast_line("a", 0.0) + "\n")
         config = tmp_path / "config.json"
@@ -429,6 +436,9 @@ class TestExitCodeContract:
             ("rank", {"seed": "x"}),
             ("rank", {"categories": "x"}),
             ("rank", {"memory": {"categories": 2.5}}),
+            pytest.param("rank", {"categories": 0}, id="rank-categories-zero"),
+            pytest.param("rank", {"categories": -2}, id="rank-categories-negative"),
+            pytest.param("rank", {"memory": {"categories": 0}}, id="rank-memory-categories-zero"),
             pytest.param("rank", {"memory": 5}, id="rank-memory-int"),
             ("rank", {"rss_params": 5}),
             pytest.param("rank", {"rss_params": {"rho": True}}, id="rank-rss_params-bool"),
@@ -505,6 +515,8 @@ class TestExitCodeContract:
              "perceiver params key 'b_o' is malformed: expected a number, got '0.0'"),
             ("--params", params_json(lambda d: d.update(lambda_temp=True)),
              "perceiver params key 'lambda_temp' is malformed: expected a number, got True"),
+            ("--params", json.dumps(default_params(input_i=5, hidden=4, latent=3).to_jsonable()).encode(),
+             ": first layers take 5 and 6 inputs, not the 8 intrinsic and 6 interactive metrics"),
         ],
         ids=[
             "stats-not-json", "stats-no-median", "stats-not-utf8", "params-not-utf8",
@@ -512,7 +524,7 @@ class TestExitCodeContract:
             "params-w_o-2d", "params-nan-weight", "params-layer-width", "stats-zero-scale",
             "stats-5000-digits", "config-5000-digits", "config-deep-nesting", "stats-nan-median",
             "params-inf-w_o", "params-misspelled-key", "stats-string-median", "stats-bool-median",
-            "params-string-b_o", "params-bool-lambda_temp",
+            "params-string-b_o", "params-bool-lambda_temp", "params-input-width",
         ],
     )
     def test_bad_rank_sidecar_exits_2(self, tmp_path, capsys, monkeypatch, flag, content, fragment):
@@ -629,7 +641,7 @@ class TestExitCodeContract:
         [
             ("rank", {"seed": "x"}, "option 'seed': expected integer >= 0, got 'x'"),
             ("metrics", {"neighbor_radius": "x"}, "option 'neighbor_radius': expected number, got 'x'"),
-            ("rank", {"memory": {"categories": 2.5}}, "option 'categories': expected integer, got 2.5"),
+            ("rank", {"memory": {"categories": 2.5}}, "option 'categories': expected integer >= 1, got 2.5"),
         ],
         ids=["seed", "neighbor_radius", "memory-categories"],
     )

@@ -332,6 +332,17 @@ def scene_bits(scene_list):
     ]
 
 
+def checked_again(scene_list):
+    """Each scene rebuilt through the checked ``Trajectory`` and ``Scene`` constructors."""
+    return [
+        Scene(s.scene_id, {
+            a: Trajectory(t.agent_id, t.times, t.positions, t.velocities, t.headings, t.kind, t.dt)
+            for a, t in s.agents.items()
+        }, s.target_id, s.neighbor_radius)
+        for s in scene_list
+    ]
+
+
 def parsed_scenes(parse, text):
     try:
         return scene_bits(parse(text))
@@ -412,7 +423,7 @@ def mutated_scene_csv(lines, data):
 def test_scene_csv_parse_matches_the_row_by_row_reading(workdir, data):
     """``parse_scene_csv`` gives the reference row loop's scenes, bit for bit, or
     its error, type and text, after two mutations; so do the columns the CLI
-    scores."""
+    scores. The checked constructors accept every scene it gives, unchanged."""
     lines = (workdir / "scenes.csv").read_text().splitlines()
     for _ in range(2):
         lines = mutated_scene_csv(lines, data)
@@ -420,6 +431,7 @@ def test_scene_csv_parse_matches_the_row_by_row_reading(workdir, data):
     want = parsed_scenes(read_row_by_row, text)
     assert parsed_scenes(parse_scene_csv, text) == want
     assert parsed_scenes(lambda t: scene.read_scene_columns(t).scenes(), text) == want
+    assert parsed_scenes(lambda t: checked_again(parse_scene_csv(t)), text) == want
 
 
 @given(mode=st.sampled_from(["mean", "sample"]), data=st.data())

@@ -298,6 +298,19 @@ class TestWorkDoneOnce:
             assert row.tobytes() == np.concatenate([intr.as_vector(), inter.as_vector()]).tobytes()
             assert scene_flags == tuple(sorted(set(intr.flags) | set(inter.flags)))
 
+    def test_score_scenes_relates_each_agent_pair_once_per_chunk(self, rng, monkeypatch):
+        """The local and the all-pairs scores read one ``_pair_ittc`` pass over every pair of a chunk."""
+        shapes = [(4, 6), (2, 6), (4, 6), (1, 6), (4, 5)]
+        scenes = [
+            make_scene([random_trajectory(rng, str(a), n_frames=frames) for a in range(n)], scene_id=f"s{i}")
+            for i, (n, frames) in enumerate(shapes)
+        ]
+        passes = []
+        pair_ittc = interaction._pair_ittc
+        monkeypatch.setattr(interaction, "_pair_ittc", lambda *args: passes.append(args[2].shape) or pair_ittc(*args))
+        interaction.score_scenes(scenes)
+        assert passes == [(2, 6, 6), (1, 6, 1), (1, 6, 0), (1, 5, 6)]  # (scenes, frames, agent pairs)
+
     def test_score_scenes_raises_the_first_refused_scenes_error(self):
         """Per scene in input order: intrinsic errors, then the RSS check, as the per-scene calls raise."""
         # Trajectory refuses a dt that lets a rate overflow, so no valid scene overflows an

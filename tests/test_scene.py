@@ -511,6 +511,32 @@ class TestColumnPath:
             (parsed,) = scene_module.load_scenes(tmp_path / f"{kind}.csv")
             assert parsed.scene_id == scene.scene_id and set(parsed.agents) == set(scene.agents)
 
+    def corpus(self, rng):
+        return [
+            make_scene([random_trajectory(rng, agent_id=str(a), n_frames=5) for a in range(n)], scene_id=f"s{i}")
+            for i, n in enumerate((1, 3, 4, 3))
+        ]
+
+    def test_a_file_is_checked_once(self, rng, monkeypatch):
+        """``_columns`` checks every run of a file in one call; the scenes built from
+        its columns run no ``Trajectory`` check again."""
+        text = scenes_to_csv(self.corpus(rng))
+        faults, calls = scene_module._trajectory_faults, []
+        monkeypatch.setattr(scene_module, "_trajectory_faults", lambda *a: calls.append(len(a[1])) or faults(*a))
+        assert len(parse_scene_csv(text)) == 4
+        assert calls == [11]  # one call over the 11 agents' runs
+
+    def test_parsed_trajectories_are_read_only_views_of_their_group(self, rng):
+        columns = scene_module.read_scene_columns(scenes_to_csv(self.corpus(rng)))
+        group_of = {i: group for group in columns.groups for i in group.index.tolist()}
+        assert not any(group.block.flags.writeable for group in columns.groups)
+        for i, parsed in enumerate(columns.scenes()):
+            for traj in parsed.agents.values():
+                for column in (traj.times, traj.positions, traj.velocities, traj.headings):
+                    assert not column.flags.writeable and np.shares_memory(column, group_of[i].block)
+                with pytest.raises(ValueError, match="read-only"):
+                    traj.positions[0, 0] = 1.0
+
 
 def test_column_path_refuses_a_key_column_larger_than_the_file(rng, monkeypatch):
     """A key column holds its widest cell's bytes on every row, so an id that
