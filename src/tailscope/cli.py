@@ -215,6 +215,7 @@ def cmd_eval(opts: dict) -> int:
     """Forecast evaluation report with optional worst-case strata."""
     from . import evaluation
 
+    evaluation.check_options(**_kwargs(opts, "threshold", "rank_metric", k="ks", topk="percents"))
     samples = evaluation.parse_forecast_jsonl(_require_input(opts))
     report = evaluation.evaluate(
         samples, **_kwargs(opts, "threshold", "rank_metric", "rank_k", k="ks", topk="percents")

@@ -190,6 +190,29 @@ def _check_threshold(threshold: float) -> None:
         raise UsageError(f"miss threshold must be finite and >= 0, got {threshold!r}")
 
 
+def _check_percents(percents: Sequence[float]) -> None:
+    for p in percents:
+        if not 0.0 < p <= 100.0:
+            raise UsageError(f"percent {p} outside (0, 100]")
+
+
+def check_options(
+    ks: Sequence[int] = (1, 5, 10),
+    threshold: float = MISS_THRESHOLD,
+    percents: Sequence[float] = (),
+    rank_metric: str | None = None,
+) -> None:
+    """``evaluate``'s checks of its options that need no sample, so a caller can run them before parsing."""
+    if not ks:
+        raise UsageError("need at least one k")
+    if percents and rank_metric is None:
+        raise UsageError("worst-case percents given but no rank_metric; set it to 'min_ade' or 'min_fde'")
+    if rank_metric is not None and rank_metric not in RANK_METRICS:
+        raise UsageError(f"rank_metric must be one of {RANK_METRICS}, got {rank_metric!r}")
+    _check_threshold(threshold)
+    _check_percents(percents)
+
+
 def _group_errors(table: Table):
     """Every minADE_k/minFDE_k of a table's S samples, plus their RMSE terms.
 
@@ -284,9 +307,7 @@ def worst_case_subsets(errors: Mapping[str, float], percents: Sequence[float]) -
     """
     if not errors:
         raise UsageError("worst_case_subsets needs at least one sample")
-    for p in percents:
-        if not 0.0 < p <= 100.0:
-            raise UsageError(f"percent {p} outside (0, 100]")
+    _check_percents(percents)
     for sample_id, err in errors.items():
         if not math.isfinite(err):
             raise UsageError(f"sample {sample_id!r}: non-finite error {err!r}")
@@ -484,18 +505,8 @@ def evaluate(
     """
     if not samples:
         raise UsageError("evaluate needs at least one sample")
-    ks = sorted(set(int(k) for k in ks))
-    if not ks:
-        raise UsageError("need at least one k")
-    percents = list(percents)
-    if percents and rank_metric is None:
-        raise UsageError(
-            "worst-case percents given but no rank_metric; set it to 'min_ade' or 'min_fde'"
-        )
-    if rank_metric is not None and rank_metric not in RANK_METRICS:
-        raise UsageError(f"rank_metric must be one of {RANK_METRICS}, got {rank_metric!r}")
-
-    _check_threshold(threshold)
+    ks, percents = sorted(set(int(k) for k in ks)), list(percents)
+    check_options(ks, threshold, percents, rank_metric)
     forecasts = Forecasts.of(samples)
     ids, seen = forecasts.ids, set()
     if len(set(ids)) < len(ids):  # name the first id met a second time

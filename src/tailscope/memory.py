@@ -11,13 +11,12 @@ before it augments the feature vector.
 ``augment`` take one sample's vectors or ``(B, .)`` stacks whose rows are
 samples, ``PrototypeMemory.category_of`` one Tail Index or a ``(B,)`` array; a
 batch call returns one row per sample and warns once, not once per degenerate
-row. A one-sample call takes a lean path (``ndarray.dot`` mat-vecs, in-place
-arithmetic, Python floats) that matches the batch rows to 1e-12, and two
-one-entry memos keyed by content: ``GateMlp`` keeps its last ``(D,)`` forward
-under the input's bytes (``allocation`` then ``augment`` on one ``h`` run the
-network once), ``similarity`` the last prototype matrix's row norms under its
-shape and bytes. A hit gives a recompute's bits; ``GateMlp`` holds read-only
-copies of its arrays and returns read-only logits, so no memo can go stale.
+row. ``GateMlp.forward`` is one einsum kernel, a row's bits the same in any
+batch; other one-sample calls take a lean path (``ndarray.dot``, in-place
+arithmetic, Python floats) matching the batch rows to 1e-12. Two memos keyed by
+content, ``GateMlp``'s of the rows of its last forward and ``similarity``'s of
+the last prototype matrix's row norms, give a recompute's bits; ``GateMlp``'s
+weights and logits are read-only, so neither memo can go stale.
 
 Reads (allocation, similarity, vigilance, augment) are pure; the two update
 operations return fresh arrays and never mutate their inputs, but concurrent
@@ -113,7 +112,7 @@ class GateMlp(JsonRecord):
             array = np.array(getattr(self, name), dtype=float)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "_last", (None, None, None))  # (h bytes, logits, gate) of the last (D,) forward
+        object.__setattr__(self, "_rows", {})  # each row of the last forward: its bytes -> (logits, gate)
         if self.w_hidden.ndim != 2:
             raise ConfigurationError(f"w_hidden must be a (hidden, in) matrix, got shape {self.w_hidden.shape}")
         hidden = self.w_hidden.shape[0]
@@ -137,28 +136,30 @@ class GateMlp(JsonRecord):
         return self.w_alloc.shape[0]
 
     def forward(self, h: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-        """Allocation logits and gate logit: ``(C,)`` and a float for ``(D,)``, else ``(B, C)`` and ``(B,)``."""
+        """Allocation logits and gate logit: ``(C,)`` and a float for ``(D,)``, else ``(B, C)`` and ``(B,)``;
+        one kernel, so a row's bits are the same in any batch and a row of the last forward is a memo hit."""
         h = np.asarray(h, dtype=float)
+        key = h.tobytes()
+        hit = self._rows.get(key) if h.ndim == 1 else None  # the memo keeps only rows of D floats
+        if hit is not None:
+            return hit
         if h.ndim not in (1, 2) or h.shape[-1] != self.input_dim:
             raise ConfigurationError(f"expected input of shape (D,) or (B, D) with D = {self.input_dim}, got {h.shape}")
-        if h.ndim == 1:  # ndarray.dot: the same BLAS mat-vec as @, with less dispatch
-            key = h.tobytes()
-            last = self._last
-            if key == last[0]:
-                return last[1], last[2]
-            hid = self.w_hidden.dot(h)
-            hid += self.b_hidden
-            np.maximum(hid, 0.0, out=hid)
-            logits = self.w_alloc.dot(hid)
-            logits += self.b_alloc
-            logits.flags.writeable = False
-            gate = float(hid.dot(self.w_gate)) + self.b_gate
-            object.__setattr__(self, "_last", (key, logits, gate))
-            return logits, gate
-        # einsum, not matmul: a batch this wide would reach a threaded BLAS GEMM,
-        # whose thread hand-off costs more than the product on a few cores.
-        hid = np.maximum(np.einsum("...i,hi->...h", h, self.w_hidden) + self.b_hidden, 0.0)
-        return hid @ self.w_alloc.T + self.b_alloc, hid @ self.w_gate + self.b_gate
+        # einsum, not matmul: one summation order for every shape, and no threaded GEMM's hand-off cost
+        hid = np.einsum("...i,hi->...h", np.ascontiguousarray(h), self.w_hidden)
+        hid += self.b_hidden
+        np.maximum(hid, 0.0, out=hid)
+        logits = np.einsum("...h,ch->...c", hid, self.w_alloc)
+        logits += self.b_alloc
+        logits.flags.writeable = False
+        gate = np.einsum("...h,h->...", hid, self.w_gate) + self.b_gate
+        rows, step = zip(np.atleast_2d(logits), np.atleast_1d(gate).tolist()), h.itemsize * self.input_dim
+        memo = {key[i * step:(i + 1) * step]: row for i, row in enumerate(rows)}
+        object.__setattr__(self, "_rows", memo)
+        return memo[key] if h.ndim == 1 else (logits, gate)
+
+    def __reduce__(self):  # a pickle or copy holds the weights only and starts with an empty memo
+        return type(self), tuple(getattr(self, name) for name in (*self._ARRAYS, "b_gate"))
 
     @classmethod
     def create(cls, input_dim: int, categories: int, hidden: int = 32, seed: int = 0) -> "GateMlp":
@@ -343,22 +344,22 @@ def partition_categories(tis, categories: int) -> CategoryPartition:
         raise UsageError(f"need at least 1 category, got {categories}")
     if categories > n:
         raise UsageError(f"cannot split {n} samples into {categories} categories")
-    order = np.argsort(tis, kind="stable")
-    ranks = np.empty(n, dtype=int)
-    ranks[order] = np.arange(n)
-    assignments = np.minimum(ranks * categories // n, categories - 1)
+    order, assignments = np.argsort(tis, kind="stable"), np.empty(n, dtype=int)
+    assignments[order] = np.minimum(np.arange(n) * categories // n, categories - 1)
+    sorted_tis, firsts = tis[order], -(-np.arange(1, categories) * n // categories)  # each later bin's first rank
+    flags = ("ties",) if np.any(sorted_tis[firsts] == sorted_tis[firsts - 1]) else ()
+    boundaries = quantiles(tis, [c / categories for c in range(1, categories)])
+    return CategoryPartition(assignments=assignments, boundaries=boundaries, flags=flags)
 
-    flags = []
-    sorted_tis = tis[order]
-    for c in range(1, categories):
-        first_of_bin = np.searchsorted(assignments[order], c)
-        if first_of_bin < n and sorted_tis[first_of_bin] == sorted_tis[first_of_bin - 1]:
-            flags.append("ties")
-            break
-    boundaries = np.quantile(tis, [c / categories for c in range(1, categories)]) if categories > 1 else np.array([])
-    return CategoryPartition(
-        assignments=assignments, boundaries=boundaries, flags=tuple(flags)
-    )
+
+def quantiles(rows: np.ndarray, probs) -> np.ndarray:
+    """The bits of ``np.quantile(rows, probs, axis=0)``, which loads numpy.ma: numpy's partition
+    points (a tie of +0 and -0 gives the same zero, a NaN sorts last and makes its column NaN)."""
+    n, at = len(rows), np.asarray(probs, dtype=float) * (len(rows) - 1)
+    lo, hi = (np.where(at >= n - 1, -1, at.astype(int) + step) for step in (0, 1))  # numpy's index -1 from n - 1 on
+    q = np.partition(rows, sorted({0, -1, *lo.tolist(), *hi.tolist()}), axis=0)
+    a, b, t = q[lo], q[hi], (at - lo).reshape(at.shape + (1,) * (q.ndim - 1))
+    return np.where(np.isnan(q[-1]), q[-1], np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t))
 
 
 def initialize_memory(
@@ -407,8 +408,7 @@ def allocation(h: np.ndarray, params: CognitiveSetParams) -> np.ndarray:
     return _softmax(logits)
 
 
-#: (shape, bytes) of the last prototype matrix a one-sample similarity saw, its row norms, and whether
-#: every norm is finite and at least EPS_NORM. Keyed by content, so every caller may share it.
+#: Content key (shape, bytes) of the last one-sample prototypes, their row norms, and whether all are in [EPS_NORM, inf).
 _last_rows = (None, None, False)
 
 
@@ -419,7 +419,7 @@ def similarity(f_m: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarra
     reported by one :class:`DegenerateInputWarning` per call.
     """
     f_m = np.asarray(f_m, dtype=float)
-    prototypes = np.asarray(prototypes, dtype=float)
+    prototypes = np.ascontiguousarray(prototypes, dtype=float)  # C and Fortran order share a memo key
     if f_m.ndim not in (1, 2) or f_m.shape[-1] != prototypes.shape[1]:
         raise ConfigurationError(f"feature shape {f_m.shape} does not match prototype dim {prototypes.shape[1]}")
     if f_m.ndim == 1:  # one sample: scale the dot products instead of normalising both sides

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, JsonRecord, UsageError, ValidationError, number
 from .interaction import METRIC_FIELDS, InteractiveMetrics
 from .intrinsic import INTRINSIC_FIELDS, IntrinsicMetrics
-from .memory import _float_array, softplus
+from .memory import _float_array, quantiles, softplus
 
 #: Robust z-scores are clipped to this many scale units.
 CLIP_SIGMA = 10.0
@@ -156,12 +156,10 @@ def _strings(value) -> tuple[str, ...]:
 
 def _median_quartiles(rows: np.ndarray) -> list[np.ndarray]:
     """Per column, the bits of ``np.median`` and ``np.quantile`` at 0.25/0.75, without importing numpy.ma."""
-    n, at = len(rows), np.array([0.25, 0.75]) * (len(rows) - 1)
-    mid, lo = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2], at.astype(int)  # numpy's kth: +-0 ties match
-    m, q = (np.partition(rows, kth, axis=0) for kth in (mid + [-1], sorted({0, -1, *lo, *(lo + 1)})))
-    a, b, t = q[lo], q[lo + 1], (at - lo)[:, None]  # numpy's lerp works from the nearer end
-    values = m[mid].mean(axis=0), *np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
-    return [np.where(np.isnan(p[-1]), p[-1], v) for p, v in zip((m, q, q), values)]  # a NaN sorts last
+    n = len(rows)
+    mid = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    m = np.partition(rows, mid + [-1], axis=0)  # numpy's kth: +-0 ties match, a NaN sorts last
+    return [np.where(np.isnan(m[-1]), m[-1], m[mid].mean(axis=0)), *quantiles(rows, [0.25, 0.75])]
 
 
 @dataclass(frozen=True)

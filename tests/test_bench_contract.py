@@ -61,19 +61,20 @@ def test_memory_adapt_workload_passes_its_checks(tmp_path, workloads):
 
 
 def reference_adapt_batch(mem, params, batch):
-    """``memloop.adapt_batch`` with each one-sample read written out with ``@`` and recomputed in full."""
+    """``memloop.adapt_batch`` with each one-sample read written out and recomputed in full: the
+    gate network as the einsum kernel ``GateMlp.forward`` runs, the rest with ``@``."""
     m_prime = memory.inner_update(mem, batch, params, alpha_lr=1e-3)
     mlp = params.gate_mlp
     f_v = np.empty_like(batch.f_m)
     for i, (f, h) in enumerate(zip(batch.f_m, batch.h)):
-        hid = np.maximum(mlp.w_hidden @ h + mlp.b_hidden, 0.0)
-        logits = mlp.w_alloc @ hid + mlp.b_alloc
+        hid = np.maximum(np.einsum("i,hi->h", h, mlp.w_hidden) + mlp.b_hidden, 0.0)
+        logits = np.einsum("h,ch->c", hid, mlp.w_alloc) + mlp.b_alloc
         e = np.exp(logits - max(logits.tolist()))
         g = e / sum(e.tolist())
         s = m_prime @ f / np.sqrt((m_prime * m_prime).sum(axis=1)) * (params.tau / math.sqrt(f @ f))
         lam = memory.sigmoid(params.gamma_steep * (float(s.max()) - params.rho_vig))
         g_adj = lam * g + (1.0 - lam) * params.b_tail
-        f_v[i] = f + memory.sigmoid(float(hid @ mlp.w_gate) + mlp.b_gate) * (g_adj @ m_prime)
+        f_v[i] = f + memory.sigmoid(float(np.einsum("h,h->", hid, mlp.w_gate)) + mlp.b_gate) * (g_adj @ m_prime)
     adapted = memory.PrototypeMemory(prototypes=m_prime, eta=mem.eta, boundaries=mem.boundaries)
     assignments = np.searchsorted(mem.boundaries, batch.ti, side="right")
     return memory.update_prototypes(adapted, batch, assignments), f_v

@@ -350,6 +350,28 @@ class TestEvalCommand:
         assert run(["eval", "--input", str(jsonl), "--config", str(config)]) == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--threshold", "-1"], "miss threshold must be finite and >= 0, got -1.0"),
+            (["--threshold", "inf"], "miss threshold must be finite and >= 0, got inf"),
+            (["--topk", "0", "--rank-metric", "min_ade"], "percent 0.0 outside (0, 100]"),
+            (["--topk", "101", "--rank-metric", "min_ade"], "percent 101.0 outside (0, 100]"),
+            (["--topk", "5"], "worst-case percents given but no rank_metric; set it to 'min_ade' or 'min_fde'"),
+            (["--k", ","], "need at least one k"),
+        ],
+        ids=["negative-threshold", "infinite-threshold", "topk-0", "topk-101", "topk-without-rank-metric", "no-k"],
+    )
+    def test_evaluate_options_are_checked_before_parsing(self, tmp_path, capsys, monkeypatch, flags, error):
+        def no_load(*args, **kwargs):
+            raise AssertionError("forecasts loaded before the options were checked")
+
+        monkeypatch.setattr("tailscope.evaluation.parse_forecast_jsonl", no_load)
+        jsonl = tmp_path / "f.jsonl"
+        jsonl.write_text(forecast_line("a", 0.0) + "\n")
+        assert run(["eval", "--input", str(jsonl), "--k", "1", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
     def test_meaningless_threshold_exits_2(self, tmp_path, capsys, threshold):
         jsonl = tmp_path / "f.jsonl"

@@ -102,17 +102,17 @@ def _forecasts_jsonl(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, runs, absent",
+    "command, extra, runs, absent",
     [
-        ("metrics", "interaction", ("evaluation", "memory", "perceiver", "synth")),
-        ("rank", "perceiver", ("evaluation", "synth")),
-        ("eval", "evaluation", ("scene", "intrinsic", "interaction", "perceiver", "memory", "synth")),
-        ("synth", "synth", ("intrinsic", "interaction", "perceiver", "memory", "evaluation")),
+        ("metrics", [], "interaction", ("evaluation", "memory", "perceiver", "synth")),
+        ("rank", ["--categories", "2"], "perceiver", ("evaluation", "synth")),
+        ("eval", [], "evaluation", ("scene", "intrinsic", "interaction", "perceiver", "memory", "synth")),
+        ("synth", [], "synth", ("intrinsic", "interaction", "perceiver", "memory", "evaluation")),
     ],
     ids=["metrics", "rank", "eval", "synth"],
 )
-def test_command_loads_only_its_modules(tmp_path, command, runs, absent):
-    argv = [command, "--out", str(tmp_path / "out")]
+def test_command_loads_only_its_modules(tmp_path, command, extra, runs, absent):
+    argv = [command, "--out", str(tmp_path / "out"), *extra]
     if command in ("metrics", "rank"):
         argv += ["--input", _scenes_csv(tmp_path)]
     elif command == "eval":

@@ -1,7 +1,9 @@
 """Prototype memory, cognitive set mechanism and the analytic inner update."""
 
+import copy
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -23,6 +25,7 @@ from tailscope.memory import (
     partition_categories,
     proto_loss,
     proto_loss_and_grad,
+    quantiles,
     sigmoid,
     similarity,
     softplus,
@@ -83,6 +86,31 @@ class TestPartition:
     def test_too_many_categories(self):
         with pytest.raises(UsageError):
             partition_categories([1.0, 2.0], 3)
+
+    @pytest.mark.parametrize("kind", ["spread", "ties", "signed-zeros", "nan"])
+    def test_boundaries_have_the_bits_of_numpy_quantile(self, rng, kind):
+        """np.quantile loads numpy.ma; ``quantiles`` keeps its bits, the zero a +-0 tie yields and NaN included."""
+        for n in range(1, 51):
+            tis = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
+            if kind == "ties":
+                tis = rng.integers(-2, 3, n).astype(float)
+            elif kind == "signed-zeros":
+                tis = rng.choice([0.0, -0.0, 1.0, -1.0], n)
+            elif kind == "nan":
+                tis[rng.integers(n)] = np.nan
+            for c in range(1, 11):
+                probs = [k / c for k in range(1, c)]
+                want = np.quantile(tis, probs)
+                assert quantiles(tis, probs).tobytes() == want.tobytes()
+                if c > n:
+                    continue
+                part = partition_categories(tis, c)
+                assert part.boundaries.tobytes() == want.tobytes()
+                order = np.argsort(tis, kind="stable")
+                bins = np.minimum(np.arange(n) * c // n, c - 1)
+                firsts = [np.searchsorted(bins, k) for k in range(1, c)]
+                assert part.flags == (("ties",) if any(tis[order][i] == tis[order][i - 1] for i in firsts) else ())
+                assert np.array_equal(part.assignments[order], bins)
 
 
 class TestPrototypeMemory:
@@ -705,8 +733,68 @@ def plain_similarity(f, m, tau):
     return m @ f / np.sqrt((m * m).sum(axis=1)) * (tau / math.sqrt(f @ f))
 
 
+class TestGateKernel:
+    """One einsum kernel for (D,) and (B, D): a row's bits do not depend on its batch, so the
+    (D,) reads after a batch forward are served from the memo of its rows."""
+
+    def test_batch_rows_equal_one_row_forwards_bit_for_bit(self, rng):
+        shapes = [(b, 79, 32, 5) for b in (1, 2, 3, 7, 64, 512)]
+        shapes += [tuple(int(v) for v in rng.integers(1, 24, 4)) for _ in range(40)]
+        for b, d, hidden, c in shapes:
+            mlp = GateMlp.create(input_dim=d, categories=c, hidden=hidden, seed=int(rng.integers(1 << 30)))
+            wide = rng.normal(size=(b, 2 * d))
+            for h in (wide[:, :d].copy(), np.asfortranarray(wide[:, :d]), wide[:, ::2]):
+                logits, gates = fresh_gate_mlp(mlp).forward(h)
+                assert logits.shape == (b, c) and gates.shape == (b,)
+                for i in range(b if b < 64 else 8):
+                    want_logits, want_gate = fresh_gate_mlp(mlp).forward(h[i])
+                    assert logits[i].tobytes() == want_logits.tobytes()
+                    assert gates[i] == want_gate
+
+    def test_a_row_of_the_last_forward_runs_no_einsum(self, rng, monkeypatch):
+        mlp = GateMlp.create(input_dim=9, categories=3, hidden=6, seed=2)
+        h = rng.normal(size=(5, 9))
+        logits, gates = mlp.forward(h)
+        wants = [fresh_gate_mlp(mlp).forward(row) for row in h]
+
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("einsum ran for a row of the last forward")
+
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        for i, (want_logits, want_gate) in enumerate(wants):
+            got_logits, got_gate = mlp.forward(h[i].copy())
+            assert got_logits.tobytes() == want_logits.tobytes() == logits[i].tobytes()
+            assert type(got_gate) is float and got_gate == want_gate == gates[i]
+            with pytest.raises(ValueError, match="read-only"):
+                got_logits[0] = 0.0
+
+    def test_memo_holds_only_the_rows_of_the_last_forward(self, rng):
+        mlp = GateMlp.create(input_dim=4, categories=2, hidden=3, seed=1)
+        first, second, one = rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), rng.normal(size=4)
+
+        def keys(rows):
+            return sorted(row.tobytes() for row in np.atleast_2d(rows))
+
+        # first[0] and second[1] are hits, not forwards: the memo stays as it was
+        steps = [(first, first), (first[0], first), (second, second), (second[1], second), (one, one), (first[1], first[1])]
+        for h, last in steps:
+            mlp.forward(h)
+            assert sorted(mlp._rows) == keys(last)
+        mlp.forward(np.vstack([first, first]))  # repeated rows share one entry
+        assert sorted(mlp._rows) == keys(first)
+
+    def test_a_pickle_or_copy_carries_the_weights_not_the_memo(self, rng):
+        mlp = GateMlp.create(input_dim=6, categories=3, hidden=4, seed=5)
+        h = rng.normal(size=(64, 6))
+        logits, gates = mlp.forward(h)
+        for twin in (pickle.loads(pickle.dumps(mlp)), copy.deepcopy(mlp), copy.copy(mlp)):
+            assert twin._rows == {}
+            got_logits, got_gates = twin.forward(h)
+            assert got_logits.tobytes() == logits.tobytes() and got_gates.tobytes() == gates.tobytes()
+
+
 class TestOneSampleMemos:
-    """The last-forward and last-row-norms memos give a recompute's bits and cannot go stale."""
+    """The gate-row and row-norm memos give a recompute's bits and cannot go stale."""
 
     def test_gate_hit_equals_fresh_recompute(self, rng):
         mlp = GateMlp.create(input_dim=6, categories=4, hidden=5, seed=3)
@@ -762,6 +850,17 @@ class TestOneSampleMemos:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(similarity(f, m, 2.0), plain_similarity(f, m, 2.0))
+
+    def test_similarity_gives_the_same_bits_in_either_memory_order(self, rng):
+        """C and Fortran order have the same bytes, so the row norms must not depend on the order."""
+        for _ in range(300):
+            f, m = rng.normal(size=64), rng.normal(size=(5, 64)) * 10.0 ** rng.uniform(-3, 3, (5, 1))
+            fortran, other = np.asfortranarray(m), (rng.normal(size=64), rng.normal(size=(2, 64)), 3.0)
+            similarity(*other)  # another matrix in the memo
+            fresh = similarity(f, fortran, 3.0)
+            similarity(*other)
+            similarity(f, m, 3.0)  # the C-ordered matrix's norms in the memo
+            assert similarity(f, fortran, 3.0).tobytes() == fresh.tobytes()
 
     def test_similarity_keys_the_norms_on_shape_as_well_as_bytes(self, rng):
         flat = rng.normal(size=12)
