@@ -19,7 +19,8 @@ from collections import namedtuple
 from pathlib import Path
 
 from .errors import (
-    ConfigurationError, JsonRecord, TailscopeError, UsageError, json_fields, read_json, report_text, write_report,
+    ConfigurationError, JsonRecord, ParseError, TailscopeError, UsageError, json_fields, read_json, report_text,
+    write_report,
 )
 
 CONFIG_ENV_VAR = "TAILSCOPE_CONFIG"
@@ -41,12 +42,10 @@ OPTIONS = {
     "neighbor_radius": Option("metrics rank synth", float, help="neighborhood radius (m)"),
     "rss_params": Option("metrics rank", dict, flag=None, help="RssParams field values"),
     "params": Option("rank", str, help="perceiver parameter JSON (default: seeded init)"),
-    "perceiver_params": Option("rank", str, flag=None, help="read when params is not given"),
     "stats": Option("rank", str, help="normalization stats JSON (default: fit on the batch)"),
     "mode": Option("rank", ("mean", "sample"), help="perceiver forward mode"),
     "seed": Option("rank synth", int, 0, help="seed of the sample mode, default init or scene"),
     "categories": Option("rank", int, 1, help="partition the ranking into TI categories"),
-    "memory": Option("rank", dict, flag=None, help="only its categories key is read"),
     "k": Option("eval", [int], 1, help="mode counts, e.g. 1,5,10"),
     "threshold": Option("eval", float, help="miss-rate threshold (m)"),
     "topk": Option("eval", [float], help="worst-case percents, e.g. 1,2,3,4,5"),
@@ -95,8 +94,7 @@ def _check(key: str, value):
 
 def _options(args) -> dict:
     """The options of ``args.command`` that were given, each from its flag, else
-    from the config file, checked; a config value's error names the file.
-    ``memory.categories`` stands in for ``categories``."""
+    from the config file, checked; a config value's error names the file."""
     flags = {key: getattr(args, key) for key in OPTIONS if getattr(args, key, None) is not None}
 
     def convert(data) -> dict:
@@ -109,13 +107,9 @@ def _options(args) -> dict:
             from .interaction import RssParams
             config["rss_params"] = RssParams.from_jsonable(config["rss_params"])
         try:
-            config = {key: _check(key, value) for key, value in config.items()}
-            memory = config.get("memory", {})
-            if "categories" not in {**config, **flags} and memory.get("categories") is not None:
-                config["categories"] = _check("categories", memory["categories"])
+            return {key: _check(key, value) for key, value in config.items()}
         except UsageError as exc:
             raise ConfigurationError(str(exc)) from None
-        return config
 
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     config = read_json(path, "config file", convert) if path else {}
@@ -135,12 +129,15 @@ def _require_input(opts: dict) -> Path:
 
 
 def _score_scenes(opts: dict):
-    """The input's scene ids in order, their (S, 14) metric matrix and their flags."""
+    """The input's scene ids in order, their (S, 14) metric matrix and their flags; no scene is a ParseError."""
     from .interaction import score_scenes
-    from .scene import read_scene_columns
+    from .scene import parse_scene_csv
 
-    columns = read_scene_columns(_require_input(opts), **_kwargs(opts, "neighbor_radius"))
-    return (columns.ids, *score_scenes(columns, opts.get("rss_params")))
+    path = _require_input(opts)
+    scenes = parse_scene_csv(path, **_kwargs(opts, "neighbor_radius"))
+    if not scenes:
+        raise ParseError(f"{path}: no scenes")
+    return (scenes.ids, *score_scenes(scenes, opts.get("rss_params")))
 
 
 def cmd_metrics(opts: dict) -> int:
@@ -161,7 +158,7 @@ def cmd_rank(opts: dict) -> int:
     from . import memory, perceiver
 
     # Sidecars load before the scenes, so a bad one fails before any scoring.
-    params_path = opts.get("params") or opts.get("perceiver_params")
+    params_path = opts.get("params")
     if params_path:
         params = perceiver.PerceiverParams.load(params_path)
         widths = params.path_i[0].in_dim, params.path_r[0].in_dim

@@ -7,14 +7,16 @@ code 2 (bad input / bad usage) and everything else to exit code 1. Every
 input file is read and every output file written here, so each failure names
 its file, line or key; :class:`JsonRecord` reads and writes every parameter
 record from one table of its JSON keys through ``json_fields``, which reads the
-config file too; ``number`` and ``numbers`` decide what a JSON number is, and
-``write_report`` writes every report.
+config file too; ``number`` and ``numbers`` decide what a JSON number is,
+``Grouped`` holds parsed scenes and forecasts alike, and ``write_report``
+writes every report.
 """
 
 import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
@@ -140,19 +142,17 @@ def number(value) -> float:
     return value
 
 
-def numbers(value, maybe_bool: bool = True, prefix: str = ""):
+def numbers(value, prefix: str = ""):
     """``value`` as a float array whose leaves are all JSON numbers, else a
-    ValueError that starts with ``prefix``. numpy's type discovery finds strings,
-    objects and nulls but folds booleans into numbers, so the leaves are checked
-    one by one when ``maybe_bool`` or numpy found no numeric type."""
+    ValueError that starts with ``prefix``. numpy's type discovery folds
+    booleans into numbers, so the leaves are checked one by one."""
     import numpy as np  # here, so importing the CLI loads no numpy
 
     values = np.asarray(value)
-    if maybe_bool or values.dtype.kind not in "iuf":
-        other = set(map(type, np.asarray(value, dtype=object).ravel().tolist())) - {int, float}
-        if other:
-            names = ", ".join(sorted(t.__name__ for t in other))
-            raise ValueError(f"{prefix}expected arrays of numbers, found {names}")
+    other = set(map(type, np.asarray(value, dtype=object).ravel().tolist())) - {int, float}
+    if other:
+        names = ", ".join(sorted(t.__name__ for t in other))
+        raise ValueError(f"{prefix}expected arrays of numbers, found {names}")
     return values.astype(float, copy=False)
 
 
@@ -184,6 +184,40 @@ def unchecked(cls, *values):
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls.__dataclass_fields__, values))
     return obj
+
+
+class Grouped(Sequence):
+    """Items in input order, held as groups of one shape: ``ids`` holds the
+    items' ids and each group's ``index`` its items' positions there. Item i,
+    at row r of its group, is ``group.row(r, ids[i])``; a slice gives a list
+    of items."""
+
+    def __init__(self, ids: list[str], groups: list):
+        self.ids, self.groups = ids, groups
+        self._rows = [None] * len(ids)  # each item's group and row there
+        for group in groups:
+            for r, i in enumerate(group.index.tolist()):
+                self._rows[i] = group, r
+
+    @classmethod
+    def of(cls, items, shape, stack, item_id):
+        """``items`` unchanged if already of this class, else one group
+        ``stack(members, index)`` per ``shape(item)``, in order of each one's first item."""
+        if isinstance(items, cls):
+            return items
+        members = {}
+        for i, item in enumerate(items):
+            members.setdefault(shape(item), []).append(i)
+        return cls(list(map(item_id, items)), [stack([items[i] for i in index], index) for index in members.values()])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self.ids))[i]]
+        group, r = self._rows[i]
+        return group.row(r, self.ids[i])
 
 
 def write_text(path, text: str) -> None:

@@ -24,11 +24,14 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Mapping
 
 import numpy as np
 
-from .errors import MAX_MAGNITUDE, ParseError, UsageError, ValidationError, decode_json, numbers, read_lines, unchecked
+from .errors import (
+    MAX_MAGNITUDE, Grouped, ParseError, UsageError, ValidationError, decode_json, numbers, read_lines, unchecked,
+)
 
 #: A sample is missed when its best final displacement exceeds this (m).
 MISS_THRESHOLD = 2.0
@@ -131,47 +134,26 @@ class Table:
     probs: np.ndarray
     gt: np.ndarray
 
+    @classmethod
+    def of(cls, samples: Sequence[ForecastSample], index) -> Table:
+        return cls(np.array(index), *(np.stack([getattr(s, name) for s in samples]) for name in ("modes", "probs", "gt")))
 
-class Forecasts(Sequence):
-    """Forecast samples as tables of one shape, in order of each table's first
-    sample; ``ids`` holds the sample ids and each table's ``index`` its samples'
-    positions there. Indexing gives a :class:`ForecastSample` viewing its row."""
+    def row(self, r: int, sample_id: str) -> ForecastSample:
+        return unchecked(ForecastSample, sample_id, self.modes[r], self.probs[r], self.gt[r])
 
-    def __init__(self, ids: list[str], tables: list[Table]):
-        self.ids, self.tables = ids, tables
+
+class Forecasts(Grouped):
+    """Forecast samples as ``groups``, one :class:`Table` per (K, T) shape in order
+    of each one's first sample; indexing gives a :class:`ForecastSample` viewing its row."""
 
     @classmethod
     def of(cls, samples: Sequence[ForecastSample]) -> Forecasts:
-        """``samples`` unchanged if already Forecasts, else one table per (K, T) of
-        the list, in order of each one's first sample."""
-        if isinstance(samples, cls):
-            return samples
-        members: dict[tuple[int, int], list[int]] = {}
-        for i, sample in enumerate(samples):
-            members.setdefault(sample.modes.shape[:2], []).append(i)
-        tables = [
-            Table(np.array(index), *(np.stack([getattr(samples[i], name) for i in index]) for name in ("modes", "probs", "gt")))
-            for index in members.values()
-        ]
-        return cls([s.sample_id for s in samples], tables)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, i):
-        """The sample at position ``i``, or a list of the samples of a slice."""
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self.ids))[i]]
-        i = range(len(self.ids))[i]
-        for t in self.tables:
-            r = int(np.searchsorted(t.index, i))
-            if r < len(t.index) and t.index[r] == i:
-                return unchecked(ForecastSample, self.ids[i], t.modes[r], t.probs[r], t.gt[r])
+        return super().of(samples, lambda s: s.modes.shape[:2], Table.of, attrgetter("sample_id"))
 
 
 def _check_k(forecasts: Forecasts, ks: Sequence[int]) -> None:
     """Reject the first sample, in input order, with a k of ``ks`` (sorted) outside 1..K."""
-    for t in forecasts.tables:
+    for t in forecasts.groups:
         n_modes = t.probs.shape[1]
         if ks[0] < 1 or ks[-1] > n_modes:
             k = next(k for k in ks if not 1 <= k <= n_modes)
@@ -179,8 +161,8 @@ def _check_k(forecasts: Forecasts, ks: Sequence[int]) -> None:
 
 
 def _check_horizon(forecasts: Forecasts) -> None:
-    horizon = forecasts.tables[0].gt.shape[1]
-    for t in forecasts.tables:
+    horizon = forecasts.groups[0].gt.shape[1]
+    for t in forecasts.groups:
         if t.gt.shape[1] != horizon:
             raise UsageError(f"sample {forecasts.ids[t.index[0]]!r}: horizon {t.gt.shape[1]} != {horizon}")
 
@@ -238,7 +220,7 @@ def _score(forecasts: Forecasts):
     ``sq`` is the (N, T) squared error of each most likely mode, or None when
     the horizons differ.
     """
-    n, tables = len(forecasts), forecasts.tables
+    n, tables = len(forecasts), forecasts.groups
     k_max = max(t.probs.shape[1] for t in tables)
     ade, fde = np.full((k_max, n), np.nan), np.full((k_max, n), np.nan)
     horizons = {t.gt.shape[1] for t in tables}
@@ -357,12 +339,8 @@ def _sample(line: str, line_no: int) -> ForecastSample:
     missing = {"sample_id", "modes", "probs", "gt"} - set(record)
     if missing:
         raise ParseError(f"missing keys {sorted(missing)}", line=line_no)
-    # Whether the line may hold a true or false token: the keys and numbers hold
-    # no "u" and no "f" (but Infinity's), and a search for one character runs far
-    # faster than one for a word.
-    maybe_bool = ("u" in line and "true" in line) or ("f" in line and "false" in line)
     try:
-        modes, probs, gt = (numbers(record[key], maybe_bool, f"{key}: ") for key in ("modes", "probs", "gt"))
+        modes, probs, gt = (numbers(record[key], f"{key}: ") for key in ("modes", "probs", "gt"))
         return ForecastSample(str(record["sample_id"]), modes, probs, gt)
     except (ValidationError, ValueError, OverflowError) as exc:
         raise ParseError(str(exc), line=line_no) from None

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigurationError, JsonRecord, ValidationError, number
 from .intrinsic import INTRINSIC_FIELDS, compute_intrinsic, intrinsic_rows, rms_acceleration
-from .scene import Scene, SceneColumns, SceneGroup, check_radius, kinematics
+from .scene import Scene, SceneColumns, SceneGroup, kinematics
 
 #: Agent pairs closer than this (m) are skipped wherever a separation is a
 #: denominator, instead of dividing by ~0.
@@ -134,7 +134,6 @@ class _Geometry(NamedTuple):
     kinds: np.ndarray  # (S, 1, N) the neighbors' kinds, in ``neighbor_ids`` order
     radius: np.ndarray  # (S, 1, 1) each scene's neighbor radius
     dp: np.ndarray  # (S, T, N, 2) neighbor position minus target position
-    dist: np.ndarray  # (S, T, N)
     near: np.ndarray  # (S, T, N) the neighbors within ``radius``
     ittc: np.ndarray  # (S, T, P) each pair's ``_pair_ittc`` rate
     coincident: np.ndarray  # (S, T, P) the pairs closer than ``EPS_DIST``
@@ -151,7 +150,7 @@ def _geometry(group: SceneGroup) -> _Geometry:
     radius = group.radius[:, None, None]
     return _Geometry(
         vel, tracks, group.dt, group.block[:, 0, :, 5].copy(), group.kinds[:, None, 1:], radius,
-        dp[..., local, :], dist[..., local], dist[..., local] <= radius,
+        dp[..., local, :], dist[..., local] <= radius,
         *_pair_ittc(dp, vel[..., b, :] - vel[..., a, :], dist),
     )
 
@@ -290,23 +289,19 @@ def _rss_lateral(g: _Geometry, params: RssParams) -> dict:
     return _rss_scores(g, "r_lat", required, risk)
 
 
-def global_scene_risk(scene: Scene, radius: float | None = None) -> dict:
+def global_scene_risk(scene: Scene) -> dict:
     """Scene-level risk: all-pairs conflict, agent density, neighborhood instability.
 
-    ``radius`` defaults to the scene's neighbor radius and bounds both the
-    density disc and the instability neighbor set; it must be finite and > 0.
+    The scene's neighbor radius bounds both the density disc and the
+    instability neighbor set.
     """
-    scores = _global_scene_risk(_geometry(SceneGroup.of([scene])), radius)
+    scores = _global_scene_risk(_geometry(SceneGroup.of([scene])))
     flags = ("proximity_skip",) * bool(scores["skip"][0])
     return {**{name: float(scores[name][0]) for name in INTERACTIVE_FIELDS[3:]}, "flags": flags}
 
 
-def _global_scene_risk(g: _Geometry, radius: float | None) -> dict:
+def _global_scene_risk(g: _Geometry) -> dict:
     n_scenes, n_frames, n = g.vel.shape[:3]
-    if radius is not None:  # a radius of its own: its own neighbor sets
-        check_radius("radius", radius, n * n_frames)
-        g = g._replace(radius=np.full_like(g.radius, radius), near=g.dist <= radius)
-
     mac_series = np.zeros((n_scenes, n_frames), dtype=float)
     if n >= 2:
         # a running sum in pair order (cumsum), not np.sum's pairwise one, so
@@ -338,7 +333,7 @@ def _interactive(g: _Geometry, params: RssParams):
     pair (the ``proximity_skip`` flag), and the longitudinal and lateral scores,
     whose ``unsafe`` masks an overflowed safe distance. Each stage frees its
     temporaries before the next starts."""
-    gl = _global_scene_risk(g, None)
+    gl = _global_scene_risk(g)
     ittc, lon, lat = _ittc_risk(g), _rss_longitudinal(g, params), _rss_lateral(g, params)
     rows = np.stack([ittc["r_ittc"], lon["r_lon"], lat["r_lat"], gl["r_mac"], gl["r_ad"], gl["r_ni"]], axis=-1)
     return rows, gl["skip"], lon, lat
@@ -356,7 +351,7 @@ def score_scenes(scenes, params: RssParams | None = None) -> tuple[np.ndarray, l
     """The 14 metrics of each scene as an (S, 14) matrix in ``METRIC_FIELDS``
     order, and each scene's sorted flags.
 
-    ``scenes`` is a list of scenes or their :class:`SceneColumns`. Scenes that
+    ``scenes`` is a sequence of scenes, such as :class:`SceneColumns`. Scenes that
     share an agent count n and a frame count T are scored as one stack, in
     chunks of at most ``PAIR_FRAMES_CAP // (T * n(n-1)/2)`` scenes (one at
     least). Row s holds the bits of ``compute_intrinsic`` of the target and
@@ -364,7 +359,7 @@ def score_scenes(scenes, params: RssParams | None = None) -> tuple[np.ndarray, l
     refuse is refused with their error.
     """
     params = params or RssParams()
-    columns = scenes if isinstance(scenes, SceneColumns) else SceneColumns.of(scenes)
+    columns = SceneColumns.of(scenes)
     rows = np.empty((len(columns), len(METRIC_FIELDS)))
     slow, close, unsafe, short = np.empty((4, len(columns)), dtype=bool)
     split = len(INTRINSIC_FIELDS)

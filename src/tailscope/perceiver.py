@@ -352,12 +352,11 @@ def perceive(
     f_r: np.ndarray,
     mode: str = "mean",
     seed=None,
-    invert_fusion: bool = False,
 ) -> TailIndexResult:
     """Full dual-path forward pass: latents, KLs, fusion weights, Tail Index.
 
     In sample mode the two paths draw from independent child streams of the
-    given seed. ``invert_fusion`` flips the fusion toward the lower-KL path.
+    given seed. A negative ``lambda_temp`` favors the lower-KL path.
     """
     if mode == "sample":
         if seed is None:
@@ -369,8 +368,7 @@ def perceive(
     z_i = bayes_forward(params.path_i, f_i, mode=mode, seed=seed_i)
     z_r = bayes_forward(params.path_r, f_r, mode=mode, seed=seed_r)
     kl_i, kl_r = params.kl
-    lam = -params.lambda_temp if invert_fusion else params.lambda_temp
-    alpha_i, alpha_r = fusion_weights(kl_i, kl_r, lam)
+    alpha_i, alpha_r = fusion_weights(kl_i, kl_r, params.lambda_temp)
     ti = tail_index(z_i, z_r, alpha_i, alpha_r, params.w_o, params.b_o)
     return TailIndexResult(
         ti=ti, z_i=z_i, z_r=z_r, alpha_i=alpha_i, alpha_r=alpha_r, kl_i=kl_i, kl_r=kl_r

@@ -24,12 +24,13 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import MAX_MAGNITUDE, ParseError, ValidationError, read_lines, read_source, unchecked, write_text
+from .errors import MAX_MAGNITUDE, Grouped, ParseError, ValidationError, read_lines, read_source, unchecked, write_text
 
 AGENT_KINDS = ("vehicle", "pedestrian", "other")
 
@@ -405,7 +406,7 @@ class SceneGroup:
     def __getitem__(self, rows: slice) -> SceneGroup:
         return SceneGroup(*(getattr(self, name)[rows] for name in self.__dataclass_fields__))
 
-    def scene(self, s: int, scene_id: str) -> Scene:
+    def row(self, s: int, scene_id: str) -> Scene:
         """Row ``s`` as a :class:`Scene` whose trajectories view ``block``, checked with the group, not again."""
         agents = {}
         for j in np.argsort(self.first[s]).tolist():
@@ -424,36 +425,13 @@ def _by_shape(shapes) -> dict[tuple[int, int], list[int]]:
     return members
 
 
-@dataclass(frozen=True, eq=False)
-class SceneColumns:
-    """A corpus of scenes as groups of one shape; ``ids`` holds the scene ids
-    and each group's ``index`` its scenes' positions there. Indexing gives
-    a :class:`Scene`."""
-
-    ids: list[str]
-    groups: list[SceneGroup]
+class SceneColumns(Grouped):
+    """A corpus of scenes as groups (:class:`SceneGroup`) of one (agents, frames)
+    shape; indexing gives a :class:`Scene` viewing its group's row."""
 
     @classmethod
     def of(cls, scenes: Sequence[Scene]) -> SceneColumns:
-        members = _by_shape((len(scene.agents), scene.n_frames) for scene in scenes)
-        groups = [SceneGroup.of([scenes[i] for i in index], index) for index in members.values()]
-        return cls([scene.scene_id for scene in scenes], groups)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, i: int) -> Scene:
-        for group in self.groups:
-            for s in np.flatnonzero(group.index == i).tolist():
-                return group.scene(s, self.ids[i])
-        raise IndexError(i)
-
-    def scenes(self) -> list[Scene]:
-        out = [None] * len(self.ids)
-        for group in self.groups:
-            for s, i in enumerate(group.index.tolist()):
-                out[i] = group.scene(s, self.ids[i])
-        return out
+        return super().of(scenes, lambda s: (len(s.agents), s.n_frames), SceneGroup.of, attrgetter("scene_id"))
 
 
 #: The only bytes a plain scene CSV holds (``\r\n`` read as ``\n``): with no
@@ -728,12 +706,18 @@ def _columns(rows: _Rows, neighbor_radius: float) -> SceneColumns:
     return SceneColumns(ids, groups)
 
 
-def read_scene_columns(source, neighbor_radius: float = 50.0) -> SceneColumns:
-    """The scenes of a scene CSV as :class:`SceneColumns`, sorted by scene id;
-    ``parse_scene_csv`` gives the same scenes as objects.
+def parse_scene_csv(source, neighbor_radius: float = 50.0) -> SceneColumns:
+    """Parse a scene CSV stream into validated :class:`Scene` objects, held as
+    :class:`SceneColumns` and sorted by scene id.
 
-    A plain file (``_PLAIN`` bytes only) is read by one ``loadtxt``, any other
-    by ``csv.reader``. Both fill one row table, which ``_columns`` checks and
+    Expected header: ``scene_id,agent_id,frame,t,x,y,vx,vy,heading,kind`` with
+    an optional trailing ``target`` column carrying ``1`` on exactly one agent
+    per scene. Without it the target is the lowest agent id. dt is inferred
+    per scene from the modal gap between consecutive timestamps.
+
+    ``source`` is a str, bytes, a Path or a file (see ``read_lines``). A plain
+    file (``_PLAIN`` bytes only) is read by one ``loadtxt``, any other by
+    ``csv.reader``. Both fill one row table, which ``_columns`` checks and
     groups: an error names the first failing line, or scene, agent and frame,
     that a line-by-line reading would meet.
     """
@@ -741,21 +725,7 @@ def read_scene_columns(source, neighbor_radius: float = 50.0) -> SceneColumns:
     return _columns(_plain_rows(data) or _csv_rows(data, what), neighbor_radius)
 
 
-def parse_scene_csv(source, neighbor_radius: float = 50.0) -> list[Scene]:
-    """Parse a scene CSV stream into validated :class:`Scene` objects.
-
-    Expected header: ``scene_id,agent_id,frame,t,x,y,vx,vy,heading,kind`` with
-    an optional trailing ``target`` column carrying ``1`` on exactly one agent
-    per scene. Without it the target is the lowest agent id. dt is inferred
-    per scene from the modal gap between consecutive timestamps.
-
-    ``source`` is a str, bytes, a Path or a file (see ``read_lines``). Scenes
-    are returned sorted by scene id, built from ``read_scene_columns``.
-    """
-    return read_scene_columns(source, neighbor_radius).scenes()
-
-
-def load_scenes(path, neighbor_radius: float = 50.0) -> list[Scene]:
+def load_scenes(path, neighbor_radius: float = 50.0) -> SceneColumns:
     """Read scenes from a CSV file on disk."""
     return parse_scene_csv(Path(path), neighbor_radius=neighbor_radius)
 

@@ -12,7 +12,7 @@ import pytest
 from tailscope import cli
 from tailscope.cli import main
 from tailscope.perceiver import default_params
-from tailscope.scene import dump_scenes
+from tailscope.scene import CSV_COLUMNS, dump_scenes
 from tailscope.synth import ScenarioSpec, generate
 
 
@@ -426,6 +426,40 @@ class TestExitCodeContract:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, code, error",
+        [
+            (["eval", "--k", "1,x"], 2, "argument --k: expected comma-separated integers"),
+            (["metrics", "--input", "s.csv"], 1, "internal error: RuntimeError('boom')"),
+        ],
+        ids=["bad-k-list", "internal-error"],
+    )
+    def test_each_failure_exits_with_its_code(self, capsys, monkeypatch, argv, code, error):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("tailscope.scene.parse_scene_csv", boom)  # a bug, not a TailscopeError
+        try:
+            got = run(argv)
+        except SystemExit as exc:  # argparse refuses a bad flag value itself
+            got = exc.code
+        assert got == code and error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", [False, True], ids=["no-target-column", "target-column"])
+    @pytest.mark.parametrize("command", ["metrics", "rank", "rank-stats"])
+    def test_scene_csv_without_scenes_exits_2_naming_it(self, tmp_path, capsys, command, target):
+        """A header with no row is no corpus: no command writes an empty report for it."""
+        csv_path, out = tmp_path / "s.csv", tmp_path / "out.json"
+        csv_path.write_text(",".join(CSV_COLUMNS + ("target",) * target) + "\n")
+        argv = [command.split("-")[0], "--input", str(csv_path), "--out", str(out)]
+        if command == "rank-stats":
+            stats = tmp_path / "stats.json"
+            stats.write_text(json.dumps({"median": [0.0] * 14, "scale": [1.0] * 14}))
+            argv += ["--stats", str(stats)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {csv_path}: no scenes\n"
+        assert not out.exists()
+
     def test_bad_config_json_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("{nope")
@@ -457,17 +491,17 @@ class TestExitCodeContract:
             ("rank", {"workers": "two"}),
             ("rank", {"seed": "x"}),
             ("rank", {"categories": "x"}),
-            ("rank", {"memory": {"categories": 2.5}}),
+            pytest.param("rank", {"memory": {"categories": 2}}, id="rank-memory-unknown-key"),
             pytest.param("rank", {"categories": 0}, id="rank-categories-zero"),
             pytest.param("rank", {"categories": -2}, id="rank-categories-negative"),
-            pytest.param("rank", {"memory": {"categories": 0}}, id="rank-memory-categories-zero"),
-            pytest.param("rank", {"memory": 5}, id="rank-memory-int"),
+            pytest.param("rank", {"memory": {"categories": 0}}, id="rank-memory-categories-zero-unknown-key"),
+            pytest.param("rank", {"memory": 5}, id="rank-memory-int-unknown-key"),
             ("rank", {"rss_params": 5}),
             pytest.param("rank", {"rss_params": {"rho": True}}, id="rank-rss_params-bool"),
             pytest.param("metrics", {"rss_params": {"b_max": "8"}}, id="metrics-rss_params-string"),
             pytest.param("metrics", {"rss_params": {"nope": 1.0}}, id="metrics-rss_params-unknown-key"),
             ("rank", {"params": 5}),
-            ("rank", {"perceiver_params": 5}),
+            pytest.param("rank", {"perceiver_params": 5}, id="rank-perceiver_params-unknown-key"),
             ("rank", {"stats": ["a"]}),
             ("rank", {"input": 5}),
             ("rank", {"mode": "samples"}),
@@ -487,7 +521,7 @@ class TestExitCodeContract:
         def no_load(*args, **kwargs):
             raise AssertionError("scenes loaded before the config was checked")
 
-        monkeypatch.setattr("tailscope.scene.read_scene_columns", no_load)
+        monkeypatch.setattr("tailscope.scene.parse_scene_csv", no_load)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         csv_path = tmp_path / "s.csv"
@@ -499,8 +533,9 @@ class TestExitCodeContract:
             if name not in config:  # a flag would win over the mistyped key
                 argv += [f"--{name}", value]
         assert run(argv) == 2
-        key = "categories" if isinstance(config.get("memory"), dict) else next(iter(config))
-        assert repr(key) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert repr(next(iter(config))) in err
+        assert ("config has unknown key" in err) == (next(iter(config)) in ("memory", "perceiver_params"))
 
     @pytest.mark.parametrize(
         "flag, content, fragment",
@@ -556,7 +591,7 @@ class TestExitCodeContract:
         def no_load(*args, **kwargs):
             raise AssertionError("scenes loaded before the sidecar was read")
 
-        monkeypatch.setattr("tailscope.scene.read_scene_columns", no_load)
+        monkeypatch.setattr("tailscope.scene.parse_scene_csv", no_load)
         sidecar = tmp_path / "sidecar.json"
         if content is not None:
             sidecar.write_bytes(content)
@@ -566,7 +601,7 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("command", ["rank", "synth"])
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setattr("tailscope.scene.read_scene_columns", lambda *a, **k: pytest.fail("loaded"))
+        monkeypatch.setattr("tailscope.scene.parse_scene_csv", lambda *a, **k: pytest.fail("loaded"))
         argv = [command, "--seed", "-3", "--out", str(tmp_path / "out")]
         argv += ["--input", str(tmp_path)] if command == "rank" else ["--kind", "constant"]
         assert run(argv) == 2
@@ -663,9 +698,11 @@ class TestExitCodeContract:
         [
             ("rank", {"seed": "x"}, "option 'seed': expected integer >= 0, got 'x'"),
             ("metrics", {"neighbor_radius": "x"}, "option 'neighbor_radius': expected number, got 'x'"),
-            ("rank", {"memory": {"categories": 2.5}}, "option 'categories': expected integer >= 1, got 2.5"),
+            ("rank", {"categories": 2.5}, "option 'categories': expected integer >= 1, got 2.5"),
+            ("rank", {"memory": {"categories": 2}}, "config has unknown key 'memory'"),
+            ("rank", {"perceiver_params": "p.json"}, "config has unknown key 'perceiver_params'"),
         ],
-        ids=["seed", "neighbor_radius", "memory-categories"],
+        ids=["seed", "neighbor_radius", "categories", "memory-unknown-key", "perceiver_params-unknown-key"],
     )
     def test_mistyped_config_value_names_its_file(self, tmp_path, capsys, command, config, error):
         """A config value's error names the config file, as an unknown key's does; a flag's names none."""
@@ -802,3 +839,5 @@ def test_readme_tables_every_option():
         kind = cli._describe(opt._replace(minimum=None))
         row = f"| `{key}` | {opt.commands.replace(' ', ', ')} | {kind} | {minimum} | {flag} |"
         assert row in readme, row
+    keys = [line.split("`")[1] for line in readme.splitlines() if line.startswith("| `")]
+    assert keys == list(cli.OPTIONS)  # and no row for a removed option

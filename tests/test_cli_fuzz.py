@@ -21,7 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from tailscope import evaluation, scene  # noqa: E402
+from tailscope import evaluation  # noqa: E402
 from tailscope.cli import OPTIONS, main  # noqa: E402
 from tailscope.errors import ParseError, TailscopeError, read_json, read_lines  # noqa: E402
 from tailscope.evaluation import ForecastSample, evaluate, min_ade, min_fde, parse_forecast_jsonl  # noqa: E402
@@ -421,16 +421,15 @@ def mutated_scene_csv(lines, data):
 @settings(max_examples=300)
 @given(data=st.data())
 def test_scene_csv_parse_matches_the_row_by_row_reading(workdir, data):
-    """``parse_scene_csv`` gives the reference row loop's scenes, bit for bit, or
-    its error, type and text, after two mutations; so do the columns the CLI
-    scores. The checked constructors accept every scene it gives, unchanged."""
+    """``parse_scene_csv``, whose columns the CLI scores, gives the reference row
+    loop's scenes, bit for bit, or its error, type and text, after two mutations.
+    The checked constructors accept every scene it gives, unchanged."""
     lines = (workdir / "scenes.csv").read_text().splitlines()
     for _ in range(2):
         lines = mutated_scene_csv(lines, data)
     text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
     want = parsed_scenes(read_row_by_row, text)
     assert parsed_scenes(parse_scene_csv, text) == want
-    assert parsed_scenes(lambda t: scene.read_scene_columns(t).scenes(), text) == want
     assert parsed_scenes(lambda t: checked_again(parse_scene_csv(t)), text) == want
 
 

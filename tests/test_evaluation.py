@@ -479,7 +479,7 @@ class TestFlatDecode:
 
         samples = parse_forecast_jsonl(golden_jsonl())
         assert [s.sample_id for s in samples] == [f"f{i:02d}" for i in range(40)]
-        assert [t.probs.shape[1] for t in samples.tables] == [3, 6]
+        assert [t.probs.shape[1] for t in samples.groups] == [3, 6]
 
     def test_written_corpus(self, rng):
         """Shapes, ids and numbers of every kind json.dumps writes, with every line ending."""
@@ -595,9 +595,12 @@ class TestEvaluate:
         kwargs = dict(ks=(1, 2), percents=(10.0, 50.0), rank_metric="min_fde", rank_k=2)
         assert evaluate(parsed, **kwargs) == evaluate(list(parsed), **kwargs)
         assert parsed[-1].sample_id == "s29" and parsed[-1].modes.base is not None
-        assert len(Forecasts.of(list(parsed)).tables) == len(parsed.tables) == 2
+        assert len(Forecasts.of(list(parsed)).groups) == len(parsed.groups) == 2
         assert [s.sample_id for s in parsed[-3:-8:-2]] == ["s27", "s25", "s23"] == [s.sample_id for s in parsed[27:22:-2]]
         assert parsed[5:2] == []
+        for i in (30, -31):
+            with pytest.raises(IndexError):
+                parsed[i]
 
     def test_forecasts_of_keeps_forecasts_and_tables_a_list_as_the_parse_does(self, rng):
         samples = [random_sample(rng, f"s{i}", k=(2, 4, 2)[i % 3], horizon=(3, 5)[i % 2]) for i in range(12)]
@@ -609,8 +612,8 @@ class TestEvaluate:
         parsed = parse_forecast_jsonl(text)
         assert Forecasts.of(parsed) is parsed
         built = Forecasts.of(samples)
-        assert built.ids == parsed.ids and len(built.tables) == len(parsed.tables) == 4
-        for got, want in zip(built.tables, parsed.tables):
+        assert built.ids == parsed.ids and len(built.groups) == len(parsed.groups) == 4
+        for got, want in zip(built.groups, parsed.groups):
             for name in ("index", "modes", "probs", "gt"):
                 assert getattr(got, name).shape == getattr(want, name).shape
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -645,3 +648,22 @@ class TestEvaluate:
             evaluate(samples, ks=(1,), threshold=threshold)
         with pytest.raises(UsageError, match="threshold"):
             miss_rate(samples, 1, threshold=threshold)
+
+
+CHECKS = [
+    (lambda: evaluation.check_options(rank_metric="x"), UsageError,
+     "rank_metric must be one of ('min_ade', 'min_fde'), got 'x'"),
+    (lambda: rmse([]), UsageError, "rmse needs at least one sample"),
+    (lambda: worst_case_subsets({}, [50.0]), UsageError, "worst_case_subsets needs at least one sample"),
+    # K * T == 0: the flat reader declines the line, and the leaf-by-leaf reader words its error
+    (lambda: parse_forecast_jsonl('{"sample_id": "a", "modes": [], "probs": [], "gt": []}\n'), ParseError,
+     "line 1: sample 'a': modes must be (K, T, 2), got (0,)"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", CHECKS, ids=[text for _, _, text in CHECKS])
+def test_each_check_raises_its_error(call, error, text):
+    """Each option and empty-input check of the evaluation layer raises its own error and text."""
+    with pytest.raises(error) as info:
+        call()
+    assert text in str(info.value)

@@ -177,8 +177,8 @@ class TestGlobalSceneRisk:
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_radius_must_be_finite_and_positive(self, radius):
         scene = make_scene([make_traj("0", [(5.0, 0.0)] * 3), make_traj("1", [(4.0, 0.0)] * 3)])
-        with pytest.raises(ValidationError):
-            global_scene_risk(scene, radius=radius)
+        with pytest.raises(ValidationError, match="neighbor_radius must be positive"):
+            global_scene_risk(replace(scene, neighbor_radius=radius))
 
 
 class TestFrameInvariance:

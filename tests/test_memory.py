@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -881,3 +882,65 @@ class TestSoftplus:
         assert softplus(-m).tobytes() == inline.tobytes()
         assert proto_loss(np.ones((m.size, 1)), m[:, None]) == float(np.mean(inline))
         assert softplus(-5.0) == float(np.maximum(-5.0, 0.0) + np.log1p(np.exp(-5.0)))
+
+
+def _batch():
+    """Four samples of four features."""
+    return AdaptationBatch(np.ones((4, 4)), np.zeros((4, 8)), np.zeros((4, 6)), np.zeros(4))
+
+
+def _gate(**arrays):
+    """A 3-input, 2-category gate of hidden width 4, with ``arrays`` in place of its own."""
+    return replace(zero_gate_mlp(3, 2), **arrays)
+
+
+CHECKS = [
+    (lambda: _gate(b_hidden=np.zeros(3)), ConfigurationError, "b_hidden does not match w_hidden rows"),
+    (lambda: _gate(w_alloc=np.zeros((2, 3))), ConfigurationError, "w_alloc columns must match the hidden width"),
+    (lambda: _gate(b_alloc=np.zeros(3)), ConfigurationError, "b_alloc does not match w_alloc rows"),
+    (lambda: _gate(w_gate=np.zeros(3)), ConfigurationError, "w_gate must match the hidden width"),
+    (lambda: _gate(b_gate=math.inf), ConfigurationError, "b_gate must be finite"),
+    (lambda: CognitiveSetParams(gate_mlp=_gate()), ConfigurationError, "b_tail and gate_mlp are required"),
+    (lambda: make_params(tau=0.0), ConfigurationError, "tau must be > 0, got 0.0"),
+    (lambda: make_params(gamma_steep=math.nan), ConfigurationError, "gamma_steep must be > 0, got nan"),
+    (lambda: make_params(rho_vig=math.inf), ConfigurationError, "rho_vig must be finite"),
+    (lambda: CognitiveSetParams(b_tail=default_tail_bias(3), gate_mlp=_gate()), ConfigurationError,
+     "b_tail covers 3 categories, gate mlp 2"),
+    (lambda: PrototypeMemory(np.ones(3)), ValidationError, "prototypes must be a (C, D) matrix, got (3,)"),
+    (lambda: PrototypeMemory(np.full((2, 2), np.nan)), ValidationError, "prototypes contain non-finite values"),
+    (lambda: PrototypeMemory(np.ones((3, 2)), boundaries=[1.0]), ValidationError, "expected 2 boundaries, got (1,)"),
+    (lambda: PrototypeMemory(np.ones((3, 2)), boundaries=[2.0, 1.0]), ValidationError,
+     "boundaries must be ascending"),
+    (lambda: PrototypeMemory(np.ones((3, 2))).category_of(1.0), UsageError, "memory has no boundaries recorded"),
+    (lambda: AdaptationBatch(np.zeros(3), np.zeros((3, 8)), np.zeros((3, 6)), np.zeros(3)), ValidationError,
+     "f_m must be (B, D), got (3,)"),
+    (lambda: AdaptationBatch(np.zeros((3, 4)), np.zeros((2, 8)), np.zeros((3, 6)), np.zeros(3)), ValidationError,
+     "f_i must have 3 rows, got (2, 8)"),
+    (lambda: AdaptationBatch(np.zeros((3, 4)), np.zeros((3, 8)), np.zeros((3, 6)), np.zeros(2)), ValidationError,
+     "ti must have shape (3,), got (2,)"),
+    (lambda: partition_categories(np.zeros((2, 2)), 1), UsageError, "tis must be 1-D"),
+    (lambda: partition_categories([1.0, 2.0], 0), UsageError, "need at least 1 category, got 0"),
+    (lambda: update_prototypes(PrototypeMemory(np.ones((3, 4))), _batch(), [0, 0]), UsageError,
+     "need one assignment per sample, got (2,)"),
+    (lambda: update_prototypes(PrototypeMemory(np.ones((3, 2))), _batch(), [0] * 4), UsageError,
+     "feature dim 4 != memory dim 2"),
+    (lambda: update_prototypes(PrototypeMemory(np.ones((3, 4))), _batch(), [0, 1, 2, 3]), UsageError,
+     "assignment out of category range"),
+    (lambda: proto_loss(np.zeros((2, 3)), np.zeros((2, 2))), UsageError, "shape mismatch: g' (2, 3) vs s (2, 2)"),
+    (lambda: proto_loss_and_grad(np.ones((3, 4)), np.ones((2, 4)), np.zeros((2, 2)), 1.0), UsageError,
+     "g' must be (B, C) = (2, 3), got (2, 2)"),
+    (lambda: inner_update(PrototypeMemory(np.ones((3, 2))), _batch(), make_params()), UsageError,
+     "feature dim 4 != memory dim 2"),
+    (lambda: augment(np.zeros(4), np.zeros(19), np.zeros(2), np.ones((3, 4)), make_params()), ConfigurationError,
+     "g' of shape (2,) does not match prototype matrix (3, 4)"),
+    (lambda: augment(np.zeros(4), np.zeros(19), np.zeros(3), np.ones((3, 5)), make_params()), ConfigurationError,
+     "feature shape (4,) does not match prototype dim 5"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", CHECKS, ids=[text for _, _, text in CHECKS])
+def test_each_check_raises_its_error(call, error, text):
+    """Each shape, range and finiteness check of the memory layer raises its own error and text."""
+    with pytest.raises(error) as info:
+        call()
+    assert text in str(info.value)

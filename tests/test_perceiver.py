@@ -1,12 +1,13 @@
 """Closed forms and properties of the dual-path Bayesian Tail Index scorer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import w1_oracle
-from tailscope.errors import ConfigurationError, UsageError
+from tailscope.errors import ConfigurationError, UsageError, ValidationError
 from tailscope.interaction import InteractiveMetrics
 from tailscope.intrinsic import IntrinsicMetrics
 from tailscope.perceiver import (
@@ -260,8 +261,9 @@ class TestPerceive:
     def test_fusion_weights_computed_once_per_direction(self):
         params = default_params(hidden=8, latent=4, seed=5)
         fusion_weights.cache_clear()
+        inverted = replace(params, lambda_temp=-params.lambda_temp)
         for invert in (False, True, False, True):
-            result = perceive(params, np.zeros(8), np.zeros(6), invert_fusion=invert)
+            result = perceive(inverted if invert else params, np.zeros(8), np.zeros(6))
             assert (result.alpha_i, result.alpha_r) == fusion_weights(*params.kl, -1.0 if invert else 1.0)
         assert fusion_weights.cache_info().misses == 2
 
@@ -270,7 +272,7 @@ class TestPerceive:
         f_i = np.zeros(8)
         f_r = np.zeros(6)
         normal = perceive(params, f_i, f_r)
-        flipped = perceive(params, f_i, f_r, invert_fusion=True)
+        flipped = perceive(replace(params, lambda_temp=-params.lambda_temp), f_i, f_r)
         assert normal.alpha_i == pytest.approx(flipped.alpha_r, abs=1e-12)
 
     def test_json_round_trip(self, tmp_path):
@@ -326,3 +328,39 @@ class TestMetricsVector:
         values = [1, 2, 3, 4, 5, 6, 7, 8, 9, 0.5, 0.25, 12, 13, 14]
         intr, inter = make_metrics(values)
         assert metrics_vector(intr, inter).tolist() == values
+
+
+def _result(**fields):
+    return TailIndexResult(**{"ti": 1.0, "z_i": np.zeros(2), "z_r": np.zeros(2), "alpha_i": 0.5, "alpha_r": 0.5,
+                              "kl_i": 0.0, "kl_r": 0.0, **fields})
+
+
+CHECKS = [
+    (lambda: GaussianLayer([[math.nan]], [[1.0]], [0.0], [1.0]), ConfigurationError, "mu_w contains non-finite values"),
+    (lambda: replace(default_params(hidden=4, latent=3), b_o=math.inf), ConfigurationError,
+     "b_o and lambda_temp must be finite"),
+    (lambda: DatasetStats(np.zeros(13), np.ones(13)), ConfigurationError, "stats must cover the 14 metrics"),
+    (lambda: DatasetStats.fit(np.zeros((3, 13))), UsageError, "expected an (n, 14) matrix, got shape (3, 13)"),
+    (lambda: bayes_forward([scalar_layer(1.0, 0.0)], [1.0], mode="x"), UsageError,
+     "mode must be 'mean' or 'sample', got 'x'"),
+    # without this check SeedSequence(None) would draw fresh OS entropy
+    (lambda: perceive(default_params(hidden=4, latent=3), np.zeros(8), np.zeros(6), mode="sample"), UsageError,
+     "sample mode needs a seed"),
+    (lambda: fusion_weights(math.nan, 0.0, 1.0), UsageError, "fusion inputs must be finite"),
+    (lambda: tail_index(np.zeros(3), np.zeros(3), 0.5, 0.5, np.zeros(2), 0.0), ConfigurationError,
+     "latent shape (3,) does not match w_o (2,)"),
+    (lambda: _result(ti=-1.0), ValidationError, "TI must be finite and >= 0, got -1.0"),
+    (lambda: _result(alpha_i=0.0, alpha_r=1.0), ValidationError, "fusion weights must lie in (0, 1), got 0.0, 1.0"),
+    (lambda: _result(alpha_r=0.6), ValidationError, "fusion weights must sum to 1"),
+    (lambda: _result(kl_r=-1.0), ValidationError, "KL values must be non-negative"),
+    (lambda: rank_supervision_loss(np.zeros((2, 2)), np.zeros((2, 2))), UsageError, "inputs must be 1-D"),
+    (lambda: rank_supervision_loss([], []), UsageError, "inputs must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", CHECKS, ids=[text for _, _, text in CHECKS])
+def test_each_check_raises_its_error(call, error, text):
+    """Each shape, mode and invariant check of the perceiver raises its own error and text."""
+    with pytest.raises(error) as info:
+        call()
+    assert text in str(info.value)

@@ -13,6 +13,7 @@ from tailscope.errors import ParseError, ValidationError
 from tailscope.scene import (
     AgentState,
     Scene,
+    SceneColumns,
     Trajectory,
     derive_kinematics,
     parse_scene_csv,
@@ -425,6 +426,25 @@ class TestParseSceneCsv:
         with pytest.raises(ParseError):
             parse_scene_csv("")
 
+    @pytest.mark.parametrize("header", [HEADER, HEADER + ",target"])
+    def test_header_only_gives_no_scene(self, header):
+        for text in (header, header + "\n"):
+            columns = parse_scene_csv(text)
+            assert len(columns) == 0 and list(columns) == [] and columns.groups == []
+
+    def test_frames_beyond_int64_order_as_integers(self):
+        rows = [("a", 0.0, 0.0), ("a", 0.5, 0.5), ("b", 0.0, 3.0), ("b", 0.5, 3.5)]
+
+        def text(base):
+            lines = [f"s,{a},{base + round(2 * t)},{t},{x},0,1,0,0.0,vehicle" for a, t, x in rows[::-1]]
+            return "\n".join([HEADER, *lines]) + "\n"
+
+        (want,) = parse_scene_csv(text(0))
+        (got,) = parse_scene_csv(text(10**20))  # past int64: the frames are read as Python ints
+        assert list(got.agents) == list(want.agents)
+        for agent_id, traj in want.agents.items():
+            assert got.agents[agent_id]._stacked().tobytes() == traj._stacked().tobytes()
+
     def test_accepts_bytes(self):
         text = HEADER + "\ns,a,0,0.0,0,0,1,0,0.0,vehicle\ns,a,1,0.5,0.5,0,1,0,0.0,vehicle\n"
         (scene,) = parse_scene_csv(text.encode("utf-8"))
@@ -444,7 +464,7 @@ class TestColumnPath:
     def test_golden_csv(self):
         from test_golden import golden_csv
 
-        columns = scene_module.read_scene_columns(golden_csv())
+        columns = parse_scene_csv(golden_csv())
         assert columns.ids == [f"g{s:02d}" for s in range(10)]
         assert sorted(i for g in columns.groups for i in g.index.tolist()) == list(range(10))
 
@@ -527,15 +547,34 @@ class TestColumnPath:
         assert calls == [11]  # one call over the 11 agents' runs
 
     def test_parsed_trajectories_are_read_only_views_of_their_group(self, rng):
-        columns = scene_module.read_scene_columns(scenes_to_csv(self.corpus(rng)))
+        columns = parse_scene_csv(scenes_to_csv(self.corpus(rng)))
         group_of = {i: group for group in columns.groups for i in group.index.tolist()}
         assert not any(group.block.flags.writeable for group in columns.groups)
-        for i, parsed in enumerate(columns.scenes()):
+        for i, parsed in enumerate(columns):
             for traj in parsed.agents.values():
                 for column in (traj.times, traj.positions, traj.velocities, traj.headings):
                     assert not column.flags.writeable and np.shares_memory(column, group_of[i].block)
                 with pytest.raises(ValueError, match="read-only"):
                     traj.positions[0, 0] = 1.0
+
+    def test_columns_index_like_a_list(self, rng):
+        """Parsed and built columns alike: negative indexes, slices, and IndexError past either end."""
+        scenes = self.corpus(rng)  # shapes (1, 5), (3, 5), (4, 5), (3, 5): three groups
+        parsed = parse_scene_csv(scenes_to_csv(scenes))
+        assert SceneColumns.of(parsed) is parsed
+        for columns in (parsed, SceneColumns.of(scenes)):
+            assert len(columns.groups) == 3 and len(columns) == 4
+            assert columns[-1].scene_id == "s3" and columns[-4].scene_id == "s0"
+            assert [s.scene_id for s in columns[1:]] == ["s1", "s2", "s3"]
+            assert [s.scene_id for s in columns[::-2]] == ["s3", "s1"]
+            assert columns[3:1] == []
+            for got, want in zip(columns[-4:], scenes):
+                assert got.target_id == want.target_id and list(got.agents) == list(want.agents)
+                for agent_id, traj in want.agents.items():
+                    assert got.agents[agent_id]._stacked().tobytes() == traj._stacked().tobytes()
+            for i in (4, -5):
+                with pytest.raises(IndexError):
+                    columns[i]
 
 
 def test_column_path_refuses_a_key_column_larger_than_the_file(rng, monkeypatch):
@@ -572,3 +611,17 @@ class TestScene:
     def test_neighbor_ids_excludes_target(self):
         scene = make_scene([make_traj(i, [(1.0, 0.0)] * 3) for i in ("3", "1", "2")])
         assert scene.neighbor_ids() == ["1", "2"]
+
+
+CHECKS = [
+    (lambda: Scene("s", {}, "a"), ValidationError, "scene 's' has no agents"),
+    (lambda: parse_scene_csv("x" * (csv.field_size_limit() + 1) + "\n"), ParseError,
+     "line 1: bad CSV (field larger than field limit"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", CHECKS, ids=[text for _, _, text in CHECKS])
+def test_each_check_raises_its_error(call, error, text):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(text)

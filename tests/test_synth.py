@@ -125,3 +125,19 @@ class TestCsvRoundTrip:
         assert np.allclose(got.positions, original.positions, atol=1e-9)
         assert np.allclose(got.velocities, original.velocities, atol=1e-9)
         assert np.allclose(got.headings, original.headings, atol=1e-9)
+
+
+CHECKS = [
+    (lambda: ScenarioSpec(kind="brake", decel=0.0), "decel must be > 0, got 0.0"),
+    (lambda: ScenarioSpec(kind="crossing", gap=-1.0), "gap must be > 0, got -1.0"),
+    (lambda: ScenarioSpec(kind="grid", gap=0.0), "gap must be > 0, got 0.0"),
+    (lambda: generate(ScenarioSpec(kind="circle", speed=1e300, radius=1e-300)),
+     "circle: the heading change speed / radius * (frames - 1) * dt overflows"),
+]
+
+
+@pytest.mark.parametrize("call, text", CHECKS, ids=[text for _, text in CHECKS])
+def test_each_check_raises_its_error(call, text):
+    with pytest.raises(UsageError) as info:
+        call()
+    assert str(info.value) == text
