@@ -7,7 +7,8 @@ code 2 (bad input / bad usage) and everything else to exit code 1. Every
 input file is read and every output file written here, so each failure names
 its file, line or key; :class:`JsonRecord` reads and writes every parameter
 record from one table of its JSON keys through ``json_fields``, which reads the
-config file too; ``number`` and ``numbers`` decide what a JSON number is,
+config file too; ``number``, ``numbers`` and ``_float_array`` decide what a
+JSON number is, ``freeze`` gives every record read-only copies of its arrays,
 ``Grouped`` holds parsed scenes and forecasts alike, and ``write_report``
 writes every report.
 """
@@ -156,6 +157,23 @@ def numbers(value, prefix: str = ""):
     return values.astype(float, copy=False)
 
 
+def _float_array(value):
+    """``value`` as a float array of JSON numbers; a NaN or infinity raises ValueError."""
+    import numpy as np
+
+    return np.asarray_chkfinite(numbers(value))
+
+
+def freeze(record, names) -> None:
+    """Set each field ``names`` of the frozen dataclass ``record`` to a read-only float copy of its value."""
+    import numpy as np
+
+    for name in names:
+        array = np.array(getattr(record, name), dtype=float)
+        array.flags.writeable = False
+        object.__setattr__(record, name, array)
+
+
 def json_fields(data, convert: dict, what: str, optional=()) -> dict:
     """Each key of a JSON object through its converter, in ``convert``'s order (an
     absent ``optional`` key left out); a missing, unknown or bad key raises
@@ -205,10 +223,16 @@ class Grouped(Sequence):
         ``stack(members, index)`` per ``shape(item)``, in order of each one's first item."""
         if isinstance(items, cls):
             return items
+        members = cls.positions(map(shape, items)).values()
+        return cls(list(map(item_id, items)), [stack([items[i] for i in index], index) for index in members])
+
+    @staticmethod
+    def positions(shapes) -> dict:
+        """The positions of each distinct shape in ``shapes``, in order of each one's first appearance."""
         members = {}
-        for i, item in enumerate(items):
-            members.setdefault(shape(item), []).append(i)
-        return cls(list(map(item_id, items)), [stack([items[i] for i in index], index) for index in members.values()])
+        for i, shape in enumerate(shapes):
+            members.setdefault(shape, []).append(i)
+        return members
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -44,7 +44,9 @@ RANK_METRICS = ("min_ade", "min_fde")
 
 @dataclass(frozen=True)
 class ForecastSample:
-    """K forecast modes with probabilities plus the ground-truth motion."""
+    """K forecast modes with probabilities plus the ground-truth motion: one call's
+    input data, so the caller's arrays (``np.asarray``), not read-only copies. A
+    parsed sample views its :class:`Table`'s buffers, built with ``unchecked``."""
 
     sample_id: str
     modes: np.ndarray  # (K, T, 2)

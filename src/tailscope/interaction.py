@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, JsonRecord, ValidationError, number
-from .intrinsic import INTRINSIC_FIELDS, compute_intrinsic, intrinsic_rows, rms_acceleration
+from .intrinsic import INTRINSIC_FIELDS, MetricRecord, compute_intrinsic, guard_flags, intrinsic_rows, masked_mean
+from .intrinsic import rms_acceleration
 from .scene import Scene, SceneColumns, SceneGroup, kinematics
 
 #: Agent pairs closer than this (m) are skipped wherever a separation is a
@@ -88,7 +89,7 @@ class RssParams(JsonRecord):
 
 
 @dataclass(frozen=True)
-class InteractiveMetrics:
+class InteractiveMetrics(MetricRecord):
     """The six interactive scalars of one scene.
 
     r_ittc: worst-neighbor inverse time-to-collision, frame-averaged (1/s)
@@ -99,6 +100,8 @@ class InteractiveMetrics:
     r_ni: mean neighbor velocity volatility (m/s^2)
     """
 
+    FIELDS = INTERACTIVE_FIELDS
+
     r_ittc: float
     r_lon: float
     r_lat: float
@@ -108,19 +111,10 @@ class InteractiveMetrics:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for name in INTERACTIVE_FIELDS:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+        super().__post_init__()
         for name in ("r_lon", "r_lat"):
             if getattr(self, name) >= 1.0:
                 raise ValidationError(f"{name} must be < 1, got {getattr(self, name)!r}")
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in INTERACTIVE_FIELDS}
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in INTERACTIVE_FIELDS], dtype=float)
 
 
 class _Geometry(NamedTuple):
@@ -245,7 +239,7 @@ def ittc_risk(scene: Scene) -> dict:
     skipped with a ``proximity_skip`` flag.
     """
     scores = _ittc_risk(_geometry(SceneGroup.of([scene])))
-    flags = ("proximity_skip",) * bool(scores["skip"][0])
+    flags = guard_flags(proximity=scores["skip"][0])
     return {"r_ittc": float(scores["r_ittc"][0]), "series": scores["series"][0], "flags": flags}
 
 
@@ -296,7 +290,7 @@ def global_scene_risk(scene: Scene) -> dict:
     instability neighbor set.
     """
     scores = _global_scene_risk(_geometry(SceneGroup.of([scene])))
-    flags = ("proximity_skip",) * bool(scores["skip"][0])
+    flags = guard_flags(proximity=scores["skip"][0])
     return {**{name: float(scores[name][0]) for name in INTERACTIVE_FIELDS[3:]}, "flags": flags}
 
 
@@ -308,17 +302,8 @@ def _global_scene_risk(g: _Geometry) -> dict:
         # the total rounds like a plain loop over the pairs
         mac_series = np.cumsum(g.ittc, axis=-1)[..., -1] / (n * (n - 1) / 2.0)
 
-    count = g.near.sum(axis=-1)
-    ad_series = count / (math.pi * np.float_power(g.radius[..., 0], 2))
-    # Stable-sorting each frame's in-radius neighbors to the front makes the
-    # masked sum one contiguous run, which numpy adds exactly as np.mean adds
-    # the list of in-radius values.
-    order = np.argsort(~g.near, axis=-1, kind="stable")
-    c_v = rms_acceleration(g.tracks[:, 1:], g.dt[:, 1:])[:, None]
-    c_v_sum = np.add.reduce(
-        np.take_along_axis(c_v, order, axis=-1), axis=-1, where=np.take_along_axis(g.near, order, axis=-1)
-    )
-    ni_series = c_v_sum / np.maximum(count, 1)
+    ad_series = g.near.sum(axis=-1) / (math.pi * np.float_power(g.radius[..., 0], 2))
+    ni_series = masked_mean(rms_acceleration(g.tracks[:, 1:], g.dt[:, 1:])[:, None], g.near)
 
     return {
         "r_mac": mac_series.mean(axis=-1),
@@ -344,7 +329,7 @@ def compute_interactive(scene: Scene, params: RssParams | None = None) -> Intera
     rows, skip, lon, lat = _interactive(_geometry(SceneGroup.of([scene])), params or RssParams())
     _checked(lon, "r_lon", "longitudinal")
     _checked(lat, "r_lat", "lateral")
-    return InteractiveMetrics(*rows[0].tolist(), flags=("proximity_skip",) * bool(skip[0]))
+    return InteractiveMetrics(*rows[0].tolist(), flags=guard_flags(proximity=skip[0]))
 
 
 def score_scenes(scenes, params: RssParams | None = None) -> tuple[np.ndarray, list[tuple[str, ...]]]:
@@ -377,7 +362,4 @@ def score_scenes(scenes, params: RssParams | None = None) -> tuple[np.ndarray, l
     for i in np.flatnonzero(refused).tolist()[:1]:  # the per-scene calls word the error
         compute_intrinsic(scenes[i].target)
         compute_interactive(scenes[i], params)
-    return rows, [
-        ("low_speed_frames",) * a + ("proximity_skip",) * b + ("short_trajectory",) * c
-        for a, b, c in zip(slow.tolist(), close.tolist(), short.tolist())
-    ]
+    return rows, list(map(guard_flags, slow.tolist(), close.tolist(), short.tolist()))

@@ -44,8 +44,33 @@ INTRINSIC_FIELDS = (
 )
 
 
+class MetricRecord:
+    """Base of a frozen dataclass of metric scalars, each finite and >= 0, named by ``FIELDS``."""
+
+    FIELDS: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name in self.FIELDS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+
+    def as_dict(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    def as_vector(self) -> np.ndarray:
+        return np.array([getattr(self, name) for name in self.FIELDS], dtype=float)
+
+
+def guard_flags(low_speed=False, proximity=False, short=False) -> tuple[str, ...]:
+    """The sorted names of the guards that fired (bools or numpy bools): a frame slower than
+    ``EPS_SPEED``, a pair closer than ``interaction.EPS_DIST``, fewer than 3 frames."""
+    hits = (("low_speed_frames", low_speed), ("proximity_skip", proximity), ("short_trajectory", short))
+    return tuple(name for name, hit in hits if hit)
+
+
 @dataclass(frozen=True)
-class IntrinsicMetrics:
+class IntrinsicMetrics(MetricRecord):
     """The eight intrinsic scalars of one trajectory.
 
     c_v: RMS acceleration magnitude (m/s^2)
@@ -58,6 +83,8 @@ class IntrinsicMetrics:
     c_dgamma: mean absolute lag-to-lag autocovariance change (m^2/s^2)
     """
 
+    FIELDS = INTRINSIC_FIELDS
+
     c_v: float
     c_j: float
     c_omega: float
@@ -68,22 +95,21 @@ class IntrinsicMetrics:
     c_dgamma: float
     flags: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        for name in INTRINSIC_FIELDS:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in INTRINSIC_FIELDS}
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in INTRINSIC_FIELDS], dtype=float)
-
 
 def _mean(samples: np.ndarray) -> np.ndarray:
     """Mean over the last axis (numpy's sum, then one division, as ``np.mean``); 0 when empty."""
     return np.add.reduce(samples, axis=-1) / max(samples.shape[-1], 1)
+
+
+def masked_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mean over the last axis of ``values`` (broadcast against ``mask``) where
+    ``mask`` holds, 0 where it never does. Stable-sorting those entries to the
+    front makes the masked sum one contiguous run, which numpy adds exactly as
+    ``np.mean`` adds the list of them."""
+    order = np.argsort(~mask, axis=-1, kind="stable")
+    kept = np.take_along_axis(mask, order, axis=-1)
+    total = np.add.reduce(np.take_along_axis(values, order, axis=-1), axis=-1, where=kept)
+    return total / np.maximum(mask.sum(axis=-1), 1)
 
 
 def _rms(samples: np.ndarray) -> np.ndarray:
@@ -141,13 +167,7 @@ def _scores(kin: KinematicSeries) -> dict:
     ``gamma`` (the autocovariance sequences), ``slow`` (the frames slower than
     ``EPS_SPEED``) and ``short`` (fewer than 3 frames: second-order scores 0)."""
     slow = kin.speed < EPS_SPEED
-    # RMS of the direction rate over frames whose both ends are fast: sorting
-    # those frames to the front (stably) makes the masked sum one contiguous
-    # run, which numpy adds exactly as it adds the list of those rates.
-    valid = ~(slow[..., 1:] | slow[..., :-1])
-    order = np.argsort(~valid, axis=-1, kind="stable")
-    rate = np.square(np.take_along_axis(kin.phi_rate, order, axis=-1))
-    vd_sum = np.add.reduce(rate, axis=-1, where=np.take_along_axis(valid, order, axis=-1))
+    fast = ~(slow[..., 1:] | slow[..., :-1])  # the direction rates whose both frames are fast
     kappa = curvature_series(kin)
     gamma = velocity_autocovariance(kin.v)
     short = kin.v.shape[-2] < 3
@@ -156,7 +176,7 @@ def _scores(kin: KinematicSeries) -> dict:
         "c_j": _rms_rows(kin.j),
         "c_omega": _rms(kin.omega),
         "c_alpha": _rms(kin.alpha),
-        "c_vd": np.sqrt(vd_sum / np.maximum(valid.sum(axis=-1), 1)),
+        "c_vd": np.sqrt(masked_mean(np.square(kin.phi_rate), fast)),
         "c_kappa": _mean(kappa),
         "c_dkappa": _mean(np.abs(np.diff(kappa, axis=-1) / kin.dt)),
         "c_dgamma": np.zeros(gamma.shape[:-1]) if short else _mean(np.abs(np.diff(gamma, axis=-1))),
@@ -175,8 +195,7 @@ def intrinsic_rows(kin: KinematicSeries) -> tuple[np.ndarray, np.ndarray]:
 
 def _picked(scores: dict, names, low_speed: bool) -> dict:
     """One trajectory's scores ``names`` as floats, with its flags."""
-    flags = ("low_speed_frames",) * low_speed + ("short_trajectory",) * scores["short"]
-    return {**{name: float(scores[name]) for name in names}, "flags": flags}
+    return {**{name: float(scores[name]) for name in names}, "flags": guard_flags(low_speed, short=scores["short"])}
 
 
 def kinematic_dynamism(traj: Trajectory) -> dict:

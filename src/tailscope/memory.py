@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputWarning, JsonRecord, UsageError, ValidationError, number, numbers
+from .errors import ConfigurationError, DegenerateInputWarning, JsonRecord, UsageError, ValidationError, number
+from .errors import _float_array, freeze
 
 #: Vectors with a norm below this are treated as directionless.
 EPS_NORM = 1e-12
@@ -79,11 +80,6 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.divide(x, norms, out=np.zeros_like(x), where=ok), norms, ok
 
 
-def _float_array(value) -> np.ndarray:
-    """``value`` as a float array of JSON numbers; a NaN or infinity raises ValueError."""
-    return np.asarray_chkfinite(numbers(value))
-
-
 def _finite(name: str, x: np.ndarray) -> np.ndarray:
     """``x``, or a ValidationError naming ``name`` and its first row with a non-finite entry."""
     bad = ~np.isfinite(x)
@@ -108,10 +104,7 @@ class GateMlp(JsonRecord):
     b_gate: float
 
     def __post_init__(self):
-        for name in self._ARRAYS:
-            array = np.array(getattr(self, name), dtype=float)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        freeze(self, self._ARRAYS)
         object.__setattr__(self, "_rows", {})  # each row of the last forward: its bytes -> (logits, gate)
         if self.w_hidden.ndim != 2:
             raise ConfigurationError(f"w_hidden must be a (hidden, in) matrix, got shape {self.w_hidden.shape}")
@@ -196,11 +189,10 @@ class CognitiveSetParams(JsonRecord):
     def __post_init__(self):
         if self.b_tail is None or self.gate_mlp is None:
             raise ConfigurationError("b_tail and gate_mlp are required")
-        object.__setattr__(self, "b_tail", np.asarray(self.b_tail, dtype=float))
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ConfigurationError(f"tau must be > 0, got {self.tau}")
-        if not (self.gamma_steep > 0 and math.isfinite(self.gamma_steep)):
-            raise ConfigurationError(f"gamma_steep must be > 0, got {self.gamma_steep}")
+        freeze(self, ("b_tail",))
+        for name, value in (("tau", self.tau), ("gamma_steep", self.gamma_steep)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be > 0, got {value}")
         if not math.isfinite(self.rho_vig):
             raise ConfigurationError("rho_vig must be finite")
         if self.b_tail.ndim != 1 or np.any(self.b_tail < 0) or abs(self.b_tail.sum() - 1.0) > 1e-9:
@@ -248,8 +240,7 @@ class PrototypeMemory(JsonRecord):
     boundaries: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "prototypes", np.asarray(self.prototypes, dtype=float))
-        object.__setattr__(self, "boundaries", np.asarray(self.boundaries, dtype=float))
+        freeze(self, ("prototypes", "boundaries"))
         if self.prototypes.ndim != 2:
             raise ValidationError(f"prototypes must be a (C, D) matrix, got {self.prototypes.shape}")
         if not np.all(np.isfinite(self.prototypes)):
@@ -290,7 +281,8 @@ class PrototypeMemory(JsonRecord):
 
 @dataclass(frozen=True)
 class AdaptationBatch:
-    """Per-sample feature vectors, metric features and Tail Index of one batch."""
+    """Per-sample feature vectors, metric features and Tail Index of one batch: one
+    call's input data, so the caller's arrays (``np.asarray``), not read-only copies."""
 
     f_m: np.ndarray  # (B, D)
     f_i: np.ndarray  # (B, 8)

@@ -21,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, JsonRecord, UsageError, ValidationError, number
+from .errors import ConfigurationError, JsonRecord, UsageError, ValidationError, _float_array, freeze, number
 from .interaction import METRIC_FIELDS, InteractiveMetrics
 from .intrinsic import INTRINSIC_FIELDS, IntrinsicMetrics
-from .memory import _float_array, quantiles, softplus
+from .memory import quantiles, softplus
 
 #: Robust z-scores are clipped to this many scale units.
 CLIP_SIGMA = 10.0
@@ -47,10 +47,7 @@ class GaussianLayer(JsonRecord):
     sigma_b: np.ndarray  # (out,)
 
     def __post_init__(self):
-        for name in ("mu_w", "sigma_w", "mu_b", "sigma_b"):
-            array = np.array(getattr(self, name), dtype=float)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        freeze(self, ("mu_w", "sigma_w", "mu_b", "sigma_b"))
         if self.mu_w.ndim != 2 or self.sigma_w.shape != self.mu_w.shape:
             raise ConfigurationError(
                 f"weight shapes disagree: mu {self.mu_w.shape}, sigma {self.sigma_w.shape}"
@@ -80,7 +77,7 @@ def _layers(path) -> tuple[GaussianLayer, ...]:
 
 @dataclass(frozen=True)
 class PerceiverParams(JsonRecord):
-    """Both Bayesian paths plus the shared linear output head."""
+    """Both Bayesian paths plus the shared linear output head; each path's KL must be finite."""
 
     JSON = {"path_i": _layers, "path_r": _layers, "w_o": _float_array, "b_o": number, "lambda_temp": number}
     OPTIONAL = ("lambda_temp",)
@@ -95,10 +92,10 @@ class PerceiverParams(JsonRecord):
     def __post_init__(self):
         object.__setattr__(self, "path_i", tuple(self.path_i))
         object.__setattr__(self, "path_r", tuple(self.path_r))
-        object.__setattr__(self, "w_o", np.asarray(self.w_o, dtype=float))
+        freeze(self, ("w_o",))
         if self.w_o.ndim != 1:
             raise ConfigurationError(f"w_o must be a vector, got shape {self.w_o.shape}")
-        for name, path in (("path_i", self.path_i), ("path_r", self.path_r)):
+        for name, path, kl in zip(("path_i", "path_r"), (self.path_i, self.path_r), self.kl):
             if not path:
                 raise ConfigurationError(f"{name} has no layers")
             for first, second in zip(path, path[1:]):
@@ -110,6 +107,8 @@ class PerceiverParams(JsonRecord):
                 raise ConfigurationError(
                     f"{name}: latent dim {path[-1].out_dim} != |w_o| {self.w_o.shape[0]}"
                 )
+            if not math.isfinite(kl):
+                raise ConfigurationError(f"{name}: KL divergence overflows to {kl}")
         if not math.isfinite(self.b_o) or not math.isfinite(self.lambda_temp):
             raise ConfigurationError("b_o and lambda_temp must be finite")
 
@@ -178,14 +177,11 @@ class DatasetStats(JsonRecord):
     scale: np.ndarray
     flags: tuple[str, ...] = ()
 
-    METRIC_FIELDS = METRIC_FIELDS
-
     def __post_init__(self):
-        object.__setattr__(self, "median", np.asarray(self.median, dtype=float))
-        object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float))
-        if self.median.shape != (len(self.METRIC_FIELDS),) or self.scale.shape != self.median.shape:
+        freeze(self, ("median", "scale"))
+        if self.median.shape != (len(METRIC_FIELDS),) or self.scale.shape != self.median.shape:
             raise ConfigurationError(
-                f"stats must cover the {len(self.METRIC_FIELDS)} metrics, "
+                f"stats must cover the {len(METRIC_FIELDS)} metrics, "
                 f"got {self.median.shape} / {self.scale.shape}"
             )
         if np.any(self.scale <= 0) or not np.all(np.isfinite(self.scale)):
@@ -195,9 +191,9 @@ class DatasetStats(JsonRecord):
     def fit(cls, rows: np.ndarray) -> "DatasetStats":
         """Median/IQR per metric over an (n, 14) matrix of metric vectors, n >= 2."""
         rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != len(cls.METRIC_FIELDS):
+        if rows.ndim != 2 or rows.shape[1] != len(METRIC_FIELDS):
             raise UsageError(
-                f"expected an (n, {len(cls.METRIC_FIELDS)}) matrix, got shape {rows.shape}"
+                f"expected an (n, {len(METRIC_FIELDS)}) matrix, got shape {rows.shape}"
             )
         if rows.shape[0] < 2:
             raise UsageError(f"need at least 2 reference samples, got {rows.shape[0]}")
@@ -205,12 +201,13 @@ class DatasetStats(JsonRecord):
         iqr = q75 - q25
         degenerate = ~(np.isfinite(iqr) & (iqr > 0))
         scale = np.where(degenerate, 1.0, iqr)
-        flags = tuple(name for name, bad in zip(cls.METRIC_FIELDS, degenerate) if bad)
+        flags = tuple(name for name, bad in zip(METRIC_FIELDS, degenerate) if bad)
         return cls(median=median, scale=scale, flags=flags)
 
     def zscores(self, rows: np.ndarray) -> np.ndarray:
-        """Robust z-scores of (..., 14) metric rows, clipped to [-CLIP_SIGMA, CLIP_SIGMA]."""
-        return np.clip((rows - self.median) / self.scale, -CLIP_SIGMA, CLIP_SIGMA)
+        """Robust z-scores of (..., 14) metric rows, clipped to [-CLIP_SIGMA, CLIP_SIGMA]; an overflow clips too."""
+        with np.errstate(over="ignore"):
+            return np.clip((rows - self.median) / self.scale, -CLIP_SIGMA, CLIP_SIGMA)
 
 
 def metrics_vector(intr: IntrinsicMetrics, inter: InteractiveMetrics) -> np.ndarray:
@@ -269,13 +266,14 @@ def bayes_forward(
 def kl_diag_gaussian(layers: Sequence[GaussianLayer]) -> float:
     """KL(posterior || standard normal), summed over every parameter.
 
-    Per parameter this is 0.5 * (mu^2 + sigma^2 - 1 - ln sigma^2); zero iff
-    the posterior equals the prior.
+    Per parameter this is 0.5 * (mu^2 + sigma^2 - 1 - ln sigma^2); zero iff the
+    posterior equals the prior, inf if a square overflows (``PerceiverParams`` refuses it).
     """
     total = 0.0
-    for layer in layers:
-        for mu, sigma in ((layer.mu_w, layer.sigma_w), (layer.mu_b, layer.sigma_b)):
-            total += 0.5 * float(np.sum(mu**2 + sigma**2 - 1.0 - 2.0 * np.log(sigma)))
+    with np.errstate(over="ignore"):
+        for layer in layers:
+            for mu, sigma in ((layer.mu_w, layer.sigma_w), (layer.mu_b, layer.sigma_b)):
+                total += 0.5 * float(np.sum(mu**2 + sigma**2 - 1.0 - 2.0 * np.log(sigma)))
     return total
 
 
@@ -358,13 +356,10 @@ def perceive(
     In sample mode the two paths draw from independent child streams of the
     given seed. A negative ``lambda_temp`` favors the lower-KL path.
     """
-    if mode == "sample":
-        if seed is None:
-            raise UsageError("sample mode needs a seed")
+    seed_i = seed_r = None  # bayes_forward refuses a sample mode without a seed
+    if mode == "sample" and seed is not None:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         seed_i, seed_r = ss.spawn(2)
-    else:
-        seed_i = seed_r = None
     z_i = bayes_forward(params.path_i, f_i, mode=mode, seed=seed_i)
     z_r = bayes_forward(params.path_r, f_r, mode=mode, seed=seed_r)
     kl_i, kl_r = params.kl

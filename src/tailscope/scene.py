@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import MAX_MAGNITUDE, Grouped, ParseError, ValidationError, read_lines, read_source, unchecked, write_text
+from .errors import freeze
 
 AGENT_KINDS = ("vehicle", "pedestrian", "other")
 
@@ -169,10 +170,7 @@ class Trajectory:
     dt: float
 
     def __post_init__(self):
-        for name in _COLUMNS:
-            column = np.array(getattr(self, name), dtype=float)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        freeze(self, _COLUMNS)
         n = len(self.times) if self.times.ndim == 1 else -1
         shapes = [getattr(self, name).shape for name in _COLUMNS]
         if shapes != [(n,), (n, 2), (n, 2), (n,)]:
@@ -415,14 +413,6 @@ class SceneGroup:
                 Trajectory, agent_id, t[:, 0], t[:, 1:3], t[:, 3:5], t[:, 5], str(self.kinds[s, j]), float(self.dt[s, j])
             )
         return unchecked(Scene, scene_id, agents, self.agents[s, 0], float(self.radius[s]))
-
-
-def _by_shape(shapes) -> dict[tuple[int, int], list[int]]:
-    """The positions of each (agents, frames) shape, in order of first appearance."""
-    members: dict[tuple[int, int], list[int]] = {}
-    for i, shape in enumerate(shapes):
-        members.setdefault(shape, []).append(i)
-    return members
 
 
 class SceneColumns(Grouped):
@@ -696,7 +686,7 @@ def _columns(rows: _Rows, neighbor_radius: float) -> SceneColumns:
 
     kinds = np.array(kinds)[kind_of[starts]]
     groups = []
-    for (n, n_frame), index in _by_shape(zip(n_agents.tolist(), n_frames.tolist())).items():
+    for (n, n_frame), index in Grouped.positions(zip(n_agents.tolist(), n_frames.tolist())).items():
         runs = by_scene[scene_runs[index][:, None] + np.arange(n)]  # (S, n)
         block = v[starts[runs][..., None] + np.arange(n_frame)]
         radius = np.full(len(index), float(neighbor_radius))

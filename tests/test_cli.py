@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -598,6 +601,23 @@ class TestExitCodeContract:
         assert run(["rank", "--input", str(csv_path), flag, str(sidecar)]) == 2
         err = capsys.readouterr().err
         assert str(sidecar) in err and fragment in err
+
+    @pytest.mark.parametrize("path", ["path_i", "path_r"])
+    def test_params_whose_kl_overflows_exit_2_naming_file_and_path(self, tmp_path, path):
+        """Run in a fresh interpreter, where numpy's warnings reach stderr as they do for a user."""
+        params = tmp_path / "params.json"
+
+        def scale(doc):
+            doc[path][0]["mu_W"] = [[w * 1e300 for w in row] for row in doc[path][0]["mu_W"]]
+
+        params.write_bytes(params_json(scale))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tailscope.cli", "rank", "--params", str(params)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {params}: {path}: KL divergence overflows to inf\n"
 
     @pytest.mark.parametrize("command", ["rank", "synth"])
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, monkeypatch, command):

@@ -1,5 +1,6 @@
 """Intrinsic metrics against closed forms and the direct-summation oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from tailscope.intrinsic import (
     IntrinsicMetrics,
     compute_intrinsic,
     geometric_complexity,
+    guard_flags,
     kinematic_dynamism,
+    masked_mean,
     temporal_irregularity,
 )
 from tailscope.scene import AgentState, Trajectory, wrap_angle
@@ -176,3 +179,38 @@ class TestIntrinsicMetricsType:
             c_v=1, c_j=2, c_omega=3, c_alpha=4, c_vd=5, c_kappa=6, c_dkappa=7, c_dgamma=8
         )
         assert m.as_vector().tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+class TestSharedRules:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_masked_mean_gives_the_bits_of_np_mean_of_the_masked_list(self, seed):
+        """Rows of up to 300 entries, so numpy's pairwise blocks of 8 and 128 both occur."""
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 300 if seed % 3 == 0 else 30, size=rng.integers(1, 4)).tolist())
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        mask = rng.random(shape) < rng.random()
+        got = masked_mean(values, mask)
+        for idx in np.ndindex(shape[:-1]):
+            row = values[idx][mask[idx]]
+            want = np.mean(row) if row.size else 0.0
+            assert np.float64(got[idx]).tobytes() == np.float64(want).tobytes(), idx
+
+    def test_masked_mean_broadcasts_values_against_the_mask(self):
+        """One value per neighbor, (S, 1, N), against a per-frame mask, (S, T, N)."""
+        rng = np.random.default_rng(5)
+        values, mask = rng.normal(size=(3, 1, 40)), rng.random((3, 7, 40)) < 0.5
+        got = masked_mean(values, mask)
+        for s, t in np.ndindex(3, 7):
+            assert got[s, t] == np.mean(values[s, 0][mask[s, t]])
+
+    def test_masked_mean_of_an_empty_mask_is_zero(self):
+        assert masked_mean(np.ones((2, 5)), np.zeros((2, 5), dtype=bool)).tolist() == [0.0, 0.0]
+        assert masked_mean(np.ones((2, 0)), np.zeros((2, 0), dtype=bool)).tolist() == [0.0, 0.0]
+
+    def test_guard_flags_are_sorted_and_take_numpy_bools(self):
+        names = ("low_speed_frames", "proximity_skip", "short_trajectory")
+        for hits in itertools.product((False, True), repeat=3):
+            want = tuple(name for name, hit in zip(names, hits) if hit)
+            assert guard_flags(*hits) == guard_flags(*map(np.bool_, hits)) == want == tuple(sorted(want))
+        assert guard_flags(proximity=np.True_) == ("proximity_skip",)
+        assert guard_flags(short=True, low_speed=np.True_) == ("low_speed_frames", "short_trajectory")

@@ -135,6 +135,13 @@ class TestPrototypeMemory:
         assert mem.category_of(1.5) == 1
         assert mem.category_of(9.0) == 2
 
+    def test_category_of_reads_its_own_copy_of_the_boundaries(self):
+        """A caller's later write to its boundaries array moves neither path of ``category_of``."""
+        boundaries = np.array([0.2, 1.0])
+        mem = PrototypeMemory(prototypes=np.eye(3), boundaries=boundaries)
+        boundaries[0] = 0.9
+        assert mem.category_of(0.3) == mem.category_of(np.array([0.3]))[0] == 1
+
     def test_category_of_breaks_ties_as_searchsorted_right(self):
         """A value equal to a cut point, or to tied cut points, goes above them, one at a time or as a batch."""
         cuts = [-1.0, 0.0, 0.0, 2.5]

@@ -1,6 +1,7 @@
 """Closed forms and properties of the dual-path Bayesian Tail Index scorer."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from tailscope.errors import ConfigurationError, UsageError, ValidationError
 from tailscope.interaction import InteractiveMetrics
 from tailscope.intrinsic import IntrinsicMetrics
 from tailscope.perceiver import (
+    CLIP_SIGMA,
     DatasetStats,
     GaussianLayer,
     PerceiverParams,
@@ -364,3 +366,25 @@ def test_each_check_raises_its_error(call, error, text):
     with pytest.raises(error) as info:
         call()
     assert text in str(info.value)
+
+
+class TestExtremeParameterFiles:
+    def test_stats_of_extreme_magnitude_clip_without_a_warning(self):
+        """(row - median) / scale overflows to -inf for the first metric, which clips like any large z-score."""
+        median, scale, rows = np.zeros(14), np.ones(14), np.zeros((2, 14))
+        median[0], scale[0], rows[1, 0] = 1e308, 1e-308, -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = DatasetStats(median, scale).zscores(rows)
+        assert z[:, 0].tolist() == [-CLIP_SIGMA, -CLIP_SIGMA] and not z[:, 1:].any()
+
+    @pytest.mark.parametrize("path", ["path_i", "path_r"])
+    def test_params_whose_kl_overflows_are_refused_naming_the_path(self, path):
+        params = default_params(hidden=3, latent=2)
+        layer = getattr(params, path)[0]
+        big = replace(layer, mu_w=layer.mu_w * 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kl_diag_gaussian([big]) == math.inf
+            with pytest.raises(ConfigurationError, match=f"^{path}: KL divergence overflows to inf$"):
+                replace(params, **{path: (big, *getattr(params, path)[1:])})

@@ -6,13 +6,14 @@ import math
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from tailscope.errors import ConfigurationError, UsageError, write_text
 from tailscope.interaction import RssParams
 from tailscope.memory import CognitiveSetParams, GateMlp, PrototypeMemory
 from tailscope.perceiver import DatasetStats, GaussianLayer, PerceiverParams, default_params
-from tailscope.scene import dump_scenes
+from tailscope.scene import Trajectory, dump_scenes
 from tailscope.synth import ScenarioSpec, generate
 
 RECORDS = [GaussianLayer, PerceiverParams, DatasetStats, GateMlp, CognitiveSetParams, PrototypeMemory, RssParams]
@@ -156,3 +157,37 @@ def test_write_text_names_a_path_it_cannot_open(tmp_path):
         write_text("bad\x00path", "text")
     with pytest.raises(UsageError, match=re.escape(str(tmp_path))):
         write_text(tmp_path, "a directory")
+
+
+#: Each record holding arrays: its builder from a dict of array fields, and those fields' values.
+ARRAY_RECORDS = {
+    "Trajectory": (
+        lambda a: Trajectory("0", **a, kind="vehicle", dt=0.1),
+        {"times": [0.0, 0.1, 0.2], "positions": [[0, 0], [1, 0], [2, 0]], "velocities": [[10, 0]] * 3,
+         "headings": [0, 0, 0]},
+    ),
+    "GateMlp": (
+        lambda a: GateMlp(**a, b_gate=0.0),
+        {"w_hidden": [[1]], "b_hidden": [0], "w_alloc": [[2], [3]], "b_alloc": [0, 1], "w_gate": [1]},
+    ),
+    "GaussianLayer": (lambda a: GaussianLayer(**a), {"mu_w": [[1, 2]], "sigma_w": [[1, 1]], "mu_b": [0], "sigma_b": [2]}),
+    "CognitiveSetParams": (lambda a: CognitiveSetParams(10, 1, 3, gate_mlp=GATE, **a), {"b_tail": [0.25, 0.75]}),
+    "PrototypeMemory": (lambda a: PrototypeMemory(**a, eta=0.5), {"prototypes": [[1, 2], [3, 4]], "boundaries": [5]}),
+    "PerceiverParams": (lambda a: PerceiverParams((LAYER,), (LAYER,), b_o=0, **a), {"w_o": [1]}),
+    "DatasetStats": (lambda a: DatasetStats(**a), {"median": list(range(14)), "scale": [1] * 14}),
+}
+
+
+@pytest.mark.parametrize("build, values", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS)
+def test_a_record_holds_read_only_copies_of_its_arrays(build, values):
+    """A write to the caller's arrays after construction leaves the record as it was,
+    and the record's own arrays refuse writes."""
+    given = {name: np.array(value, dtype=float) for name, value in values.items()}
+    record = build(given)
+    for array in given.values():
+        array += 1.0
+    for name, value in values.items():
+        held = getattr(record, name)
+        assert held.tolist() == np.array(value, dtype=float).tolist() and not held.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            held[...] = 0.0

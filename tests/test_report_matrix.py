@@ -1,6 +1,10 @@
 """Report matrix: the bytes of ``metrics`` and mean-mode ``rank`` reports on a
 seeded plain scene CSV and on its twins, and the exit code and error text of
-one refused file per twin.
+one refused file per twin; ``rank`` with library-saved stats and params files
+in both modes and without ``--categories``; ``eval`` with default options,
+with ``--threshold`` and to stdout, on ``json.dumps`` lines, compact-separator
+lines and lines that take the leaf-by-leaf reader. Every passing row writes
+nothing to stderr.
 
 The twins write the same scenes as the plain file in the ways other CSV
 writers do: quoted scene ids, a space after every comma, ``\\r\\n`` or lone
@@ -11,12 +15,15 @@ its report. A refused file is its twin with one cell changed.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from tailscope import evaluation
 from tailscope.cli import main
+from tailscope.perceiver import DatasetStats, default_params
 
 KINDS = ("vehicle", "pedestrian", "other")
 HEADER = "scene_id,agent_id,frame,t,x,y,vx,vy,heading,kind,target"
@@ -111,22 +118,23 @@ def refused_csv(twin, line, column, cell) -> str:
     return TWINS[twin]("\n".join(lines) + "\n")
 
 
-def run(tmp_path, argv, text):
+def run(tmp_path, argv, text, name="in.csv"):
     """``main`` on ``text`` written as UTF-8 bytes: the input's bytes, the exit
     code and the report's bytes (None when there is none)."""
     data = text.encode("utf-8")
-    (tmp_path / "in.csv").write_bytes(data)
+    (tmp_path / name).write_bytes(data)
     out = tmp_path / "report.json"
     out.unlink(missing_ok=True)
-    rc = main([*argv, "--input", str(tmp_path / "in.csv"), "--out", str(out)])
+    rc = main([*argv, "--input", str(tmp_path / name), "--out", str(out)])
     return data, rc, out.read_bytes() if out.exists() else None
 
 
 @pytest.mark.parametrize("twin, command, input_sha, report_sha", REPORTS, ids=[f"{t}-{c}" for t, c, *_ in REPORTS])
-def test_report_bytes(tmp_path, twin, command, input_sha, report_sha):
+def test_report_bytes(tmp_path, capsys, twin, command, input_sha, report_sha):
     data, rc, report = run(tmp_path, ARGV[command], TWINS[twin](plain_csv()))
     assert sha256(data) == input_sha
     assert rc == 0 and sha256(report) == report_sha
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("twin, line, column, cell, input_sha, stderr", REFUSED, ids=[row[0] for row in REFUSED])
@@ -143,3 +151,114 @@ def test_twins_of_one_target_give_the_plain_report():
     for twin in ("quoted", "spaced", "crlf", "cr", "blank", "non-ascii"):
         for command in ARGV:
             assert report[twin, command] == report["plain", command], (twin, command)
+
+
+def sidecars(tmp_path) -> dict:
+    """A stats file and a params file, each saved by the library, by flag."""
+    paths = {"--stats": tmp_path / "stats.json", "--params": tmp_path / "params.json"}
+    DatasetStats.fit(np.random.default_rng(31).gamma(2.0, 1.0, size=(24, 14))).save(paths["--stats"])
+    default_params(hidden=12, latent=6, seed=5).save(paths["--params"])
+    return paths
+
+
+#: The SHA-256 of each sidecar file.
+SIDECARS = {
+    "--stats": "766d8d06b7b78d88154d5e5c3c2bc07dd8b5cd71b64dbfb376978506fe6d0ba3",
+    "--params": "f69a04daf8af5215d60ee2d09e1f8dbdc717e3fdc6d67ddd7e97e5814570151a",
+}
+
+#: (row, ``rank`` options on the plain file, whether they take the sidecars, report SHA-256)
+RANK_REPORTS = [
+    ("sidecars-mean", ["--mode", "mean", "--categories", "3"], True, "4b97011b1f6064c5596505b5b010b3cbdb3f0917c25f9c0b8a3920a47f1e58b0"),
+    ("sidecars-sample", ["--mode", "sample", "--seed", "4", "--categories", "4"], True, "5852e252b947a1cef51cd6249053d6d98f931bf34f71de35551b5f6359233b41"),
+    ("no-categories", ["--mode", "mean"], False, "c4b1cb6bfe6d88fd630927bb3d5f11557022b449703dbbc892cde94171d2f806"),
+]
+
+
+@pytest.mark.parametrize(
+    "options, with_sidecars, report_sha", [row[1:] for row in RANK_REPORTS], ids=[row[0] for row in RANK_REPORTS]
+)
+def test_rank_report_bytes(tmp_path, capsys, options, with_sidecars, report_sha):
+    paths = sidecars(tmp_path)
+    assert {flag: sha256(path.read_bytes()) for flag, path in paths.items()} == SIDECARS
+    argv = ["rank", *options]
+    if with_sidecars:
+        argv += [part for flag, path in paths.items() for part in (flag, str(path))]
+    data, rc, report = run(tmp_path, argv, plain_csv())
+    assert sha256(data) == REPORTS[0][2]
+    assert rc == 0 and sha256(report) == report_sha
+    assert capsys.readouterr().err == ""
+
+
+def forecasts() -> list[dict]:
+    """Sixteen samples of 10 or 12 modes over 6 steps, three with tied probabilities."""
+    rng = np.random.default_rng(4242)
+    records = []
+    for i in range(16):
+        n_modes, horizon = (10, 12)[i % 2], 6
+        gt = np.cumsum(rng.normal(0.0, 1.0, size=(horizon, 2)), axis=0)
+        modes = gt[None] + rng.normal(0.0, 1.5, size=(n_modes, horizon, 2))
+        probs = rng.uniform(0.1, 1.0, size=n_modes)
+        if i % 7 == 0:
+            probs[:2] = probs[2]
+        probs = probs / probs.sum()
+        records.append({"sample_id": f"e{i:02d}", "modes": modes.tolist(), "probs": probs.tolist(), "gt": gt.tolist()})
+    return records
+
+
+def _id_last(record: dict) -> dict:
+    return {**{key: record[key] for key in ("modes", "probs", "gt")}, "sample_id": record["sample_id"]}
+
+
+#: Each way of writing ``forecasts()`` as JSONL: the same samples, so the same reports.
+FORECAST_TWINS = {
+    "dumps": lambda records: "".join(json.dumps(r) + "\n" for r in records),
+    "compact": lambda records: "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records),
+    "id-last": lambda records: "".join(json.dumps(_id_last(r)) + "\n" for r in records),  # takes _row
+}
+
+#: (twin, ``eval`` options, input SHA-256, report SHA-256)
+EVAL_REPORTS = [
+    ("dumps", [], "76e5f77e67af0aad695caedc5fefec13f492d3f25279a2e03c3851ecb9aa70b1", "c9bd3fdd50e4ad87d784b750a4590b5fa191d1f35eb0adf67fd185cb482b55b8"),
+    ("dumps", ["--threshold", "1.5"], "76e5f77e67af0aad695caedc5fefec13f492d3f25279a2e03c3851ecb9aa70b1", "a3918a35114d1a79218d528979e01f1707db8ba2ce20eca7ad73ac853a691b86"),
+    ("compact", [], "f8f04cb80ddcf58711d97e9374af3dfb139888e870d6ab8be37edf4e14edd817", "c9bd3fdd50e4ad87d784b750a4590b5fa191d1f35eb0adf67fd185cb482b55b8"),
+    ("id-last", [], "fb04374e44ddddbaa743f8dd9cc65d82da1f3e1e89efb2d66e8609b0cd7699a1", "c9bd3fdd50e4ad87d784b750a4590b5fa191d1f35eb0adf67fd185cb482b55b8"),
+]
+
+EVAL_IDS = [f"{twin}-{'-'.join(options) or 'default'}" for twin, options, *_ in EVAL_REPORTS]
+
+
+@pytest.mark.parametrize("twin, options, input_sha, report_sha", EVAL_REPORTS, ids=EVAL_IDS)
+def test_eval_report_bytes(tmp_path, capsys, twin, options, input_sha, report_sha):
+    data, rc, report = run(tmp_path, ["eval", *options], FORECAST_TWINS[twin](forecasts()), name="in.jsonl")
+    assert sha256(data) == input_sha
+    assert rc == 0 and sha256(report) == report_sha
+    assert capsys.readouterr().err == ""
+
+
+def test_twins_of_one_forecast_file_give_its_report():
+    assert {sha for _, options, _, sha in EVAL_REPORTS if not options} == {EVAL_REPORTS[0][3]}
+
+
+def test_eval_report_to_stdout_is_the_file_report(tmp_path, capsys):
+    path = tmp_path / "in.jsonl"
+    path.write_text(FORECAST_TWINS["dumps"](forecasts()), encoding="utf-8")
+    assert main(["eval", "--input", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert (sha256(out.encode("utf-8")), err) == (EVAL_REPORTS[0][3], "")
+
+
+def test_only_the_id_last_twin_takes_the_leaf_by_leaf_reader(monkeypatch):
+    """The twins pin both forecast readers: ``_flat_row`` takes every line of the
+    other twins and no line with the id last, which ``_row`` reads."""
+    read, taken = evaluation._row, []
+
+    def spy(line, line_no):
+        taken.append(line_no)
+        return read(line, line_no)
+
+    monkeypatch.setattr(evaluation, "_row", spy)
+    for twin, write in FORECAST_TWINS.items():
+        taken.clear()
+        evaluation.parse_forecast_jsonl(write(forecasts()))
+        assert taken == (list(range(1, 17)) if twin == "id-last" else []), twin
