@@ -19,8 +19,8 @@ from collections import namedtuple
 from pathlib import Path
 
 from .errors import (
-    ConfigurationError, JsonRecord, ParseError, TailscopeError, UsageError, json_fields, read_json, report_text,
-    write_report,
+    ConfigurationError, JsonRecord, ParseError, TailscopeError, UsageError, ValidationError, json_fields, read_json,
+    report_text, write_report,
 )
 
 CONFIG_ENV_VAR = "TAILSCOPE_CONFIG"
@@ -182,20 +182,15 @@ def cmd_rank(opts: dict) -> int:
     if opts.get("mode") == "sample":
         seeds = perceiver.scene_seeds(len(ids), **_kwargs(opts, "seed"))
     rows = []
-    for scene_id, f_i, f_r, child in zip(ids, z[:, :split], z[:, split:], seeds):
-        result = perceiver.perceive(params, f_i, f_r, seed=child, **_kwargs(opts, "mode"))
-        rows.append(
-            {
-                "scene_id": scene_id,
-                "ti": result.ti,
-                "alpha_i": result.alpha_i,
-                "alpha_r": result.alpha_r,
-                "kl_i": result.kl_i,
-                "kl_r": result.kl_r,
-                "f_i": f_i.tolist(),
-                "f_r": f_r.tolist(),
-            }
-        )
+    try:  # a params file that overflows the Tail Index fails naming the file and the scene
+        for scene_id, f_i, f_r, child in zip(ids, z[:, :split], z[:, split:], seeds):
+            result = perceiver.perceive(params, f_i, f_r, seed=child, **_kwargs(opts, "mode"))
+            rows.append({
+                "scene_id": scene_id, "ti": result.ti, "alpha_i": result.alpha_i, "alpha_r": result.alpha_r,
+                "kl_i": result.kl_i, "kl_r": result.kl_r, "f_i": f_i.tolist(), "f_r": f_r.tolist(),
+            })
+    except ValidationError as exc:
+        raise ConfigurationError(f"{params_path}: scene {scene_id!r}: {exc}") from None
     rows.sort(key=lambda r: (-r["ti"], r["scene_id"]))
 
     payload = {"ranking": rows, "stats": stats.to_jsonable()}

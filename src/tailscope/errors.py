@@ -9,8 +9,8 @@ its file, line or key; :class:`JsonRecord` reads and writes every parameter
 record from one table of its JSON keys through ``json_fields``, which reads the
 config file too; ``number``, ``numbers`` and ``_float_array`` decide what a
 JSON number is, ``freeze`` gives every record read-only copies of its arrays,
-``Grouped`` holds parsed scenes and forecasts alike, and ``write_report``
-writes every report.
+``rebuilt`` sends its copies and pickles through its constructor, ``Grouped``
+holds parsed scenes and forecasts alike, and ``write_report`` writes every report.
 """
 
 import json
@@ -172,6 +172,11 @@ def freeze(record, names) -> None:
         array = np.array(getattr(record, name), dtype=float)
         array.flags.writeable = False
         object.__setattr__(record, name, array)
+
+
+def rebuilt(record) -> tuple:
+    """``record``'s class and field values: as ``__reduce__``, it sends copies and pickles through the constructor."""
+    return type(record), tuple(getattr(record, name) for name in record.__dataclass_fields__)
 
 
 def json_fields(data, convert: dict, what: str, optional=()) -> dict:
@@ -360,12 +365,13 @@ class JsonRecord:
     ``JSON`` maps each key, in field order, to the converter that reads it;
     ``OPTIONAL`` keys may be absent (the field keeps its default); ``WHAT``
     names the record in errors. ``to_jsonable``, ``from_jsonable``, ``save``
-    and ``load`` all derive from that one table.
+    and ``load`` all derive from that one table; copies and pickles are ``rebuilt``.
     """
 
     JSON = {}
     OPTIONAL = ()
     WHAT = "record"
+    __reduce__ = rebuilt
 
     def to_jsonable(self) -> dict:
         return {

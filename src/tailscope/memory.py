@@ -151,9 +151,6 @@ class GateMlp(JsonRecord):
         object.__setattr__(self, "_rows", memo)
         return memo[key] if h.ndim == 1 else (logits, gate)
 
-    def __reduce__(self):  # a pickle or copy holds the weights only and starts with an empty memo
-        return type(self), tuple(getattr(self, name) for name in (*self._ARRAYS, "b_gate"))
-
     @classmethod
     def create(cls, input_dim: int, categories: int, hidden: int = 32, seed: int = 0) -> "GateMlp":
         rng = np.random.default_rng(seed)

@@ -308,12 +308,13 @@ def tail_index(
     w_o: np.ndarray,
     b_o: float,
 ) -> float:
-    """Softplus of the linear readout of the fused latent vector."""
+    """Softplus of the linear readout of the fused latent vector; inf or NaN where the readout overflows."""
     fused = alpha_i * np.asarray(z_i, dtype=float) + alpha_r * np.asarray(z_r, dtype=float)
     w_o = np.asarray(w_o, dtype=float)
     if fused.shape != w_o.shape:
         raise ConfigurationError(f"latent shape {fused.shape} does not match w_o {w_o.shape}")
-    return softplus(float(np.dot(w_o, fused)) + b_o)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return softplus(float(np.dot(w_o, fused)) + b_o)
 
 
 @dataclass(frozen=True)

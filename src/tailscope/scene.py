@@ -2,6 +2,9 @@
 kinematics.
 
 Every type is immutable after construction and every function is pure.
+A ``Trajectory`` is built from columns, from ``(t, x, y, vx, vy, heading)``
+rows by ``Trajectory.from_rows`` (its ``states`` give them back as
+:class:`AgentState`) or as a parsed scene's view; copies and pickles rebuild it.
 Derivatives are backward differences, ``x'(t) = (x(t) - x(t - dt)) / dt``, so
 each derived series starts one frame later than its source; angle differences
 are wrapped to (-pi, pi] before dividing by dt.
@@ -26,12 +29,12 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import MAX_MAGNITUDE, Grouped, ParseError, ValidationError, read_lines, read_source, unchecked, write_text
-from .errors import freeze
+from .errors import freeze, rebuilt
 
 AGENT_KINDS = ("vehicle", "pedestrian", "other")
 
@@ -60,9 +63,9 @@ def _id_key(agent_id: str):
         return (1, 0, agent_id)
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """Kinematic state of one agent at a single timestamp: one row of a :class:`Trajectory`."""
+class AgentState(NamedTuple):
+    """One frame of a :class:`Trajectory` as its ``states`` give it back; the
+    trajectory checked its values. ``state[:6]`` is the row ``from_rows`` reads."""
 
     t: float
     x: float
@@ -71,17 +74,6 @@ class AgentState:
     vy: float
     heading: float
     kind: str = "vehicle"
-
-    def __post_init__(self):
-        for name in ("t", "x", "y", "vx", "vy", "heading"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValidationError(f"AgentState.{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if not (-math.pi < self.heading <= math.pi):
-            raise ValidationError(f"heading must lie in (-pi, pi], got {self.heading}")
-        if self.kind not in AGENT_KINDS:
-            raise ValidationError(f"unknown agent kind {self.kind!r}")
 
 
 _COLUMNS = ("times", "positions", "velocities", "headings")
@@ -149,7 +141,8 @@ class Trajectory:
 
     ``times`` (T,), ``positions`` (T, 2), ``velocities`` (T, 2) and
     ``headings`` (T,) are read-only float arrays: copies of the caller's
-    arrays, or in a parsed scene views of its ``SceneGroup.block``. T >= 2,
+    arrays, or in a parsed scene views of its ``SceneGroup.block``; a copy or
+    pickle is built and checked again, with copies of its own. T >= 2,
     values are finite, positions and velocities lie within ``MAX_MAGNITUDE``,
     headings lie in (-pi, pi], dt > 0 and every time step is dt within
     ``DT_TOLERANCE``; errors name the agent and the first failing frame.
@@ -168,6 +161,8 @@ class Trajectory:
     headings: np.ndarray
     kind: str
     dt: float
+
+    __reduce__ = rebuilt
 
     def __post_init__(self):
         freeze(self, _COLUMNS)
@@ -192,14 +187,10 @@ class Trajectory:
             ))
 
     @classmethod
-    def from_states(cls, agent_id: str, states: Iterable[AgentState], dt: float) -> Trajectory:
-        """A trajectory from :class:`AgentState` rows, which must share one kind."""
-        states = tuple(states)
-        kinds = sorted({s.kind for s in states})
-        if len(kinds) > 1:
-            raise ValidationError(f"trajectory {agent_id!r} mixes agent kinds {kinds}")
-        rows = [(s.t, s.x, s.y, s.vx, s.vy, s.heading) for s in states]
-        return _from_table(agent_id, rows, kinds[0] if kinds else AGENT_KINDS[0], dt)
+    def from_rows(cls, agent_id: str, rows, kind: str, dt: float) -> Trajectory:
+        """A trajectory from ``(t, x, y, vx, vy, heading)`` rows, one per frame."""
+        table = np.asarray(rows, dtype=float).reshape(len(rows), 6)
+        return cls(agent_id, table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5], kind, dt)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -212,12 +203,6 @@ class Trajectory:
     def states(self) -> tuple[AgentState, ...]:
         """The frames as :class:`AgentState` rows, built on each access."""
         return tuple(AgentState(*row, kind=self.kind) for row in self._stacked().tolist())
-
-
-def _from_table(agent_id: str, rows, kind: str, dt: float) -> Trajectory:
-    """A trajectory from ``(t, x, y, vx, vy, heading)`` rows."""
-    table = np.asarray(rows, dtype=float).reshape(len(rows), 6)
-    return Trajectory(agent_id, table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5], kind, dt)
 
 
 def _radius_fits(radius: float, agent_frames):
@@ -369,7 +354,7 @@ def kinematics(v: np.ndarray, headings: np.ndarray, dt) -> KinematicSeries:
 class SceneGroup:
     """S scenes of n agents and T frames as columns. Each scene's agents come
     target first, then in ``neighbor_ids`` order. Only ``_columns`` and ``of``
-    build a group, each from checked scenes, and its ``block`` is read-only."""
+    build a group, each from checked scenes; its arrays are read-only, in copies and pickles too."""
 
     index: np.ndarray  # (S,) the scenes' positions in their corpus
     block: np.ndarray  # (S, n, T, 6) t, x, y, vx, vy, heading per frame
@@ -379,8 +364,11 @@ class SceneGroup:
     agents: np.ndarray  # (S, n) agent ids (objects)
     first: np.ndarray  # (S, n) ranks the agents in the order a Scene's dict holds them
 
+    __reduce__ = rebuilt
+
     def __post_init__(self):
-        self.block.flags.writeable = False
+        for name in self.__dataclass_fields__:
+            getattr(self, name).flags.writeable = False
 
     @classmethod
     def of(cls, scenes: Sequence[Scene], index=None) -> SceneGroup:
@@ -679,7 +667,7 @@ def _columns(rows: _Rows, neighbor_radius: float) -> SceneColumns:
         try:  # the scene's objects word its first failing Trajectory check, or Scene check
             for r in runs.tolist():
                 agent_id, kind = agent_ids[run_agent[r]], kinds[kind_of[starts[r]]]
-                agents[agent_id] = _from_table(agent_id, v[starts[r] : starts[r] + length[r]], kind, float(dt[s]))
+                agents[agent_id] = Trajectory.from_rows(agent_id, v[starts[r] : starts[r] + length[r]], kind, float(dt[s]))
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
         Scene(ids[s], agents, agent_ids[run_agent[targets[s]]], neighbor_radius=neighbor_radius)

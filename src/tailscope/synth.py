@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .scene import DT_TOLERANCE, Scene, _from_table, check_radius, wrap_angle
+from .scene import DT_TOLERANCE, Scene, Trajectory, check_radius, wrap_angle
 
 SCENARIO_KINDS = ("constant", "circle", "brake", "crossing", "grid")
 
@@ -89,7 +89,7 @@ def _constant(agent_id, times, p0, direction, speed, dt):
         (t, p0[0] + vx * t, p0[1] + vy * t, vx, vy, heading)
         for t in times
     ]
-    return _from_table(agent_id, rows, "vehicle", dt)
+    return Trajectory.from_rows(agent_id, rows, "vehicle", dt)
 
 
 def _generate_constant(spec: ScenarioSpec):
@@ -123,7 +123,7 @@ def _generate_circle(spec: ScenarioSpec):
         vx = -spec.speed * math.sin(psi)
         vy = spec.speed * math.cos(psi)
         rows.append((t, x, y, vx, vy, wrap_angle(psi + math.pi / 2)))
-    agents = {"0": _from_table("0", rows, "vehicle", spec.dt)}
+    agents = {"0": Trajectory.from_rows("0", rows, "vehicle", spec.dt)}
     oracle = {
         "c_omega": omega,
         "c_alpha": 0.0,
@@ -150,7 +150,7 @@ def _generate_brake(spec: ScenarioSpec):
             v = 0.0
             x = spec.speed * stop_time - 0.5 * spec.decel * np.float_power(stop_time, 2)
         rows.append((t, x, 0.0, v, 0.0, 0.0))
-    agents = {"0": _from_table("0", rows, "vehicle", spec.dt)}
+    agents = {"0": Trajectory.from_rows("0", rows, "vehicle", spec.dt)}
     oracle = {"stop_time": stop_time, "c_omega": 0.0, "c_kappa": 0.0}
     return agents, oracle
 

@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
 
-from tailscope.scene import AgentState, Scene, Trajectory, wrap_angle
+from tailscope.scene import Scene, Trajectory, wrap_angle
 
 
 def make_traj(agent_id, velocities, dt=0.1, headings=None, p0=(0.0, 0.0), kind="vehicle"):
@@ -26,16 +26,12 @@ def make_traj(agent_id, velocities, dt=0.1, headings=None, p0=(0.0, 0.0), kind="
                 base = math.atan2(vy, vx)
                 break
         headings = [base] * len(velocities)
-    states = []
+    rows = []
     for k, ((vx, vy), heading) in enumerate(zip(velocities, headings)):
-        states.append(
-            AgentState(
-                t=k * dt, x=x, y=y, vx=vx, vy=vy, heading=wrap_angle(heading), kind=kind
-            )
-        )
+        rows.append((k * dt, x, y, vx, vy, wrap_angle(heading)))
         x += vx * dt
         y += vy * dt
-    return Trajectory.from_states(agent_id=agent_id, states=tuple(states), dt=dt)
+    return Trajectory.from_rows(agent_id, rows, kind, dt)
 
 
 def make_scene(trajs, target_id=None, neighbor_radius=50.0, scene_id="s"):
@@ -49,20 +45,11 @@ def make_scene(trajs, target_id=None, neighbor_radius=50.0, scene_id="s"):
 
 def random_trajectory(rng, agent_id="0", n_frames=8, dt=0.1, kind="vehicle", scale=10.0):
     """Fully random (but valid) trajectory for brute-force comparisons."""
-    states = []
-    for k in range(n_frames):
-        states.append(
-            AgentState(
-                t=k * dt,
-                x=float(rng.uniform(-scale, scale)),
-                y=float(rng.uniform(-scale, scale)),
-                vx=float(rng.uniform(-scale, scale)),
-                vy=float(rng.uniform(-scale, scale)),
-                heading=float(rng.uniform(-math.pi + 1e-9, math.pi)),
-                kind=kind,
-            )
-        )
-    return Trajectory.from_states(agent_id=agent_id, states=tuple(states), dt=dt)
+    rows = [
+        (k * dt, *rng.uniform(-scale, scale, size=4).tolist(), float(rng.uniform(-math.pi + 1e-9, math.pi)))
+        for k in range(n_frames)
+    ]
+    return Trajectory.from_rows(agent_id, rows, kind, dt)
 
 
 def rel_close(a, b, tol=1e-12):

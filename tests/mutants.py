@@ -9,8 +9,10 @@ do not pin the rule the mutant breaks. An old text that is not in its file
 exactly once is a stale table row and fails the gate at once.
 
 Run from anywhere with ``python tests/mutants.py`` (stdlib only; pytest does
-not collect this file). It prints killed or survived per mutant and exits
-non-zero if any mutant survives or any row is stale.
+not collect this file). It prints the mutant count of each module of
+``src/tailscope``, then killed or survived per mutant, and exits non-zero if
+any mutant survives, any row is stale or any module has no mutant. A test
+named ``file::node`` runs that node alone, which keeps the gate fast.
 
 A change that adds a fast path, a memo or a refusal adds the mutant its new
 test kills.
@@ -22,11 +24,16 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: (file under src/tailscope, exact old text, new text, test files that must kill it)
+MEMOS = "tests/test_memory.py::TestOneSampleMemos"
+TI_OVERFLOW = "tests/test_cli.py::TestExitCodeContract::test_params_whose_tail_index_overflows_exit_2_naming_file_and_scene"
+NUMPY_BITS = "tests/test_perceiver.py::TestNormalize::test_fit_has_the_bits_of_numpy_median_and_quantile"
+
+#: (file under src/tailscope, exact old text, new text, test files or nodes that must kill it)
 MUTANTS = [
     # One rule per definition: the masked frame mean, the guard-flag builder,
     # the metric-record check, the record-array freeze, the JSON float array
@@ -61,9 +68,57 @@ MUTANTS = [
     ("scene.py", "_plain_rows(data) or _csv_rows(data, what)", "_csv_rows(data, what)", ["tests/test_scene.py"]),
     ("evaluation.py", "_flat_row(line, skeletons) or _row(line, line_no)", "_row(line, line_no)",
      ["tests/test_evaluation.py"]),
-    # The similarity memo keys on the bytes of a C-ordered copy, so a Fortran matrix gets its own norms' bits.
+    # The frame mean is numpy's pairwise sum, as the per-scene code had it; a running sum moves report bits.
+    ("intrinsic.py", "return np.add.reduce(samples, axis=-1) / max(samples.shape[-1], 1)",
+     "return sum(np.moveaxis(samples, -1, 0), np.zeros(samples.shape[:-1])) / max(samples.shape[-1], 1)",
+     ["tests/test_golden.py"]),
+    # The similarity memo keys on the bytes of a C-ordered copy, so a Fortran matrix gets its own norms' bits;
+    # its key holds the matrix's shape, and it keys by content, not by object.
     ("memory.py", "prototypes = np.ascontiguousarray(prototypes, dtype=float)",
      "prototypes = np.asarray(prototypes, dtype=float)", ["tests/test_memory.py"]),
+    ("memory.py", "key, rows = (prototypes.shape, prototypes.tobytes()), _last_rows",
+     "key, rows = prototypes.tobytes(), _last_rows", [MEMOS]),
+    ("memory.py", "key, rows = (prototypes.shape, prototypes.tobytes()), _last_rows",
+     "key, rows = id(prototypes), _last_rows", [MEMOS]),
+    # Copies and pickles go through the constructor, one builder reads rows, and an
+    # overflowing Tail Index is refused naming its file and scene, with no numpy warning.
+    ("errors.py", '    WHAT = "record"\n    __reduce__ = rebuilt\n', '    WHAT = "record"\n', ["tests/test_records.py"]),
+    ("scene.py", "table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5], kind, dt)",
+     "table[:, 0], table[:, 3:5], table[:, 1:3], table[:, 5], kind, dt)", ["tests/test_scene.py::TestTrajectory"]),
+    ("perceiver.py", 'with np.errstate(over="ignore", invalid="ignore"):\n        return softplus(',
+     "with np.errstate():\n        return softplus(", [TI_OVERFLOW]),
+    ("cli.py", "    except ValidationError as exc:\n", "    except UsageError as exc:\n", [TI_OVERFLOW]),
+    # numpy's median and quantile bits without numpy.ma: partition points, not a sort; a NaN
+    # column stays NaN; the lerp starts from the nearer end.
+    ("memory.py", "q = np.partition(rows, sorted({0, -1, *lo.tolist(), *hi.tolist()}), axis=0)",
+     "q = np.sort(rows, axis=0)", [NUMPY_BITS]),
+    ("perceiver.py", "return [np.where(np.isnan(m[-1]), m[-1], m[mid].mean(axis=0)),", "return [m[mid].mean(axis=0),",
+     [NUMPY_BITS]),
+    ("memory.py", "np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t))", "a + (b - a) * t)", [NUMPY_BITS]),
+    # The plain scene reader sorts each agent's rows by frame, and refuses a key column wider than the file.
+    ("scene.py", "order = np.lexsort((frame, agent_of, scene_of))", "order = np.lexsort((agent_of, scene_of))",
+     ["tests/test_scene.py::TestColumnPath"]),
+    ("scene.py", "or width[2] > 20 or size[[0, 1, 9, -1]].max() * n_rows > len(buf):", "or width[2] > 20:",
+     ["tests/test_scene.py::test_column_path_refuses_a_key_column_larger_than_the_file"]),
+    # Evaluation: a miss is strictly beyond the threshold, RMSE takes the most likely mode, worst-case
+    # ties go to the larger id, and only a line of the skeleton's shape takes the flat decode.
+    ("evaluation.py", "np.count_nonzero(fde_k > threshold)", "np.count_nonzero(fde_k >= threshold)",
+     ["tests/test_evaluation.py::TestMissRate"]),
+    ("evaluation.py", "np.argmax(table.probs, axis=1)", "np.argmin(table.probs, axis=1)", ["tests/test_evaluation.py::TestRmse"]),
+    ("evaluation.py", "key=lambda kv: (kv[1], kv[0]), reverse=True)", "key=lambda kv: kv[1], reverse=True)",
+     ["tests/test_evaluation.py::TestWorstCase"]),
+    ("evaluation.py", ".translate(None, _SKIP) != skeleton:", ".translate(None, _SKIP) is None:",
+     ["tests/test_evaluation.py::TestParseJsonl"]),
+    # Interaction: only a vehicle neighbor's longitudinal velocity counts.
+    ("interaction.py", 'v_j_lon = np.where(g.kinds == "vehicle",', 'v_j_lon = np.where(g.kinds != "vehicle",',
+     ["tests/test_interaction.py"]),
+    # The CLI: no number option takes a boolean. synth's circle rounds its angle as written, and the
+    # report matrix pins those bits. The package exports AgentState.
+    ("cli.py", "isinstance(v, types) and not isinstance(v, bool)", "isinstance(v, types)",
+     ["tests/test_cli.py::TestEvalCommand::test_mistyped_config_option_exits_2"]),
+    ("synth.py", "psi = psi0 + omega * t", "psi = psi0 + spec.speed * t / spec.radius",
+     ["tests/test_report_matrix.py::test_synth_bytes"]),
+    ("__init__.py", '"scene": "AgentState KinematicSeries', '"scene": "KinematicSeries', ["tests/test_imports.py"]),
 ]
 
 
@@ -85,14 +140,18 @@ def run_tests(src: Path, tests: list[str]) -> int:
 
 
 def main() -> int:
-    stale = []
+    per_module = Counter(file for file, *_ in MUTANTS)
+    modules = sorted(path.name for path in (ROOT / "src" / "tailscope").glob("*.py"))
+    for module in modules:
+        print(f"{per_module[module]:3} mutants  {module}")
+    faults = [f"NO MUTANT in {module}" for module in modules if not per_module[module]]
     for file, old, new, tests in MUTANTS:
         count = (ROOT / "src" / "tailscope" / file).read_text(encoding="utf-8").count(old)
         if count != 1:
-            stale.append(f"{file}: old text found {count} times: {old!r}")
-    for line in stale:
-        print(f"STALE {line}")
-    if stale:
+            faults.append(f"STALE {file}: old text found {count} times: {old!r}")
+    for line in faults:
+        print(line)
+    if faults:
         return 2
     every_test = sorted({test for *_, tests in MUTANTS for test in tests})
     with tempfile.TemporaryDirectory() as tmp:

@@ -619,6 +619,24 @@ class TestExitCodeContract:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: {params}: {path}: KL divergence overflows to inf\n"
 
+    @pytest.mark.parametrize("hidden, latent, ti", [(8, 4, "inf"), (32, 16, "nan")])
+    def test_params_whose_tail_index_overflows_exit_2_naming_file_and_scene(
+        self, tmp_path, capsys, hidden, latent, ti
+    ):
+        """Both KLs stay finite, but the readout overflows to an infinity or to inf - inf."""
+        doc = default_params(hidden=hidden, latent=latent).to_jsonable()
+        doc["w_o"] = [w * 1e300 for w in doc["w_o"]]
+        doc["path_i"][0]["mu_W"] = [[w * 1e140 for w in row] for row in doc["path_i"][0]["mu_W"]]
+        params, stats, scenes = tmp_path / "params.json", tmp_path / "stats.json", tmp_path / "one.csv"
+        params.write_text(json.dumps(doc))
+        stats.write_text(json.dumps({"median": [-1.0] * 14, "scale": [1.0] * 14}))
+        write_scenes(scenes, [ScenarioSpec(kind="crossing")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["rank", "--params", str(params), "--stats", str(stats), "--input", str(scenes)]) == 2
+        error = f"error: {params}: scene 'crossing-0': TI must be finite and >= 0, got {ti}\n"
+        assert capsys.readouterr() == ("", error)
+
     @pytest.mark.parametrize("command", ["rank", "synth"])
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setattr("tailscope.scene.parse_scene_csv", lambda *a, **k: pytest.fail("loaded"))

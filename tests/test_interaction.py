@@ -22,7 +22,7 @@ from tailscope.interaction import (
     rss_lateral,
     rss_longitudinal,
 )
-from tailscope.scene import AgentState, Scene, Trajectory, wrap_angle
+from tailscope.scene import Scene, Trajectory, wrap_angle
 
 
 def head_on_scene(gap=20.0, speed=5.0, frames=2, dt=0.1):
@@ -164,10 +164,7 @@ class TestGlobalSceneRisk:
         trajs = [random_trajectory(rng, agent_id=str(i), n_frames=6) for i in range(3)]
         scene_a = make_scene(trajs, target_id="0")
         relabeled = [
-            Trajectory.from_states(
-                agent_id=new, states=trajs[int(old)].states, dt=trajs[int(old)].dt
-            )
-            for old, new in (("0", "2"), ("1", "0"), ("2", "1"))
+            replace(trajs[int(old)], agent_id=new) for old, new in (("0", "2"), ("1", "0"), ("2", "1"))
         ]
         scene_b = make_scene(relabeled, target_id="2")  # same physical target
         assert_rel(
@@ -192,23 +189,12 @@ class TestFrameInvariance:
             beta = float(rng.uniform(-math.pi, math.pi))
             shift = rng.uniform(-200, 200, size=2)
             c, s = math.cos(beta), math.sin(beta)
+            rotation = np.array([[c, -s], [s, c]])
             moved = make_scene(
                 [
-                    Trajectory.from_states(
-                        agent_id=t.agent_id,
-                        states=tuple(
-                            AgentState(
-                                t=st.t,
-                                x=c * st.x - s * st.y + shift[0],
-                                y=s * st.x + c * st.y + shift[1],
-                                vx=c * st.vx - s * st.vy,
-                                vy=s * st.vx + c * st.vy,
-                                heading=wrap_angle(st.heading + beta),
-                                kind=st.kind,
-                            )
-                            for st in t.states
-                        ),
-                        dt=t.dt,
+                    Trajectory(
+                        t.agent_id, t.times, t.positions @ rotation.T + shift, t.velocities @ rotation.T,
+                        wrap_angle(t.headings + beta), t.kind, t.dt,
                     )
                     for t in trajs
                 ],
@@ -222,11 +208,9 @@ class TestFrameInvariance:
 
 def _on_positions_of(traj, other, frames):
     """``traj`` with its positions replaced by ``other``'s at ``frames``."""
-    states = tuple(
-        replace(s, x=o.x, y=o.y) if k in frames else s
-        for k, (s, o) in enumerate(zip(traj.states, other.states))
-    )
-    return Trajectory.from_states(agent_id=traj.agent_id, states=states, dt=traj.dt)
+    positions = traj.positions.copy()
+    positions[list(frames)] = other.positions[list(frames)]
+    return replace(traj, positions=positions)
 
 
 class TestBruteForceEquivalence:

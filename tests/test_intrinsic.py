@@ -18,7 +18,7 @@ from tailscope.intrinsic import (
     masked_mean,
     temporal_irregularity,
 )
-from tailscope.scene import AgentState, Trajectory, wrap_angle
+from tailscope.scene import Trajectory, wrap_angle
 from tailscope.synth import ScenarioSpec, generate
 
 
@@ -123,22 +123,12 @@ class TestProperties:
             beta = float(rng.uniform(-math.pi, math.pi))
             shift = rng.uniform(-100, 100, size=2)
             c, s = math.cos(beta), math.sin(beta)
-            moved = Trajectory.from_states(
-                agent_id=traj.agent_id,
-                states=tuple(
-                    AgentState(
-                        t=st.t,
-                        x=c * st.x - s * st.y + shift[0],
-                        y=s * st.x + c * st.y + shift[1],
-                        vx=c * st.vx - s * st.vy,
-                        vy=s * st.vx + c * st.vy,
-                        heading=wrap_angle(st.heading + beta),
-                        kind=st.kind,
-                    )
-                    for st in traj.states
-                ),
-                dt=traj.dt,
-            )
+            rows = [
+                (st.t, c * st.x - s * st.y + shift[0], s * st.x + c * st.y + shift[1],
+                 c * st.vx - s * st.vy, s * st.vx + c * st.vy, wrap_angle(st.heading + beta))
+                for st in traj.states
+            ]
+            moved = Trajectory.from_rows(traj.agent_id, rows, traj.kind, traj.dt)
             a, b = compute_intrinsic(traj), compute_intrinsic(moved)
             for name in ("c_v", "c_j", "c_kappa", "c_dkappa", "c_dgamma"):
                 assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-9, rel=1e-9)

@@ -1,19 +1,22 @@
 """The output boundary: every parameter record reads and writes one JSON object
-through one codec, and every file is written by one writer."""
+through one codec, and every file is written by one writer. Every record, and a
+parsed scene group, holds read-only arrays, also in its copies and pickles."""
 
+import copy
 import json
 import math
+import pickle
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
-from tailscope.errors import ConfigurationError, UsageError, write_text
+from tailscope.errors import ConfigurationError, UsageError, ValidationError, write_text
 from tailscope.interaction import RssParams
 from tailscope.memory import CognitiveSetParams, GateMlp, PrototypeMemory
 from tailscope.perceiver import DatasetStats, GaussianLayer, PerceiverParams, default_params
-from tailscope.scene import Trajectory, dump_scenes
+from tailscope.scene import Trajectory, dump_scenes, parse_scene_csv, scenes_to_csv
 from tailscope.synth import ScenarioSpec, generate
 
 RECORDS = [GaussianLayer, PerceiverParams, DatasetStats, GateMlp, CognitiveSetParams, PrototypeMemory, RssParams]
@@ -191,3 +194,93 @@ def test_a_record_holds_read_only_copies_of_its_arrays(build, values):
         assert held.tolist() == np.array(value, dtype=float).tolist() and not held.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             held[...] = 0.0
+
+
+def parsed_scenes():
+    """Two crossing scenes and a grid scene, as ``parse_scene_csv`` reads them back."""
+    specs = [ScenarioSpec("crossing", frames=6, seed=1), ScenarioSpec("crossing", frames=6, seed=2), ScenarioSpec("grid")]
+    return parse_scene_csv(scenes_to_csv([generate(spec)[0] for spec in specs]))
+
+
+#: Each record holding arrays, and a parsed scene group, as built by their constructors.
+RECORDS_AND_GROUP = {
+    **{name: build({key: np.array(value, dtype=float) for key, value in values.items()})
+       for name, (build, values) in ARRAY_RECORDS.items()},
+    "SceneGroup": parsed_scenes().groups[0],
+}
+
+#: The three ways to copy a record.
+COPIES = {"pickle": lambda record: pickle.loads(pickle.dumps(record)), "deepcopy": copy.deepcopy, "copy": copy.copy}
+
+
+def arrays(record):
+    """Each array ``record`` holds, by field name, through its nested records."""
+    for name in record.__dataclass_fields__:
+        value = getattr(record, name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield name, item
+            elif is_dataclass(item):
+                yield from arrays(item)
+
+
+def same(a, b) -> bool:
+    """Whether two records hold equal values field by field, arrays with their dtype and shape."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(same(getattr(a, name), getattr(b, name)) for name in a.__dataclass_fields__)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist())
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("how", COPIES.values(), ids=COPIES)
+@pytest.mark.parametrize("record", RECORDS_AND_GROUP.values(), ids=RECORDS_AND_GROUP)
+def test_a_copy_or_pickle_holds_the_values_in_read_only_arrays(record, how):
+    twin = how(record)
+    assert twin is not record and same(twin, record)
+    for name, array in arrays(twin):
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
+
+
+#: Per record, a field value its constructor refuses.
+REFUSED = {
+    "Trajectory": ("dt", 0.0),
+    "GateMlp": ("b_gate", math.inf),
+    "GaussianLayer": ("sigma_b", np.array([-2.0])),
+    "CognitiveSetParams": ("tau", 0.0),
+    "PrototypeMemory": ("eta", 2.0),
+    "PerceiverParams": ("b_o", math.inf),
+    "DatasetStats": ("scale", np.zeros(14)),
+}
+
+
+@pytest.mark.parametrize("how", COPIES.values(), ids=COPIES)
+@pytest.mark.parametrize("name, field, value", [(name, *row) for name, row in REFUSED.items()], ids=REFUSED)
+def test_a_copy_or_pickle_runs_the_constructors_checks(name, field, value, how):
+    """A record whose field was changed behind its back is refused when copied."""
+    record = copy.copy(RECORDS_AND_GROUP[name])
+    object.__setattr__(record, field, value)
+    with pytest.raises((ValidationError, ConfigurationError)):
+        how(record)
+
+
+@pytest.mark.parametrize("how", COPIES.values(), ids=COPIES)
+def test_a_copied_memory_keeps_its_boundaries_and_cut_points(how):
+    twin = how(PrototypeMemory(np.eye(3), 0.9, [0.2, 1.0]))
+    with pytest.raises(ValueError, match="read-only"):
+        twin.boundaries[0] = 0.9
+    assert twin.category_of(0.3) == twin.category_of(np.array([0.3]))[0] == 1
+
+
+@pytest.mark.parametrize("how", COPIES.values(), ids=COPIES)
+def test_a_copy_of_a_parsed_trajectory_is_a_checked_copy_not_a_view(how):
+    scenes = parsed_scenes()
+    block = scenes.groups[0].block
+    target = scenes[0].target
+    assert all(np.shares_memory(array, block) for _, array in arrays(target))
+    twin = how(target)
+    assert same(twin, target) and not any(np.shares_memory(array, block) for _, array in arrays(twin))

@@ -2,8 +2,10 @@
 seeded plain scene CSV and on its twins, and the exit code and error text of
 one refused file per twin; ``rank`` with library-saved stats and params files
 in both modes and without ``--categories``; ``eval`` with default options,
-with ``--threshold`` and to stdout, on ``json.dumps`` lines, compact-separator
-lines and lines that take the leaf-by-leaf reader. Every passing row writes
+with ``--threshold``, with every ranking option and to stdout, on
+``json.dumps`` lines, compact-separator lines, lines that take the
+leaf-by-leaf reader and lines with non-ASCII ids, escaped or not; ``synth``
+of each kind, its scene CSV and its oracle sidecar. Every passing row writes
 nothing to stderr.
 
 The twins write the same scenes as the plain file in the ways other CSV
@@ -217,12 +219,27 @@ FORECAST_TWINS = {
     "id-last": lambda records: "".join(json.dumps(_id_last(r)) + "\n" for r in records),  # takes _row
 }
 
+
+def non_ascii_ids(records: list[dict]) -> str:
+    """The samples under ids with a non-ASCII letter and a quote, escaped as
+    ``\\u00fc`` and ``\\"`` on even lines, written as UTF-8 on odd ones."""
+    return "".join(
+        json.dumps({**r, "sample_id": f'\u00fc"{r["sample_id"]}'}, ensure_ascii=i % 2 == 0) + "\n"
+        for i, r in enumerate(records)
+    )
+
+
+#: Every forecast file of the matrix: the twins and the non-ASCII ids.
+FORECAST_FILES = {**FORECAST_TWINS, "non-ascii-ids": non_ascii_ids}
+
 #: (twin, ``eval`` options, input SHA-256, report SHA-256)
 EVAL_REPORTS = [
     ("dumps", [], "76e5f77e67af0aad695caedc5fefec13f492d3f25279a2e03c3851ecb9aa70b1", "c9bd3fdd50e4ad87d784b750a4590b5fa191d1f35eb0adf67fd185cb482b55b8"),
     ("dumps", ["--threshold", "1.5"], "76e5f77e67af0aad695caedc5fefec13f492d3f25279a2e03c3851ecb9aa70b1", "a3918a35114d1a79218d528979e01f1707db8ba2ce20eca7ad73ac853a691b86"),
     ("compact", [], "f8f04cb80ddcf58711d97e9374af3dfb139888e870d6ab8be37edf4e14edd817", "c9bd3fdd50e4ad87d784b750a4590b5fa191d1f35eb0adf67fd185cb482b55b8"),
     ("id-last", [], "fb04374e44ddddbaa743f8dd9cc65d82da1f3e1e89efb2d66e8609b0cd7699a1", "c9bd3fdd50e4ad87d784b750a4590b5fa191d1f35eb0adf67fd185cb482b55b8"),
+    ("dumps", ["--k", "1,2", "--topk", "10,50", "--rank-metric", "min_fde", "--rank-k", "2"], "76e5f77e67af0aad695caedc5fefec13f492d3f25279a2e03c3851ecb9aa70b1", "0e67d71bf5fb606fe5e438c4ec8c88f7429b093001c6eaf082c012fc4b7cb5bd"),
+    ("non-ascii-ids", [], "30ec190ca19dfc3e25cd8516828a4822b1f0107f5726fe77b2209dd6c2150a98", "e723aa693d0323fb882d2e889abfc9c64089e2f4f900ea3174ea23b84c8bb4e2"),
 ]
 
 EVAL_IDS = [f"{twin}-{'-'.join(options) or 'default'}" for twin, options, *_ in EVAL_REPORTS]
@@ -230,14 +247,15 @@ EVAL_IDS = [f"{twin}-{'-'.join(options) or 'default'}" for twin, options, *_ in 
 
 @pytest.mark.parametrize("twin, options, input_sha, report_sha", EVAL_REPORTS, ids=EVAL_IDS)
 def test_eval_report_bytes(tmp_path, capsys, twin, options, input_sha, report_sha):
-    data, rc, report = run(tmp_path, ["eval", *options], FORECAST_TWINS[twin](forecasts()), name="in.jsonl")
+    data, rc, report = run(tmp_path, ["eval", *options], FORECAST_FILES[twin](forecasts()), name="in.jsonl")
     assert sha256(data) == input_sha
     assert rc == 0 and sha256(report) == report_sha
     assert capsys.readouterr().err == ""
 
 
 def test_twins_of_one_forecast_file_give_its_report():
-    assert {sha for _, options, _, sha in EVAL_REPORTS if not options} == {EVAL_REPORTS[0][3]}
+    twins = {sha for twin, options, _, sha in EVAL_REPORTS if not options and twin in FORECAST_TWINS}
+    assert twins == {EVAL_REPORTS[0][3]}
 
 
 def test_eval_report_to_stdout_is_the_file_report(tmp_path, capsys):
@@ -249,8 +267,8 @@ def test_eval_report_to_stdout_is_the_file_report(tmp_path, capsys):
 
 
 def test_only_the_id_last_twin_takes_the_leaf_by_leaf_reader(monkeypatch):
-    """The twins pin both forecast readers: ``_flat_row`` takes every line of the
-    other twins and no line with the id last, which ``_row`` reads."""
+    """The files pin both forecast readers: ``_flat_row`` takes every line of the
+    other files and no line with the id last, which ``_row`` reads."""
     read, taken = evaluation._row, []
 
     def spy(line, line_no):
@@ -258,7 +276,27 @@ def test_only_the_id_last_twin_takes_the_leaf_by_leaf_reader(monkeypatch):
         return read(line, line_no)
 
     monkeypatch.setattr(evaluation, "_row", spy)
-    for twin, write in FORECAST_TWINS.items():
+    for twin, write in FORECAST_FILES.items():
         taken.clear()
         evaluation.parse_forecast_jsonl(write(forecasts()))
         assert taken == (list(range(1, 17)) if twin == "id-last" else []), twin
+
+
+#: (kind, ``synth`` options, scene CSV SHA-256, oracle sidecar SHA-256); the
+#: options are the whole input.
+SYNTH_REPORTS = [
+    ("constant", ["--agents", "4", "--frames", "12", "--seed", "3"], "94c88920b0e06d168b7b41d3bf1640e9a4855a2d17fdf055092b395245c2673c", "d8c2e21597f6cfda593d1801cbfc83777ee0653d66ecee98f00d72e515343f44"),
+    ("circle", ["--radius", "15", "--speed", "6", "--frames", "30", "--dt", "0.05", "--seed", "1"], "f51c3d1a61fb78b22ebf86ee164d277f858996a037de3412a01e6ee1211bc9ed", "b3ab42233abae4ecef45ea9368db2739ca15feb33891ef336a75964393710c37"),
+    ("brake", ["--speed", "8", "--decel", "3", "--frames", "40"], "96f400525bc2b6532413bf405d42b5565722513917322f203f1cdc95e5d41bf2", "755bb83e934b7e893ec4646520045a23f31a4f31cc97918d49998f8fbff1826a"),
+    ("crossing", ["--gap", "30", "--speed", "4", "--frames", "20", "--seed", "2"], "849476d6bfbf569629a03b0f6be752017d5d58c055682bd5b0a9413a1eca8746", "8685e684fe2d191cc0e3346c3dd9e8ed236292161c5df54a87a8d31daf1fe36f"),
+    ("grid", ["--agents", "5", "--gap", "10", "--neighbor-radius", "20"], "d95d43520902a0032876bc15addd7fc32c6e071f51d22ad72964a66135bf3801", "0434b5800461505583d3f983dddd04da5c3e9fecbcec2ec78735efbb2f50eb1d"),
+]
+
+
+@pytest.mark.parametrize("kind, options, csv_sha, sidecar_sha", SYNTH_REPORTS, ids=[row[0] for row in SYNTH_REPORTS])
+def test_synth_bytes(tmp_path, capsys, kind, options, csv_sha, sidecar_sha):
+    out = tmp_path / "scene.csv"
+    assert main(["synth", "--kind", kind, *options, "--out", str(out)]) == 0
+    written = out.read_bytes(), (tmp_path / "scene.csv.oracle.json").read_bytes()
+    assert tuple(map(sha256, written)) == (csv_sha, sidecar_sha)
+    assert capsys.readouterr().err == ""

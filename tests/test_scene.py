@@ -11,7 +11,6 @@ from conftest import make_traj, make_scene, random_trajectory
 from tailscope import scene as scene_module
 from tailscope.errors import ParseError, ValidationError
 from tailscope.scene import (
-    AgentState,
     Scene,
     SceneColumns,
     Trajectory,
@@ -24,35 +23,15 @@ from tailscope.scene import (
 HEADER = "scene_id,agent_id,frame,t,x,y,vx,vy,heading,kind"
 
 
-class TestAgentState:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            AgentState(t=0.0, x=math.nan, y=0.0, vx=0.0, vy=0.0, heading=0.0)
-
-    def test_rejects_heading_outside_range(self):
-        with pytest.raises(ValidationError):
-            AgentState(t=0.0, x=0.0, y=0.0, vx=0.0, vy=0.0, heading=-math.pi)
-        # pi itself is inside (-pi, pi]
-        AgentState(t=0.0, x=0.0, y=0.0, vx=0.0, vy=0.0, heading=math.pi)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            AgentState(t=0.0, x=0.0, y=0.0, vx=0.0, vy=0.0, heading=0.0, kind="bicycle")
-
-
 class TestTrajectory:
     def test_needs_two_states(self):
-        s = AgentState(t=0.0, x=0.0, y=0.0, vx=1.0, vy=0.0, heading=0.0)
-        with pytest.raises(ValidationError):
-            Trajectory.from_states(agent_id="a", states=(s,), dt=0.1)
+        with pytest.raises(ValidationError, match="'a' needs at least 2 states, got 1"):
+            Trajectory.from_rows("a", [(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)], "vehicle", 0.1)
 
     def test_rejects_non_uniform_gaps(self):
-        states = tuple(
-            AgentState(t=t, x=0.0, y=0.0, vx=1.0, vy=0.0, heading=0.0)
-            for t in (0.0, 0.5, 1.2)
-        )
+        rows = [(t, 0.0, 0.0, 1.0, 0.0, 0.0) for t in (0.0, 0.5, 1.2)]
         with pytest.raises(ValidationError, match="frame 2"):
-            Trajectory.from_states(agent_id="a", states=states, dt=0.5)
+            Trajectory.from_rows("a", rows, "vehicle", 0.5)
 
     @staticmethod
     def columns(n=4):
@@ -121,6 +100,8 @@ class TestTrajectory:
         cols["headings"][3] = -math.pi
         with pytest.raises(ValidationError, match="frame 3"):
             Trajectory("a", **cols, kind="vehicle", dt=0.5)
+        cols["headings"][3] = math.pi  # pi itself is inside (-pi, pi]
+        Trajectory("a", **cols, kind="vehicle", dt=0.5)
 
     def test_rejects_unknown_kind_and_bad_dt(self):
         with pytest.raises(ValidationError, match="kind"):
@@ -146,20 +127,22 @@ class TestTrajectory:
             with pytest.raises(ValueError):
                 stored[0] = 1.0
 
-    def test_from_states_round_trips_rows(self, rng):
-        traj = random_trajectory(rng, kind="pedestrian")
-        again = Trajectory.from_states(traj.agent_id, traj.states, traj.dt)
-        assert again.kind == "pedestrian" and again.states == traj.states
+    @pytest.mark.parametrize("kind", ["vehicle", "pedestrian", "other"])
+    def test_from_rows_round_trips_states(self, rng, kind):
+        traj = random_trajectory(rng, kind=kind)
+        assert all(state.kind == kind for state in traj.states)
+        again = Trajectory.from_rows(traj.agent_id, [state[:6] for state in traj.states], traj.kind, traj.dt)
+        assert (again.agent_id, again.kind, again.dt, again.states) == (traj.agent_id, kind, traj.dt, traj.states)
         for name in ("times", "positions", "velocities", "headings"):
-            assert np.array_equal(getattr(again, name), getattr(traj, name))
+            assert getattr(again, name).tobytes() == getattr(traj, name).tobytes()
 
-    def test_from_states_rejects_mixed_kinds(self):
-        states = [
-            AgentState(t=0.0, x=0.0, y=0.0, vx=1.0, vy=0.0, heading=0.0, kind="vehicle"),
-            AgentState(t=0.1, x=0.1, y=0.0, vx=1.0, vy=0.0, heading=0.0, kind="pedestrian"),
-        ]
-        with pytest.raises(ValidationError, match="mixes agent kinds"):
-            Trajectory.from_states("a", states, dt=0.1)
+    def test_from_rows_reads_each_column_in_its_place(self):
+        rows = [(0.0, 1.0, 2.0, 3.0, 4.0, 0.5), (0.1, 5.0, 6.0, 7.0, 8.0, -0.5)]
+        traj = Trajectory.from_rows("a", rows, "other", 0.1)
+        assert traj.times.tolist() == [0.0, 0.1] and traj.headings.tolist() == [0.5, -0.5]
+        assert traj.positions.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+        assert traj.velocities.tolist() == [[3.0, 4.0], [7.0, 8.0]]
+        assert [tuple(state) for state in traj.states] == [(*row, "other") for row in rows]
 
     def test_pickled_scene_round_trips(self, rng):
         trajs = [
@@ -215,17 +198,8 @@ class TestDeriveKinematics:
 
     def test_time_translation_invariance(self, rng):
         traj = random_trajectory(rng)
-        shifted = Trajectory.from_states(
-            agent_id=traj.agent_id,
-            states=tuple(
-                AgentState(
-                    t=s.t + 1234.5, x=s.x, y=s.y, vx=s.vx, vy=s.vy,
-                    heading=s.heading, kind=s.kind,
-                )
-                for s in traj.states
-            ),
-            dt=traj.dt,
-        )
+        rows = [(s.t + 1234.5, s.x, s.y, s.vx, s.vy, s.heading) for s in traj.states]
+        shifted = Trajectory.from_rows(traj.agent_id, rows, traj.kind, traj.dt)
         a, b = derive_kinematics(traj), derive_kinematics(shifted)
         assert np.array_equal(a.a, b.a)
         assert np.array_equal(a.j, b.j)
@@ -236,22 +210,12 @@ class TestDeriveKinematics:
         beta = 0.83
         c, s = math.cos(beta), math.sin(beta)
         traj = random_trajectory(rng)
-        rotated = Trajectory.from_states(
-            agent_id=traj.agent_id,
-            states=tuple(
-                AgentState(
-                    t=st.t,
-                    x=c * st.x - s * st.y,
-                    y=s * st.x + c * st.y,
-                    vx=c * st.vx - s * st.vy,
-                    vy=s * st.vx + c * st.vy,
-                    heading=wrap_angle(st.heading + beta),
-                    kind=st.kind,
-                )
-                for st in traj.states
-            ),
-            dt=traj.dt,
-        )
+        rows = [
+            (st.t, c * st.x - s * st.y, s * st.x + c * st.y, c * st.vx - s * st.vy, s * st.vx + c * st.vy,
+             wrap_angle(st.heading + beta))
+            for st in traj.states
+        ]
+        rotated = Trajectory.from_rows(traj.agent_id, rows, traj.kind, traj.dt)
         ka, kb = derive_kinematics(traj), derive_kinematics(rotated)
         # magnitudes invariant, rates invariant, phi shifted by beta
         assert np.allclose(np.linalg.norm(ka.a, axis=1), np.linalg.norm(kb.a, axis=1), atol=1e-9)
