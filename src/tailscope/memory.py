@@ -1,22 +1,22 @@
 """Tail-Index-partitioned prototype memory and the cognitive set mechanism.
 
-Prototypes are per-category mean feature vectors, categories cut at Tail
-Index percentiles, refined by a TI-weighted momentum update. At adaptation
-time a gating MLP proposes a category allocation, a vigilance gate blends it
-toward a tail-biased fallback when no prototype matches well, and a single
-analytic gradient step on the prototype-alignment loss refines the memory
-before it augments the feature vector.
+Prototypes are per-category mean feature vectors, categories cut at Tail Index
+percentiles, refined by a TI-weighted momentum update. At adaptation time a
+gating MLP proposes a category allocation, a vigilance gate blends it toward a
+tail-biased fallback when no prototype matches well, and one analytic gradient
+step on the prototype-alignment loss, its similarity and gradient read from one
+cosine pass, refines the memory before it augments the feature vector.
 
 ``GateMlp.forward``, ``allocation``, ``similarity``, ``vigilance_adjust`` and
 ``augment`` take one sample's vectors or ``(B, .)`` stacks whose rows are
 samples, ``PrototypeMemory.category_of`` one Tail Index or a ``(B,)`` array; a
-batch call returns one row per sample and warns once, not once per degenerate
-row. ``GateMlp.forward`` is one einsum kernel, a row's bits the same in any
-batch; other one-sample calls take a lean path (``ndarray.dot``, in-place
-arithmetic, Python floats) matching the batch rows to 1e-12. Two memos keyed by
-content, ``GateMlp``'s of the rows of its last forward and ``similarity``'s of
-the last prototype matrix's row norms, give a recompute's bits; ``GateMlp``'s
-weights and logits are read-only, so neither memo can go stale.
+batch call, like ``inner_update``, warns once, not once per degenerate row.
+``GateMlp.forward`` is one einsum kernel, a row's bits the same in any batch;
+other one-sample calls take a lean path (``ndarray.dot``, in-place arithmetic,
+Python floats) matching the batch rows to 1e-12. Two memos keyed by content,
+``GateMlp``'s of the rows of its last forward and ``similarity``'s of the last
+prototype matrix's row norms, give a recompute's bits; ``GateMlp``'s weights and
+logits are read-only, so neither memo can go stale.
 
 Reads (allocation, similarity, vigilance, augment) are pure; the two update
 operations return fresh arrays and never mutate their inputs, but concurrent
@@ -70,14 +70,20 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of ``x`` scaled to unit norm, with their norms and the mask of rows kept.
-
-    Rows with a norm below ``EPS_NORM`` are directionless and come out as zeros.
-    Norms and mask keep a trailing axis of length 1, so they broadcast against ``x``.
-    """
+    """Rows of ``x`` scaled to unit norm (zeros below ``EPS_NORM``), and their norms and kept-row mask as columns."""
     norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))  # np.linalg.norm's sum, less call overhead
     ok = norms >= EPS_NORM
     return np.divide(x, norms, out=np.zeros_like(x), where=ok), norms, ok
+
+
+def _cosines(f_m: np.ndarray, prototypes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unit rows of ``f_m`` and of ``prototypes`` read in C order, the prototypes' inverse norms and the ``(B, C)``
+    cosines; a row below ``EPS_NORM`` gets zeros, and one :class:`DegenerateInputWarning` reports them all."""
+    f_hat, _, ok_f = _unit_rows(f_m)
+    m_hat, row_norms, ok_m = _unit_rows(np.ascontiguousarray(prototypes, dtype=float))
+    if not (ok_f.all() and ok_m.all()):
+        warnings.warn("zero-norm feature or prototype rows: zero similarity and zero gradient", DegenerateInputWarning)
+    return f_hat, m_hat, np.divide(1.0, row_norms, out=np.zeros_like(row_norms), where=ok_m), f_hat @ m_hat.T
 
 
 def _finite(name: str, x: np.ndarray) -> np.ndarray:
@@ -425,11 +431,7 @@ def similarity(f_m: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarra
             out /= row_norms
             out *= tau / f_norm
             return out
-    f_hat, _, ok_f = _unit_rows(f_m)
-    m_hat, _, ok_m = _unit_rows(prototypes)
-    if not (ok_f.all() and ok_m.all()):
-        warnings.warn("zero-norm feature or prototype rows, their similarities set to 0", DegenerateInputWarning)
-    return tau * (f_hat @ m_hat.T)
+    return tau * _cosines(f_m, prototypes)[-1]
 
 
 def vigilance_adjust(g: np.ndarray, s: np.ndarray, params: CognitiveSetParams) -> np.ndarray:
@@ -467,6 +469,13 @@ def proto_loss(g_adj: np.ndarray, s: np.ndarray) -> float:
     return float(np.mean(softplus(-margins)))
 
 
+def _proto_grad(f_hat, m_hat, inv_norms, cos, g_adj, tau) -> np.ndarray:
+    """Gradient of ``proto_loss`` with respect to the prototypes, from ``_cosines``' four arrays."""
+    sign = 2.0 * g_adj - 1.0
+    w = -sigmoid(-np.sum(sign * (tau * cos), axis=1))[:, None] / len(f_hat) * sign * tau  # d loss / d cos, (B, C)
+    return (w.T @ f_hat - (w * cos).sum(axis=0)[:, None] * m_hat) * inv_norms
+
+
 def proto_loss_and_grad(
     prototypes: np.ndarray, f_m: np.ndarray, g_adj: np.ndarray, tau: float
 ) -> tuple[float, np.ndarray]:
@@ -480,28 +489,12 @@ def proto_loss_and_grad(
     and rows or samples with near-zero norm contribute zero gradient (flagged
     via :class:`DegenerateInputWarning`).
     """
-    prototypes = np.asarray(prototypes, dtype=float)
     f_m = np.atleast_2d(np.asarray(f_m, dtype=float))
     g_adj = np.atleast_2d(np.asarray(g_adj, dtype=float))
-    n_samples = f_m.shape[0]
-    if g_adj.shape != (n_samples, prototypes.shape[0]):
-        raise UsageError(f"g' must be (B, C) = ({n_samples}, {prototypes.shape[0]}), got {g_adj.shape}")
-
-    f_hat, _, ok_f = _unit_rows(f_m)
-    m_hat, row_norms, ok_m = _unit_rows(prototypes)
-    if not (ok_f.all() and ok_m.all()):
-        warnings.warn("zero-norm rows contribute zero similarity and zero gradient", DegenerateInputWarning)
-
-    cos = f_hat @ m_hat.T                     # (B, C); zero where degenerate
-    s = tau * cos
-    loss = proto_loss(g_adj, s)
-
-    sign = 2.0 * g_adj - 1.0
-    dloss_dmargin = -sigmoid(-np.sum(sign * s, axis=1)) / n_samples  # (B,)
-    w = dloss_dmargin[:, None] * sign * tau                         # (B, C)
-    inv_norms = np.divide(1.0, row_norms, out=np.zeros_like(row_norms), where=ok_m)
-    grad = (w.T @ f_hat - (w * cos).sum(axis=0)[:, None] * m_hat) * inv_norms
-    return loss, grad
+    if g_adj.shape != (f_m.shape[0], len(prototypes)):
+        raise UsageError(f"g' must be (B, C) = ({f_m.shape[0]}, {len(prototypes)}), got {g_adj.shape}")
+    unit = _cosines(f_m, prototypes)
+    return proto_loss(g_adj, tau * unit[-1]), _proto_grad(*unit, g_adj, tau)
 
 
 def inner_update(
@@ -518,9 +511,11 @@ def inner_update(
     """
     if batch.f_m.shape[1] != mem.dim:
         raise UsageError(f"feature dim {batch.f_m.shape[1]} != memory dim {mem.dim}")
-    g_adj = vigilance_adjust(allocation(batch.h, params), similarity(batch.f_m, mem.prototypes, params.tau), params)
-    _, grad = proto_loss_and_grad(mem.prototypes, batch.f_m, g_adj, params.tau)
-    return mem.prototypes - alpha_lr * grad
+    if not len(batch):
+        raise UsageError("empty batch")
+    g, unit = allocation(batch.h, params), _cosines(batch.f_m, mem.prototypes)
+    g_adj = vigilance_adjust(g, params.tau * unit[-1], params)
+    return mem.prototypes - alpha_lr * _proto_grad(*unit, g_adj, params.tau)
 
 
 def augment(

@@ -3,10 +3,12 @@
 A mutant is one exact text replacement in one file of ``src/tailscope``. For
 each, this script copies ``src/`` to a temporary directory, applies the
 replacement there and runs the named test files against the copy with
-``pytest -x -q``. The same tests must first pass on an unmutated copy, so a
-failing run kills the mutant; a passing run means it survived, and the tests
-do not pin the rule the mutant breaks. An old text that is not in its file
-exactly once is a stale table row and fails the gate at once.
+``pytest -x -q --assert=plain`` (a verdict reads only the exit code, so no
+test module is recompiled for assertion rewriting). The same tests must first
+pass on an unmutated copy, so a failing run kills the mutant; a passing run
+means it survived, and the tests do not pin the rule the mutant breaks. An old
+text that is not in its file exactly once is a stale table row and fails the
+gate at once.
 
 Run from anywhere with ``python tests/mutants.py`` (stdlib only; pytest does
 not collect this file). It prints the mutant count of each module of
@@ -109,9 +111,31 @@ MUTANTS = [
      ["tests/test_evaluation.py::TestWorstCase"]),
     ("evaluation.py", ".translate(None, _SKIP) != skeleton:", ".translate(None, _SKIP) is None:",
      ["tests/test_evaluation.py::TestParseJsonl"]),
-    # Interaction: only a vehicle neighbor's longitudinal velocity counts.
+    # Interaction: only a vehicle neighbor's longitudinal velocity counts, a neighbor at the radius is near,
+    # and a pair nearer than EPS_DIST has rate 0 even when it closes.
     ("interaction.py", 'v_j_lon = np.where(g.kinds == "vehicle",', 'v_j_lon = np.where(g.kinds != "vehicle",',
      ["tests/test_interaction.py"]),
+    ("interaction.py", "dist[..., local] <= radius,", "dist[..., local] < radius,",
+     ["tests/test_interaction.py::TestGlobalSceneRisk::test_neighbor_exactly_at_the_radius_counts"]),
+    ("interaction.py", "ok = (closing > 0.0) & ~coincident", "ok = closing > 0.0",
+     ["tests/test_interaction.py::TestIttc::test_closing_pair_nearer_than_eps_dist_has_zero_rate_and_flag"]),
+    # The meta-memory step: inner_update refuses an empty batch, a directionless prototype row gets no
+    # gradient, the cosines read the prototypes in C order, and the step descends; augment gates through a
+    # sigmoid; the momentum update keeps eta of the old row.
+    ("memory.py", '    if not len(batch):\n        raise UsageError("empty batch")\n', "",
+     ["tests/test_memory.py::TestBatchForm::test_empty_batch_is_a_usage_error"]),
+    ("memory.py", "np.divide(1.0, row_norms, out=np.zeros_like(row_norms), where=ok_m)",
+     "np.divide(1.0, row_norms, out=np.zeros_like(row_norms))",
+     ["tests/test_memory.py::TestBatchForm::test_inner_update_with_degenerate_rows"]),
+    ("memory.py", "_unit_rows(np.ascontiguousarray(prototypes, dtype=float))",
+     "_unit_rows(np.asarray(prototypes, dtype=float))",
+     ["tests/test_memory.py::TestBatchForm::test_gradient_has_the_same_bits_in_either_memory_order"]),
+    ("memory.py", "return mem.prototypes - alpha_lr * _proto_grad(", "return mem.prototypes + alpha_lr * _proto_grad(",
+     ["tests/test_memory.py::TestBatchForm::test_inner_update_matches_per_sample_reference"]),
+    ("memory.py", "gate = sigmoid(params.gate_mlp.forward(h)[1])", "gate = params.gate_mlp.forward(h)[1]",
+     ["tests/test_memory.py::TestAugment"]),
+    ("memory.py", "mem.eta * new_rows[c] + (1.0 - mem.eta) * (w @ batch.f_m[mask])",
+     "(1.0 - mem.eta) * new_rows[c] + mem.eta * (w @ batch.f_m[mask])", ["tests/test_memory.py::TestUpdatePrototypes"]),
     # The CLI: no number option takes a boolean. synth's circle rounds its angle as written, and the
     # report matrix pins those bits. The package exports AgentState.
     ("cli.py", "isinstance(v, types) and not isinstance(v, bool)", "isinstance(v, types)",
@@ -135,7 +159,7 @@ def copy_src(tmp: str, mutant=None) -> Path:
 
 def run_tests(src: Path, tests: list[str]) -> int:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "--assert=plain", "-p", "no:cacheprovider", *tests]
     return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 

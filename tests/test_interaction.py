@@ -61,6 +61,14 @@ class TestIttc:
         out = ittc_risk(make_scene([target, other]))
         assert "proximity_skip" in out["flags"]
 
+    def test_closing_pair_nearer_than_eps_dist_has_zero_rate_and_flag(self):
+        target = make_traj("0", [(0.01, 0.0)] * 3)  # gaps 5, 4 and 3 mm, closing at 1 cm/s
+        other = make_traj("1", [(0.0, 0.0)] * 3, p0=(0.005, 0.0))
+        scene = make_scene([target, other])
+        out = ittc_risk(scene)
+        assert np.all(out["series"] == 0.0) and "proximity_skip" in out["flags"]
+        assert global_scene_risk(scene)["r_mac"] == 0.0
+
     def test_shrinking_gap_increases_risk(self):
         values = [
             ittc_risk(head_on_scene(gap=g, speed=5.0, frames=2, dt=0.01))["r_ittc"]
@@ -151,6 +159,11 @@ class TestGlobalSceneRisk:
         scene = make_scene(statics, neighbor_radius=10.0)
         out = global_scene_risk(scene)
         assert out["r_ad"] == pytest.approx(3.0 / (math.pi * 100.0), rel=1e-12)
+
+    def test_neighbor_exactly_at_the_radius_counts(self):
+        statics = [make_traj("0", [(0.0, 0.0)] * 3), make_traj("1", [(0.0, 0.0)] * 3, p0=(50.0, 0.0))]
+        out = global_scene_risk(make_scene(statics, neighbor_radius=50.0))
+        assert out["r_ad"] == pytest.approx(1.0 / (math.pi * 2500.0), rel=1e-12)
 
     def test_constant_velocity_neighbors_have_zero_instability(self):
         trajs = [

@@ -514,8 +514,48 @@ def degenerate_cases(rng, c, d, b):
     return PrototypeMemory(prototypes=prototypes), batch, CognitiveSetParams.create(categories=c, feature_dim=d, seed=1)
 
 
+def frozen_unit_rows(x):
+    """Unit rows, norms and kept-row mask, as ``similarity`` and ``proto_loss_and_grad`` each formed them."""
+    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    ok = norms >= 1e-12
+    return np.divide(x, norms, out=np.zeros_like(x), where=ok), norms, ok
+
+
+def frozen_similarity(f_m, prototypes, tau):
+    """``similarity`` as each call computed it alone: the (D,) path's scaled dot products, else unit rows."""
+    if f_m.ndim == 1:
+        row_norms, f_norm = np.sqrt((prototypes * prototypes).sum(axis=1)), math.sqrt(f_m.dot(f_m))
+        if np.all((row_norms >= 1e-12) & (row_norms < math.inf)) and 1e-12 <= f_norm < math.inf:
+            out = prototypes.dot(f_m)
+            out /= row_norms
+            out *= tau / f_norm
+            return out
+    return tau * (frozen_unit_rows(f_m)[0] @ frozen_unit_rows(prototypes)[0].T)
+
+
+def frozen_proto_loss_and_grad(prototypes, f_m, g_adj, tau):
+    """``proto_loss_and_grad`` with its own normalisation and cosine product."""
+    f_hat = frozen_unit_rows(f_m)[0]
+    m_hat, row_norms, ok_m = frozen_unit_rows(prototypes)
+    cos = f_hat @ m_hat.T
+    s = tau * cos
+    sign = 2.0 * g_adj - 1.0
+    loss = float(np.mean(softplus(-np.sum(sign * s, axis=1))))
+    w = (-sigmoid(-np.sum(sign * s, axis=1)) / len(f_m))[:, None] * sign * tau
+    inv_norms = np.divide(1.0, row_norms, out=np.zeros_like(row_norms), where=ok_m)
+    return loss, (w.T @ f_hat - (w * cos).sum(axis=0)[:, None] * m_hat) * inv_norms
+
+
+def frozen_inner_update(mem, batch, params, alpha_lr):
+    """``inner_update`` as a similarity call followed by a gradient call, each normalising on its own."""
+    s = frozen_similarity(batch.f_m, mem.prototypes, params.tau)
+    g_adj = vigilance_adjust(allocation(batch.h, params), s, params)
+    return mem.prototypes - alpha_lr * frozen_proto_loss_and_grad(mem.prototypes, batch.f_m, g_adj, params.tau)[1]
+
+
 class TestBatchForm:
-    """Every (B, .) call equals the row-by-row 1-D calls; inner_update is their single batch chain."""
+    """Every (B, .) call equals the row-by-row 1-D calls; inner_update is their single batch chain, and it,
+    similarity and proto_loss_and_grad read one cosine pass with the bits each computed alone before."""
 
     def random_case(self, rng):
         c, d, b = int(rng.integers(1, 7)), int(rng.integers(2, 12)), int(rng.integers(1, 9))
@@ -608,8 +648,53 @@ class TestBatchForm:
     def test_empty_batch_is_a_usage_error(self, rng):
         mem, batch, params = self.random_case(rng)
         empty = AdaptationBatch(f_m=batch.f_m[:0], f_i=batch.f_i[:0], f_r=batch.f_r[:0], ti=batch.ti[:0])
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="empty batch"):
             inner_update(mem, empty, params)
+
+    def shared_pass_cases(self, rng, n):
+        for i in range(n):
+            mem, batch, params = self.random_case(rng)
+            if i % 3 == 0:  # a zero feature row, and on every other such case a prototype row below EPS_NORM
+                f_m = batch.f_m.copy()
+                f_m[0] = 0.0
+                batch = AdaptationBatch(f_m=f_m, f_i=batch.f_i, f_r=batch.f_r, ti=batch.ti)
+                if i % 2 == 0:
+                    mem = PrototypeMemory(prototypes=np.vstack([mem.prototypes[:-1], np.full(mem.dim, 1e-14)]))
+            g = rng.uniform(size=(len(batch), mem.categories))
+            yield mem, batch, params, g / g.sum(axis=1, keepdims=True)
+
+    def test_outputs_equal_the_separate_formulas(self, rng):
+        for mem, batch, params, g_adj in self.shared_pass_cases(rng, 60):
+            m, f, tau = mem.prototypes, batch.f_m, params.tau
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateInputWarning)
+                assert np.array_equal(similarity(f, m, tau), frozen_similarity(f, m, tau))
+                assert np.array_equal(similarity(f[0], m, tau), frozen_similarity(f[0], m, tau))
+                loss, grad = proto_loss_and_grad(m, f, g_adj, tau)
+                want_loss, want_grad = frozen_proto_loss_and_grad(m, f, g_adj, tau)
+                assert loss == want_loss and np.array_equal(grad, want_grad)
+                got = inner_update(mem, batch, params, alpha_lr=0.01)
+                assert np.array_equal(got, frozen_inner_update(mem, batch, params, 0.01))
+
+    @pytest.mark.parametrize("tiny_prototype", [False, True])
+    def test_inner_update_warns_once_for_a_zero_feature_row(self, rng, tiny_prototype):
+        mem, batch, params = degenerate_cases(rng, c=3, d=5, b=4)
+        if not tiny_prototype:
+            mem = PrototypeMemory(prototypes=rng.normal(size=(3, 5)))
+        with pytest.warns(DegenerateInputWarning) as caught:
+            inner_update(mem, batch, params)
+        assert len(caught) == 1
+
+    def test_gradient_has_the_same_bits_in_either_memory_order(self, rng):
+        params = CognitiveSetParams.create(categories=5, feature_dim=64, seed=3)  # D = 64: numpy sums rows pairwise
+        g_adj = np.full((32, 5), 0.2)
+        for _ in range(10):
+            prototypes, batch = rng.normal(size=(5, 64)), random_batch(rng, b=32, d=64)
+            fortran = np.asfortranarray(prototypes)
+            grads = [proto_loss_and_grad(m, batch.f_m, g_adj, 5.0)[1] for m in (fortran, prototypes)]
+            assert grads[0].tobytes() == grads[1].tobytes()
+            steps = [inner_update(PrototypeMemory(prototypes=m), batch, params) for m in (fortran, prototypes)]
+            assert steps[0].tobytes() == steps[1].tobytes()
 
 
 class TestAugment:
