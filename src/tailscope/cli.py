@@ -162,7 +162,7 @@ def cmd_rank(opts: dict) -> int:
     if params_path:
         params = perceiver.PerceiverParams.load(params_path)
         widths = params.path_i[0].in_dim, params.path_r[0].in_dim
-        if widths != (8, 6):
+        if widths != (len(perceiver.INTRINSIC_FIELDS), len(perceiver.INTERACTIVE_FIELDS)):
             what = f"first layers take {widths[0]} and {widths[1]} inputs"
             raise ConfigurationError(f"{params_path}: {what}, not the 8 intrinsic and 6 interactive metrics")
     else:

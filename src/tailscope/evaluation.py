@@ -121,11 +121,6 @@ def _sq_errors(modes: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return sq
 
 
-def ade_per_mode(sample: ForecastSample) -> np.ndarray:
-    """Mean pointwise L2 error of each mode against the ground truth."""
-    return np.sqrt(_sq_errors(sample.modes, sample.gt)).mean(axis=1)
-
-
 @dataclass(frozen=True, eq=False)
 class Table:
     """The samples of one (K, T) shape: their increasing positions ``index`` in

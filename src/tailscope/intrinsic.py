@@ -7,12 +7,13 @@ defined (acceleration from frame 1, jerk from frame 2, ...). Trajectories too
 short for a score report 0 for it plus a ``short_trajectory`` flag instead of
 raising, so batch pipelines survive edge agents.
 
-One kernel, ``_scores``, computes all eight over kinematics with optional
-leading axes: the scene pipeline stacks the targets of S scenes of T frames
-as (S, T, 2) velocities, and each per-trajectory function below is the same
-kernel on one trajectory. Reductions run over the last axis in a single
-trajectory's order and every other step is elementwise, so a trajectory's
-scores are the same bits alone or in a stack.
+One kernel, ``intrinsic_rows``, computes all eight over kinematics with
+optional leading axes: the scene pipeline stacks the targets of S scenes of T
+frames as (S, T, 2) velocities, and ``compute_intrinsic``, the one
+per-trajectory scorer, is the same kernel on one trajectory. Reductions run
+over the last axis in a single trajectory's order and every other step is
+elementwise, so a trajectory's scores are the same bits alone or in a stack.
+``velocity_autocovariance`` gives the autocovariance sequence behind c_dgamma.
 """
 
 from __future__ import annotations
@@ -162,76 +163,29 @@ def velocity_autocovariance(velocities: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def _scores(kin: KinematicSeries) -> dict:
-    """The eight scores of ``kin``'s trajectories over its leading axes, plus
-    ``gamma`` (the autocovariance sequences), ``slow`` (the frames slower than
-    ``EPS_SPEED``) and ``short`` (fewer than 3 frames: second-order scores 0)."""
+def intrinsic_rows(kin: KinematicSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., 8) scores of ``kin``'s trajectories over its leading axes in
+    ``INTRINSIC_FIELDS`` order, and the mask of those with a frame slower than
+    ``EPS_SPEED``. Fewer than 3 frames give 0 for every second-order score."""
     slow = kin.speed < EPS_SPEED
     fast = ~(slow[..., 1:] | slow[..., :-1])  # the direction rates whose both frames are fast
     kappa = curvature_series(kin)
     gamma = velocity_autocovariance(kin.v)
     short = kin.v.shape[-2] < 3
-    return {
-        "c_v": _rms_rows(kin.a),
-        "c_j": _rms_rows(kin.j),
-        "c_omega": _rms(kin.omega),
-        "c_alpha": _rms(kin.alpha),
-        "c_vd": np.sqrt(masked_mean(np.square(kin.phi_rate), fast)),
-        "c_kappa": _mean(kappa),
-        "c_dkappa": _mean(np.abs(np.diff(kappa, axis=-1) / kin.dt)),
-        "c_dgamma": np.zeros(gamma.shape[:-1]) if short else _mean(np.abs(np.diff(gamma, axis=-1))),
-        "gamma": gamma,
-        "slow": slow,
-        "short": short,
-    }
-
-
-def intrinsic_rows(kin: KinematicSeries) -> tuple[np.ndarray, np.ndarray]:
-    """The (..., 8) scores of a stack of trajectories in ``INTRINSIC_FIELDS``
-    order, and the mask of those with a frame slower than ``EPS_SPEED``."""
-    scores = _scores(kin)
-    return np.stack([scores[name] for name in INTRINSIC_FIELDS], axis=-1), scores["slow"].any(axis=-1)
-
-
-def _picked(scores: dict, names, low_speed: bool) -> dict:
-    """One trajectory's scores ``names`` as floats, with its flags."""
-    return {**{name: float(scores[name]) for name in names}, "flags": guard_flags(low_speed, short=scores["short"])}
-
-
-def kinematic_dynamism(traj: Trajectory) -> dict:
-    """Scores for the severity of motion-state change.
-
-    Returns a dict with keys ``c_v`` (RMS acceleration), ``c_j`` (RMS jerk),
-    ``c_omega`` (RMS heading rate), ``c_alpha`` (RMS heading-rate change),
-    ``c_vd`` (RMS movement-direction rate over frames faster than
-    ``EPS_SPEED``) and ``flags``.
-    """
-    scores = _scores(derive_kinematics(traj))
-    return _picked(scores, INTRINSIC_FIELDS[:5], bool(scores["slow"].any()))
-
-
-def geometric_complexity(traj: Trajectory) -> dict:
-    """Scores for the spatial intricacy of the path.
-
-    Returns a dict with keys ``c_kappa`` (mean |curvature|), ``c_dkappa``
-    (mean |curvature rate|) and ``flags``.
-    """
-    scores = _scores(derive_kinematics(traj))
-    return _picked(scores, INTRINSIC_FIELDS[5:7], bool(scores["slow"][1:].any()))
-
-
-def temporal_irregularity(traj: Trajectory) -> dict:
-    """Score for aperiodic velocity patterns.
-
-    Returns a dict with keys ``c_dgamma`` (mean absolute lag-to-lag change of
-    the velocity autocovariance), ``gamma`` (the autocovariance sequence) and
-    ``flags``. Windows shorter than 3 frames report 0 with a flag.
-    """
-    scores = _scores(derive_kinematics(traj))
-    return {**_picked(scores, INTRINSIC_FIELDS[7:], False), "gamma": scores["gamma"]}
+    scores = (
+        _rms_rows(kin.a),
+        _rms_rows(kin.j),
+        _rms(kin.omega),
+        _rms(kin.alpha),
+        np.sqrt(masked_mean(np.square(kin.phi_rate), fast)),
+        _mean(kappa),
+        _mean(np.abs(np.diff(kappa, axis=-1) / kin.dt)),
+        np.zeros(gamma.shape[:-1]) if short else _mean(np.abs(np.diff(gamma, axis=-1))),
+    )
+    return np.stack(scores, axis=-1), slow.any(axis=-1)
 
 
 def compute_intrinsic(traj: Trajectory) -> IntrinsicMetrics:
-    """All eight intrinsic scalars of one trajectory."""
-    scores = _scores(derive_kinematics(traj))
-    return IntrinsicMetrics(**_picked(scores, INTRINSIC_FIELDS, bool(scores["slow"].any())))
+    """All eight intrinsic scalars of one trajectory, with its flags."""
+    row, slow = intrinsic_rows(derive_kinematics(traj))
+    return IntrinsicMetrics(*row.tolist(), flags=guard_flags(slow, short=len(traj) < 3))

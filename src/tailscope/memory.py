@@ -357,18 +357,14 @@ def quantiles(rows: np.ndarray, probs) -> np.ndarray:
     return np.where(np.isnan(q[-1]), q[-1], np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t))
 
 
-def initialize_memory(
-    features: np.ndarray,
-    partition: CategoryPartition,
-    eta: float = 0.9,
-) -> PrototypeMemory:
-    """Prototype memory whose rows are the per-category mean feature vectors."""
+def initialize_memory(features: np.ndarray, partition: CategoryPartition) -> PrototypeMemory:
+    """Prototype memory whose rows are the per-category mean feature vectors, with the default ``eta``."""
     features = np.asarray(features, dtype=float)
     categories = int(partition.assignments.max()) + 1
     rows = np.stack(
         [features[partition.assignments == c].mean(axis=0) for c in range(categories)]
     )
-    return PrototypeMemory(prototypes=rows, eta=eta, boundaries=partition.boundaries)
+    return PrototypeMemory(prototypes=rows, boundaries=partition.boundaries)
 
 
 def update_prototypes(
@@ -452,6 +448,18 @@ def vigilance_adjust(g: np.ndarray, s: np.ndarray, params: CognitiveSetParams) -
     return lam * g + (1.0 - lam) * params.b_tail
 
 
+def _margins(g_adj, s) -> tuple[np.ndarray, np.ndarray]:
+    """The signs 2 g' - 1 and the ``proto_loss`` margins of g' and s, once both are one non-empty (B, C) batch."""
+    g_adj = np.atleast_2d(np.asarray(g_adj, dtype=float))
+    s = np.atleast_2d(np.asarray(s, dtype=float))
+    if g_adj.shape != s.shape:
+        raise UsageError(f"shape mismatch: g' {g_adj.shape} vs s {s.shape}")
+    if g_adj.shape[0] == 0:
+        raise UsageError("empty batch")
+    sign = 2.0 * g_adj - 1.0
+    return sign, np.sum(sign * s, axis=1)
+
+
 def proto_loss(g_adj: np.ndarray, s: np.ndarray) -> float:
     """Prototype-alignment loss of a batch.
 
@@ -459,20 +467,12 @@ def proto_loss(g_adj: np.ndarray, s: np.ndarray) -> float:
     the loss is the mean of -log sigmoid(margin), computed via a stable
     softplus.
     """
-    g_adj = np.atleast_2d(np.asarray(g_adj, dtype=float))
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    if g_adj.shape != s.shape:
-        raise UsageError(f"shape mismatch: g' {g_adj.shape} vs s {s.shape}")
-    if g_adj.shape[0] == 0:
-        raise UsageError("empty batch")
-    margins = np.sum((2.0 * g_adj - 1.0) * s, axis=1)
-    return float(np.mean(softplus(-margins)))
+    return float(np.mean(softplus(-_margins(g_adj, s)[1])))
 
 
-def _proto_grad(f_hat, m_hat, inv_norms, cos, g_adj, tau) -> np.ndarray:
-    """Gradient of ``proto_loss`` with respect to the prototypes, from ``_cosines``' four arrays."""
-    sign = 2.0 * g_adj - 1.0
-    w = -sigmoid(-np.sum(sign * (tau * cos), axis=1))[:, None] / len(f_hat) * sign * tau  # d loss / d cos, (B, C)
+def _proto_grad(f_hat, m_hat, inv_norms, cos, sign, margins, tau) -> np.ndarray:
+    """Gradient of ``proto_loss`` with respect to the prototypes, from ``_cosines``' four arrays and ``_margins``."""
+    w = -sigmoid(-margins)[:, None] / len(f_hat) * sign * tau  # d loss / d cos, (B, C)
     return (w.T @ f_hat - (w * cos).sum(axis=0)[:, None] * m_hat) * inv_norms
 
 
@@ -494,7 +494,8 @@ def proto_loss_and_grad(
     if g_adj.shape != (f_m.shape[0], len(prototypes)):
         raise UsageError(f"g' must be (B, C) = ({f_m.shape[0]}, {len(prototypes)}), got {g_adj.shape}")
     unit = _cosines(f_m, prototypes)
-    return proto_loss(g_adj, tau * unit[-1]), _proto_grad(*unit, g_adj, tau)
+    sign, margins = _margins(g_adj, tau * unit[-1])
+    return float(np.mean(softplus(-margins))), _proto_grad(*unit, sign, margins, tau)
 
 
 def inner_update(
@@ -511,11 +512,10 @@ def inner_update(
     """
     if batch.f_m.shape[1] != mem.dim:
         raise UsageError(f"feature dim {batch.f_m.shape[1]} != memory dim {mem.dim}")
-    if not len(batch):
-        raise UsageError("empty batch")
     g, unit = allocation(batch.h, params), _cosines(batch.f_m, mem.prototypes)
-    g_adj = vigilance_adjust(g, params.tau * unit[-1], params)
-    return mem.prototypes - alpha_lr * _proto_grad(*unit, g_adj, params.tau)
+    s = params.tau * unit[-1]
+    sign, margins = _margins(vigilance_adjust(g, s, params), s)
+    return mem.prototypes - alpha_lr * _proto_grad(*unit, sign, margins, params.tau)
 
 
 def augment(

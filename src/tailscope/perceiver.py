@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, JsonRecord, UsageError, ValidationError, _float_array, freeze, number
-from .interaction import METRIC_FIELDS, InteractiveMetrics
+from .interaction import INTERACTIVE_FIELDS, METRIC_FIELDS, InteractiveMetrics
 from .intrinsic import INTRINSIC_FIELDS, IntrinsicMetrics
 from .memory import quantiles, softplus
 
@@ -128,22 +128,15 @@ def _init_layer(rng: np.random.Generator, out_dim: int, in_dim: int) -> Gaussian
     )
 
 
-def default_params(
-    input_i: int = 8,
-    input_r: int = 6,
-    hidden: int = 128,
-    latent: int = 64,
-    lambda_temp: float = 1.0,
-    seed: int = 0,
-) -> PerceiverParams:
-    """Seeded default parameters used when no parameter file is supplied."""
+def default_params(hidden: int = 128, latent: int = 64, seed: int = 0) -> PerceiverParams:
+    """Seeded default parameters used when no parameter file is supplied; the first layers
+    take the 8 intrinsic and 6 interactive metrics."""
     rng = np.random.default_rng(seed)
     return PerceiverParams(
-        path_i=(_init_layer(rng, hidden, input_i), _init_layer(rng, latent, hidden)),
-        path_r=(_init_layer(rng, hidden, input_r), _init_layer(rng, latent, hidden)),
+        path_i=(_init_layer(rng, hidden, len(INTRINSIC_FIELDS)), _init_layer(rng, latent, hidden)),
+        path_r=(_init_layer(rng, hidden, len(INTERACTIVE_FIELDS)), _init_layer(rng, latent, hidden)),
         w_o=rng.normal(0.0, 0.1, size=latent),
         b_o=0.0,
-        lambda_temp=lambda_temp,
     )
 
 

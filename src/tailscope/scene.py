@@ -626,14 +626,13 @@ def _columns(rows: _Rows, neighbor_radius: float) -> SceneColumns:
     t, dt = v[:, 0], np.full(len(ids), np.nan)  # a scene with no gap fails before its dt is read
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap fails Trajectory's checks
         gaps = np.diff(t)[within[1:]]
-    if gaps.size:
-        raw, raw_of = np.unique(gaps, return_inverse=True)
-        rounded, code = np.unique([round(g, 9) for g in raw.tolist()], return_inverse=True)
-        pair, count = np.unique(scene_of[1:][within[1:]] * len(rounded) + code[raw_of], return_counts=True)
-        pair_scene, pair_code = np.divmod(pair, len(rounded))
-        best = np.lexsort((pair_code, -count, pair_scene))
-        best = best[np.diff(pair_scene[best], prepend=-1) != 0]
-        dt[pair_scene[best]] = rounded[pair_code[best]]
+    raw, raw_of = np.unique(gaps, return_inverse=True)
+    rounded, code = np.unique([round(g, 9) for g in raw.tolist()], return_inverse=True)
+    pair, count = np.unique(scene_of[1:][within[1:]] * len(rounded) + code[raw_of], return_counts=True)
+    pair_scene, pair_code = np.divmod(pair, len(rounded))  # no gap at all divides an empty array by 0, silently
+    best = np.lexsort((pair_code, -count, pair_scene))
+    best = best[np.diff(pair_scene[best], prepend=-1) != 0]
+    dt[pair_scene[best]] = rounded[pair_code[best]]
     run_dt = dt[run_scene]
     duplicate = np.zeros(len(order), dtype=bool)
     duplicate[1:] = within[1:] & (frame[1:] == frame[:-1])

@@ -21,6 +21,9 @@ from .scene import DT_TOLERANCE, Scene, Trajectory, check_radius, wrap_angle
 
 SCENARIO_KINDS = ("constant", "circle", "brake", "crossing", "grid")
 
+#: The most frames, agents and agent-frames (their product) a scenario may have; checked before any allocation.
+_SIZE_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -62,7 +65,11 @@ class ScenarioSpec:
             raise UsageError(f"gap must be > 0, got {self.gap}")
         if self.n_agents < 1:
             raise UsageError(f"n_agents must be >= 1, got {self.n_agents}")
-        check_radius("neighbor_radius", self.neighbor_radius, self.n_agents * self.frames)
+        agent_frames = self.n_agents * self.frames
+        for name, size in (("frames", self.frames), ("n_agents", self.n_agents), ("n_agents * frames", agent_frames)):
+            if size > _SIZE_CAP:
+                raise UsageError(f"{name} must be <= {_SIZE_CAP}, got {size}")
+        check_radius("neighbor_radius", self.neighbor_radius, agent_frames)
         if self.kind == "brake":
             stop_time = self.speed / self.decel
             if not math.isfinite(stop_time):

@@ -119,11 +119,12 @@ MUTANTS = [
      ["tests/test_interaction.py::TestGlobalSceneRisk::test_neighbor_exactly_at_the_radius_counts"]),
     ("interaction.py", "ok = (closing > 0.0) & ~coincident", "ok = closing > 0.0",
      ["tests/test_interaction.py::TestIttc::test_closing_pair_nearer_than_eps_dist_has_zero_rate_and_flag"]),
-    # The meta-memory step: inner_update refuses an empty batch, a directionless prototype row gets no
-    # gradient, the cosines read the prototypes in C order, and the step descends; augment gates through a
-    # sigmoid; the momentum update keeps eta of the old row.
-    ("memory.py", '    if not len(batch):\n        raise UsageError("empty batch")\n', "",
-     ["tests/test_memory.py::TestBatchForm::test_empty_batch_is_a_usage_error"]),
+    # The meta-memory step: the loss, its gradient and inner_update refuse an empty batch, a directionless
+    # prototype row gets no gradient, the cosines read the prototypes in C order, and the step descends;
+    # augment gates through a sigmoid; the momentum update keeps eta of the old row.
+    ("memory.py", '    if g_adj.shape[0] == 0:\n        raise UsageError("empty batch")\n', "",
+     ["tests/test_memory.py::TestBatchForm::test_loss_and_gradient_refuse_an_empty_batch",
+      "tests/test_memory.py::TestBatchForm::test_empty_batch_is_a_usage_error"]),
     ("memory.py", "np.divide(1.0, row_norms, out=np.zeros_like(row_norms), where=ok_m)",
      "np.divide(1.0, row_norms, out=np.zeros_like(row_norms))",
      ["tests/test_memory.py::TestBatchForm::test_inner_update_with_degenerate_rows"]),
@@ -136,10 +137,13 @@ MUTANTS = [
      ["tests/test_memory.py::TestAugment"]),
     ("memory.py", "mem.eta * new_rows[c] + (1.0 - mem.eta) * (w @ batch.f_m[mask])",
      "(1.0 - mem.eta) * new_rows[c] + mem.eta * (w @ batch.f_m[mask])", ["tests/test_memory.py::TestUpdatePrototypes"]),
-    # The CLI: no number option takes a boolean. synth's circle rounds its angle as written, and the
-    # report matrix pins those bits. The package exports AgentState.
+    # The CLI: no number option takes a boolean. synth refuses sizes over its cap before it allocates (a
+    # test that ran the grid without the cap would loop for ever, so only the frames case is named); its
+    # circle rounds its angle as written, and the report matrix pins those bits. The package exports AgentState.
     ("cli.py", "isinstance(v, types) and not isinstance(v, bool)", "isinstance(v, types)",
      ["tests/test_cli.py::TestEvalCommand::test_mistyped_config_option_exits_2"]),
+    ("synth.py", "if size > _SIZE_CAP:", "if False:",
+     ["tests/test_cli.py::TestSynthCommand::test_size_over_the_cap_exits_2_at_once_naming_it[frames]"]),
     ("synth.py", "psi = psi0 + omega * t", "psi = psi0 + spec.speed * t / spec.radius",
      ["tests/test_report_matrix.py::test_synth_bytes"]),
     ("__init__.py", '"scene": "AgentState KinematicSeries', '"scene": "KinematicSeries', ["tests/test_imports.py"]),

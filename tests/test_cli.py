@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -55,6 +56,14 @@ class TestMetricsCommand:
         (record,) = payload["scenes"]
         for name in ("c_v", "c_j", "c_omega", "c_alpha", "c_vd", "c_kappa", "c_dkappa", "c_dgamma"):
             assert record["metrics"][name] == 0.0
+
+    def test_file_whose_every_agent_has_one_frame_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text(",".join(CSV_COLUMNS) + "\ns1,a,0,0.0,0,0,1,0,0.0,vehicle\ns1,b,0,0.0,5,0,1,0,0.0,vehicle\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["metrics", "--input", str(csv_path)]) == 2
+        assert capsys.readouterr().err == "error: scene 's1': every agent has a single frame only\n"
 
     def test_missing_input_exits_2_naming_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
@@ -410,6 +419,30 @@ class TestSynthCommand:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "size, error",
+        [
+            (["--kind", "constant", "--frames", "100000000000000000"], "frames must be <= 1000000, got 100000000000000000"),
+            (["--kind", "grid", "--agents", "100000000000000000", "--frames", "3"],
+             "n_agents must be <= 1000000, got 100000000000000000"),
+            (["--kind", "grid", "--agents", "1001", "--frames", "1000"], "n_agents * frames must be <= 1000000, got 1001000"),
+        ],
+        ids=["frames", "agents", "agent-frames"],
+    )
+    def test_size_over_the_cap_exits_2_at_once_naming_it(self, tmp_path, capsys, size, error):
+        """Without the cap, numpy would refuse 1e17 frames with a MemoryError and 1e17 grid agents would loop for ever."""
+        start = time.perf_counter()
+        assert run(["synth", *size, "--out", str(tmp_path / "x.csv")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_grid_beyond_the_radius_writes_no_density_oracle(self, tmp_path):
+        csv_path = tmp_path / "grid.csv"
+        assert run(["synth", "--kind", "grid", "--gap", "30", "--neighbor-radius", "20", "--out", str(csv_path)]) == 0
+        oracle = json.loads((tmp_path / "grid.csv.oracle.json").read_text())["oracle"]
+        assert sorted(oracle) == ["c_v", "r_ittc", "r_mac", "r_ni"]
+
     def test_missing_kind_exits_2(self, tmp_path, capsys):
         assert run(["synth", "--out", str(tmp_path / "x.csv")]) == 2
         assert "--kind" in capsys.readouterr().err
@@ -575,7 +608,7 @@ class TestExitCodeContract:
              "perceiver params key 'b_o' is malformed: expected a number, got '0.0'"),
             ("--params", params_json(lambda d: d.update(lambda_temp=True)),
              "perceiver params key 'lambda_temp' is malformed: expected a number, got True"),
-            ("--params", json.dumps(default_params(input_i=5, hidden=4, latent=3).to_jsonable()).encode(),
+            ("--params", params_json(lambda d: d["path_i"][0].update(mu_W=[[0.0] * 5] * 3, sigma_W=[[1.0] * 5] * 3)),
              ": first layers take 5 and 6 inputs, not the 8 intrinsic and 6 interactive metrics"),
         ],
         ids=[

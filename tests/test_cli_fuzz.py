@@ -509,7 +509,7 @@ def round_trip(obj, load):
 )
 def test_perceiver_params_round_trip(workdir, seed, sizes, head, b_o, lambda_temp):
     hidden, latent = sizes
-    params = default_params(input_i=2, input_r=2, hidden=hidden, latent=latent, seed=seed)
+    params = default_params(hidden=hidden, latent=latent, seed=seed)
     params = replace(params, w_o=head[:latent], b_o=b_o, lambda_temp=lambda_temp)
     round_trip(params, PerceiverParams.load)
 

@@ -15,7 +15,6 @@ from tailscope.evaluation import (
     ForecastSample,
     Forecasts,
     LossWeights,
-    ade_per_mode,
     evaluate,
     min_ade,
     min_fde,
@@ -85,11 +84,10 @@ class TestMinAde:
             assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_bounded_by_top_mode_ade(self, rng):
-        from tailscope.evaluation import ade_per_mode
-
         for i in range(20):
             sample = random_sample(rng, f"s{i}")
-            top_mode_ade = float(ade_per_mode(sample)[np.argmax(sample.probs)])
+            ades = np.linalg.norm(sample.modes - sample.gt, axis=2).mean(axis=1)
+            top_mode_ade = float(ades[np.argmax(sample.probs)])
             for k in range(1, sample.n_modes + 1):
                 assert min_ade(sample, k) <= top_mode_ade + 1e-15
 
@@ -119,6 +117,18 @@ class TestMissRate:
     def test_boundary_is_not_a_miss(self):
         samples = [sample_from_offsets("s", [(0.0, 2.0)], probs=np.array([1.0]))]
         assert miss_rate(samples, 1, threshold=2.0) == 0.0
+
+    def test_samples_of_two_horizons_score_without_a_pooled_rmse(self):
+        """Horizons 3 and 4 share no per-step RMSE: miss_rate scores them, rmse and evaluate refuse."""
+        samples = [
+            sample_from_offsets("a", [(0.0, 2.5), (0.0, 1.0)], horizon=3),
+            sample_from_offsets("b", [(0.0, 1.5)], probs=np.array([1.0]), horizon=4),
+        ]
+        assert miss_rate(samples, 1, threshold=2.0) == 0.5  # a's first mode wins the probability tie
+        assert [min_ade(s, 1) for s in samples] == [2.5, 1.5]
+        for call in (lambda: rmse(samples), lambda: evaluate(samples, ks=(1,))):
+            with pytest.raises(UsageError, match=r"^sample 'b': horizon 4 != 3$"):
+                call()
 
     def test_non_increasing_in_threshold_and_k(self, rng):
         samples = [random_sample(rng, f"s{i}") for i in range(40)]
@@ -264,10 +274,12 @@ class TestSquaredErrorKernel:
             yield ForecastSample(sample.sample_id, np.round(sample.modes * scale, 3), sample.probs, sample.gt * scale)
 
     @pytest.mark.parametrize("k, t", SHAPES)
-    def test_ade_per_mode_equals_norm_spelling(self, rng, k, t):
+    def test_min_ade_equals_norm_spelling(self, rng, k, t):
+        """min_ade_j is the least norm-spelled ADE of the j most likely modes, ties in mode order."""
         for sample in self.drawn(rng, k, t):
             old = np.linalg.norm(sample.modes - sample.gt[None], axis=2).mean(axis=1)
-            assert np.array_equal(ade_per_mode(sample), old)
+            order = np.argsort(-sample.probs, kind="stable")
+            assert [min_ade(sample, j) for j in range(1, k + 1)] == [old[order[:j]].min() for j in range(1, k + 1)]
 
     @pytest.mark.parametrize("k, t", SHAPES)
     def test_task_loss_equals_power_spelling(self, rng, k, t):

@@ -23,8 +23,7 @@ OLD_EXPORTS = {
     "parse_forecast_jsonl rmse task_loss total_loss worst_case_subsets",
     "interaction": "InteractiveMetrics RssParams compute_interactive global_scene_risk ittc_risk "
     "rss_lateral rss_longitudinal",
-    "intrinsic": "IntrinsicMetrics compute_intrinsic geometric_complexity kinematic_dynamism "
-    "temporal_irregularity",
+    "intrinsic": "IntrinsicMetrics compute_intrinsic",
     "memory": "AdaptationBatch CategoryPartition CognitiveSetParams GateMlp PrototypeMemory "
     "allocation augment default_tail_bias initialize_memory inner_update partition_categories "
     "proto_loss proto_loss_and_grad similarity update_prototypes vigilance_adjust",

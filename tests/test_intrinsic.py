@@ -12,11 +12,9 @@ from tailscope.intrinsic import (
     INTRINSIC_FIELDS,
     IntrinsicMetrics,
     compute_intrinsic,
-    geometric_complexity,
     guard_flags,
-    kinematic_dynamism,
     masked_mean,
-    temporal_irregularity,
+    velocity_autocovariance,
 )
 from tailscope.scene import Trajectory, wrap_angle
 from tailscope.synth import ScenarioSpec, generate
@@ -31,82 +29,81 @@ def circle_trajectory(radius, speed, dt, frames):
 
 class TestKinematicDynamism:
     def test_constant_velocity_all_zero(self):
-        out = kinematic_dynamism(make_traj("a", [(3.0, 4.0)] * 12))
+        out = compute_intrinsic(make_traj("a", [(3.0, 4.0)] * 12))
         for key in ("c_v", "c_j", "c_omega", "c_alpha", "c_vd"):
-            assert out[key] == 0.0
+            assert getattr(out, key) == 0.0
 
     def test_circle_omega_and_alpha(self):
         traj = circle_trajectory(radius=10.0, speed=5.0, dt=0.1, frames=50)
-        out = kinematic_dynamism(traj)
-        assert out["c_omega"] == pytest.approx(0.5, abs=1e-9)
-        assert out["c_alpha"] == pytest.approx(0.0, abs=1e-9)
+        out = compute_intrinsic(traj)
+        assert out.c_omega == pytest.approx(0.5, abs=1e-9)
+        assert out.c_alpha == pytest.approx(0.0, abs=1e-9)
 
     def test_alternating_1d_velocity(self):
         traj = make_traj("a", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 0.0)], dt=1.0)
-        assert kinematic_dynamism(traj)["c_v"] == pytest.approx(1.0)
+        assert compute_intrinsic(traj).c_v == pytest.approx(1.0)
 
     def test_two_states_flags_short(self):
-        out = kinematic_dynamism(make_traj("a", [(1.0, 0.0), (2.0, 0.0)]))
-        assert out["c_j"] == 0.0
-        assert out["c_alpha"] == 0.0
-        assert "short_trajectory" in out["flags"]
-        assert out["c_v"] > 0.0
+        out = compute_intrinsic(make_traj("a", [(1.0, 0.0), (2.0, 0.0)]))
+        assert out.c_j == 0.0
+        assert out.c_alpha == 0.0
+        assert "short_trajectory" in out.flags
+        assert out.c_v > 0.0
 
 
 class TestGeometricComplexity:
     def test_straight_line_zero(self):
-        out = geometric_complexity(make_traj("a", [(7.0, 1.0)] * 15))
-        assert out["c_kappa"] == 0.0
-        assert out["c_dkappa"] == 0.0
+        out = compute_intrinsic(make_traj("a", [(7.0, 1.0)] * 15))
+        assert out.c_kappa == 0.0
+        assert out.c_dkappa == 0.0
 
     def test_circle_curvature(self):
         traj = circle_trajectory(radius=20.0, speed=5.0, dt=0.1, frames=100)
-        out = geometric_complexity(traj)
-        assert out["c_kappa"] == pytest.approx(0.05, rel=0.01)
-        assert out["c_dkappa"] == pytest.approx(0.0, abs=1e-9)
+        out = compute_intrinsic(traj)
+        assert out.c_kappa == pytest.approx(0.05, rel=0.01)
+        assert out.c_dkappa == pytest.approx(0.0, abs=1e-9)
 
     def test_stationary_agent_guarded(self):
-        out = geometric_complexity(make_traj("a", [(0.0, 0.0)] * 10))
-        assert out["c_kappa"] == 0.0
-        assert math.isfinite(out["c_dkappa"])
-        assert "low_speed_frames" in out["flags"]
+        out = compute_intrinsic(make_traj("a", [(0.0, 0.0)] * 10))
+        assert out.c_kappa == 0.0
+        assert math.isfinite(out.c_dkappa)
+        assert "low_speed_frames" in out.flags
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("speed", [1e103, 1e150])
     def test_speed_whose_cube_overflows_keeps_its_curvature(self, speed):
         """|v x a| / |v|^3 with a = (0, +-10): 10 / speed^2 at both frames, with no overflow warning."""
-        out = geometric_complexity(make_traj("a", [(speed, 0.0), (speed, 1.0), (speed, 0.0)]))
-        assert out["c_kappa"] == pytest.approx(10.0 / speed / speed, rel=1e-12, abs=0.0)
-        assert out["c_dkappa"] == 0.0
+        out = compute_intrinsic(make_traj("a", [(speed, 0.0), (speed, 1.0), (speed, 0.0)]))
+        assert out.c_kappa == pytest.approx(10.0 / speed / speed, rel=1e-12, abs=0.0)
+        assert out.c_dkappa == 0.0
 
 
 class TestTemporalIrregularity:
     def test_constant_velocity_zero(self):
-        out = temporal_irregularity(make_traj("a", [(2.0, -1.0)] * 9))
-        assert out["c_dgamma"] == pytest.approx(0.0, abs=1e-20)
-        assert np.allclose(out["gamma"], 0.0, atol=1e-20)
+        traj = make_traj("a", [(2.0, -1.0)] * 9)
+        assert compute_intrinsic(traj).c_dgamma == pytest.approx(0.0, abs=1e-20)
+        assert np.allclose(velocity_autocovariance(traj.velocities), 0.0, atol=1e-20)
 
     @pytest.mark.parametrize("u", [0.5, 2.0])
     def test_alternating_velocity_closed_form(self, u):
         velocities = [((-1.0) ** k * u, 0.0) for k in range(8)]
-        out = temporal_irregularity(make_traj("a", velocities, dt=1.0))
-        assert out["c_dgamma"] == pytest.approx(2.0 * u * u, rel=1e-12)
+        out = compute_intrinsic(make_traj("a", velocities, dt=1.0))
+        assert out.c_dgamma == pytest.approx(2.0 * u * u, rel=1e-12)
 
     def test_impulse_matches_brute_force(self, rng):
         velocities = [(1.0, 0.0)] * 9
         velocities[4] = (6.0, 0.0)
         traj = make_traj("a", velocities, dt=0.5)
-        out = temporal_irregularity(traj)
         oracle = intrinsic_oracle(
             [(s.t, s.x, s.y, s.vx, s.vy, s.heading) for s in traj.states], traj.dt
         )
-        assert_rel(out["c_dgamma"], oracle["c_dgamma"])
-        assert np.allclose(out["gamma"], oracle["gamma"], rtol=1e-12, atol=1e-15)
+        assert_rel(compute_intrinsic(traj).c_dgamma, oracle["c_dgamma"])
+        assert np.allclose(velocity_autocovariance(traj.velocities), oracle["gamma"], rtol=1e-12, atol=1e-15)
 
     def test_short_window_flagged(self):
-        out = temporal_irregularity(make_traj("a", [(1.0, 0.0), (2.0, 0.0)]))
-        assert out["c_dgamma"] == 0.0
-        assert out["flags"] == ("short_trajectory",)
+        out = compute_intrinsic(make_traj("a", [(1.0, 0.0), (2.0, 0.0)]))
+        assert out.c_dgamma == 0.0
+        assert out.flags == ("short_trajectory",)
 
 
 class TestProperties:

@@ -118,10 +118,11 @@ class TestPrototypeMemory:
     def test_initialize_rows_are_category_means(self, rng):
         features = rng.normal(size=(6, 3))
         part = partition_categories(np.arange(6.0), 2)
-        mem = initialize_memory(features, part, eta=0.7)
+        mem = initialize_memory(features, part)
         assert np.allclose(mem.prototypes[0], features[:3].mean(axis=0))
         assert np.allclose(mem.prototypes[1], features[3:].mean(axis=0))
-        assert mem.eta == 0.7
+        assert mem.eta == PrototypeMemory(prototypes=np.ones((2, 3))).eta
+        assert np.array_equal(mem.boundaries, part.boundaries)
 
     def test_rejects_zero_rows_and_bad_eta(self):
         with pytest.raises(ValidationError):
@@ -650,6 +651,14 @@ class TestBatchForm:
         empty = AdaptationBatch(f_m=batch.f_m[:0], f_i=batch.f_i[:0], f_r=batch.f_r[:0], ti=batch.ti[:0])
         with pytest.raises(UsageError, match="empty batch"):
             inner_update(mem, empty, params)
+
+    @pytest.mark.parametrize("call", [
+        lambda: proto_loss(np.zeros((0, 3)), np.zeros((0, 3))),
+        lambda: proto_loss_and_grad(np.ones((3, 4)), np.zeros((0, 4)), np.zeros((0, 3)), 2.0),
+    ], ids=["proto_loss", "proto_loss_and_grad"])
+    def test_loss_and_gradient_refuse_an_empty_batch(self, call):
+        with pytest.raises(UsageError, match="^empty batch$"):
+            call()
 
     def shared_pass_cases(self, rng, n):
         for i in range(n):

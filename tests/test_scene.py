@@ -252,6 +252,14 @@ class TestParseSceneCsv:
         with pytest.raises(ValidationError, match="frame 2"):
             parse_scene_csv(text)
 
+    @pytest.mark.filterwarnings("error")
+    def test_file_whose_every_agent_has_one_frame_names_the_scene(self):
+        """No gap anywhere in the file: the dt vote runs on empty arrays, without a warning, and the scene is refused."""
+        text = HEADER + "\ns1,a,0,0.0,0,0,1,0,0.0,vehicle\ns1,b,0,0.0,5,0,1,0,0.0,vehicle\n"
+        for source in (text, text.replace("\n", "\r")):  # loadtxt, then csv.reader
+            with pytest.raises(ValidationError, match=r"^scene 's1': every agent has a single frame only$"):
+                parse_scene_csv(source)
+
     def test_malformed_row_names_line(self):
         text = HEADER + "\ns,a,0,0.0,0,0,1,0,0.0,vehicle\ns,a,1,oops,0,0,1,0,0.0,vehicle\n"
         with pytest.raises(ParseError, match="line 3"):

@@ -133,6 +133,8 @@ CHECKS = [
     (lambda: ScenarioSpec(kind="grid", gap=0.0), "gap must be > 0, got 0.0"),
     (lambda: generate(ScenarioSpec(kind="circle", speed=1e300, radius=1e-300)),
      "circle: the heading change speed / radius * (frames - 1) * dt overflows"),
+    # One frame over the cap is refused before any allocation; tests/test_cli.py runs the other sizes.
+    (lambda: ScenarioSpec(kind="circle", frames=1_000_001), "frames must be <= 1000000, got 1000001"),
 ]
 
 
