@@ -128,26 +128,26 @@ def _require_input(opts: dict) -> Path:
     return Path(opts["input"])
 
 
-def _score_scenes(opts: dict):
-    """The input's scene ids in order, their (S, 14) metric matrix and their flags; no scene is a ParseError."""
-    from .interaction import score_scenes
+def _parse_scenes(opts: dict):
+    """The input's scenes; no scene is a ParseError."""
     from .scene import parse_scene_csv
 
     path = _require_input(opts)
     scenes = parse_scene_csv(path, **_kwargs(opts, "neighbor_radius"))
     if not scenes:
         raise ParseError(f"{path}: no scenes")
-    return (scenes.ids, *score_scenes(scenes, opts.get("rss_params")))
+    return scenes
 
 
 def cmd_metrics(opts: dict) -> int:
     """All 14 metric scalars per scene, one JSON record each."""
-    from .interaction import METRIC_FIELDS
+    from .interaction import METRIC_FIELDS, score_scenes
 
-    ids, rows, flags = _score_scenes(opts)
+    scenes = _parse_scenes(opts)
+    rows, flags = score_scenes(scenes, opts.get("rss_params"))
     records = [
         {"scene_id": scene_id, "metrics": dict(zip(METRIC_FIELDS, row)), "flags": list(scene_flags)}
-        for scene_id, row, scene_flags in zip(ids, rows.tolist(), flags)
+        for scene_id, row, scene_flags in zip(scenes.ids, rows.tolist(), flags)
     ]
     write_report(opts.get("out"), {"scenes": records})
     return 0
@@ -156,6 +156,7 @@ def cmd_metrics(opts: dict) -> int:
 def cmd_rank(opts: dict) -> int:
     """Tail Index per scene, descending, with features and fusion weights."""
     from . import memory, perceiver
+    from .interaction import score_scenes
 
     # Sidecars load before the scenes, so a bad one fails before any scoring.
     params_path = opts.get("params")
@@ -169,12 +170,12 @@ def cmd_rank(opts: dict) -> int:
         params = perceiver.default_params(**_kwargs(opts, "seed"))
     stats = perceiver.DatasetStats.load(opts["stats"]) if opts.get("stats") else None
 
-    ids, metrics, _ = _score_scenes(opts)
+    scenes = _parse_scenes(opts)  # the scene count is checked before any scoring
+    if stats is None and len(scenes) < 2:
+        raise UsageError("normalization stats need at least 2 scenes; pass --stats for single scenes")
+    memory.check_categories(len(scenes), opts.get("categories", 1))
+    ids, (metrics, _) = scenes.ids, score_scenes(scenes, opts.get("rss_params"))
     if stats is None:
-        if len(ids) < 2:
-            raise UsageError(
-                "normalization stats need at least 2 scenes; pass --stats for single scenes"
-            )
         stats = perceiver.DatasetStats.fit(metrics)
 
     z, split = stats.zscores(metrics), len(perceiver.INTRINSIC_FIELDS)

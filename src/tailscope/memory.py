@@ -77,9 +77,9 @@ def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _cosines(f_m: np.ndarray, prototypes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unit rows of ``f_m`` and of ``prototypes`` read in C order, the prototypes' inverse norms and the ``(B, C)``
+    """Unit rows of ``f_m`` and of ``prototypes``, both read in C order, the prototypes' inverse norms and the ``(B, C)``
     cosines; a row below ``EPS_NORM`` gets zeros, and one :class:`DegenerateInputWarning` reports them all."""
-    f_hat, _, ok_f = _unit_rows(f_m)
+    f_hat, _, ok_f = _unit_rows(np.ascontiguousarray(f_m, dtype=float))
     m_hat, row_norms, ok_m = _unit_rows(np.ascontiguousarray(prototypes, dtype=float))
     if not (ok_f.all() and ok_m.all()):
         warnings.warn("zero-norm feature or prototype rows: zero similarity and zero gradient", DegenerateInputWarning)
@@ -325,6 +325,14 @@ class CategoryPartition:
     flags: tuple[str, ...] = ()
 
 
+def check_categories(n: int, categories: int) -> None:
+    """Refuse ``categories`` bins that ``n`` samples cannot fill, with a UsageError."""
+    if categories < 1:
+        raise UsageError(f"need at least 1 category, got {categories}")
+    if categories > n:
+        raise UsageError(f"cannot split {n} samples into {categories} categories")
+
+
 def partition_categories(tis, categories: int) -> CategoryPartition:
     """Split samples into equal-mass Tail Index percentile bins.
 
@@ -335,10 +343,7 @@ def partition_categories(tis, categories: int) -> CategoryPartition:
     if tis.ndim != 1:
         raise UsageError("tis must be 1-D")
     n = tis.shape[0]
-    if categories < 1:
-        raise UsageError(f"need at least 1 category, got {categories}")
-    if categories > n:
-        raise UsageError(f"cannot split {n} samples into {categories} categories")
+    check_categories(n, categories)
     order, assignments = np.argsort(tis, kind="stable"), np.empty(n, dtype=int)
     assignments[order] = np.minimum(np.arange(n) * categories // n, categories - 1)
     sorted_tis, firsts = tis[order], -(-np.arange(1, categories) * n // categories)  # each later bin's first rank
@@ -532,7 +537,7 @@ def augment(
     """
     f_m = np.asarray(f_m, dtype=float)
     g_adj = np.asarray(g_adj, dtype=float)
-    m_prime = np.asarray(m_prime, dtype=float)
+    m_prime = np.ascontiguousarray(m_prime, dtype=float)  # read in C order, so either layout gives the same bits
     if m_prime.ndim != 2 or g_adj.ndim not in (1, 2) or g_adj.shape[-1] != m_prime.shape[0]:
         raise ConfigurationError(
             f"g' of shape {g_adj.shape} does not match prototype matrix {m_prime.shape}"

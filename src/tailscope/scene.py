@@ -16,7 +16,7 @@ A scene CSV is read by one of two tokenizers into one row table: one
 line-by-line reading would meet first. ``Trajectory`` and ``Scene`` run the
 same check kernels, ``_trajectory_faults`` and ``_scene_faults``, but a parsed
 scene is checked once, by ``_columns``: its trajectories are read-only views
-of its group's columns, built without a second check.
+of its group's columns, built without a second check, as a synth scene's are.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ class Trajectory:
     """Time-ordered kinematics of one agent, sampled at a uniform interval dt.
 
     ``times`` (T,), ``positions`` (T, 2), ``velocities`` (T, 2) and
-    ``headings`` (T,) are read-only float arrays: copies of the caller's
-    arrays, or in a parsed scene views of its ``SceneGroup.block``; a copy or
+    ``headings`` (T,) are read-only float arrays: copies of the caller's arrays,
+    or in a parsed or synth scene views of its ``SceneGroup.block``; a copy or
     pickle is built and checked again, with copies of its own. T >= 2,
     values are finite, positions and velocities lie within ``MAX_MAGNITUDE``,
     headings lie in (-pi, pi], dt > 0 and every time step is dt within
@@ -151,7 +151,7 @@ class Trajectory:
     dt) stay within ``sqrt(float max / 2T)``, and dt is large enough that the
     heading rates, at most pi / dt, and their change, at most 2 pi / dt^2, do
     too: every rate the metrics square and sum over the T frames stays finite.
-    The checks are ``_trajectory_faults``, which also checks a scene CSV's runs.
+    The checks are ``_trajectory_faults``, which also checks a scene CSV's and a synth block's runs.
     """
 
     agent_id: str
@@ -353,8 +353,8 @@ def kinematics(v: np.ndarray, headings: np.ndarray, dt) -> KinematicSeries:
 @dataclass(frozen=True, eq=False)
 class SceneGroup:
     """S scenes of n agents and T frames as columns. Each scene's agents come
-    target first, then in ``neighbor_ids`` order. Only ``_columns`` and ``of``
-    build a group, each from checked scenes; its arrays are read-only, in copies and pickles too."""
+    target first, then in ``neighbor_ids`` order. Only ``_columns``, ``of`` and ``synth.generate``
+    build a group, each from checked scenes or runs; its arrays are read-only, in copies and pickles too."""
 
     index: np.ndarray  # (S,) the scenes' positions in their corpus
     block: np.ndarray  # (S, n, T, 6) t, x, y, vx, vy, heading per frame

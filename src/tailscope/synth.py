@@ -7,6 +7,11 @@ are known exactly (constant velocity, circular motion) or by construction
 are emitted analytically rather than differenced from positions, so any
 discrepancy against the oracle values comes from the metric modules' own
 differencing, which is the thing under test.
+
+A scenario is one ``(agents, frames, 6)`` block built by column arithmetic
+(with the bits of ``tests/synth_reference.py``'s per-frame formulas) and
+checked in one call; a synth scene views its one-scene ``SceneGroup``, as a
+parsed scene views its group.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .scene import DT_TOLERANCE, Scene, Trajectory, check_radius, wrap_angle
+from .scene import DT_TOLERANCE, Scene, SceneGroup, Trajectory, _trajectory_faults, check_radius, wrap_angle
 
 SCENARIO_KINDS = ("constant", "circle", "brake", "crossing", "grid")
 
@@ -88,30 +93,40 @@ class ScenarioSpec:
             )
 
 
-def _constant(agent_id, times, p0, direction, speed, dt):
-    vx = speed * math.cos(direction)
-    vy = speed * math.sin(direction)
-    heading = wrap_angle(direction)
-    rows = [
-        (t, p0[0] + vx * t, p0[1] + vy * t, vx, vy, heading)
-        for t in times
-    ]
-    return Trajectory.from_rows(agent_id, rows, "vehicle", dt)
+def _block(spec: ScenarioSpec, t, x, y, vx, vy, heading) -> np.ndarray:
+    """The (agents, frames, 6) block of the frame times ``t`` and the columns, which broadcast with ``t``
+    to (agents, frames), checked in one call; ``Trajectory.from_rows`` words the first failing agent's refusal."""
+    block = np.stack(np.broadcast_arrays(t, x, y, vx, vy, heading), axis=-1, dtype=float).reshape(-1, len(t), 6)
+    n, frames = block.shape[:2]
+    runs = np.arange(n) * frames, np.full(n, frames), np.full(n, spec.dt, dtype=float), np.ones(n, dtype=bool)
+    check, _ = _trajectory_faults(block.reshape(-1, 6), *runs)
+    if (check >= 0).any():
+        r = int(np.argmax(check >= 0))
+        Trajectory.from_rows(str(r), block[r], "vehicle", spec.dt)
+    return block
+
+
+def _cos_sin(angles) -> tuple[np.ndarray, np.ndarray]:
+    """``math.cos`` and ``math.sin`` of each angle, which numpy's vector loops may round otherwise."""
+    return tuple(np.array([f(a) for a in np.asarray(angles, dtype=float).tolist()]) for f in (math.cos, math.sin))
+
+
+def _constant_velocity(spec: ScenarioSpec, x0, y0, direction, speed: float) -> np.ndarray:
+    """The block of agents moving at ``speed`` along ``direction`` from ``(x0, y0)``, one value of each per agent."""
+    t = np.arange(spec.frames) * spec.dt
+    cos, sin = _cos_sin(direction)
+    vx, vy = speed * cos[:, None], speed * sin[:, None]
+    x0, y0 = (np.asarray(p, dtype=float)[:, None] for p in (x0, y0))
+    with np.errstate(over="ignore"):  # a position past float's range fails the check, as a Python float's did
+        x, y = x0 + vx * t, y0 + vy * t
+    return _block(spec, t, x, y, vx, vy, wrap_angle(direction)[:, None])
 
 
 def _generate_constant(spec: ScenarioSpec):
-    rng = np.random.default_rng(spec.seed)
-    times = [k * spec.dt for k in range(spec.frames)]
-    agents = {}
-    for idx in range(spec.n_agents):
-        p0 = rng.uniform(-50.0, 50.0, size=2)
-        direction = rng.uniform(-math.pi, math.pi)
-        agents[str(idx)] = _constant(str(idx), times, p0, direction, spec.speed, spec.dt)
-    oracle = {
-        "c_v": 0.0, "c_j": 0.0, "c_omega": 0.0, "c_alpha": 0.0, "c_vd": 0.0,
-        "c_kappa": 0.0, "c_dkappa": 0.0, "c_dgamma": 0.0, "r_ni": 0.0,
-    }
-    return agents, oracle
+    # one draw of each agent's x, y and direction, in the order the per-agent draws took them
+    p = np.random.default_rng(spec.seed).uniform((-50.0, -50.0, -math.pi), (50.0, 50.0, math.pi), size=(spec.n_agents, 3))
+    oracle = dict.fromkeys(("c_v", "c_j", "c_omega", "c_alpha", "c_vd", "c_kappa", "c_dkappa", "c_dgamma", "r_ni"), 0.0)
+    return _constant_velocity(spec, p[:, 0], p[:, 1], p[:, 2], spec.speed), oracle
 
 
 def _generate_circle(spec: ScenarioSpec):
@@ -121,24 +136,14 @@ def _generate_circle(spec: ScenarioSpec):
     omega = spec.speed / spec.radius
     if not math.isfinite(omega * (spec.frames - 1) * spec.dt):  # math.cos(inf) raises
         raise UsageError("circle: the heading change speed / radius * (frames - 1) * dt overflows")
-    rows = []
-    for k in range(spec.frames):
-        t = k * spec.dt
-        psi = psi0 + omega * t
-        x = center[0] + spec.radius * math.cos(psi)
-        y = center[1] + spec.radius * math.sin(psi)
-        vx = -spec.speed * math.sin(psi)
-        vy = spec.speed * math.cos(psi)
-        rows.append((t, x, y, vx, vy, wrap_angle(psi + math.pi / 2)))
-    agents = {"0": Trajectory.from_rows("0", rows, "vehicle", spec.dt)}
-    oracle = {
-        "c_omega": omega,
-        "c_alpha": 0.0,
-        "c_kappa": 1.0 / spec.radius,
-        "c_dkappa": 0.0,
-        "c_v": spec.speed * omega,  # centripetal |a|, up to differencing error
-    }
-    return agents, oracle
+    t = np.arange(spec.frames) * spec.dt
+    psi = psi0 + omega * t
+    cos, sin = _cos_sin(psi)
+    x, y = center[0] + spec.radius * cos, center[1] + spec.radius * sin
+    block = _block(spec, t, x, y, -spec.speed * sin, spec.speed * cos, wrap_angle(psi + math.pi / 2))
+    # c_v is the centripetal |a|, up to differencing error
+    oracle = {"c_omega": omega, "c_alpha": 0.0, "c_kappa": 1.0 / spec.radius, "c_dkappa": 0.0, "c_v": spec.speed * omega}
+    return block, oracle
 
 
 def _generate_brake(spec: ScenarioSpec):
@@ -146,61 +151,45 @@ def _generate_brake(spec: ScenarioSpec):
     # When speed/decel is a multiple of dt the backward-difference jerk is a
     # single impulse of decel/dt; otherwise it splits across two frames.
     stop_time = spec.speed / spec.decel
-    rows = []
-    # np.float_power rounds like ``**``; ScenarioSpec keeps every term finite
-    for k in range(spec.frames):
-        t = k * spec.dt
-        if t < stop_time:
-            v = spec.speed - spec.decel * t
-            x = spec.speed * t - 0.5 * spec.decel * np.float_power(t, 2)
-        else:
-            v = 0.0
-            x = spec.speed * stop_time - 0.5 * spec.decel * np.float_power(stop_time, 2)
-        rows.append((t, x, 0.0, v, 0.0, 0.0))
-    agents = {"0": Trajectory.from_rows("0", rows, "vehicle", spec.dt)}
+    t = np.arange(spec.frames) * spec.dt
+    moving = t < stop_time
+    # np.float_power rounds like ``**``; ScenarioSpec keeps every term finite up to the
+    # stop, and the terms that overflow past it are not taken
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.where(moving, spec.speed - spec.decel * t, 0.0)
+        x = np.where(
+            moving, spec.speed * t - 0.5 * spec.decel * np.float_power(t, 2),
+            spec.speed * stop_time - 0.5 * spec.decel * np.float_power(stop_time, 2),
+        )
     oracle = {"stop_time": stop_time, "c_omega": 0.0, "c_kappa": 0.0}
-    return agents, oracle
+    return _block(spec, t, x, 0.0, v, 0.0, 0.0), oracle
 
 
 def _generate_crossing(spec: ScenarioSpec):
     # Two vehicles closing head-on along x, gap shrinking at 2 * speed.
-    times = [k * spec.dt for k in range(spec.frames)]
-    closing = 2.0 * spec.speed
-    agents = {
-        "0": _constant("0", times, (-spec.gap / 2.0, 0.0), 0.0, spec.speed, spec.dt),
-        "1": _constant("1", times, (spec.gap / 2.0, 0.0), math.pi, spec.speed, spec.dt),
-    }
-    final_gap = spec.gap - closing * times[-1]
-    if final_gap <= 0:
+    block = _constant_velocity(spec, [-spec.gap / 2.0, spec.gap / 2.0], [0.0, 0.0], [0.0, math.pi], spec.speed)
+    closing, t_end = 2.0 * spec.speed, (spec.frames - 1) * spec.dt
+    if spec.gap - closing * t_end <= 0:
         raise UsageError(
             f"agents collide inside the window: gap {spec.gap} m closes at {closing} m/s "
-            f"over {times[-1]:.3g} s"
+            f"over {t_end:.3g} s"
         )
     oracle = {
-        "ittc_frame0": closing / spec.gap if spec.gap > 0 else 0.0,
-        "ittc_series": [closing / (spec.gap - closing * t) for t in times],
+        "ittc_frame0": closing / spec.gap,
+        "ittc_series": (closing / (spec.gap - closing * block[0, :, 0])).tolist(),
     }
-    return agents, oracle
+    return block, oracle
 
 
 def _generate_grid(spec: ScenarioSpec):
     # Static target at the origin ringed by static neighbors at distance gap.
-    times = [k * spec.dt for k in range(spec.frames)]
-    agents = {"0": _constant("0", times, (0.0, 0.0), 0.0, 0.0, spec.dt)}
     n_neighbors = spec.n_agents - 1
-    for idx in range(n_neighbors):
-        angle = 2.0 * math.pi * idx / max(n_neighbors, 1)
-        p0 = (spec.gap * math.cos(angle), spec.gap * math.sin(angle))
-        agents[str(idx + 1)] = _constant(str(idx + 1), times, p0, 0.0, 0.0, spec.dt)
-    oracle = {
-        "r_ittc": 0.0,
-        "r_mac": 0.0,
-        "r_ni": 0.0,
-        "c_v": 0.0,
-    }
+    cos, sin = _cos_sin(2.0 * math.pi * np.arange(n_neighbors) / max(n_neighbors, 1))
+    x0, y0 = np.append(0.0, spec.gap * cos), np.append(0.0, spec.gap * sin)
+    oracle = dict.fromkeys(("r_ittc", "r_mac", "r_ni", "c_v"), 0.0)
     if spec.gap <= spec.neighbor_radius:
         oracle["r_ad"] = n_neighbors / (math.pi * np.float_power(spec.neighbor_radius, 2))
-    return agents, oracle
+    return _constant_velocity(spec, x0, y0, np.zeros(spec.n_agents), 0.0), oracle
 
 
 _GENERATORS = {
@@ -215,16 +204,19 @@ _GENERATORS = {
 def generate(spec: ScenarioSpec) -> tuple[Scene, dict]:
     """Build the scene and its closed-form oracle values for a scenario spec.
 
-    Identical specs produce bit-identical scenes. The oracle dict maps metric
-    names to their analytic targets where a closed form exists; callers pick
-    the comparison tolerance per kind (exact for constant/static scenes,
-    finite-difference-limited for circles).
+    Identical specs produce bit-identical scenes, whose agents are ``"0"``
+    (the target) to ``n - 1``. The oracle dict maps metric names to their
+    analytic targets where a closed form exists; callers pick the comparison
+    tolerance per kind (exact for constant/static scenes, finite-difference-
+    limited for circles).
     """
-    agents, oracle = _GENERATORS[spec.kind](spec)
-    scene = Scene(
-        scene_id=f"{spec.kind}-{spec.seed}",
-        agents=agents,
-        target_id="0",
-        neighbor_radius=spec.neighbor_radius,
+    block, oracle = _GENERATORS[spec.kind](spec)
+    n = len(block)
+    # the one check of Scene's that a block can fail: crossing's 2 agents count for n_agents = 1
+    check_radius("neighbor_radius", spec.neighbor_radius, n * block.shape[1])
+    group = SceneGroup(
+        np.zeros(1, dtype=np.intp), block[None], np.full((1, n), "vehicle"), np.full((1, n), spec.dt, dtype=float),
+        np.array([spec.neighbor_radius], dtype=float), np.array([[str(a) for a in range(n)]], dtype=object),
+        np.arange(n)[None],
     )
-    return scene, oracle
+    return group.row(0, f"{spec.kind}-{spec.seed}"), oracle

@@ -34,6 +34,8 @@ ROOT = Path(__file__).resolve().parents[1]
 MEMOS = "tests/test_memory.py::TestOneSampleMemos"
 TI_OVERFLOW = "tests/test_cli.py::TestExitCodeContract::test_params_whose_tail_index_overflows_exit_2_naming_file_and_scene"
 NUMPY_BITS = "tests/test_perceiver.py::TestNormalize::test_fit_has_the_bits_of_numpy_median_and_quantile"
+HUGE = "tests/test_cli.py::TestExitCodeContract::test_huge_numbers_do_not_overflow_to_exit_1"
+VANISHING = "tests/test_cli.py::TestExitCodeContract::test_non_finite_or_vanishing_number_exits_2_naming_it"
 
 #: (file under src/tailscope, exact old text, new text, test files or nodes that must kill it)
 MUTANTS = [
@@ -120,8 +122,8 @@ MUTANTS = [
     ("interaction.py", "ok = (closing > 0.0) & ~coincident", "ok = closing > 0.0",
      ["tests/test_interaction.py::TestIttc::test_closing_pair_nearer_than_eps_dist_has_zero_rate_and_flag"]),
     # The meta-memory step: the loss, its gradient and inner_update refuse an empty batch, a directionless
-    # prototype row gets no gradient, the cosines read the prototypes in C order, and the step descends;
-    # augment gates through a sigmoid; the momentum update keeps eta of the old row.
+    # prototype row gets no gradient, the cosines read the features and the prototypes in C order, as augment
+    # reads M', and the step descends; augment gates through a sigmoid; the momentum update keeps eta of the old row.
     ("memory.py", '    if g_adj.shape[0] == 0:\n        raise UsageError("empty batch")\n', "",
      ["tests/test_memory.py::TestBatchForm::test_loss_and_gradient_refuse_an_empty_batch",
       "tests/test_memory.py::TestBatchForm::test_empty_batch_is_a_usage_error"]),
@@ -130,6 +132,10 @@ MUTANTS = [
      ["tests/test_memory.py::TestBatchForm::test_inner_update_with_degenerate_rows"]),
     ("memory.py", "_unit_rows(np.ascontiguousarray(prototypes, dtype=float))",
      "_unit_rows(np.asarray(prototypes, dtype=float))",
+     ["tests/test_memory.py::TestBatchForm::test_gradient_has_the_same_bits_in_either_memory_order"]),
+    ("memory.py", "_unit_rows(np.ascontiguousarray(f_m, dtype=float))", "_unit_rows(f_m)",
+     ["tests/test_memory.py::TestBatchForm::test_gradient_has_the_same_bits_in_either_memory_order"]),
+    ("memory.py", "m_prime = np.ascontiguousarray(m_prime, dtype=float)", "m_prime = np.asarray(m_prime, dtype=float)",
      ["tests/test_memory.py::TestBatchForm::test_gradient_has_the_same_bits_in_either_memory_order"]),
     ("memory.py", "return mem.prototypes - alpha_lr * _proto_grad(", "return mem.prototypes + alpha_lr * _proto_grad(",
      ["tests/test_memory.py::TestBatchForm::test_inner_update_matches_per_sample_reference"]),
@@ -146,6 +152,15 @@ MUTANTS = [
      ["tests/test_cli.py::TestSynthCommand::test_size_over_the_cap_exits_2_at_once_naming_it[frames]"]),
     ("synth.py", "psi = psi0 + omega * t", "psi = psi0 + spec.speed * t / spec.radius",
      ["tests/test_report_matrix.py::test_synth_bytes"]),
+    # synth checks each block in one call, before crossing's collision check, and words the first failing
+    # agent's refusal; the density check counts the block's agents, which for crossing may exceed n_agents.
+    ("synth.py", '        Trajectory.from_rows(str(r), block[r], "vehicle", spec.dt)\n', "",
+     [f"{HUGE}[crossing-speed-before-collision]", "tests/test_cli_fuzz.py::test_generate_matches_the_per_frame_reference"]),
+    ("synth.py", 'check_radius("neighbor_radius", spec.neighbor_radius, n * block.shape[1])', "None",
+     [f"{VANISHING}[crossing-radius-two-agents]"]),
+    # rank checks the scene count before it scores any scene.
+    ("cli.py", 'memory.check_categories(len(scenes), opts.get("categories", 1))', "None",
+     ["tests/test_cli.py::TestRankCommand::test_scene_count_is_checked_before_any_scoring"]),
     ("__init__.py", '"scene": "AgentState KinematicSeries', '"scene": "KinematicSeries', ["tests/test_imports.py"]),
 ]
 

@@ -20,6 +20,10 @@ from tailscope.scene import CSV_COLUMNS, dump_scenes
 from tailscope.synth import ScenarioSpec, generate
 
 
+#: The refusal of a synth agent whose velocity at frame 0 is beyond ``MAX_MAGNITUDE``.
+TOO_FAST = "trajectory '0': non-finite value, or a position or velocity beyond 1e+150, at frame 0"
+
+
 def run(argv):
     return main(argv)
 
@@ -238,6 +242,21 @@ class TestRankCommand:
         csv_path = tmp_path / "one.csv"
         write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=0, frames=5)])
         assert run(["rank", "--input", str(csv_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "count, flags, error",
+        [
+            (1, [], "normalization stats need at least 2 scenes; pass --stats for single scenes"),
+            (3, ["--categories", "4"], "cannot split 3 samples into 4 categories"),
+        ],
+        ids=["one-scene-without-stats", "more-categories-than-scenes"],
+    )
+    def test_scene_count_is_checked_before_any_scoring(self, tmp_path, capsys, monkeypatch, count, flags, error):
+        csv_path = tmp_path / "s.csv"
+        write_scenes(csv_path, [ScenarioSpec(kind="constant", seed=s, frames=5) for s in range(count)])
+        monkeypatch.setattr("tailscope.interaction.score_scenes", lambda *args: pytest.fail("scored"))
+        assert run(["rank", "--input", str(csv_path), *flags, "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_brake_family_ti_order_with_monotone_params(self, tmp_path):
         from tailscope.perceiver import GaussianLayer, PerceiverParams
@@ -706,10 +725,14 @@ class TestExitCodeContract:
             (["synth", "--kind", "constant", "--dt", "1e100"], {}, ("dt",)),
             (["synth", "--kind", "brake", "--dt", "1e100"], {}, ("dt",)),
             (["eval", "--k", "1", "--topk", "50", "--rank-metric", "min_ade", "--rank-k", "1"], {}, ("'b'", "1e+150")),
+            # the trajectory check comes before crossing's collision check; a position that overflows gives no warning
+            (["synth", "--kind", "crossing", "--speed", "1e200"], {}, (f"error: {TOO_FAST}\n",)),
+            (["synth", "--kind", "constant", "--speed", "1e308"], {}, (f"error: {TOO_FAST}\n",)),
         ],
         ids=[
             "circle-dt", "brake-stop-time", "synth-radius", "metrics-radius", "rss-rho",
             "brake-stop-time-overflow", "constant-dt-spacing", "brake-dt-spacing", "eval-coordinates",
+            "crossing-speed-before-collision", "constant-speed-overflow",
         ],
     )
     def test_huge_numbers_do_not_overflow_to_exit_1(self, tmp_path, capsys, argv, config, names):
@@ -815,10 +838,12 @@ class TestExitCodeContract:
             (["metrics", "--neighbor-radius", "1e160"], "neighbor_radius", None),
             (["synth", "--kind", "grid", "--neighbor-radius", "1e300"], "neighbor_radius", None),
             (["metrics"], "rss_params", {"rss_params": {"rho": 1e200}}),
+            # the spec's density check counts 1 agent; crossing's scene has 2, and their density overflows
+            (["synth", "--kind", "crossing", "--agents", "1", "--neighbor-radius", "2.3e-154"], "neighbor_radius", None),
         ],
         ids=[
             "synth-speed-nan", "synth-decel-inf", "synth-radius-vanishing", "metrics-radius-vanishing",
-            "metrics-radius-huge", "synth-radius-huge", "metrics-rss-rho-huge",
+            "metrics-radius-huge", "synth-radius-huge", "metrics-rss-rho-huge", "crossing-radius-two-agents",
         ],
     )
     def test_non_finite_or_vanishing_number_exits_2_naming_it(self, tmp_path, capsys, argv, name, config):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from tailscope import evaluation  # noqa: E402
 from tailscope.cli import OPTIONS, main  # noqa: E402
@@ -38,6 +38,7 @@ from tailscope.scene import (  # noqa: E402
 from tailscope.synth import SCENARIO_KINDS, ScenarioSpec, generate  # noqa: E402
 
 import scene_reference  # noqa: E402
+import synth_reference  # noqa: E402
 
 # No "/" in drawn strings: a drawn output path stays inside the working directory.
 TEXT = st.text(st.characters(blacklist_characters="/"), max_size=8)
@@ -431,6 +432,48 @@ def test_scene_csv_parse_matches_the_row_by_row_reading(workdir, data):
     want = parsed_scenes(read_row_by_row, text)
     assert parsed_scenes(parse_scene_csv, text) == want
     assert parsed_scenes(lambda t: checked_again(parse_scene_csv(t)), text) == want
+
+
+#: Sizes of every magnitude, so refusals (a position past ``MAX_MAGNITUDE``, an
+#: acceleration past its bound, a collision, an overflow) are drawn as well.
+SYNTH_NUMBERS = (
+    st.floats(0.0, 100.0) | st.floats(0.0, 1e4) | st.floats(1e-300, 1e308)
+    | st.sampled_from([0.0, 1.0, 1e-60, 1e149, 1e150, 1e200, 1e308])
+)
+
+
+@settings(max_examples=300)
+@given(
+    kind=st.sampled_from(SCENARIO_KINDS), frames=st.integers(2, 30), seed=st.integers(0, 2**32),
+    dt=st.floats(1e-4, 10.0) | st.sampled_from([1e-4, 0.05, 0.1]), speed=SYNTH_NUMBERS, radius=SYNTH_NUMBERS,
+    decel=SYNTH_NUMBERS, gap=SYNTH_NUMBERS, n_agents=st.integers(1, 12),
+    neighbor_radius=st.floats(1e-160, 1e160) | st.just(50.0),
+)
+@example(kind="circle", frames=20, seed=0, dt=1e-4, speed=1e149, radius=1e-60, decel=3.0, gap=20.0, n_agents=3,
+         neighbor_radius=50.0)  # the jerk check
+@example(kind="circle", frames=20, seed=0, dt=0.1, speed=1e300, radius=1e-300, decel=3.0, gap=20.0, n_agents=3,
+         neighbor_radius=50.0)  # circle's overflow
+@example(kind="crossing", frames=20, seed=0, dt=0.1, speed=1e200, radius=20.0, decel=3.0, gap=20.0, n_agents=3,
+         neighbor_radius=50.0)  # the trajectory check comes before the collision
+@example(kind="crossing", frames=20, seed=0, dt=0.1, speed=5.0, radius=20.0, decel=3.0, gap=20.0, n_agents=1,
+         neighbor_radius=2.3e-154)  # the density of the 2 agents, not of n_agents
+def test_generate_matches_the_per_frame_reference(**fields):
+    """``generate`` gives the scene of ``tests/synth_reference.py``'s per-frame
+    formulas bit for bit, in agent order, with the same oracle (``repr``, so its
+    types too), or the same refusal, type and text."""
+    try:
+        spec = ScenarioSpec(**fields)
+    except TailscopeError:
+        return  # the spec's own checks run before either generator
+
+    def outcome(build):
+        try:
+            scene, oracle = build(spec)
+        except TailscopeError as exc:
+            return type(exc).__name__, str(exc)
+        return scene_bits([scene]), repr(oracle)
+
+    assert outcome(generate) == outcome(synth_reference.generate)
 
 
 @given(mode=st.sampled_from(["mean", "sample"]), data=st.data())

@@ -695,15 +695,22 @@ class TestBatchForm:
         assert len(caught) == 1
 
     def test_gradient_has_the_same_bits_in_either_memory_order(self, rng):
+        """A Fortran-ordered prototype matrix, feature batch or M' gives the bits of its C-ordered copy."""
         params = CognitiveSetParams.create(categories=5, feature_dim=64, seed=3)  # D = 64: numpy sums rows pairwise
         g_adj = np.full((32, 5), 0.2)
         for _ in range(10):
-            prototypes, batch = rng.normal(size=(5, 64)), random_batch(rng, b=32, d=64)
-            fortran = np.asfortranarray(prototypes)
-            grads = [proto_loss_and_grad(m, batch.f_m, g_adj, 5.0)[1] for m in (fortran, prototypes)]
-            assert grads[0].tobytes() == grads[1].tobytes()
-            steps = [inner_update(PrototypeMemory(prototypes=m), batch, params) for m in (fortran, prototypes)]
-            assert steps[0].tobytes() == steps[1].tobytes()
+            prototypes, batch, h = rng.normal(size=(5, 64)), random_batch(rng, b=32, d=64), rng.normal(size=64 + 15)
+            calls = [
+                lambda m, f: similarity(f, m, 5.0),
+                lambda m, f: proto_loss_and_grad(m, f, g_adj, 5.0)[1],
+                lambda m, f: inner_update(PrototypeMemory(prototypes=m), replace(batch, f_m=f), params),
+                lambda m, f: augment(f[0], h, g_adj[0], m, params),  # M' is the prototypes' place here
+            ]
+            layouts = [(prototypes, batch.f_m), (np.asfortranarray(prototypes), batch.f_m),
+                       (prototypes, np.asfortranarray(batch.f_m))]
+            for call in calls:
+                c_order, fortran_m, fortran_f = (call(m, f).tobytes() for m, f in layouts)
+                assert fortran_m == c_order and fortran_f == c_order
 
 
 class TestAugment:

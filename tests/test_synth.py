@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tailscope import scene as scene_module, synth
 from tailscope.errors import UsageError
 from tailscope.interaction import compute_interactive, ittc_risk
 from tailscope.intrinsic import compute_intrinsic
@@ -113,6 +114,22 @@ class TestMonotoneFamilies:
             )
             values.append(ittc_risk(scene)["r_ittc"])
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_a_scene_is_checked_once(monkeypatch):
+    """``generate`` checks every agent of a scene in one ``_trajectory_faults`` call and
+    builds no checked ``Trajectory`` or ``Scene``: the scene views its group's block."""
+    def forbidden(self):
+        raise AssertionError(f"built {type(self).__name__}")
+
+    faults, calls = synth._trajectory_faults, []
+    monkeypatch.setattr(synth, "_trajectory_faults", lambda *args: calls.append(len(args[1])) or faults(*args))
+    monkeypatch.setattr(scene_module.Trajectory, "__post_init__", forbidden)
+    monkeypatch.setattr(scene_module.Scene, "__post_init__", forbidden)
+    scene, _ = generate(ScenarioSpec(kind="grid", n_agents=7))
+    assert calls == [7]
+    assert list(scene.agents) == [str(a) for a in range(7)]
+    assert not any(traj.positions.flags.writeable for traj in scene.agents.values())
 
 
 class TestCsvRoundTrip:
