@@ -33,10 +33,6 @@ PACKAGE = ROOT / "src" / "tailscope"
 
 #: (file under src/tailscope, exact stripped line text, why no in-process test runs it)
 ALLOWED = [
-    ("cli.py", 'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")',
-     "cli.entry, the console script, runs only in the subprocesses of tests/test_imports.py"),
-    ("cli.py", "sys.exit(main())",
-     "cli.entry, the console script, runs only in the subprocesses of tests/test_imports.py"),
     ("__init__.py", 'return import_module(f".{name}", __name__)',
      "the lazy import of a submodule that no earlier import has loaded: the suite's first imports load them all"),
 ]

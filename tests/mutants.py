@@ -36,6 +36,7 @@ TI_OVERFLOW = "tests/test_cli.py::TestExitCodeContract::test_params_whose_tail_i
 NUMPY_BITS = "tests/test_perceiver.py::TestNormalize::test_fit_has_the_bits_of_numpy_median_and_quantile"
 HUGE = "tests/test_cli.py::TestExitCodeContract::test_huge_numbers_do_not_overflow_to_exit_1"
 VANISHING = "tests/test_cli.py::TestExitCodeContract::test_non_finite_or_vanishing_number_exits_2_naming_it"
+ENTRY_GC = "tests/test_imports.py::test_entry_runs_main_without_the_collector_and_freezes_what_is_left"
 
 #: (file under src/tailscope, exact old text, new text, test files or nodes that must kill it)
 MUTANTS = [
@@ -161,6 +162,9 @@ MUTANTS = [
     # rank checks the scene count before it scores any scene.
     ("cli.py", 'memory.check_categories(len(scenes), opts.get("categories", 1))', "None",
      ["tests/test_cli.py::TestRankCommand::test_scene_count_is_checked_before_any_scoring"]),
+    # The console script runs a pass without the cyclic collector and freezes what is left before exit.
+    ("cli.py", "gc.disable()\n    try:", "try:", [ENTRY_GC]),
+    ("cli.py", "finally:\n        gc.freeze()", "finally:\n        pass", [ENTRY_GC]),
     ("__init__.py", '"scene": "AgentState KinematicSeries', '"scene": "KinematicSeries', ["tests/test_imports.py"]),
 ]
 

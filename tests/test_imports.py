@@ -1,6 +1,8 @@
 """Per-command imports: each CLI pass loads only the modules it runs, and the
-package's lazily re-exported names all resolve."""
+package's lazily re-exported names all resolve. The console script's set-up:
+BLAS on one thread, and a pass without the cyclic garbage collector."""
 
+import gc
 import importlib
 import json
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tailscope
-from tailscope import cli
+from tailscope import cli, scene
 from tailscope.scene import dump_scenes
 from tailscope.synth import ScenarioSpec, generate
 
@@ -87,16 +89,18 @@ def test_cli_import_loads_no_numpy():
     }
 
 
-def _scenes_csv(tmp_path):
+def _scenes_csv(tmp_path, n=3):
     path = tmp_path / "scenes.csv"
-    dump_scenes([generate(ScenarioSpec(kind="crossing", seed=s, frames=5))[0] for s in range(3)], path)
+    dump_scenes([generate(ScenarioSpec(kind="crossing", seed=s, frames=5))[0] for s in range(n)], path)
     return str(path)
 
 
-def _forecasts_jsonl(tmp_path):
+def _forecasts_jsonl(tmp_path, n=1):
     path = tmp_path / "f.jsonl"
     gt = [[float(t), 0.0] for t in range(4)]
-    path.write_text(json.dumps({"sample_id": "a", "modes": [gt], "probs": [1.0], "gt": gt}) + "\n")
+    path.write_text("".join(
+        json.dumps({"sample_id": str(i), "modes": [gt], "probs": [1.0], "gt": gt}) + "\n" for i in range(n)
+    ))
     return str(path)
 
 
@@ -154,7 +158,58 @@ def test_entry_runs_blas_on_one_thread_unless_told_otherwise(given, seen):
 
 
 def test_in_process_main_leaves_the_environment_alone(tmp_path):
-    before = dict(os.environ)
+    before = dict(os.environ), gc.isenabled(), gc.get_freeze_count()
     argv = ["eval", "--input", _forecasts_jsonl(tmp_path), "--k", "1", "--out", str(tmp_path / "r.json")]
     assert cli.main(argv) == 0
-    assert dict(os.environ) == before
+    assert (dict(os.environ), gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_entry_runs_main_without_the_collector_and_freezes_what_is_left(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")  # records the value to restore
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    seen = []
+    monkeypatch.setattr(
+        cli, "main", lambda: seen.append((gc.isenabled(), os.environ.get("OPENBLAS_NUM_THREADS"))) or 3
+    )
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry()
+        frozen = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    assert exit_.value.code == 3
+    assert seen == [(False, "1")]
+    assert frozen > 0
+
+
+def _unreachable_after(argv):
+    """The unreachable objects that ``gc.collect()`` finds after ``cli.main(argv)`` runs with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "command, spaced",
+    [("metrics", False), ("metrics", True), ("rank", False), ("rank", True), ("eval", False)],
+    ids=["metrics", "metrics-csv-rows", "rank", "rank-csv-rows", "eval"],
+)
+def test_a_pass_leaves_the_same_cyclic_garbage_on_a_corpus_50_times_larger(tmp_path, monkeypatch, command, spaced):
+    """Why ``entry()`` may run a pass without the collector: what it leaves does not grow with the input."""
+    read, tokenized = scene._csv_rows, []
+    monkeypatch.setattr(scene, "_csv_rows", lambda *args: tokenized.append(1) or read(*args))
+    extra = {"metrics": [], "rank": ["--categories", "2"], "eval": ["--k", "1"]}[command]
+    found = []
+    for n in (2, 100):
+        path = Path(_forecasts_jsonl(tmp_path, n) if command == "eval" else _scenes_csv(tmp_path, n))
+        if spaced:  # a space is not plain, so ``csv`` reads the file
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join([lines[0], lines[1].replace(",", ", ", 1), *lines[2:]]))
+        found.append(_unreachable_after([command, "--input", str(path), "--out", str(tmp_path / "r.json"), *extra]))
+    assert bool(tokenized) == spaced
+    assert found[0] == found[1] > 0
