@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import (
     ConfigurationError, JsonRecord, ParseError, TailscopeError, UsageError, ValidationError, json_fields, read_json,
-    report_text, write_report,
+    report_text, write_report, write_text,
 )
 
 CONFIG_ENV_VAR = "TAILSCOPE_CONFIG"
@@ -234,10 +234,9 @@ def cmd_synth(opts: dict) -> int:
         raise UsageError("synth needs --out for the scene CSV")
     spec = ScenarioSpec(**_kwargs(opts, *(f.name for f in fields(ScenarioSpec))))
     scene, oracle = generate(spec)
-    sidecar = {"spec": asdict(spec), "oracle": oracle}
-    report_text(sidecar)  # a sidecar refused for a non-finite value leaves no scene CSV behind
+    text = report_text({"spec": asdict(spec), "oracle": oracle})  # a refused sidecar leaves no scene CSV behind
     dump_scenes([scene], out)
-    write_report(opts.get("oracle_out") or f"{out}.oracle.json", sidecar)
+    write_text(opts.get("oracle_out") or f"{out}.oracle.json", text)
     return 0
 
 

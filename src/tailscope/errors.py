@@ -164,12 +164,15 @@ def _float_array(value):
     return np.asarray_chkfinite(numbers(value))
 
 
-def freeze(record, names) -> None:
-    """Set each field ``names`` of the frozen dataclass ``record`` to a read-only float copy of its value."""
+def freeze(record, names, error=None) -> None:
+    """Set each field ``names`` of the frozen dataclass ``record`` to a read-only float copy of its value; given
+    an ``error`` class, a copy holding a NaN or an infinity raises it naming the field."""
     import numpy as np
 
     for name in names:
         array = np.array(getattr(record, name), dtype=float)
+        if error is not None and not np.isfinite(array).all():
+            raise error(f"{name} contains non-finite values")
         array.flags.writeable = False
         object.__setattr__(record, name, array)
 

@@ -11,12 +11,13 @@ cosine pass, refines the memory before it augments the feature vector.
 ``augment`` take one sample's vectors or ``(B, .)`` stacks whose rows are
 samples, ``PrototypeMemory.category_of`` one Tail Index or a ``(B,)`` array; a
 batch call, like ``inner_update``, warns once, not once per degenerate row.
-``GateMlp.forward`` is one einsum kernel, a row's bits the same in any batch;
-other one-sample calls take a lean path (``ndarray.dot``, in-place arithmetic,
-Python floats) matching the batch rows to 1e-12. Two memos keyed by content,
-``GateMlp``'s of the rows of its last forward and ``similarity``'s of the last
-prototype matrix's row norms, give a recompute's bits; ``GateMlp``'s weights and
-logits are read-only, so neither memo can go stale.
+``GateMlp.forward`` is one einsum kernel, a row's bits the same in any batch,
+and ``augment`` one expression for both shapes; the other one-sample calls take
+a lean path (``ndarray.dot``, Python floats) matching the batch rows to 1e-12.
+Two memos keyed by content, ``GateMlp``'s of the rows of its last forward and
+``similarity``'s of the last prototype matrix's row norms, give a recompute's
+bits; ``GateMlp``'s weights and logits are read-only, so neither memo can go
+stale.
 
 Reads (allocation, similarity, vigilance, augment) are pure; the two update
 operations return fresh arrays and never mutate their inputs, but concurrent
@@ -110,7 +111,7 @@ class GateMlp(JsonRecord):
     b_gate: float
 
     def __post_init__(self):
-        freeze(self, self._ARRAYS)
+        freeze(self, self._ARRAYS, ConfigurationError)
         object.__setattr__(self, "_rows", {})  # each row of the last forward: its bytes -> (logits, gate)
         if self.w_hidden.ndim != 2:
             raise ConfigurationError(f"w_hidden must be a (hidden, in) matrix, got shape {self.w_hidden.shape}")
@@ -192,7 +193,7 @@ class CognitiveSetParams(JsonRecord):
     def __post_init__(self):
         if self.b_tail is None or self.gate_mlp is None:
             raise ConfigurationError("b_tail and gate_mlp are required")
-        freeze(self, ("b_tail",))
+        freeze(self, ("b_tail",), ConfigurationError)
         for name, value in (("tau", self.tau), ("gamma_steep", self.gamma_steep)):
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigurationError(f"{name} must be > 0, got {value}")
@@ -243,11 +244,9 @@ class PrototypeMemory(JsonRecord):
     boundaries: np.ndarray = ()
 
     def __post_init__(self):
-        freeze(self, ("prototypes", "boundaries"))
+        freeze(self, ("prototypes", "boundaries"), ValidationError)
         if self.prototypes.ndim != 2:
             raise ValidationError(f"prototypes must be a (C, D) matrix, got {self.prototypes.shape}")
-        if not np.all(np.isfinite(self.prototypes)):
-            raise ValidationError("prototypes contain non-finite values")
         if np.any(np.all(self.prototypes == 0.0, axis=1)):
             raise ValidationError("prototype rows must not be identically zero")
         if not (0.0 <= self.eta <= 1.0):
@@ -428,10 +427,7 @@ def similarity(f_m: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarra
         _, row_norms, rows_ok = rows
         f_norm = math.sqrt(f_m.dot(f_m))
         if rows_ok and EPS_NORM <= f_norm < math.inf:
-            out = prototypes.dot(f_m)
-            out /= row_norms
-            out *= tau / f_norm
-            return out
+            return prototypes.dot(f_m) / row_norms * (tau / f_norm)
     return tau * _cosines(f_m, prototypes)[-1]
 
 
@@ -549,9 +545,4 @@ def augment(
     if np.shape(h)[:-1] != f_m.shape[:-1]:
         raise ConfigurationError(f"augment takes one gating input per feature row, got {np.shape(h)}")
     gate = sigmoid(params.gate_mlp.forward(h)[1])
-    if f_m.ndim == 2:
-        return f_m + gate[:, None] * (g_adj @ m_prime)
-    out = g_adj.dot(m_prime)
-    out *= gate
-    out += f_m
-    return out
+    return f_m + (gate[:, None] if f_m.ndim == 2 else gate) * g_adj.dot(m_prime)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ class GaussianLayer(JsonRecord):
     sigma_b: np.ndarray  # (out,)
 
     def __post_init__(self):
-        freeze(self, ("mu_w", "sigma_w", "mu_b", "sigma_b"))
+        freeze(self, ("mu_w", "sigma_w", "mu_b", "sigma_b"), ConfigurationError)
         if self.mu_w.ndim != 2 or self.sigma_w.shape != self.mu_w.shape:
             raise ConfigurationError(
                 f"weight shapes disagree: mu {self.mu_w.shape}, sigma {self.sigma_w.shape}"
@@ -56,9 +56,6 @@ class GaussianLayer(JsonRecord):
             raise ConfigurationError(
                 f"bias shapes disagree with weight rows: {self.mu_b.shape} vs {self.mu_w.shape}"
             )
-        for name in ("mu_w", "sigma_w", "mu_b", "sigma_b"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ConfigurationError(f"{name} contains non-finite values")
         if np.any(self.sigma_w <= 0) or np.any(self.sigma_b <= 0):
             raise ConfigurationError("sigmas must be strictly positive")
 
@@ -92,7 +89,7 @@ class PerceiverParams(JsonRecord):
     def __post_init__(self):
         object.__setattr__(self, "path_i", tuple(self.path_i))
         object.__setattr__(self, "path_r", tuple(self.path_r))
-        freeze(self, ("w_o",))
+        freeze(self, ("w_o",), ConfigurationError)
         if self.w_o.ndim != 1:
             raise ConfigurationError(f"w_o must be a vector, got shape {self.w_o.shape}")
         for name, path, kl in zip(("path_i", "path_r"), (self.path_i, self.path_r), self.kl):
@@ -171,13 +168,13 @@ class DatasetStats(JsonRecord):
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        freeze(self, ("median", "scale"))
+        freeze(self, ("median", "scale"), ConfigurationError)
         if self.median.shape != (len(METRIC_FIELDS),) or self.scale.shape != self.median.shape:
             raise ConfigurationError(
                 f"stats must cover the {len(METRIC_FIELDS)} metrics, "
                 f"got {self.median.shape} / {self.scale.shape}"
             )
-        if np.any(self.scale <= 0) or not np.all(np.isfinite(self.scale)):
+        if np.any(self.scale <= 0):
             raise ConfigurationError("scales must be strictly positive and finite")
 
     @classmethod
@@ -270,7 +267,6 @@ def kl_diag_gaussian(layers: Sequence[GaussianLayer]) -> float:
     return total
 
 
-@lru_cache(maxsize=64)  # one computation per parameter set and direction, not one per scene
 def fusion_weights(kl_i: float, kl_r: float, lambda_temp: float) -> tuple[float, float]:
     """Softmax over (lambda * KL) per path, computed max-shifted.
 

@@ -37,6 +37,8 @@ NUMPY_BITS = "tests/test_perceiver.py::TestNormalize::test_fit_has_the_bits_of_n
 HUGE = "tests/test_cli.py::TestExitCodeContract::test_huge_numbers_do_not_overflow_to_exit_1"
 VANISHING = "tests/test_cli.py::TestExitCodeContract::test_non_finite_or_vanishing_number_exits_2_naming_it"
 ENTRY_GC = "tests/test_imports.py::test_entry_runs_main_without_the_collector_and_freezes_what_is_left"
+MEMORY_ROW = "tests/test_memory.py::test_each_check_raises_its_error"
+PERCEIVER_ROW = "tests/test_perceiver.py::test_each_check_raises_its_error"
 
 #: (file under src/tailscope, exact old text, new text, test files or nodes that must kill it)
 MUTANTS = [
@@ -144,6 +146,21 @@ MUTANTS = [
      ["tests/test_memory.py::TestAugment"]),
     ("memory.py", "mem.eta * new_rows[c] + (1.0 - mem.eta) * (w @ batch.f_m[mask])",
      "(1.0 - mem.eta) * new_rows[c] + mem.eta * (w @ batch.f_m[mask])", ["tests/test_memory.py::TestUpdatePrototypes"]),
+    # A parameter record built directly refuses a NaN or an infinity in each of its arrays, as its JSON form does.
+    ("errors.py", "if error is not None and not np.isfinite(array).all():", "if error is not None and np.isnan(array).any():",
+     [f"{PERCEIVER_ROW}[scale contains non-finite values]"]),
+    ("memory.py", "freeze(self, self._ARRAYS, ConfigurationError)", "freeze(self, self._ARRAYS)",
+     [f"{MEMORY_ROW}[w_alloc contains non-finite values]"]),
+    ("memory.py", 'freeze(self, ("b_tail",), ConfigurationError)', 'freeze(self, ("b_tail",))',
+     [f"{MEMORY_ROW}[b_tail contains non-finite values]"]),
+    ("memory.py", 'freeze(self, ("prototypes", "boundaries"), ValidationError)',
+     'freeze(self, ("prototypes",), ValidationError)\n        freeze(self, ("boundaries",))',
+     [f"{MEMORY_ROW}[boundaries contains non-finite values]"]),
+    ("perceiver.py", 'freeze(self, ("w_o",), ConfigurationError)', 'freeze(self, ("w_o",))',
+     [f"{PERCEIVER_ROW}[w_o contains non-finite values]"]),
+    ("perceiver.py", 'freeze(self, ("median", "scale"), ConfigurationError)',
+     'freeze(self, ("median",))\n        freeze(self, ("scale",), ConfigurationError)',
+     [f"{PERCEIVER_ROW}[median contains non-finite values]"]),
     # The CLI: no number option takes a boolean. synth refuses sizes over its cap before it allocates (a
     # test that ran the grid without the cap would loop for ever, so only the frames case is named); its
     # circle rounds its angle as written, and the report matrix pins those bits. The package exports AgentState.

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailscope import cli
+from tailscope import cli, errors
 from tailscope.cli import main
 from tailscope.perceiver import default_params
 from tailscope.scene import CSV_COLUMNS, dump_scenes
@@ -465,6 +465,15 @@ class TestSynthCommand:
     def test_missing_kind_exits_2(self, tmp_path, capsys):
         assert run(["synth", "--out", str(tmp_path / "x.csv")]) == 2
         assert "--kind" in capsys.readouterr().err
+
+    def test_sidecar_is_encoded_once(self, tmp_path, monkeypatch):
+        """The text that checks the sidecar before the CSV is written is the text written: one encoding."""
+        texts, encode = [], cli.report_text
+        for module in (cli, errors):  # write_report encodes through errors.report_text
+            monkeypatch.setattr(module, "report_text", lambda report: texts.append(encode(report)) or texts[-1])
+        assert run(["synth", "--kind", "crossing", "--frames", "5", "--out", str(tmp_path / "x.csv")]) == 0
+        sidecar = (tmp_path / "x.csv.oracle.json").read_text()
+        assert texts == [sidecar] and sidecar == json.dumps(json.loads(sidecar), indent=2, sort_keys=True) + "\n"
 
     def test_non_finite_oracle_is_refused_naming_its_key(self, tmp_path, capsys):
         """speed * omega overflows: the report writer refuses to write Infinity."""

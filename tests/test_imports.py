@@ -51,6 +51,16 @@ def test_old_export_resolves(module, name):
     assert namespace[name] is want
 
 
+def test_a_submodule_not_imported_yet_loads_on_first_read(monkeypatch):
+    """``tailscope.synth`` before any import of it: the package's ``__getattr__`` imports the module."""
+    old = sys.modules["tailscope.synth"]
+    monkeypatch.delitem(sys.modules, "tailscope.synth")
+    monkeypatch.delattr(tailscope, "synth")
+    module = tailscope.synth
+    assert module is not old and module is sys.modules["tailscope.synth"]
+    assert module.ScenarioSpec.__module__ == "tailscope.synth"
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         tailscope.no_such_name

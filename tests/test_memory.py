@@ -1015,7 +1015,12 @@ CHECKS = [
     (lambda: CognitiveSetParams(b_tail=default_tail_bias(3), gate_mlp=_gate()), ConfigurationError,
      "b_tail covers 3 categories, gate mlp 2"),
     (lambda: PrototypeMemory(np.ones(3)), ValidationError, "prototypes must be a (C, D) matrix, got (3,)"),
-    (lambda: PrototypeMemory(np.full((2, 2), np.nan)), ValidationError, "prototypes contain non-finite values"),
+    (lambda: _gate(w_alloc=np.full((2, 4), np.nan)), ConfigurationError, "w_alloc contains non-finite values"),
+    (lambda: CognitiveSetParams(b_tail=[np.nan] * 2, gate_mlp=_gate()), ConfigurationError,
+     "b_tail contains non-finite values"),
+    (lambda: PrototypeMemory(np.full((2, 2), np.nan)), ValidationError, "prototypes contains non-finite values"),
+    (lambda: PrototypeMemory(np.ones((3, 2)), boundaries=[np.nan, 1.0]), ValidationError,
+     "boundaries contains non-finite values"),
     (lambda: PrototypeMemory(np.ones((3, 2)), boundaries=[1.0]), ValidationError, "expected 2 boundaries, got (1,)"),
     (lambda: PrototypeMemory(np.ones((3, 2)), boundaries=[2.0, 1.0]), ValidationError,
      "boundaries must be ascending"),
